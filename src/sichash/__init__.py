@@ -9,7 +9,6 @@ from .cuckoo import (
     build_bucket,
     incremental_load_experiment,
     matching_oracle,
-    rattle_insert,
 )
 from .errors import ConstructionError, DeserializationError, SicHashError
 from .hashing import MasterHash, bucket_of, cell_of, class_of, master_hash
@@ -75,6 +74,5 @@ __all__ = [
     "master_hash",
     "matching_oracle",
     "minimize",
-    "rattle_insert",
     "serialize",
 ]

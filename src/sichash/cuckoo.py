@@ -9,6 +9,11 @@ inserter increments its counter and probes its next cell instead), and
 an evicted object re-enters with its counter incremented by one.
 Construction of a whole bucket is retried with seeds 0, 1, 2, ... until
 all entries place within the displacement budget.
+
+Each entry's candidate cells are derived once per (entry, seed) — in one
+vectorized pass per bucket seed — so kicking itself is list lookups
+only.  The injectivity self-check on a finished placement re-derives the
+chosen cells with the vectorized query-side derivation.
 """
 
 from __future__ import annotations
@@ -23,14 +28,12 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import ConstructionError
 from .hashing import (
-    MASK64,
-    _M1,
-    _M2,
-    _cell_key,
-    class_thresholds,
-    fold_hash_many,
     MasterHash,
+    _cell_key,
+    cell_from_key,
     cell_of,
+    cell_of_many,
+    class_thresholds,
     fold_hash,
 )
 
@@ -75,28 +78,30 @@ class PlacementResult:
 class RattleTable:
     """Mutable insertion state for one cuckoo table.
 
-    After a failed insert the table is left mid-displacement; callers
-    either discard it (seed retry) or stop the experiment.
+    ``cand`` holds each entry's candidate cells under ``seed``, one list
+    per entry with its degree as length; the cell of hash function ``t``
+    is ``cand[entry][t]``.  After a failed insert the table is left
+    mid-displacement; callers either discard it (seed retry) or stop the
+    experiment.
     """
 
-    def __init__(self, m: int, seed: int):
+    def __init__(self, m: int, seed: int, cand: Optional[list[list[int]]] = None):
         self.m = m
         self.seed = seed
         self.cells = [-1] * m  # entry index occupying each cell
-        self.folded: list[int] = []
-        self.degrees: list[int] = []
-        self.counters: list[int] = []
+        self.cand = [] if cand is None else cand
+        self.counters = [0] * len(self.cand)
         self.displacements = 0
         self._keys = [_cell_key(seed, t) for t in range(8)]
 
     def __len__(self) -> int:
-        return len(self.folded)
+        return len(self.cand)
 
     def add_entry(self, folded: int, degree: int) -> int:
-        self.folded.append(folded)
-        self.degrees.append(degree)
+        m = self.m
+        self.cand.append([cell_from_key(folded, k, m) for k in self._keys[:degree]])
         self.counters.append(0)
-        return len(self.folded) - 1
+        return len(self.cand) - 1
 
     def insert(self, entry: int, budget: int) -> bool:
         """Place ``entry`` by rattle kicking.
@@ -105,20 +110,14 @@ class RattleTable:
         once it is exceeded (counters keep their mid-flight values).
         """
         table = self.cells
-        folded = self.folded
-        degrees = self.degrees
+        cand = self.cand
         counters = self.counters
-        keys = self._keys
-        m = self.m
         steps = self.displacements
         cur = entry
         c = counters[cur]
         while True:
-            z = folded[cur] ^ keys[c % degrees[cur]]
-            z = ((z ^ (z >> 30)) * _M1) & MASK64
-            z = ((z ^ (z >> 27)) * _M2) & MASK64
-            z ^= z >> 31
-            cell = (z * m) >> 64
+            row = cand[cur]
+            cell = row[c % len(row)]
             occ = table[cell]
             if occ < 0:
                 table[cell] = cur
@@ -139,11 +138,6 @@ class RattleTable:
                 return False
 
 
-def rattle_insert(state: RattleTable, entry: int, budget: int) -> bool:
-    """Insert a previously added entry; False when the budget runs out."""
-    return state.insert(entry, budget)
-
-
 def build_bucket(
     inp: BucketInput,
     budget: Optional[int] = None,
@@ -161,20 +155,23 @@ def build_bucket(
         budget = max(1, BUDGET_PER_ENTRY * n)
     if n == 0:
         return PlacementResult(0, np.empty(0, dtype=np.uint8), 0)
-    folded = fold_hash_many(inp.hi, inp.lo).tolist()
-    degrees = inp.degrees.tolist()
+    # one (entry, fn_index) pair per candidate cell, entries in order
+    ends = np.cumsum(inp.degrees, dtype=np.int64)
+    starts = ends - inp.degrees
+    entry = np.repeat(np.arange(n), inp.degrees)
+    fn_index = np.arange(int(ends[-1])) - starts[entry]
+    hi, lo = inp.hi[entry], inp.lo[entry]
+    bounds = list(zip(starts.tolist(), ends.tolist()))
     for seed in range(max_seeds):
-        table = RattleTable(inp.m, seed)
-        for f, d in zip(folded, degrees):
-            table.add_entry(f, d)
-        ok = True
+        flat = cell_of_many(hi, lo, seed, fn_index, inp.m).tolist()
+        table = RattleTable(inp.m, seed, [flat[a:z] for a, z in bounds])
         for i in range(n):
             if not table.insert(i, budget):
-                ok = False
                 break
-        if ok:
+        else:
             assignments = np.array(
-                [table.counters[i] % degrees[i] for i in range(n)], dtype=np.uint8
+                [c % len(row) for c, row in zip(table.counters, table.cand)],
+                dtype=np.uint8,
             )
             result = PlacementResult(seed, assignments, table.displacements)
             _check_placement(inp, result)
@@ -187,13 +184,9 @@ def build_bucket(
 
 def placement_cells(inp: BucketInput, result: PlacementResult) -> np.ndarray:
     """Cells selected by a placement, via the query-side derivation."""
-    return np.array(
-        [
-            cell_of(MasterHash(int(h), int(l)), result.seed, int(t), inp.m)
-            for h, l, t in zip(inp.hi, inp.lo, result.assignments)
-        ],
-        dtype=np.int64,
-    )
+    return cell_of_many(
+        inp.hi, inp.lo, result.seed, result.assignments, inp.m
+    ).astype(np.int64)
 
 
 def _check_placement(inp: BucketInput, result: PlacementResult) -> None:

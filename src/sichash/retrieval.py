@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._wire import Reader, Writer
-from .errors import ConstructionError
+from .errors import ConstructionError, DeserializationError
 from .hashing import (
     MASK64,
     MasterHash,
@@ -202,7 +202,20 @@ class RetrievalStore:
         seed = r.u64()
         band_width = r.u32()
         num_keys = r.u64()
+        if rbits not in (1, 2, 3):
+            raise DeserializationError(f"retrieval store: r={rbits} not in 1..3")
+        if not 1 <= band_width <= 64:
+            raise DeserializationError(
+                f"retrieval store: band_width={band_width} not in [1, 64]"
+            )
+        if 0 < num_slots < band_width:
+            raise DeserializationError("retrieval store: fewer slots than one band")
         planes = [r.words() for _ in range(rbits)]
+        nwords = num_slots // 64 + 2 if num_slots else 1
+        if any(len(p) != nwords for p in planes):
+            raise DeserializationError(
+                f"retrieval store: plane length differs from {nwords} words"
+            )
         return cls(rbits, num_slots, seed, band_width, num_keys, planes)
 
     def to_bytes(self) -> bytes:

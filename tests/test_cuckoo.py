@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from sichash.cli import OVERLOAD_CONFIGS
 from sichash.cuckoo import (
     BucketInput,
     RattleTable,
@@ -10,11 +12,16 @@ from sichash.cuckoo import (
     incremental_load_experiment,
     matching_oracle,
     placement_cells,
-    rattle_insert,
     summarize_loads,
 )
 from sichash.errors import ConstructionError
-from sichash.hashing import MasterHash, class_of_many, class_thresholds, fold_hash
+from sichash.hashing import (
+    MasterHash,
+    cell_of,
+    class_of_many,
+    class_thresholds,
+    fold_hash,
+)
 
 
 def _random_bucket(rng, n, alpha, fractions):
@@ -26,35 +33,97 @@ def _random_bucket(rng, n, alpha, fractions):
     return BucketInput(hi, lo, degs, m)
 
 
-# -- reference rattle process over explicit cell tables -----------------------
-# Independent mini-implementation used as an enumeration oracle: cells are
-# given directly instead of being derived from hashes.
+# -- reference rattle process -------------------------------------------------
+# Independent mini-implementation of the insertion rule.  ``cell(entry,
+# fn_index)`` is asked afresh on every probe: the enumeration oracles give
+# cells directly, the construction references derive them with scalar
+# ``cell_of`` the way the per-probe loop of the library once did.
+
+
+def _reference_insert(cell, table, counters, degrees, start, steps, budget):
+    """Rattle-insert entry ``start``; returns (placed, displacements)."""
+    cur, c = start, counters[start]
+    while True:
+        t = cell(cur, c % degrees[cur])
+        occ = table[t]
+        if occ < 0:
+            table[t] = cur
+            counters[cur] = c
+            return True, steps
+        if counters[occ] < c:
+            table[t] = cur
+            counters[cur] = c
+            cur, c = occ, counters[occ] + 1
+        else:
+            c += 1
+        steps += 1
+        if steps > budget:
+            counters[cur] = c
+            return False, steps
 
 
 def _reference_rattle(cells, n, m, degrees, budget):
     """cells[(entry, fn_index)] -> cell; returns number of entries placed."""
-    table = [-1] * m
-    counters = [0] * n
-    steps = 0
+    table, counters, steps = [-1] * m, [0] * n, 0
     for start in range(n):
-        cur, c = start, 0
-        while True:
-            cell = cells[(cur, c % degrees[cur])]
-            occ = table[cell]
-            if occ < 0:
-                table[cell] = cur
-                counters[cur] = c
-                break
-            if counters[occ] < c:
-                table[cell] = cur
-                counters[cur] = c
-                cur, c = occ, counters[occ] + 1
-            else:
-                c += 1
-            steps += 1
-            if steps > budget:
-                return start
+        ok, steps = _reference_insert(
+            lambda i, t: cells[(i, t)], table, counters, degrees, start, steps, budget
+        )
+        if not ok:
+            return start
     return n
+
+
+def _reference_build_bucket(inp, budget, max_seeds):
+    """(seed, assignments, displacements) of the smallest placing seed, or
+    None when no seed below ``max_seeds`` places every entry."""
+    n, m = len(inp), inp.m
+    hashes = [MasterHash(int(h), int(l)) for h, l in zip(inp.hi, inp.lo)]
+    degrees = inp.degrees.tolist()
+    for seed in range(max_seeds):
+        table, counters, steps = [-1] * m, [0] * n, 0
+
+        def cell(i, t):
+            return cell_of(hashes[i], seed, t, m)
+
+        for start in range(n):
+            ok, steps = _reference_insert(
+                cell, table, counters, degrees, start, steps, budget
+            )
+            if not ok:
+                break
+        else:
+            return seed, [counters[i] % degrees[i] for i in range(n)], steps
+    return None
+
+
+def _reference_loads(m, fractions, trials, seed, insert_budget=1000):
+    """The incremental overload experiment over the reference insertion."""
+    t1, t2 = class_thresholds(fractions[0], fractions[1])
+    rng = random.Random(seed)
+    loads = []
+    for _ in range(trials):
+        hashes, degrees, counters = [], [], []
+        table, steps = [-1] * m, 0
+
+        def cell(i, t):
+            return cell_of(hashes[i], 0, t, m)
+
+        while len(hashes) < m:
+            hi = rng.getrandbits(64)
+            lo = rng.getrandbits(64)
+            hashes.append(MasterHash(hi, lo))
+            degrees.append(2 if lo < t1 else (4 if lo < t2 else 8))
+            counters.append(0)
+            ok, steps = _reference_insert(
+                cell, table, counters, degrees, len(hashes) - 1, steps,
+                steps + insert_budget,
+            )
+            if not ok:
+                hashes.pop()
+                break
+        loads.append(len(hashes) / m)
+    return np.array(loads)
 
 
 def _enumerate_two_in_three_success() -> float:
@@ -144,21 +213,40 @@ class TestBuildBucket:
         with pytest.raises(ConstructionError, match="unconstructible"):
             build_bucket(inp, max_seeds=16)
 
+    def test_matches_per_probe_reference(self):
+        # small budgets and seed caps force seed retries and exhaustion
+        rng = np.random.default_rng(12)
+        retried = failed = 0
+        for _ in range(120):
+            n = int(rng.integers(1, 301))
+            inp = _random_bucket(rng, n, 0.8 + 0.2 * rng.random(), rng.dirichlet([1, 1, 1]))
+            budget = int(rng.choice([n // 4 + 1, n, 4 * n, 100 * n]))
+            max_seeds = int(rng.integers(1, 9))
+            want = _reference_build_bucket(inp, budget, max_seeds)
+            if want is None:
+                failed += 1
+                with pytest.raises(ConstructionError, match="unconstructible"):
+                    build_bucket(inp, budget=budget, max_seeds=max_seeds)
+                continue
+            got = build_bucket(inp, budget=budget, max_seeds=max_seeds)
+            retried += got.seed > 0
+            assert (got.seed, got.assignments.tolist(), got.displacements) == want
+        assert retried and failed
 
 class TestRattleInsert:
     def test_first_insert_goes_to_counter_zero_cell(self):
         table = RattleTable(10, seed=0)
         idx = table.add_entry(fold_hash(MasterHash(1, 2)), 4)
-        assert rattle_insert(table, idx, budget=100)
+        assert table.insert(idx, budget=100)
         assert table.counters[idx] == 0
         assert table.displacements == 0
 
     def test_forced_failure_single_cell(self):
         table = RattleTable(1, seed=0)
         a = table.add_entry(fold_hash(MasterHash(1, 2)), 2)
-        assert rattle_insert(table, a, budget=50)
+        assert table.insert(a, budget=50)
         b = table.add_entry(fold_hash(MasterHash(3, 4)), 2)
-        assert not rattle_insert(table, b, budget=50)
+        assert not table.insert(b, budget=50)
 
 
 class TestMatchingOracle:
@@ -240,6 +328,11 @@ class TestIncrementalExperiment:
         loads = incremental_load_experiment(500, (1.0, 0.0, 0.0), trials=49, seed=2)
         med = float(np.median(loads))
         assert 0.50 <= med <= 0.62
+
+    def test_matches_per_probe_reference(self):
+        for seed in (1, 2):
+            loads = incremental_load_experiment(500, OVERLOAD_CONFIGS["C"], 20, seed=seed)
+            assert loads.tolist() == _reference_loads(500, OVERLOAD_CONFIGS["C"], 20, seed).tolist()
 
     def test_deterministic_per_seed(self):
         a = incremental_load_experiment(50, (0.5, 0.0, 0.5), trials=10, seed=3)

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sichash.cli import generate_keys
 from sichash.errors import DeserializationError
 from sichash.hashing import MasterHash
+from sichash.phf import PhfConfig, SicHashPhf, build
 from sichash.retrieval import RetrievalStore
 
 
@@ -90,6 +94,41 @@ def test_serialization_errors():
         RetrievalStore.from_bytes(blob[:-1])
     with pytest.raises(DeserializationError):
         RetrievalStore.from_bytes(b"BADMAGIC" + blob[8:])
+
+
+def _planes(store, words):
+    return [np.zeros(words, dtype=np.uint64)] * store.r
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: {"r": 0, "planes": []},
+        lambda s: {"r": 4, "planes": s.planes * 2},
+        lambda s: {"band_width": 0},
+        lambda s: {"band_width": 65},
+        lambda s: {"num_slots": s.band_width - 1},
+        lambda s: {"planes": _planes(s, 3)},
+        lambda s: {"planes": _planes(s, len(s.planes[0]) + 1)},
+        lambda s: {"num_slots": 0},
+    ],
+    ids=["r0", "r4", "band0", "band65", "short-slots", "plane3", "plane-long", "empty-planes"],
+)
+def test_bad_header_fields_rejected(mutate):
+    # every field is re-encoded consistently, so only the value is wrong
+    rng = np.random.default_rng(41)
+    hi, lo = _random_hashes(rng, 1000)
+    store = RetrievalStore.build((hi, lo), rng.integers(0, 4, size=1000), r=2)
+    bad = dataclasses.replace(store, **mutate(store))
+    with pytest.raises(DeserializationError):
+        RetrievalStore.from_bytes(bad.to_bytes())
+
+
+def test_bad_store_rejected_inside_phf():
+    phf = build(generate_keys(2000, seed=3), PhfConfig(alpha=0.9))
+    phf.stores[2] = dataclasses.replace(phf.stores[2], r=0, planes=[])
+    with pytest.raises(DeserializationError):
+        SicHashPhf.from_bytes(phf.to_bytes())
 
 
 @settings(max_examples=40)
