@@ -30,11 +30,11 @@ from .errors import ConstructionError
 from .hashing import (
     MasterHash,
     _cell_key,
-    cell_from_key,
     cell_of,
     cell_of_many,
     class_thresholds,
     fold_hash,
+    mix64,
 )
 
 DEFAULT_MAX_BUCKET_SEEDS = 1 << 16
@@ -98,8 +98,10 @@ class RattleTable:
         return len(self.cand)
 
     def add_entry(self, folded: int, degree: int) -> int:
+        """Append an entry from its :func:`fold_hash` word, deriving its
+        cells the way :func:`cell_of` does; returns its index."""
         m = self.m
-        self.cand.append([cell_from_key(folded, k, m) for k in self._keys[:degree]])
+        self.cand.append([(mix64(folded ^ k) * m) >> 64 for k in self._keys[:degree]])
         self.counters.append(0)
         return len(self.cand) - 1
 

@@ -120,15 +120,10 @@ def fold_hash(h: MasterHash) -> int:
     return (h.lo ^ ((h.hi * _FOLD) & MASK64)) & MASK64
 
 
-def cell_from_key(folded: int, cell_key: int, m: int) -> int:
-    """Candidate cell in [0, m) of a :func:`fold_hash` word under a
-    :func:`_cell_key`; shared by queries and incremental insertion."""
-    return (mix64(folded ^ cell_key) * m) >> 64
-
-
 def cell_of(h: MasterHash, bucket_seed: int, fn_index: int, m: int) -> int:
     """Candidate cell in [0, m) for hash function ``fn_index`` under a seed."""
-    return cell_from_key(fold_hash(h), _cell_key(bucket_seed, fn_index), m)
+    z = mix64(fold_hash(h) ^ _cell_key(bucket_seed, fn_index))
+    return (z * m) >> 64
 
 
 # ---------------------------------------------------------------------------
