@@ -37,7 +37,7 @@ def _random_bucket(rng, n, alpha, fractions):
 # Independent mini-implementation of the insertion rule.  ``cell(entry,
 # fn_index)`` is asked afresh on every probe: the enumeration oracles give
 # cells directly, the construction references derive them with scalar
-# ``cell_of`` the way the per-probe loop of the library once did.
+# ``cell_of``, independently of the library's per-seed cell lists.
 
 
 def _reference_insert(cell, table, counters, degrees, start, steps, budget):
@@ -232,6 +232,7 @@ class TestBuildBucket:
             retried += got.seed > 0
             assert (got.seed, got.assignments.tolist(), got.displacements) == want
         assert retried and failed
+
 
 class TestRattleInsert:
     def test_first_insert_goes_to_counter_zero_cell(self):
