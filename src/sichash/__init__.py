@@ -19,16 +19,13 @@ from .phf import (
     SpaceBreakdown,
     build,
     class_fractions,
-    deserialize,
     minimize,
-    serialize,
 )
 from .retrieval import RetrievalStore
 from .succinct import (
     BitVector,
     EliasFanoSeq,
     GolombRiceSeq,
-    bv_select1,
     ef_access,
     ef_encode,
     gr_access,
@@ -58,13 +55,11 @@ __all__ = [
     "SpaceBreakdown",
     "ThresholdSolution",
     "bucket_of",
-    "bv_select1",
     "build",
     "build_bucket",
     "cell_of",
     "class_fractions",
     "class_of",
-    "deserialize",
     "ef_access",
     "ef_encode",
     "g_A",
@@ -74,5 +69,4 @@ __all__ = [
     "master_hash",
     "matching_oracle",
     "minimize",
-    "serialize",
 ]

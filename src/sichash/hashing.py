@@ -9,7 +9,8 @@ key bytes a single time and agree bit for bit.
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
 instead of a modulo; the bias is at most ``m / 2**64``.
 
-Scalar functions operate on Python ints; the ``*_many`` variants are
+Scalar functions operate on Python ints, and take a hash as a
+:class:`MasterHash` or any (hi, lo) pair; the ``*_many`` variants are
 numpy-vectorized and produce identical values (wrap-around uint64
 semantics on both paths).
 """
@@ -17,6 +18,7 @@ semantics on both paths).
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,23 +54,38 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def keyed_blake2b(seed: int):
+    """BLAKE2b-128 state keyed by the 64-bit global seed, before any input.
+
+    Hash a key with ``h = state.copy(); h.update(key); h.digest()``:
+    copying the state is cheaper than keying a fresh one and gives the
+    same digest.
+    """
+    return hashlib.blake2b(digest_size=16, key=(seed & MASK64).to_bytes(8, "little"))
+
+
+#: the (hi, lo) halves of a 16-byte master-hash digest, as a plain tuple
+split_digest = struct.Struct("<QQ").unpack
+
+
 def master_hash(key: bytes, seed: int) -> MasterHash:
     """Hash a key into 128 bits, keyed by the 64-bit global seed."""
-    d = hashlib.blake2b(
-        key, digest_size=16, key=(seed & MASK64).to_bytes(8, "little")
-    ).digest()
-    return MasterHash(
-        int.from_bytes(d[:8], "little"), int.from_bytes(d[8:], "little")
-    )
+    h = keyed_blake2b(seed)
+    h.update(key)
+    return MasterHash._make(split_digest(h.digest()))
 
 
 def master_hash_many(
     keys: Sequence[bytes], seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`master_hash`; returns (hi, lo) uint64 arrays."""
-    k = (seed & MASK64).to_bytes(8, "little")
-    blake2b = hashlib.blake2b
-    parts = [blake2b(key, digest_size=16, key=k).digest() for key in keys]
+    copy = keyed_blake2b(seed).copy
+    parts = []
+    append = parts.append
+    for key in keys:
+        h = copy()
+        h.update(key)
+        append(h.digest())
     if not parts:
         e = np.empty(0, dtype=np.uint64)
         return e, e.copy()
@@ -82,7 +99,7 @@ def master_hash_many(
 
 def bucket_of(h: MasterHash, num_buckets: int) -> int:
     """Bucket index in [0, num_buckets), uniform, from the high half."""
-    return (h.hi * num_buckets) >> 64
+    return (h[0] * num_buckets) >> 64
 
 
 def class_thresholds(p1: float, p2: float) -> tuple[int, int]:
@@ -104,9 +121,10 @@ def class_of(h: MasterHash, p1: float, p2: float) -> int:
     the class is independent of the bucket index.
     """
     t1, t2 = class_thresholds(p1, p2)
-    if h.lo < t1:
+    lo = h[1]
+    if lo < t1:
         return 2
-    if h.lo < t2:
+    if lo < t2:
         return 4
     return 8
 
@@ -117,13 +135,18 @@ def _cell_key(bucket_seed: int, fn_index: int) -> int:
 
 def fold_hash(h: MasterHash) -> int:
     """Combine both halves into one 64-bit word for cell derivation."""
-    return (h.lo ^ ((h.hi * _FOLD) & MASK64)) & MASK64
+    hi, lo = h
+    return lo ^ ((hi * _FOLD) & MASK64)
+
+
+def cell_at(folded: int, cell_key: int, m: int) -> int:
+    """Cell in [0, m) of a :func:`fold_hash` word under one cell key."""
+    return (mix64(folded ^ cell_key) * m) >> 64
 
 
 def cell_of(h: MasterHash, bucket_seed: int, fn_index: int, m: int) -> int:
     """Candidate cell in [0, m) for hash function ``fn_index`` under a seed."""
-    z = mix64(fold_hash(h) ^ _cell_key(bucket_seed, fn_index))
-    return (z * m) >> 64
+    return cell_at(fold_hash(h), _cell_key(bucket_seed, fn_index), m)
 
 
 # ---------------------------------------------------------------------------

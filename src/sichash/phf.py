@@ -47,21 +47,27 @@ from .cuckoo import (
 from .errors import ConstructionError, DeserializationError
 from .hashing import (
     MasterHash,
+    _cell_key,
     bucket_of,
     bucket_of_many,
-    cell_of,
+    cell_at,
+    cell_of,  # noqa: F401  (cell_of, master_hash: perfbench/tracing.py wraps them)
     cell_of_many,
     class_of_many,
     class_thresholds,
-    master_hash,
+    fold_hash,
+    keyed_blake2b,
+    master_hash,  # noqa: F401
     master_hash_many,
+    split_digest,
 )
-from .retrieval import RetrievalStore
+from .retrieval import RetrievalStore, fetch
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
 _MAGIC = b"SICPHF01"
 
 _R_BY_DEGREE = {2: 1, 4: 2, 8: 3}
+_DEGREE_BY_R = {r: d for d, r in _R_BY_DEGREE.items()}
 
 
 def class_fractions(beta: float, x: float) -> tuple[float, float, float]:
@@ -213,7 +219,12 @@ class SpaceBreakdown:
 class SicHashPhf:
     """An assembled perfect hash function.
 
-    Immutable after construction; safe for unlimited concurrent readers.
+    The constructor checks that the parts fit together, decodes the
+    minimal-mode remap and builds the scalar query plan: plain Python
+    constants (class thresholds, per-bucket offset, size and seed, each
+    store's :attr:`~sichash.retrieval.RetrievalStore.plan`, a view of the
+    decoded remap) and a pre-keyed BLAKE2b state.  Nothing is written after
+    that, so any number of threads may query one instance.
     """
 
     def __init__(
@@ -224,13 +235,46 @@ class SicHashPhf:
         n: int,
         remap: Optional[EliasFanoSeq] = None,
     ):
+        if {d: s.r for d, s in stores.items()} != _R_BY_DEGREE:
+            raise ValueError("need one retrieval store per class, with r = 1, 2, 3")
+        if sum(s.num_keys for s in stores.values()) != n:
+            raise ValueError("retrieval stores do not hold n keys in total")
+        if meta.num_buckets < 1:
+            raise ValueError("need at least one bucket")
+        if config.minimal != (remap is not None):
+            raise ValueError("a minimal function needs a remap, a plain one has none")
         self.config = config
         self.meta = meta
         self.stores = stores  # keyed by degree: 2, 4, 8
         self.n = n
         self.remap = remap
+        m_total = meta.m_total
+        # values at or above the limit are remapped; plain values stay below it
+        self._limit = n if config.minimal else m_total
+        self._remap_values = (
+            remap.to_array() if remap is not None else np.empty(0, dtype=np.uint64)
+        )
+        if len(self._remap_values) != m_total - self._limit or (
+            len(self._remap_values) and int(self._remap_values.max()) >= n
+        ):
+            raise ValueError("remap must map each value in [n, m_total) below n")
         self._thresholds = class_thresholds(config.p1, config.p2)
-        self._remap_values: Optional[np.ndarray] = None
+        offsets = meta.offsets.tolist()
+        buckets = [
+            (offsets[b], offsets[b + 1] - offsets[b], seed)
+            for b, seed in enumerate(meta.seeds.tolist())
+        ]
+        self._hasher = keyed_blake2b(config.global_seed)
+        self._plan = (
+            *self._thresholds,
+            meta.num_buckets,
+            buckets,
+            stores[2].plan,
+            stores[4].plan,
+            stores[8].plan,
+            self._limit,
+            memoryview(self._remap_values),  # indexes to ints without a copy
+        )
 
     @property
     def m_total(self) -> int:
@@ -244,22 +288,21 @@ class SicHashPhf:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, key: bytes) -> int:
-        h = master_hash(key, self.config.global_seed)
-        return self.evaluate_hash(h)
+        h = self._hasher.copy()
+        h.update(key)
+        return self.evaluate_hash(split_digest(h.digest()))
 
     __call__ = evaluate
 
     def evaluate_hash(self, h: MasterHash) -> int:
-        t1, t2 = self._thresholds
-        degree = 2 if h.lo < t1 else (4 if h.lo < t2 else 8)
-        b = bucket_of(h, self.meta.num_buckets)
-        fn_index = self.stores[degree].query(h)
-        off = int(self.meta.offsets[b])
-        m_b = int(self.meta.offsets[b + 1]) - off
-        value = off + cell_of(h, int(self.meta.seeds[b]), fn_index, m_b)
-        if self.config.minimal and value >= self.n:
-            value = self.remap.access(value - self.n) if self.remap else value
-        return value
+        """Value of a master hash, given as a MasterHash or a (hi, lo) pair."""
+        t1, t2, num_buckets, buckets, row2, row4, row8, limit, remap = self._plan
+        hi, lo = h
+        off, m_b, seed = buckets[bucket_of(h, num_buckets)]
+        folded = fold_hash(h)
+        fn_index = fetch(row2 if lo < t1 else row4 if lo < t2 else row8, hi, folded)
+        value = off + cell_at(folded, _cell_key(seed, fn_index), m_b)
+        return remap[value - limit] if value >= limit else value
 
     def evaluate_many(self, keys: Sequence[bytes]) -> np.ndarray:
         hi, lo = master_hash_many(keys, self.config.global_seed)
@@ -277,14 +320,10 @@ class SicHashPhf:
         offs = self.meta.offsets[b]
         m_b = self.meta.offsets[b + 1] - offs
         values = offs + cell_of_many(hi, lo, self.meta.seeds[b], fn, m_b)
-        if self.config.minimal and self.remap is not None:
-            if self._remap_values is None:
-                self._remap_values = self.remap.to_array()
-            over = values >= np.uint64(self.n)
-            if over.any():
-                values[over] = self._remap_values[
-                    (values[over] - np.uint64(self.n)).astype(np.int64)
-                ]
+        limit = np.uint64(self._limit)
+        over = values >= limit
+        if over.any():
+            values[over] = self._remap_values[(values[over] - limit).astype(np.int64)]
         return values
 
     # -- space accounting -------------------------------------------------
@@ -348,35 +387,36 @@ class SicHashPhf:
         r = Reader(payload)
         r.magic(_MAGIC)
         flags = r.u8()
-        config = PhfConfig(
-            alpha=r.f64(),
-            beta=r.f64(),
-            x=r.f64(),
-            bucket_size=r.u64(),
-            global_seed=r.u64(),
-            epsilon_r=r.f64(),
-            minimal=bool(flags & 1),
-            compressed_metadata=bool(flags & 2),
-        )
-        n = r.u64()
-        m_total = r.u64()
-        meta = BucketMetaArray.from_bytes(r.blob())
-        store_count = r.u8()
-        stores: dict[int, RetrievalStore] = {}
-        for _ in range(store_count):
-            store = RetrievalStore.from_bytes(r.blob())
-            stores[{1: 2, 2: 4, 3: 8}[store.r]] = store
-        remap = None
-        if r.u8():
-            remap = EliasFanoSeq.from_bytes(r.blob())
-        r.expect_end()
-        if meta.m_total != m_total:
-            raise DeserializationError("inconsistent table sizes")
-        return cls(config, meta, stores, n, remap)
-
-
-def _round_half_even(x: float) -> int:
-    return int(round(x))
+        try:
+            config = PhfConfig(
+                alpha=r.f64(),
+                beta=r.f64(),
+                x=r.f64(),
+                bucket_size=r.u64(),
+                global_seed=r.u64(),
+                epsilon_r=r.f64(),
+                minimal=bool(flags & 1),
+                compressed_metadata=bool(flags & 2),
+            )
+            n = r.u64()
+            m_total = r.u64()
+            meta = BucketMetaArray.from_bytes(r.blob())
+            stores: dict[int, RetrievalStore] = {}
+            for _ in range(r.u8()):
+                store = RetrievalStore.from_bytes(r.blob())
+                degree = _DEGREE_BY_R[store.r]
+                if degree in stores:
+                    raise DeserializationError(f"two retrieval stores with r={store.r}")
+                stores[degree] = store
+            remap = None
+            if r.u8():
+                remap = EliasFanoSeq.from_bytes(r.blob())
+            r.expect_end()
+            if meta.m_total != m_total:
+                raise DeserializationError("inconsistent table sizes")
+            return cls(config, meta, stores, n, remap)
+        except ValueError as exc:
+            raise DeserializationError(f"invalid blob: {exc}") from exc
 
 
 def build(
@@ -413,7 +453,7 @@ def build_from_hashes(
     if np.any((hi[order][1:] == hi[order][:-1]) & (lo[order][1:] == lo[order][:-1])):
         raise ValueError("duplicate keys")
 
-    num_buckets = max(1, _round_half_even(n / config.bucket_size))
+    num_buckets = max(1, round(n / config.bucket_size))
     buckets = bucket_of_many(hi, num_buckets).astype(np.int64)
     t1, t2 = class_thresholds(config.p1, config.p2)
     degrees = class_of_many(lo, t1, t2)
@@ -431,7 +471,7 @@ def build_from_hashes(
     for b in range(num_buckets):
         a, z = int(bounds[b]), int(bounds[b + 1])
         n_b = z - a
-        m_b = max(n_b, _round_half_even(n_b / alpha)) if n_b else 0
+        m_b = max(n_b, round(n_b / alpha)) if n_b else 0
         inp = BucketInput(hi_s[a:z], lo_s[a:z], deg_s[a:z], m_b)
         try:
             result = build_bucket(inp, max_seeds=max_bucket_seeds)
@@ -458,14 +498,6 @@ def build_from_hashes(
     meta = BucketMetaArray(seeds, offsets, compressed=config.compressed_metadata)
     cfg_plain = dataclasses.replace(config, minimal=False)
     return SicHashPhf(cfg_plain, meta, stores, n)
-
-
-def serialize(phf: SicHashPhf) -> bytes:
-    return phf.to_bytes()
-
-
-def deserialize(blob: bytes) -> SicHashPhf:
-    return SicHashPhf.from_bytes(blob)
 
 
 def minimize(phf: SicHashPhf, keys: Sequence[bytes]) -> SicHashPhf:

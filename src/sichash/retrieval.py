@@ -21,7 +21,7 @@ u32 band_width | u64 num_keys | r x word array``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,15 +68,22 @@ def _rows_many(
     return starts, coeffs
 
 
-def _row_scalar(
-    hi: int, lo: int, seed: int, num_slots: int, band_width: int
-) -> tuple[int, int]:
-    ks, kc = _row_keys(seed)
-    start = (mix64(hi ^ ks) * (num_slots - band_width + 1)) >> 64
-    coeff = mix64(fold_hash(MasterHash(hi, lo)) ^ kc)
-    if band_width < 64:
-        coeff &= (1 << band_width) - 1
-    return start, coeff | 1
+def fetch(plan: tuple, hi: int, folded: int) -> int:
+    """Scalar query from a store's :attr:`RetrievalStore.plan`.
+
+    ``hi`` is the key's high half and ``folded`` its :func:`fold_hash`
+    word; the row derivation matches :func:`_rows_many`.
+    """
+    ks, kc, span, mask, planes = plan
+    start = (mix64(hi ^ ks) * span) >> 64
+    coeff = (mix64(folded ^ kc) & mask) | 1
+    at, off = (start >> 6) << 3, start & 63  # byte offset of the first word
+    out = 0
+    for k, plane in enumerate(planes):
+        # the coefficient clears the bits above the 64-bit window
+        window = int.from_bytes(plane[at : at + 16], "little") >> off
+        out |= ((window & coeff).bit_count() & 1) << k
+    return out
 
 
 @dataclass
@@ -89,6 +96,18 @@ class RetrievalStore:
     band_width: int
     num_keys: int
     planes: list[np.ndarray]  # r word arrays, each padded with one extra word
+    #: scalar query constants, derived from the fields above: the row keys,
+    #: start span, band mask and planes as little-endian bytes (none for
+    #: an empty store, which answers 0)
+    plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ks, kc = _row_keys(self.seed)
+        planes = ()
+        if self.num_slots:
+            planes = tuple(np.asarray(p, dtype="<u8").tobytes() for p in self.planes)
+        span = self.num_slots - self.band_width + 1
+        self.plan = (ks, kc, span, (1 << self.band_width) - 1, planes)
 
     @classmethod
     def build(
@@ -145,15 +164,7 @@ class RetrievalStore:
 
     def query(self, h: MasterHash) -> int:
         """Stored value for a construction key; arbitrary value otherwise."""
-        if self.num_slots == 0:
-            return 0
-        s, c = _row_scalar(h.hi, h.lo, self.seed, self.num_slots, self.band_width)
-        w0, off = s >> 6, s & 63
-        out = 0
-        for k, plane in enumerate(self.planes):
-            window = (int(plane[w0]) >> off) | ((int(plane[w0 + 1]) << (64 - off)) & MASK64)
-            out |= ((window & c).bit_count() & 1) << k
-        return out
+        return fetch(self.plan, h[0], fold_hash(h))
 
     def query_many(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`query`."""

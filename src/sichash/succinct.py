@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._wire import Reader, Writer
+from .errors import DeserializationError
 
 _SELECT_SAMPLE = 4096  # one sampled position per this many 1-bits
 
@@ -169,10 +170,6 @@ class BitVector:
         return out
 
 
-def bv_select1(v: BitVector, i: int) -> int:
-    return v.select1(i)
-
-
 def _select_in_word(word: int, k: int) -> int:
     """Offset of the k-th set bit inside a 64-bit word (k < popcount)."""
     off = 0
@@ -271,7 +268,10 @@ class PackedIntArray:
         r.magic(_PA_MAGIC)
         n = r.u64()
         width = r.u8()
-        return cls(r.words(), n, width)
+        words = r.words()
+        if len(words) != ((n * width + 63) // 64 + 1 if width else 0):
+            raise DeserializationError("packed array: word count does not match n and width")
+        return cls(words, n, width)
 
 
 @dataclass
@@ -350,6 +350,8 @@ class EliasFanoSeq:
         width = r.u8()
         upper = BitVector.read(r)
         lower = PackedIntArray.read(r)
+        if upper.popcount != n or len(lower) != n or lower.width != width:
+            raise DeserializationError("Elias-Fano: parts disagree with n or lower_width")
         return cls(upper, lower, n, universe, width)
 
     def to_bytes(self) -> bytes:
@@ -439,6 +441,8 @@ class GolombRiceSeq:
         k_log = r.u8()
         unary = BitVector.read(r)
         rem = PackedIntArray.read(r)
+        if unary.popcount != n or len(rem) != n or rem.width != k_log:
+            raise DeserializationError("Golomb-Rice: parts disagree with n or k_log")
         return cls(k_log, unary, rem, n)
 
     def to_bytes(self) -> bytes:

@@ -1,3 +1,7 @@
+import dataclasses
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +16,7 @@ from sichash.phf import (
     class_fractions,
     minimize,
 )
+from sichash.succinct import EliasFanoSeq
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +271,111 @@ class TestBucketMetaArray:
         assert back.compressed
         assert np.array_equal(back.seeds, meta.seeds)
         assert np.array_equal(back.offsets, meta.offsets)
+
+
+class TestScalarPlan:
+    # The three golden configs, then beta=1 (only degree-2 keys) and
+    # beta=3 (only degree-8 keys), where two retrieval stores are empty.
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PhfConfig(alpha=0.90),
+            PhfConfig(alpha=0.97, minimal=True, compressed_metadata=True),
+            PhfConfig(alpha=0.90, x=0.66),
+            PhfConfig(alpha=0.40, beta=1.0),
+            PhfConfig(alpha=0.90, beta=3.0),
+        ],
+        ids=["plain-a90", "minimal-compressed-a97", "plain-x066", "beta1", "beta3"],
+    )
+    def test_scalar_equals_batch(self, keys_20k, config):
+        built = build(keys_20k, config)
+        loaded = SicHashPhf.from_bytes(built.to_bytes())
+        if config.minimal:
+            assert built.m_total > built.n  # some keys go through the remap
+        if config.beta in (1.0, 3.0):
+            assert sum(s.num_slots == 0 for s in built.stores.values()) == 2
+        keys = keys_20k + [b"not a key %d" % i for i in range(2000)]
+        want = built.evaluate_many(keys)
+        assert np.array_equal(loaded.evaluate_many(keys), want)
+        for phf in (built, loaded):
+            got = [phf.evaluate(k) for k in keys]
+            assert all(type(v) is int for v in got)
+            assert np.array_equal(np.array(got, dtype=np.uint64), want)
+
+
+def _reseal(body: bytes) -> bytes:
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _small(minimal: bool = False) -> SicHashPhf:
+    return build(generate_keys(2000, seed=3), PhfConfig(alpha=0.9, minimal=minimal))
+
+
+class TestLoadChecks:
+    """Blobs with a valid checksum whose parts do not fit together."""
+
+    def test_missing_store_rejected(self):
+        phf = _small()
+        del phf.stores[4]
+        with pytest.raises(DeserializationError):
+            SicHashPhf.from_bytes(phf.to_bytes())
+
+    def test_duplicate_store_rejected(self):
+        phf = _small()
+        phf.stores[16] = phf.stores[4]  # written as a second store with r=2
+        with pytest.raises(DeserializationError, match="two retrieval stores"):
+            SicHashPhf.from_bytes(phf.to_bytes())
+
+    def test_store_key_counts_must_sum_to_n(self):
+        phf = _small()
+        phf.stores[4] = dataclasses.replace(
+            phf.stores[4], num_keys=phf.stores[4].num_keys + 1
+        )
+        with pytest.raises(DeserializationError):
+            SicHashPhf.from_bytes(phf.to_bytes())
+
+    def test_empty_bucket_table_rejected(self):
+        phf = _small()
+        phf.meta = BucketMetaArray(np.empty(0), np.zeros(1))
+        with pytest.raises(DeserializationError, match="bucket"):
+            SicHashPhf.from_bytes(phf.to_bytes())
+
+    # byte offsets after the 8-byte magic and the flags byte
+    @pytest.mark.parametrize(
+        "offset, fmt, value",
+        [
+            (9, "<d", 0.0),
+            (9, "<d", 1.5),
+            (17, "<d", 0.5),
+            (25, "<d", 1.5),
+            (33, "<Q", 0),
+            (49, "<d", -0.1),
+        ],
+        ids=["alpha0", "alpha1.5", "beta0.5", "x1.5", "bucket_size0", "epsilon_neg"],
+    )
+    def test_config_out_of_range_rejected(self, offset, fmt, value):
+        body = bytearray(_small().to_bytes()[:-4])
+        struct.pack_into(fmt, body, offset, value)
+        with pytest.raises(DeserializationError):
+            SicHashPhf.from_bytes(_reseal(bytes(body)))
+
+    def test_remap_of_wrong_length_rejected(self):
+        phf = _small(minimal=True)
+        phf.remap = EliasFanoSeq.encode(phf.remap.to_array()[:-1].astype(np.int64))
+        with pytest.raises(DeserializationError, match="remap"):
+            SicHashPhf.from_bytes(phf.to_bytes())
+
+    def test_remap_value_out_of_range_rejected(self):
+        phf = _small(minimal=True)
+        values = phf.remap.to_array().astype(np.int64)
+        values[-1] = phf.n  # still monotone: every other value is below n
+        phf.remap = EliasFanoSeq.encode(values)
+        with pytest.raises(DeserializationError, match="remap"):
+            SicHashPhf.from_bytes(phf.to_bytes())
+
+    @pytest.mark.parametrize("minimal", [True, False], ids=["minimal-none", "plain-some"])
+    def test_remap_presence_must_match_mode(self, minimal):
+        phf = _small(minimal)
+        phf.remap = None if minimal else EliasFanoSeq.encode(np.arange(3))
+        with pytest.raises(DeserializationError, match="remap"):
+            SicHashPhf.from_bytes(phf.to_bytes())

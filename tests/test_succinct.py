@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sichash._wire import Reader, Writer
 from sichash.errors import DeserializationError
 from sichash.succinct import (
     BitVector,
@@ -108,6 +111,15 @@ class TestPackedIntArray:
         with pytest.raises(ValueError):
             PackedIntArray.pack(np.array([8], dtype=np.uint64), 3)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_word_count_checked_on_load(self, extra):
+        nwords = (100 * 7 + 63) // 64 + 1
+        bad = PackedIntArray(np.zeros(nwords + extra, dtype=np.uint64), 100, 7)
+        w = Writer()
+        bad.write(w)
+        with pytest.raises(DeserializationError, match="word count"):
+            PackedIntArray.read(Reader(w.getvalue()))
+
 
 class TestEliasFano:
     def test_empty(self):
@@ -162,6 +174,13 @@ class TestEliasFano:
         seq = EliasFanoSeq.from_bytes(ef_encode(values).to_bytes())
         assert [ef_access(seq, i) for i in range(len(values))] == values
 
+    @pytest.mark.parametrize("field, delta", [("n", 1), ("n", -1), ("lower_width", 1)])
+    def test_inconsistent_header_rejected(self, field, delta):
+        seq = ef_encode([0, 5, 5, 9, 100, 4096])
+        bad = dataclasses.replace(seq, **{field: getattr(seq, field) + delta})
+        with pytest.raises(DeserializationError, match="Elias-Fano"):
+            EliasFanoSeq.from_bytes(bad.to_bytes())
+
 
 class TestGolombRice:
     def test_zeros_k0(self):
@@ -213,6 +232,13 @@ class TestGolombRice:
         values = [0, 1, 7, 0, 300]
         seq = GolombRiceSeq.from_bytes(gr_encode(values, 2).to_bytes())
         assert [gr_access(seq, i) for i in range(len(values))] == values
+
+    @pytest.mark.parametrize("field, delta", [("n", 1), ("n", -1), ("k_log", 1)])
+    def test_inconsistent_header_rejected(self, field, delta):
+        seq = gr_encode([0, 1, 7, 0, 300], 2)
+        bad = dataclasses.replace(seq, **{field: getattr(seq, field) + delta})
+        with pytest.raises(DeserializationError, match="Golomb-Rice"):
+            GolombRiceSeq.from_bytes(bad.to_bytes())
 
 
 def test_rice_parameter():
