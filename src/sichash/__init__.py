@@ -11,7 +11,7 @@ from .cuckoo import (
     matching_oracle,
 )
 from .errors import ConstructionError, DeserializationError, SicHashError
-from .hashing import MasterHash, bucket_of, cell_of, class_of, master_hash
+from .hashing import MasterHash, bucket_of, cell_of, master_hash
 from .phf import (
     BucketMetaArray,
     PhfConfig,
@@ -26,9 +26,7 @@ from .succinct import (
     BitVector,
     EliasFanoSeq,
     GolombRiceSeq,
-    ef_access,
     ef_encode,
-    gr_access,
     gr_encode,
 )
 from .thresholds import ClassMix, ThresholdSolution, g_A, F_of_lambda, solve_threshold
@@ -59,11 +57,8 @@ __all__ = [
     "build_bucket",
     "cell_of",
     "class_fractions",
-    "class_of",
-    "ef_access",
     "ef_encode",
     "g_A",
-    "gr_access",
     "gr_encode",
     "incremental_load_experiment",
     "master_hash",

@@ -43,21 +43,14 @@ class Writer:
         self.u64(len(b))
         self._parts.append(b)
 
-    def raw(self, b: bytes) -> None:
-        self._parts.append(b)
-
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 
 
 class Reader:
-    def __init__(self, data: bytes, pos: int = 0) -> None:
+    def __init__(self, data: bytes) -> None:
         self._data = data
-        self._pos = pos
-
-    @property
-    def pos(self) -> int:
-        return self._pos
+        self._pos = 0
 
     def _take(self, n: int) -> bytes:
         end = self._pos + n
@@ -98,3 +91,20 @@ class Reader:
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise DeserializationError("trailing bytes after blob")
+
+
+class Codec:
+    """``to_bytes``/``from_bytes`` for a structure with ``write(w)`` and a
+    ``read(r)`` classmethod; ``from_bytes`` rejects trailing bytes."""
+
+    def to_bytes(self) -> bytes:
+        w = Writer()
+        self.write(w)
+        return w.getvalue()
+
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        r = Reader(data)
+        out = cls.read(r)
+        r.expect_end()
+        return out

@@ -95,16 +95,19 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _measure_qps(phf: SicHashPhf, keys: list[bytes], limit: int = 20000) -> float:
-    sample = keys[:limit]
-    idx = list(range(len(sample)))
-    random.Random(0).shuffle(idx)
+def _time_queries(
+    phf: SicHashPhf, keys: list[bytes], reps: int, seed: int
+) -> tuple[int, float]:
+    """Scalar-evaluate every key ``reps`` times in a seeded shuffled order;
+    returns (queries, seconds)."""
+    idx = list(range(len(keys)))
+    random.Random(seed).shuffle(idx)
     evaluate = phf.evaluate
     t0 = time.perf_counter()
-    for i in idx:
-        evaluate(sample[i])
-    dt = time.perf_counter() - t0
-    return len(sample) / dt if dt > 0 else 0.0
+    for _ in range(reps):
+        for i in idx:
+            evaluate(keys[i])
+    return reps * len(idx), time.perf_counter() - t0
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -122,6 +125,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     blob = phf.to_bytes()
     Path(args.out).write_bytes(blob)
+    queries, seconds = _time_queries(phf, keys[:20000], reps=1, seed=0)
 
     report = {
         "n": phf.n,
@@ -132,7 +136,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "bucket_size": config.bucket_size,
         "minimal": config.minimal,
         "build_seconds": round(build_seconds, 6),
-        "queries_per_second": round(_measure_qps(phf, keys), 1),
+        "queries_per_second": round(queries / seconds if seconds > 0 else 0.0, 1),
         "bits_per_object": phf.bits_per_object(),
         "breakdown": phf.space_breakdown().as_dict(),
         "verified": verified,
@@ -167,17 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     phf = SicHashPhf.from_bytes(Path(args.phf).read_bytes())
-    keys = read_keys(args.keys)
-    idx = list(range(len(keys)))
-    random.Random(1).shuffle(idx)
-    evaluate = phf.evaluate
-    total = 0
-    t0 = time.perf_counter()
-    for _ in range(args.reps):
-        for i in idx:
-            evaluate(keys[i])
-        total += len(idx)
-    dt = time.perf_counter() - t0
+    total, dt = _time_queries(phf, read_keys(args.keys), args.reps, seed=1)
     print(
         json.dumps(
             {

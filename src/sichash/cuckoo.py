@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from .errors import ConstructionError
 from .hashing import (
     MasterHash,
-    _cell_key,
+    cell_key,
     cell_of,
     cell_of_many,
     class_thresholds,
@@ -87,15 +87,11 @@ class RattleTable:
 
     def __init__(self, m: int, seed: int, cand: Optional[list[list[int]]] = None):
         self.m = m
-        self.seed = seed
         self.cells = [-1] * m  # entry index occupying each cell
         self.cand = [] if cand is None else cand
         self.counters = [0] * len(self.cand)
         self.displacements = 0
-        self._keys = [_cell_key(seed, t) for t in range(8)]
-
-    def __len__(self) -> int:
-        return len(self.cand)
+        self._keys = [cell_key(seed, t) for t in range(8)]
 
     def add_entry(self, folded: int, degree: int) -> int:
         """Append an entry from its :func:`fold_hash` word, deriving its
@@ -263,7 +259,7 @@ def incremental_load_experiment(
             hi = rng.getrandbits(64)
             lo = rng.getrandbits(64)
             degree = 2 if lo < t1 else (4 if lo < t2 else 8)
-            idx = table.add_entry(fold_hash(MasterHash(hi, lo)), degree)
+            idx = table.add_entry(fold_hash((hi, lo)), degree)
             if not table.insert(idx, table.displacements + insert_budget):
                 break
             placed += 1

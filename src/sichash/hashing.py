@@ -4,7 +4,9 @@ Each key is hashed exactly once into a 128-bit master hash (two 64-bit
 halves).  Everything downstream — bucket index, class, candidate cell
 indices, retrieval equations — is derived from those halves by cheap
 multiply-xorshift remixing, so both construction and queries scan the
-key bytes a single time and agree bit for bit.
+key bytes a single time and agree bit for bit.  This module owns every
+derivation constant: the per-function cell keys (:func:`cell_key`) and
+the retrieval row keys (:func:`row_keys`) are defined here once.
 
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
 instead of a modulo; the bias is at most ``m / 2**64``.
@@ -34,6 +36,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # multiplier folding the high half into the low half for cell derivation
 _FOLD = 0xFF51AFD7ED558CCD
 _CELL_SALT = 0xD1B54A32D192ED03
+# retrieval row derivation: a second seed multiplier, and salts separating
+# the start-position and coefficient keys
+_ROW_MULT = 0xC2B2AE3D27D4EB4F
+_START_SALT = 0xA24BAED4963EE407
+_COEFF_SALT = 0x9FB21C651E98DF25
 
 #: candidate-cell counts for the three key classes
 CLASS_DEGREES = (2, 4, 8)
@@ -114,22 +121,8 @@ def class_thresholds(p1: float, p2: float) -> tuple[int, int]:
     return t1, max(t1, t2)
 
 
-def class_of(h: MasterHash, p1: float, p2: float) -> int:
-    """Key class as its candidate-cell count: 2, 4, or 8.
-
-    P[2] = p1, P[4] = p2, P[8] = 1 - p1 - p2, from the low half only, so
-    the class is independent of the bucket index.
-    """
-    t1, t2 = class_thresholds(p1, p2)
-    lo = h[1]
-    if lo < t1:
-        return 2
-    if lo < t2:
-        return 4
-    return 8
-
-
-def _cell_key(bucket_seed: int, fn_index: int) -> int:
+def cell_key(bucket_seed: int, fn_index: int) -> int:
+    """Key of hash function ``fn_index`` under a bucket seed, for :func:`cell_at`."""
     return (bucket_seed * _GOLDEN + fn_index * _M1 + _CELL_SALT) & MASK64
 
 
@@ -139,14 +132,21 @@ def fold_hash(h: MasterHash) -> int:
     return lo ^ ((hi * _FOLD) & MASK64)
 
 
-def cell_at(folded: int, cell_key: int, m: int) -> int:
-    """Cell in [0, m) of a :func:`fold_hash` word under one cell key."""
-    return (mix64(folded ^ cell_key) * m) >> 64
+def cell_at(folded: int, key: int, m: int) -> int:
+    """Cell in [0, m) of a :func:`fold_hash` word under one :func:`cell_key`."""
+    return (mix64(folded ^ key) * m) >> 64
 
 
 def cell_of(h: MasterHash, bucket_seed: int, fn_index: int, m: int) -> int:
     """Candidate cell in [0, m) for hash function ``fn_index`` under a seed."""
-    return cell_at(fold_hash(h), _cell_key(bucket_seed, fn_index), m)
+    return cell_at(fold_hash(h), cell_key(bucket_seed, fn_index), m)
+
+
+def row_keys(seed: int) -> tuple[int, int]:
+    """Start and coefficient keys of a retrieval store's rows under a seed."""
+    ks = (seed * _GOLDEN + _START_SALT) & MASK64
+    kc = (seed * _ROW_MULT + _COEFF_SALT) & MASK64
+    return ks, kc
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,14 @@ def umulhi(a: np.ndarray, b) -> np.ndarray:
     mid1 = ah * bl + (t >> np.uint64(32))
     mid2 = al * bh + (mid1 & np.uint64(MASK32))
     return ah * bh + (mid1 >> np.uint64(32)) + (mid2 >> np.uint64(32))
+
+
+def check_distinct(hi: np.ndarray, lo: np.ndarray) -> None:
+    """Raise ValueError when two (hi, lo) hash pairs are equal."""
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    if np.any((hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])):
+        raise ValueError("duplicate keys")
 
 
 def bucket_of_many(hi: np.ndarray, num_buckets: int) -> np.ndarray:

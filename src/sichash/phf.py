@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._wire import Reader, Writer
+from ._wire import Codec, Reader, Writer
 from .cuckoo import (
     DEFAULT_MAX_BUCKET_SEEDS,
     BucketInput,
@@ -46,13 +46,15 @@ from .cuckoo import (
 )
 from .errors import ConstructionError, DeserializationError
 from .hashing import (
+    CLASS_DEGREES,
     MasterHash,
-    _cell_key,
     bucket_of,
     bucket_of_many,
     cell_at,
+    cell_key,
     cell_of,  # noqa: F401  (cell_of, master_hash: perfbench/tracing.py wraps them)
     cell_of_many,
+    check_distinct,
     class_of_many,
     class_thresholds,
     fold_hash,
@@ -66,7 +68,7 @@ from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
 _MAGIC = b"SICPHF01"
 
-_R_BY_DEGREE = {2: 1, 4: 2, 8: 3}
+_R_BY_DEGREE = {d: r for r, d in enumerate(CLASS_DEGREES, 1)}
 _DEGREE_BY_R = {r: d for d, r in _R_BY_DEGREE.items()}
 
 
@@ -133,7 +135,7 @@ class PhfConfig:
 
 
 @dataclass
-class BucketMetaArray:
+class BucketMetaArray(Codec):
     """Per-bucket seeds and the exclusive prefix sum of table sizes."""
 
     seeds: np.ndarray  # uint64, one per bucket
@@ -158,8 +160,7 @@ class BucketMetaArray:
     def m_total(self) -> int:
         return int(self.offsets[-1])
 
-    def to_bytes(self) -> bytes:
-        w = Writer()
+    def write(self, w: Writer) -> None:
         w.u8(1 if self.compressed else 0)
         if self.compressed:
             gr = GolombRiceSeq.encode(self.seeds, rice_parameter(self.seeds))
@@ -169,25 +170,16 @@ class BucketMetaArray:
         else:
             w.words(self.seeds)
             w.words(self.offsets)
-        return w.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "BucketMetaArray":
-        r = Reader(data)
-        mode = r.u8()
-        if mode == 1:
+    def read(cls, r: Reader) -> "BucketMetaArray":
+        if r.u8() == 1:
             gr = GolombRiceSeq.read(r)
             ef = EliasFanoSeq.read(r)
-            out = cls(gr.to_array(), ef.to_array(), compressed=True)
-        else:
-            seeds = r.words()
-            offsets = r.words()
-            out = cls(seeds, offsets, compressed=False)
-        r.expect_end()
-        return out
-
-    def bits(self) -> int:
-        return len(self.to_bytes()) * 8
+            return cls(gr.to_array(), ef.to_array(), compressed=True)
+        seeds = r.words()
+        offsets = r.words()
+        return cls(seeds, offsets, compressed=False)
 
 
 @dataclass
@@ -224,7 +216,9 @@ class SicHashPhf:
     constants (class thresholds, per-bucket offset, size and seed, each
     store's :attr:`~sichash.retrieval.RetrievalStore.plan`, a view of the
     decoded remap) and a pre-keyed BLAKE2b state.  Nothing is written after
-    that, so any number of threads may query one instance.
+    that, so any number of threads may query one instance.  An empty
+    bucket answers from offset 0 on both paths, so a non-member key that
+    lands in an empty last bucket stays below ``m_total``.
     """
 
     def __init__(
@@ -259,11 +253,11 @@ class SicHashPhf:
         ):
             raise ValueError("remap must map each value in [n, m_total) below n")
         self._thresholds = class_thresholds(config.p1, config.p2)
-        offsets = meta.offsets.tolist()
-        buckets = [
-            (offsets[b], offsets[b + 1] - offsets[b], seed)
-            for b, seed in enumerate(meta.seeds.tolist())
-        ]
+        self._sizes = np.diff(meta.offsets)
+        self._starts = np.where(self._sizes > 0, meta.offsets[:-1], np.uint64(0))
+        buckets = list(
+            zip(self._starts.tolist(), self._sizes.tolist(), meta.seeds.tolist())
+        )
         self._hasher = keyed_blake2b(config.global_seed)
         self._plan = (
             *self._thresholds,
@@ -292,8 +286,6 @@ class SicHashPhf:
         h.update(key)
         return self.evaluate_hash(split_digest(h.digest()))
 
-    __call__ = evaluate
-
     def evaluate_hash(self, h: MasterHash) -> int:
         """Value of a master hash, given as a MasterHash or a (hi, lo) pair."""
         t1, t2, num_buckets, buckets, row2, row4, row8, limit, remap = self._plan
@@ -301,7 +293,7 @@ class SicHashPhf:
         off, m_b, seed = buckets[bucket_of(h, num_buckets)]
         folded = fold_hash(h)
         fn_index = fetch(row2 if lo < t1 else row4 if lo < t2 else row8, hi, folded)
-        value = off + cell_at(folded, _cell_key(seed, fn_index), m_b)
+        value = off + cell_at(folded, cell_key(seed, fn_index), m_b)
         return remap[value - limit] if value >= limit else value
 
     def evaluate_many(self, keys: Sequence[bytes]) -> np.ndarray:
@@ -317,9 +309,8 @@ class SicHashPhf:
             mask = degrees == degree
             if mask.any():
                 fn[mask] = store.query_many(hi[mask], lo[mask])
-        offs = self.meta.offsets[b]
-        m_b = self.meta.offsets[b + 1] - offs
-        values = offs + cell_of_many(hi, lo, self.meta.seeds[b], fn, m_b)
+        m_b = self._sizes[b]
+        values = self._starts[b] + cell_of_many(hi, lo, self.meta.seeds[b], fn, m_b)
         limit = np.uint64(self._limit)
         over = values >= limit
         if over.any():
@@ -343,12 +334,8 @@ class SicHashPhf:
             n=self.n,
         )
 
-    def bits_total(self) -> int:
-        """Serialized payload bits (stores + metadata + remap)."""
-        return self.space_breakdown().total_bits
-
     def bits_per_object(self) -> float:
-        return self.bits_total() / self.n
+        return self.space_breakdown().per_object
 
     # -- serialization ----------------------------------------------------
 
@@ -425,11 +412,16 @@ def build(
     *,
     max_bucket_seeds: int = DEFAULT_MAX_BUCKET_SEEDS,
 ) -> SicHashPhf:
-    """Build a perfect hash function over distinct byte-string keys."""
+    """Build a perfect hash function over a non-empty set of distinct keys.
+
+    Raises :class:`ValueError` for an empty or repeated key set (from
+    :func:`build_from_hashes`) and :class:`ConstructionError` when a bucket
+    cannot be placed at this load factor.
+    """
+    # Kept for memory, not correctness: without this copy, a second
+    # 1e6-key build in the same process peaked ~40 MB higher, because
+    # glibc no longer trimmed the heap after the first build.
     keys = list(keys)
-    n = len(keys)
-    if n < 1:
-        raise ValueError("key set must be non-empty")
     hi, lo = master_hash_many(keys, config.global_seed)
     phf = build_from_hashes(hi, lo, config, max_bucket_seeds=max_bucket_seeds)
     if config.minimal:
@@ -449,9 +441,7 @@ def build_from_hashes(
     n = len(hi)
     if n < 1:
         raise ValueError("key set must be non-empty")
-    order = np.lexsort(np.stack([lo, hi]))
-    if np.any((hi[order][1:] == hi[order][:-1]) & (lo[order][1:] == lo[order][:-1])):
-        raise ValueError("duplicate keys")
+    check_distinct(hi, lo)
 
     num_buckets = max(1, round(n / config.bucket_size))
     buckets = bucket_of_many(hi, num_buckets).astype(np.int64)

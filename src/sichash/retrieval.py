@@ -1,13 +1,15 @@
 """Static r-bit retrieval: an immutable map from a fixed key set to
 r-bit values, r in {1, 2, 3}.
 
-Each key is assigned one linear equation over GF(2): a start slot
-``s`` in ``[0, num_slots - band_width]`` plus a ``band_width``-bit
+Keys arrive as master-hash halves, a ``(hi, lo)`` tuple of uint64
+arrays.  Each key is assigned one linear equation over GF(2): a start
+slot ``s`` in ``[0, num_slots - band_width]`` plus a ``band_width``-bit
 coefficient pattern whose first bit is always set, so the pivot search
-never leaves the band.  Solving the system in start order keeps
-elimination local and nearly linear.  Queries for keys outside the
-construction set return an arbitrary (but deterministic) r-bit value,
-never an error.
+never leaves the band.  Both derive from the store seed's
+:func:`~sichash.hashing.row_keys`.  Solving the system in start order
+keeps elimination local and nearly linear.  Queries for keys outside
+the construction set return an arbitrary (but deterministic) r-bit
+value, never an error.
 
 The solution is stored as ``r`` separate bit planes; a query is one
 64-bit window fetch and popcount per plane.  Slot count is
@@ -25,39 +27,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._wire import Reader, Writer
+from ._wire import Codec, Reader, Writer
 from .errors import ConstructionError, DeserializationError
 from .hashing import (
     MASK64,
     MasterHash,
+    check_distinct,
     fold_hash,
     fold_hash_many,
     mix64,
     mix64_many,
+    row_keys,
     umulhi,
 )
 
 _MAGIC = b"SHRS0001"
-
-# salts separating the start-position and coefficient derivations
-_START_SALT = 0xA24BAED4963EE407
-_COEFF_SALT = 0x9FB21C651E98DF25
 
 DEFAULT_EPSILON = 0.10
 DEFAULT_BAND_WIDTH = 64
 DEFAULT_MAX_SEED_RETRIES = 16
 
 
-def _row_keys(seed: int) -> tuple[int, int]:
-    ks = (seed * 0x9E3779B97F4A7C15 + _START_SALT) & MASK64
-    kc = (seed * 0xC2B2AE3D27D4EB4F + _COEFF_SALT) & MASK64
-    return ks, kc
-
-
 def _rows_many(
     hi: np.ndarray, lo: np.ndarray, seed: int, num_slots: int, band_width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    ks, kc = _row_keys(seed)
+    ks, kc = row_keys(seed)
     starts = umulhi(mix64_many(hi ^ np.uint64(ks)), np.uint64(num_slots - band_width + 1))
     # the coefficient folds in both halves: keys sharing one half must
     # still receive distinct equations
@@ -87,7 +81,7 @@ def fetch(plan: tuple, hi: int, folded: int) -> int:
 
 
 @dataclass
-class RetrievalStore:
+class RetrievalStore(Codec):
     """Solved retrieval structure; immutable and thread-safe for reads."""
 
     r: int
@@ -102,7 +96,7 @@ class RetrievalStore:
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ks, kc = _row_keys(self.seed)
+        ks, kc = row_keys(self.seed)
         planes = ()
         if self.num_slots:
             planes = tuple(np.asarray(p, dtype="<u8").tobytes() for p in self.planes)
@@ -123,29 +117,25 @@ class RetrievalStore:
     ) -> "RetrievalStore":
         """Build a store mapping each hash to its r-bit value.
 
-        ``hashes`` is either a (hi, lo) pair of uint64 arrays or a
-        sequence of :class:`MasterHash`.  All hashes must be distinct and
-        all values below ``2**r``.  Construction retries with an
-        incremented seed when the linear system is unsolvable.
+        ``hashes`` is a ``(hi, lo)`` tuple of uint64 arrays; anything else
+        raises :class:`TypeError`.  All hashes must be distinct and all
+        values below ``2**r``.  Construction retries with an incremented
+        seed when the linear system is unsolvable.
         """
         if r not in (1, 2, 3):
             raise ValueError("r must be 1, 2, or 3")
         if not 1 <= band_width <= 64:
             raise ValueError("band_width must be in [1, 64]")
-        hi, lo = _as_hash_arrays(hashes)
+        if not (isinstance(hashes, tuple) and len(hashes) == 2):
+            raise TypeError("hashes must be a (hi, lo) tuple of uint64 arrays")
+        hi, lo = (np.asarray(a, dtype=np.uint64) for a in hashes)
         values = np.asarray(values, dtype=np.uint64)
         if len(values) != len(hi):
             raise ValueError("hashes and values must have equal length")
         n = len(hi)
         if n and int(values.max()) >> r:
             raise ValueError("value does not fit in r bits")
-        if n:
-            pairs = np.stack([hi, lo])
-            order = np.lexsort(pairs)
-            if np.any(
-                (hi[order][1:] == hi[order][:-1]) & (lo[order][1:] == lo[order][:-1])
-            ):
-                raise ValueError("duplicate key")
+        check_distinct(hi, lo)
         if n == 0:
             return cls(r, 0, base_seed, band_width, 0, [np.zeros(1, np.uint64) for _ in range(r)])
 
@@ -184,16 +174,9 @@ class RetrievalStore:
 
     # -- accounting and serialization ------------------------------------
 
-    def solution_bits(self) -> int:
-        """Bits occupied by the solved bit planes (the dominant payload)."""
-        return self.r * self.num_slots
-
     def bits(self) -> int:
         """Exact serialized size in bits."""
         return len(self.to_bytes()) * 8
-
-    def bits_per_key(self) -> float:
-        return self.bits() / self.num_keys if self.num_keys else 0.0
 
     def write(self, w: Writer) -> None:
         w.magic(_MAGIC)
@@ -228,28 +211,6 @@ class RetrievalStore:
                 f"retrieval store: plane length differs from {nwords} words"
             )
         return cls(rbits, num_slots, seed, band_width, num_keys, planes)
-
-    def to_bytes(self) -> bytes:
-        w = Writer()
-        self.write(w)
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "RetrievalStore":
-        r = Reader(data)
-        out = cls.read(r)
-        r.expect_end()
-        return out
-
-
-def _as_hash_arrays(hashes) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(hashes, tuple) and len(hashes) == 2:
-        hi, lo = hashes
-        return np.asarray(hi, dtype=np.uint64), np.asarray(lo, dtype=np.uint64)
-    hs = list(hashes)
-    hi = np.fromiter((h.hi for h in hs), dtype=np.uint64, count=len(hs))
-    lo = np.fromiter((h.lo for h in hs), dtype=np.uint64, count=len(hs))
-    return hi, lo
 
 
 def _solve(

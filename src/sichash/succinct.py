@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._wire import Reader, Writer
+from ._wire import Codec, Reader, Writer
 from .errors import DeserializationError
 
 _SELECT_SAMPLE = 4096  # one sampled position per this many 1-bits
@@ -32,7 +32,7 @@ _EF_MAGIC = b"SHEF0001"
 _GR_MAGIC = b"SHGR0001"
 
 
-class BitVector:
+class BitVector(Codec):
     """Static bit vector with near-constant-time select1.
 
     The select index stores the position of every 4096th 1-bit; a query
@@ -99,11 +99,6 @@ class BitVector:
     def words(self) -> np.ndarray:
         return self._words
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._length:
-            raise IndexError("bit index out of range")
-        return (int(self._words[i >> 6]) >> (i & 63)) & 1
-
     def select1(self, i: int) -> int:
         """Position of the i-th 1-bit (0-indexed rank)."""
         if i < 0 or i >= self._popcount:
@@ -155,19 +150,10 @@ class BitVector:
     def read(cls, r: Reader) -> "BitVector":
         r.magic(_BV_MAGIC)
         length = r.u64()
-        return cls(r.words(), length)
-
-    def to_bytes(self) -> bytes:
-        w = Writer()
-        self.write(w)
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitVector":
-        r = Reader(data)
-        out = cls.read(r)
-        r.expect_end()
-        return out
+        words = r.words()
+        if len(words) != (length + 63) // 64:
+            raise DeserializationError("bit vector: word count does not match bit length")
+        return cls(words, length)
 
 
 def _select_in_word(word: int, k: int) -> int:
@@ -194,7 +180,7 @@ class PackedIntArray:
         if not 0 <= width <= 64:
             raise ValueError("width must be in [0, 64]")
         self._words = np.asarray(words, dtype=np.uint64)
-        self._n = n
+        self.n = n
         self._width = width
 
     @classmethod
@@ -220,15 +206,12 @@ class PackedIntArray:
             )
         return cls(words, n, width)
 
-    def __len__(self) -> int:
-        return self._n
-
     @property
     def width(self) -> int:
         return self._width
 
     def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self._n:
+        if not 0 <= i < self.n:
             raise IndexError("index out of bounds")
         if self._width == 0:
             return 0
@@ -241,8 +224,8 @@ class PackedIntArray:
 
     def to_array(self) -> np.ndarray:
         if self._width == 0:
-            return np.zeros(self._n, dtype=np.uint64)
-        idx = np.arange(self._n, dtype=np.uint64) * np.uint64(self._width)
+            return np.zeros(self.n, dtype=np.uint64)
+        idx = np.arange(self.n, dtype=np.uint64) * np.uint64(self._width)
         w0 = (idx >> np.uint64(6)).astype(np.int64)
         off = idx & np.uint64(63)
         lo = self._words[w0] >> off
@@ -259,7 +242,7 @@ class PackedIntArray:
 
     def write(self, w: Writer) -> None:
         w.magic(_PA_MAGIC)
-        w.u64(self._n)
+        w.u64(self.n)
         w.u8(self._width)
         w.words(self._words)
 
@@ -275,7 +258,7 @@ class PackedIntArray:
 
 
 @dataclass
-class EliasFanoSeq:
+class EliasFanoSeq(Codec):
     """Monotone non-decreasing integer sequence, Elias-Fano coded.
 
     The value ``v_i`` splits into ``lower_width`` low bits, stored
@@ -350,33 +333,17 @@ class EliasFanoSeq:
         width = r.u8()
         upper = BitVector.read(r)
         lower = PackedIntArray.read(r)
-        if upper.popcount != n or len(lower) != n or lower.width != width:
+        if upper.popcount != n or lower.n != n or lower.width != width:
             raise DeserializationError("Elias-Fano: parts disagree with n or lower_width")
         return cls(upper, lower, n, universe, width)
-
-    def to_bytes(self) -> bytes:
-        w = Writer()
-        self.write(w)
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EliasFanoSeq":
-        r = Reader(data)
-        out = cls.read(r)
-        r.expect_end()
-        return out
 
 
 def ef_encode(values) -> EliasFanoSeq:
     return EliasFanoSeq.encode(values)
 
 
-def ef_access(seq: EliasFanoSeq, i: int) -> int:
-    return seq.access(i)
-
-
 @dataclass
-class GolombRiceSeq:
+class GolombRiceSeq(Codec):
     """Non-negative integer sequence, Rice coded with divisor 2**k_log.
 
     Element ``x`` is the quotient ``x >> k_log`` in unary (terminated by
@@ -441,29 +408,13 @@ class GolombRiceSeq:
         k_log = r.u8()
         unary = BitVector.read(r)
         rem = PackedIntArray.read(r)
-        if unary.popcount != n or len(rem) != n or rem.width != k_log:
+        if unary.popcount != n or rem.n != n or rem.width != k_log:
             raise DeserializationError("Golomb-Rice: parts disagree with n or k_log")
         return cls(k_log, unary, rem, n)
-
-    def to_bytes(self) -> bytes:
-        w = Writer()
-        self.write(w)
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GolombRiceSeq":
-        r = Reader(data)
-        out = cls.read(r)
-        r.expect_end()
-        return out
 
 
 def gr_encode(values, k_log: int) -> GolombRiceSeq:
     return GolombRiceSeq.encode(values, k_log)
-
-
-def gr_access(seq: GolombRiceSeq, i: int) -> int:
-    return seq.access(i)
 
 
 def rice_parameter(values) -> int:

@@ -26,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SicHashError
-
-DEGREES = (2, 4, 8)
+from .hashing import CLASS_DEGREES
 
 DEFAULT_LAMBDA_MIN = 1e-4
 DEFAULT_LAMBDA_MAX = 50.0
@@ -59,7 +58,7 @@ class ClassMix:
 
     @property
     def d_bar(self) -> float:
-        return sum(p * d for p, d in zip(self.fractions, DEGREES))
+        return sum(p * d for p, d in zip(self.fractions, CLASS_DEGREES))
 
 
 @dataclass(frozen=True)
@@ -76,42 +75,34 @@ class ThresholdSolution:
         return self.lam_star is None
 
 
-def g_A(p_val: float, mix: ClassMix) -> float:
-    """Size-biased survival mixture; maps [0, 1] into [0, 1]."""
+def g_A(p_val, mix: ClassMix):
+    """Size-biased survival mixture; maps [0, 1] into [0, 1].
+
+    ``g_A``, :func:`F_of_lambda` and :func:`c_of_lambda` take a float or
+    a numpy array and work elementwise.
+    """
     d_bar = mix.d_bar
     return sum(
         p * d / d_bar * (1.0 - p_val) ** (d - 1)
-        for p, d in zip(mix.fractions, DEGREES)
+        for p, d in zip(mix.fractions, CLASS_DEGREES)
     )
 
 
-def F_of_lambda(lam: float, mix: ClassMix) -> float:
+def F_of_lambda(lam, mix: ClassMix):
     """F along the non-trivial fixed-point curve, evaluated exactly."""
-    if lam <= 0:
+    if np.any(np.less_equal(lam, 0)):
         raise ValueError("lambda must be positive")
-    u = math.exp(-lam)
-    one_minus_u = -math.expm1(-lam)
+    u = np.exp(-lam)
+    one_minus_u = -np.expm1(-lam)
     qa = g_A(u, mix)
     tail = one_minus_u - lam * u  # 1 - e^-lam (1 + lam), cancellation-safe
-    body = sum(p * one_minus_u**d for p, d in zip(mix.fractions, DEGREES))
+    body = sum(p * one_minus_u**d for p, d in zip(mix.fractions, CLASS_DEGREES))
     return 1.0 - body + qa * mix.d_bar / lam * tail
 
 
-def c_of_lambda(lam: float, mix: ClassMix) -> float:
+def c_of_lambda(lam, mix: ClassMix):
     """Load factor of the fixed point at a given lambda."""
-    return lam / (g_A(math.exp(-lam), mix) * mix.d_bar)
-
-
-def _f_grid(lams: np.ndarray, mix: ClassMix) -> np.ndarray:
-    u = np.exp(-lams)
-    omu = -np.expm1(-lams)  # 1 - exp(-lam), the argument survival g_A sees
-    d_bar = mix.d_bar
-    qa = np.zeros_like(lams)
-    body = np.zeros_like(lams)
-    for p, d in zip(mix.fractions, DEGREES):
-        qa += p * d / d_bar * omu ** (d - 1)
-        body += p * omu**d
-    return 1.0 - body + qa * d_bar / lams * (omu - lams * u)
+    return lam / (g_A(np.exp(-lam), mix) * mix.d_bar)
 
 
 def solve_threshold(
@@ -135,40 +126,28 @@ def solve_threshold(
     if tol <= 0:
         raise ValueError("tol must be positive")
     lams = np.logspace(math.log10(lam_min), math.log10(lam_max), grid_points)
-    f = _f_grid(lams, mix) - 1.0
-    neg = f < 0
+    neg = F_of_lambda(lams, mix) < 1.0
     changes = np.flatnonzero(neg[:-1] != neg[1:])
     if len(changes) == 0:
-        if neg.all():
-            cs = lams / (_g_A_grid(lams, mix) * mix.d_bar)
-            i = int(np.argmin(cs))
-            lam = float(lams[i])
-            return ThresholdSolution(
-                float(cs[i]), None, g_A(math.exp(-lam), mix), F_of_lambda(lam, mix)
-            )
-        raise SicHashError(
-            "no nontrivial root: threshold undefined for this mix"
-        )
-    a, b = float(lams[changes[-1]]), float(lams[changes[-1] + 1])
-    fa = F_of_lambda(a, mix) - 1.0
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = F_of_lambda(mid, mix) - 1.0
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    lam_star = 0.5 * (a + b)
-    q = g_A(math.exp(-lam_star), mix)
+        if not neg.all():
+            raise SicHashError("no nontrivial root: threshold undefined for this mix")
+        cs = c_of_lambda(lams, mix)
+        lam = float(lams[np.argmin(cs)])
+        lam_star = None
+    else:
+        a, b = float(lams[changes[-1]]), float(lams[changes[-1] + 1])
+        fa = F_of_lambda(a, mix) - 1.0
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = F_of_lambda(mid, mix) - 1.0
+            if (fm > 0) == (fa > 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        lam = lam_star = 0.5 * (a + b)
     return ThresholdSolution(
-        c_of_lambda(lam_star, mix), lam_star, q, F_of_lambda(lam_star, mix)
+        float(c_of_lambda(lam, mix)),
+        lam_star,
+        float(g_A(np.exp(-lam), mix)),
+        float(F_of_lambda(lam, mix)),
     )
-
-
-def _g_A_grid(lams: np.ndarray, mix: ClassMix) -> np.ndarray:
-    omu = -np.expm1(-lams)
-    d_bar = mix.d_bar
-    out = np.zeros_like(lams)
-    for p, d in zip(mix.fractions, DEGREES):
-        out += p * d / d_bar * omu ** (d - 1)
-    return out

@@ -9,7 +9,6 @@ from sichash.hashing import (
     bucket_of_many,
     cell_of,
     cell_of_many,
-    class_of,
     class_of_many,
     class_thresholds,
     master_hash,
@@ -113,8 +112,8 @@ class TestClassOf:
         assert abs(n2 - n / 2) <= 3 * sigma
 
     def test_all_c2(self):
-        for k in range(50):
-            assert class_of(master_hash(b"%d" % k, 0), 1.0, 0.0) == 2
+        _, lo = master_hash_many([b"%d" % k for k in range(50)], 0)
+        assert np.all(class_of_many(lo, *class_thresholds(1.0, 0.0)) == 2)
 
     def test_fraction_quantization(self, uniform_hashes):
         _, lo = uniform_hashes
@@ -124,13 +123,6 @@ class TestClassOf:
         for deg, p in ((2, 0.3), (4, 0.5), (8, 0.2)):
             frac = (degs == deg).sum() / n
             assert abs(frac - p) <= 4 * np.sqrt(p * (1 - p) / n)
-
-    @given(U64, U64)
-    def test_scalar_matches_batch(self, hi, lo):
-        h = MasterHash(hi, lo)
-        t1, t2 = class_thresholds(0.25, 0.5)
-        got = class_of_many(np.array([lo], dtype=np.uint64), t1, t2)
-        assert class_of(h, 0.25, 0.5) == int(got[0])
 
     def test_invalid_fractions(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import struct
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sichash.cli import generate_keys
 from sichash.errors import ConstructionError, DeserializationError
@@ -121,6 +122,18 @@ class TestBuild:
         with pytest.raises(ConstructionError, match="alpha too aggressive"):
             build(keys, PhfConfig(alpha=0.999, beta=1.0), max_bucket_seeds=32)
 
+    @pytest.mark.parametrize("minimal", [False, True], ids=["plain", "minimal"])
+    def test_non_member_in_empty_last_bucket(self, minimal):
+        phf = build(
+            generate_keys(6, 0), PhfConfig(alpha=0.9, bucket_size=1, minimal=minimal)
+        )
+        offs = phf.meta.offsets.tolist()
+        assert offs[-2] == offs[-1] == phf.m_total  # the last bucket is empty
+        probes = [b"probe %d" % i for i in range(2000)]
+        got = [phf.evaluate(k) for k in probes]
+        assert all(type(v) is int and 0 <= v < phf.output_range for v in got)
+        assert got == phf.evaluate_many(probes).tolist()
+
     def test_global_seed_changes_function(self, keys_20k):
         a = build(keys_20k[:3000], PhfConfig(alpha=0.9, global_seed=1))
         b = build(keys_20k[:3000], PhfConfig(alpha=0.9, global_seed=2))
@@ -160,8 +173,8 @@ class TestSerialization:
     def test_container_overhead_constant(self, keys_20k):
         a = build(keys_20k[:2000], PhfConfig(alpha=0.9))
         b = build(keys_20k[:11000], PhfConfig(alpha=0.9))
-        overhead_a = len(a.to_bytes()) * 8 - a.bits_total()
-        overhead_b = len(b.to_bytes()) * 8 - b.bits_total()
+        overhead_a = len(a.to_bytes()) * 8 - a.space_breakdown().total_bits
+        overhead_b = len(b.to_bytes()) * 8 - b.space_breakdown().total_bits
         assert overhead_a == overhead_b
 
     def test_compressed_metadata_same_values(self, keys_20k):
@@ -379,3 +392,39 @@ class TestLoadChecks:
         phf.remap = None if minimal else EliasFanoSeq.encode(np.arange(3))
         with pytest.raises(DeserializationError, match="remap"):
             SicHashPhf.from_bytes(phf.to_bytes())
+
+
+FUZZ_KEYS = generate_keys(400, seed=12)
+FUZZ_PROBES = FUZZ_KEYS[:200] + [b"stranger %d" % i for i in range(200)]
+FUZZ_BLOBS = {
+    "plain": (FUZZ_KEYS, PhfConfig(alpha=0.9, bucket_size=100)),
+    "minimal-compressed": (
+        FUZZ_KEYS,
+        PhfConfig(alpha=0.97, bucket_size=100, minimal=True, compressed_metadata=True),
+    ),
+    "empty-last-bucket": (generate_keys(6, 0), PhfConfig(alpha=0.9, bucket_size=1)),
+}
+
+
+@functools.cache
+def _fuzz_body(name: str) -> bytes:
+    keys, config = FUZZ_BLOBS[name]
+    return build(keys, config).to_bytes()[:-4]
+
+
+@pytest.mark.parametrize("name", list(FUZZ_BLOBS))
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_blob_rejected_or_total(name, data):
+    # 1-3 bytes changed under a fresh checksum: loading either raises
+    # DeserializationError or gives a function defined on every key
+    body = bytearray(_fuzz_body(name))
+    for _ in range(data.draw(st.integers(1, 3))):
+        body[data.draw(st.integers(0, len(body) - 1))] ^= data.draw(st.integers(1, 255))
+    try:
+        phf = SicHashPhf.from_bytes(_reseal(bytes(body)))
+    except DeserializationError:
+        return
+    got = [phf.evaluate(k) for k in FUZZ_PROBES]
+    assert all(type(v) is int and 0 <= v < phf.output_range for v in got)
+    assert got == phf.evaluate_many(FUZZ_PROBES).tolist()

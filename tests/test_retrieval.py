@@ -25,24 +25,29 @@ def test_empty_store():
 
 
 def test_single_pair():
-    st_ = RetrievalStore.build([MasterHash(11, 22)], [5], r=3)
+    st_ = RetrievalStore.build(([11], [22]), [5], r=3)
     assert st_.query(MasterHash(11, 22)) == 5
 
 
 def test_duplicate_hash_rejected():
-    h = MasterHash(1, 2)
     with pytest.raises(ValueError, match="duplicate key"):
-        RetrievalStore.build([h, h], [1, 0], r=1)
+        RetrievalStore.build(([1, 1], [2, 2]), [1, 0], r=1)
 
 
 def test_value_out_of_range_rejected():
     with pytest.raises(ValueError, match="fit"):
-        RetrievalStore.build([MasterHash(1, 2)], [4], r=2)
+        RetrievalStore.build(([1], [2]), [4], r=2)
 
 
 def test_bad_r():
     with pytest.raises(ValueError):
-        RetrievalStore.build([MasterHash(1, 2)], [0], r=4)
+        RetrievalStore.build(([1], [2]), [0], r=4)
+
+
+def test_hash_sequence_rejected():
+    # a list of two master hashes must not be read as (hi, lo)
+    with pytest.raises(TypeError, match="tuple"):
+        RetrievalStore.build([MasterHash(1, 2), MasterHash(3, 4)], [0, 1], r=1)
 
 
 def test_bulk_query_back_and_space():
@@ -88,7 +93,7 @@ def test_serialization_roundtrip_exact_answers():
 
 
 def test_serialization_errors():
-    store = RetrievalStore.build([MasterHash(5, 6)], [1], r=1)
+    store = RetrievalStore.build(([5], [6]), [1], r=1)
     blob = store.to_bytes()
     with pytest.raises(DeserializationError):
         RetrievalStore.from_bytes(blob[:-1])

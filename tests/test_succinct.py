@@ -1,19 +1,21 @@
 import dataclasses
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sichash._wire import Reader, Writer
+from sichash.cli import generate_keys
 from sichash.errors import DeserializationError
+from sichash.phf import PhfConfig, SicHashPhf, build
 from sichash.succinct import (
     BitVector,
     EliasFanoSeq,
     GolombRiceSeq,
     PackedIntArray,
-    ef_access,
     ef_encode,
-    gr_access,
     gr_encode,
     rice_parameter,
 )
@@ -62,12 +64,6 @@ class TestBitVector:
         bv = BitVector.from_bits(bits)
         assert bv.aux_bits() <= 0.25 * bv.bits()
 
-    def test_getitem_and_bounds(self):
-        bv = BitVector.from_bits(np.array([0, 1], dtype=np.uint8))
-        assert bv[0] == 0 and bv[1] == 1
-        with pytest.raises(IndexError):
-            bv[2]
-
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(5)
         bits = (rng.random(777) < 0.3).astype(np.uint8)
@@ -84,6 +80,14 @@ class TestBitVector:
         blob = BitVector.from_bits(np.ones(100, dtype=np.uint8)).to_bytes()
         with pytest.raises(DeserializationError, match="truncated"):
             BitVector.from_bytes(blob[:-3])
+
+    def test_length_disagreeing_with_word_count(self):
+        # the upper bit vector's length field sits after the EF header
+        blob = bytearray(ef_encode([0, 5, 5, 9, 100, 4096]).to_bytes())
+        at = 25 + 8
+        struct.pack_into("<Q", blob, at, struct.unpack_from("<Q", blob, at)[0] + 64)
+        with pytest.raises(DeserializationError, match="word count"):
+            EliasFanoSeq.from_bytes(bytes(blob))
 
 
 class TestPackedIntArray:
@@ -111,6 +115,27 @@ class TestPackedIntArray:
         with pytest.raises(ValueError):
             PackedIntArray.pack(np.array([8], dtype=np.uint64), 3)
 
+    def test_huge_width_zero_array_in_codecs(self):
+        # n >= 2**63 does not fit a Python length
+        huge = PackedIntArray(np.empty(0, dtype=np.uint64), 2**63, 0)
+        ef = dataclasses.replace(ef_encode([0, 1, 2]), lower=huge)
+        gr = dataclasses.replace(gr_encode([1, 2], 0), remainders=huge)
+        with pytest.raises(DeserializationError, match="Elias-Fano"):
+            EliasFanoSeq.from_bytes(ef.to_bytes())
+        with pytest.raises(DeserializationError, match="Golomb-Rice"):
+            GolombRiceSeq.from_bytes(gr.to_bytes())
+
+    def test_huge_width_zero_array_in_phf_blob(self):
+        # the first packed array is the bucket seeds' Golomb-Rice remainders
+        phf = build(generate_keys(2000, seed=3), PhfConfig(alpha=0.9, compressed_metadata=True))
+        body = bytearray(phf.to_bytes()[:-4])
+        at = body.index(b"SHPA0001") + 8
+        assert body[at + 8] == 0  # width 0: every seed is below 2
+        struct.pack_into("<Q", body, at, 2**63)
+        body += zlib.crc32(body).to_bytes(4, "little")
+        with pytest.raises(DeserializationError):
+            SicHashPhf.from_bytes(bytes(body))
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_word_count_checked_on_load(self, extra):
         nwords = (100 * 7 + 63) // 64 + 1
@@ -126,19 +151,19 @@ class TestEliasFano:
         seq = ef_encode([])
         assert len(seq) == 0
         with pytest.raises(IndexError):
-            ef_access(seq, 0)
+            seq.access(0)
 
     def test_all_zero(self):
         seq = ef_encode([0, 0, 0])
-        assert [ef_access(seq, i) for i in range(3)] == [0, 0, 0]
+        assert [seq.access(i) for i in range(3)] == [0, 0, 0]
 
     def test_hand_case(self):
         seq = ef_encode([3, 7, 20])
-        assert ef_access(seq, 1) == 7
+        assert seq.access(1) == 7
 
     def test_range(self):
         seq = ef_encode(list(range(1000)))
-        assert ef_access(seq, 500) == 500
+        assert seq.access(500) == 500
 
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError, match="monotone"):
@@ -149,7 +174,7 @@ class TestEliasFano:
     def test_out_of_bounds(self):
         seq = ef_encode([1, 2, 3])
         with pytest.raises(IndexError, match="out of bounds"):
-            ef_access(seq, 3)
+            seq.access(3)
 
     @given(
         st.lists(st.integers(0, 2**40), min_size=0, max_size=300).map(sorted)
@@ -158,7 +183,7 @@ class TestEliasFano:
         seq = ef_encode(values)
         assert np.array_equal(seq.to_array(), np.array(values, dtype=np.uint64))
         for i in range(0, len(values), 7):
-            assert ef_access(seq, i) == values[i]
+            assert seq.access(i) == values[i]
 
     def test_space_bound(self):
         rng = np.random.default_rng(11)
@@ -172,7 +197,7 @@ class TestEliasFano:
     def test_serialization_roundtrip(self):
         values = [0, 5, 5, 9, 100, 4096]
         seq = EliasFanoSeq.from_bytes(ef_encode(values).to_bytes())
-        assert [ef_access(seq, i) for i in range(len(values))] == values
+        assert [seq.access(i) for i in range(len(values))] == values
 
     @pytest.mark.parametrize("field, delta", [("n", 1), ("n", -1), ("lower_width", 1)])
     def test_inconsistent_header_rejected(self, field, delta):
@@ -187,7 +212,7 @@ class TestGolombRice:
         seq = gr_encode([0, 0, 0], 0)
         assert seq.unary.bits() >= 3  # three unary terminators, word-padded
         assert seq.unary.popcount == 3
-        assert [gr_access(seq, i) for i in range(3)] == [0, 0, 0]
+        assert [seq.access(i) for i in range(3)] == [0, 0, 0]
 
     def test_hand_case_five(self):
         # 5 = quotient 1, remainder 1 at k_log=2
@@ -195,7 +220,7 @@ class TestGolombRice:
         assert seq.unary.popcount == 1
         assert seq.unary.select1(0) == 1  # one zero bit, then the terminator
         assert seq.remainders[0] == 1
-        assert gr_access(seq, 0) == 5
+        assert seq.access(0) == 5
 
     def test_empty(self):
         seq = gr_encode([], 3)
@@ -219,7 +244,7 @@ class TestGolombRice:
         seq = gr_encode(values, k_log)
         assert np.array_equal(seq.to_array(), np.array(values, dtype=np.uint64))
         for i in range(0, len(values), 5):
-            assert gr_access(seq, i) == values[i]
+            assert seq.access(i) == values[i]
 
     def test_geometric_bulk_roundtrip(self):
         rng = np.random.default_rng(13)
@@ -231,7 +256,7 @@ class TestGolombRice:
     def test_serialization_roundtrip(self):
         values = [0, 1, 7, 0, 300]
         seq = GolombRiceSeq.from_bytes(gr_encode(values, 2).to_bytes())
-        assert [gr_access(seq, i) for i in range(len(values))] == values
+        assert [seq.access(i) for i in range(len(values))] == values
 
     @pytest.mark.parametrize("field, delta", [("n", 1), ("n", -1), ("k_log", 1)])
     def test_inconsistent_header_rejected(self, field, delta):
@@ -245,3 +270,8 @@ def test_rice_parameter():
     assert rice_parameter([]) == 0
     assert rice_parameter([0, 0, 0]) == 0
     assert rice_parameter([7, 7, 7]) == 3
+
+
+def test_reader_words_length_bounded_before_allocation():
+    with pytest.raises(DeserializationError, match="truncated"):
+        Reader(struct.pack("<Q", 2**61) + b"\0" * 64).words()
