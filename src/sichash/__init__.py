@@ -14,6 +14,7 @@ from .errors import ConstructionError, DeserializationError, SicHashError
 from .hashing import MasterHash, bucket_of, cell_of, master_hash
 from .phf import (
     BucketMetaArray,
+    BuildStats,
     PhfConfig,
     SicHashPhf,
     SpaceBreakdown,
@@ -37,6 +38,7 @@ __all__ = [
     "BitVector",
     "BucketInput",
     "BucketMetaArray",
+    "BuildStats",
     "ClassMix",
     "ConstructionError",
     "DeserializationError",

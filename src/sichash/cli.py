@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``keygen`` (random test keys), ``build`` (construct and
-serialize a function, printing a JSON run report), ``verify``
-(exhaustive injectivity check of a blob against a key file), ``bench``
-(single-threaded query throughput), ``overload`` (incremental cuckoo
-load experiment, CSV to stdout, quartile summary to stderr), and
-``thresholds`` (load-threshold solver, CSV).
+serialize a function, printing a JSON run report with the build's stage
+times and seed retries), ``verify`` (exhaustive injectivity check of a
+blob against a key file), ``bench`` (single-threaded query throughput),
+``overload`` (incremental cuckoo load experiment, CSV to stdout,
+quartile summary to stderr), and ``thresholds`` (load-threshold solver,
+CSV).
 
 Key files are newline-delimited; keys may contain any byte except
 newline and must be non-empty.  All commands are deterministic given
@@ -140,6 +141,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         "bits_per_object": phf.bits_per_object(),
         "breakdown": phf.space_breakdown().as_dict(),
         "verified": verified,
+        "stages": {k: round(v, 6) for k, v in phf.build_stats.stages.items()},
+        "retries": phf.build_stats.retries(),
     }
     print(json.dumps(report))
     return 0 if verified else 1

@@ -10,10 +10,13 @@ an evicted object re-enters with its counter incremented by one.
 Construction of a whole bucket is retried with seeds 0, 1, 2, ... until
 all entries place within the displacement budget.
 
-Each entry's candidate cells are derived once per (entry, seed) — in one
-vectorized pass per bucket seed — so kicking itself is list lookups
-only.  The injectivity self-check on a finished placement re-derives the
-chosen cells with the vectorized query-side derivation.
+Each entry's candidate cells are derived once per (entry, seed), in one
+vectorized pass per bucket seed, into one flat list.  An entry keeps the
+index of its first cell and ``degree - 1`` as a mask; degrees are
+powers of two, so a probe is ``flat[first + (counter & mask)]`` and the
+final assignments are ``counters & mask`` in numpy.  The injectivity
+self-check on a finished placement re-derives the chosen cells with the
+vectorized query-side derivation.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import ConstructionError
 from .hashing import (
+    CLASS_DEGREES,
     MasterHash,
     cell_key,
     cell_of,
@@ -55,7 +59,10 @@ class BucketInput:
     def __post_init__(self) -> None:
         self.hi = np.asarray(self.hi, dtype=np.uint64)
         self.lo = np.asarray(self.lo, dtype=np.uint64)
-        self.degrees = np.asarray(self.degrees, dtype=np.uint8)
+        degrees = np.asarray(self.degrees)
+        if not np.isin(degrees, CLASS_DEGREES).all():
+            raise ValueError(f"degrees must be in {CLASS_DEGREES}")
+        self.degrees = degrees.astype(np.uint8)
         if not (len(self.hi) == len(self.lo) == len(self.degrees)):
             raise ValueError("hi, lo, degrees must have equal length")
         if self.m < len(self.hi):
@@ -78,28 +85,43 @@ class PlacementResult:
 class RattleTable:
     """Mutable insertion state for one cuckoo table.
 
-    ``cand`` holds each entry's candidate cells under ``seed``, one list
-    per entry with its degree as length; the cell of hash function ``t``
-    is ``cand[entry][t]``.  After a failed insert the table is left
-    mid-displacement; callers either discard it (seed retry) or stop the
-    experiment.
+    Candidate cells under ``seed`` live in one flat list: entry ``i``
+    owns ``flat[first[i] : first[i] + mask[i] + 1]``, where ``mask[i]``
+    is its degree minus one, so the cell of hash function ``t`` is
+    ``flat[first[i] + t]``.  ``insert`` only reads these lists and
+    ``add_entry`` appends to them.  After a failed insert the table is
+    left mid-displacement; callers either discard it (seed retry) or
+    stop the experiment.
     """
 
-    def __init__(self, m: int, seed: int, cand: Optional[list[list[int]]] = None):
+    def __init__(
+        self,
+        m: int,
+        seed: int,
+        flat: Optional[list[int]] = None,
+        first: Optional[list[int]] = None,
+        mask: Optional[list[int]] = None,
+    ):
         self.m = m
         self.cells = [-1] * m  # entry index occupying each cell
-        self.cand = [] if cand is None else cand
-        self.counters = [0] * len(self.cand)
+        self.flat = [] if flat is None else flat
+        self.first = [] if first is None else first
+        self.mask = [] if mask is None else mask
+        self.counters = [0] * len(self.first)
         self.displacements = 0
         self._keys = [cell_key(seed, t) for t in range(8)]
 
     def add_entry(self, folded: int, degree: int) -> int:
         """Append an entry from its :func:`fold_hash` word, deriving its
         cells the way :func:`cell_of` does; returns its index."""
+        if degree not in CLASS_DEGREES:
+            raise ValueError(f"degree must be one of {CLASS_DEGREES}")
         m = self.m
-        self.cand.append([(mix64(folded ^ k) * m) >> 64 for k in self._keys[:degree]])
+        self.first.append(len(self.flat))
+        self.flat.extend([(mix64(folded ^ k) * m) >> 64 for k in self._keys[:degree]])
+        self.mask.append(degree - 1)
         self.counters.append(0)
-        return len(self.cand) - 1
+        return len(self.counters) - 1
 
     def insert(self, entry: int, budget: int) -> bool:
         """Place ``entry`` by rattle kicking.
@@ -108,14 +130,14 @@ class RattleTable:
         once it is exceeded (counters keep their mid-flight values).
         """
         table = self.cells
-        cand = self.cand
+        flat, first, mask = self.flat, self.first, self.mask
         counters = self.counters
         steps = self.displacements
         cur = entry
         c = counters[cur]
         while True:
-            row = cand[cur]
-            cell = row[c % len(row)]
+            # degrees are powers of two, so ``c & mask`` is ``c mod degree``
+            cell = flat[first[cur] + (c & mask[cur])]
             occ = table[cell]
             if occ < 0:
                 table[cell] = cur
@@ -159,18 +181,16 @@ def build_bucket(
     entry = np.repeat(np.arange(n), inp.degrees)
     fn_index = np.arange(int(ends[-1])) - starts[entry]
     hi, lo = inp.hi[entry], inp.lo[entry]
-    bounds = list(zip(starts.tolist(), ends.tolist()))
+    mask = inp.degrees - np.uint8(1)
+    first, mask_l = starts.tolist(), mask.tolist()
     for seed in range(max_seeds):
         flat = cell_of_many(hi, lo, seed, fn_index, inp.m).tolist()
-        table = RattleTable(inp.m, seed, [flat[a:z] for a, z in bounds])
+        table = RattleTable(inp.m, seed, flat, first, mask_l)
         for i in range(n):
             if not table.insert(i, budget):
                 break
         else:
-            assignments = np.array(
-                [c % len(row) for c, row in zip(table.counters, table.cand)],
-                dtype=np.uint8,
-            )
+            assignments = (np.array(table.counters) & mask).astype(np.uint8)
             result = PlacementResult(seed, assignments, table.displacements)
             _check_placement(inp, result)
             return result
@@ -188,8 +208,9 @@ def placement_cells(inp: BucketInput, result: PlacementResult) -> np.ndarray:
 
 
 def _check_placement(inp: BucketInput, result: PlacementResult) -> None:
-    cells = placement_cells(inp, result)
-    if len(np.unique(cells)) != len(inp):
+    occupied = np.zeros(inp.m, dtype=bool)
+    occupied[placement_cells(inp, result)] = True
+    if np.count_nonzero(occupied) != len(inp):
         raise ConstructionError("internal error: placement is not injective")
 
 

@@ -32,6 +32,7 @@ Top-level blob layout (little-endian, crc32 trailer):
 from __future__ import annotations
 
 import dataclasses
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -208,6 +209,36 @@ class SpaceBreakdown:
         }
 
 
+@dataclass
+class BuildStats:
+    """Where a build's time went and how hard the instance was.
+
+    Attached by :func:`build` and :func:`build_from_hashes` as
+    :attr:`SicHashPhf.build_stats`; never serialized.  ``stages`` holds
+    wall seconds per stage: ``hash`` (master hashing, :func:`build` only),
+    ``partition`` (distinctness check and bucket/class split),
+    ``cuckoo`` (every bucket's placement and self-check),
+    ``retrieval_r1`` .. ``retrieval_r3`` and, in minimal mode, ``remap``.
+    """
+
+    stages: dict[str, float]
+    #: rattle-kicking displacements of the winning seeds, summed over buckets
+    displacements: int
+    #: bucket seed -> number of buckets placed with it
+    bucket_seeds: dict[int, int]
+    #: per retrieval store, keyed by r: its seed, the seeds it skipped
+    #: and the slot slack epsilon it was built with
+    stores: dict[int, dict]
+
+    def retries(self) -> dict:
+        """Seed retries and displacements as a JSON-ready dict."""
+        return {
+            "displacements": self.displacements,
+            "bucket_seeds": {str(k): v for k, v in self.bucket_seeds.items()},
+            "retrieval": {f"r{r}": info for r, info in self.stores.items()},
+        }
+
+
 class SicHashPhf:
     """An assembled perfect hash function.
 
@@ -219,7 +250,12 @@ class SicHashPhf:
     that, so any number of threads may query one instance.  An empty
     bucket answers from offset 0 on both paths, so a non-member key that
     lands in an empty last bucket stays below ``m_total``.
+
+    A freshly built function carries its :class:`BuildStats` as
+    ``build_stats``; a loaded or hand-assembled one has ``None``.
     """
+
+    build_stats: Optional[BuildStats] = None
 
     def __init__(
         self,
@@ -418,15 +454,16 @@ def build(
     :func:`build_from_hashes`) and :class:`ConstructionError` when a bucket
     cannot be placed at this load factor.
     """
-    # Kept for memory, not correctness: without this copy, a second
-    # 1e6-key build in the same process peaked ~40 MB higher, because
-    # glibc no longer trimmed the heap after the first build.
-    keys = list(keys)
+    t0 = time.perf_counter()
     hi, lo = master_hash_many(keys, config.global_seed)
+    t1 = time.perf_counter()
     phf = build_from_hashes(hi, lo, config, max_bucket_seeds=max_bucket_seeds)
+    stats = phf.build_stats
+    stats.stages = {"hash": t1 - t0, **stats.stages}
     if config.minimal:
-        values = phf.evaluate_hashes(hi, lo)
-        return _attach_remap(phf, values)
+        t0 = time.perf_counter()
+        phf = _attach_remap(phf, phf.evaluate_hashes(hi, lo))
+        stats.stages["remap"] = time.perf_counter() - t0
     return phf
 
 
@@ -441,6 +478,7 @@ def build_from_hashes(
     n = len(hi)
     if n < 1:
         raise ValueError("key set must be non-empty")
+    t0 = time.perf_counter()
     check_distinct(hi, lo)
 
     num_buckets = max(1, round(n / config.bucket_size))
@@ -458,6 +496,9 @@ def build_from_hashes(
     fn_values = np.zeros(n, dtype=np.uint8)
     alpha = config.alpha
     total = 0
+    displacements = 0
+    t1 = time.perf_counter()
+    stages = {"partition": t1 - t0}
     for b in range(num_buckets):
         a, z = int(bounds[b]), int(bounds[b + 1])
         n_b = z - a
@@ -471,23 +512,40 @@ def build_from_hashes(
             ) from exc
         seeds[b] = result.seed
         fn_values[a:z] = result.assignments
+        displacements += result.displacements
         total += m_b
         offsets[b + 1] = total
+    t0 = time.perf_counter()
+    stages["cuckoo"] = t0 - t1
 
     stores: dict[int, RetrievalStore] = {}
+    store_stats: dict[int, dict] = {}
     for degree, r in _R_BY_DEGREE.items():
         mask = deg_s == degree
-        stores[degree] = RetrievalStore.build(
+        store = stores[degree] = RetrievalStore.build(
             (hi_s[mask], lo_s[mask]),
             fn_values[mask],
             r,
             epsilon=config.epsilon_r,
             base_seed=config.global_seed,
         )
+        t1 = time.perf_counter()
+        stages[f"retrieval_r{r}"] = t1 - t0
+        t0 = t1
+        store_stats[r] = {
+            "seed": store.seed,
+            "seed_retries": store.seed - config.global_seed,
+            "epsilon": config.epsilon_r,
+        }
 
     meta = BucketMetaArray(seeds, offsets, compressed=config.compressed_metadata)
     cfg_plain = dataclasses.replace(config, minimal=False)
-    return SicHashPhf(cfg_plain, meta, stores, n)
+    phf = SicHashPhf(cfg_plain, meta, stores, n)
+    used, counts = np.unique(seeds, return_counts=True)
+    phf.build_stats = BuildStats(
+        stages, displacements, dict(zip(used.tolist(), counts.tolist())), store_stats
+    )
+    return phf
 
 
 def minimize(phf: SicHashPhf, keys: Sequence[bytes]) -> SicHashPhf:
@@ -521,4 +579,6 @@ def _attach_remap(phf: SicHashPhf, values: np.ndarray) -> SicHashPhf:
     slots[slots < 0] = holes[0] if len(holes) else 0
     remap = EliasFanoSeq.encode(slots)
     cfg = dataclasses.replace(phf.config, minimal=True)
-    return SicHashPhf(cfg, phf.meta, phf.stores, n, remap=remap)
+    out = SicHashPhf(cfg, phf.meta, phf.stores, n, remap=remap)
+    out.build_stats = phf.build_stats
+    return out

@@ -7,9 +7,14 @@ slot ``s`` in ``[0, num_slots - band_width]`` plus a ``band_width``-bit
 coefficient pattern whose first bit is always set, so the pivot search
 never leaves the band.  Both derive from the store seed's
 :func:`~sichash.hashing.row_keys`.  Solving the system in start order
-keeps elimination local and nearly linear.  Queries for keys outside
-the construction set return an arbitrary (but deterministic) r-bit
-value, never an error.
+keeps elimination local and nearly linear: each row is XORed into the
+stored row at its current pivot until it finds a free pivot, becomes
+zero (dependent) or proves the system inconsistent.  Back-substitution
+then runs once per bit plane from the last slot down, carrying the
+solution bits of the next 64 slots as one sliding 64-bit integer, so a
+pivot's bit is one AND and popcount; the bits are packed with numpy at
+the end.  Queries for keys outside the construction set return an
+arbitrary (but deterministic) r-bit value, never an error.
 
 The solution is stored as ``r`` separate bit planes; a query is one
 64-bit window fetch and popcount per plane.  Slot count is
@@ -232,33 +237,37 @@ def _solve(
     row_coeff = [0] * num_slots  # anchored at pivot: bit 0 is the pivot
     row_value = [0] * num_slots
     for s, c, v in zip(starts_l, coeffs_l, vals_l):
-        while c:
-            tz = (c & -c).bit_length() - 1
-            s += tz
-            c >>= tz
+        # a fresh row has bit 0 set, so it is already anchored at ``s``
+        while True:
             rc = row_coeff[s]
-            if rc == 0:
+            if not rc:
                 row_coeff[s] = c
                 row_value[s] = v
                 break
             c ^= rc
             v ^= row_value[s]
-        else:
-            if v:
-                return None  # inconsistent: identical equation, different value
-            # dependent but consistent row: nothing to store
+            if not c:
+                if v:
+                    return None  # inconsistent: identical equation, different value
+                break  # dependent but consistent row: nothing to store
+            tz = (c & -c).bit_length() - 1
+            s += tz
+            c >>= tz
 
+    # Back-substitution, one plane at a time from the last slot down:
+    # ``state`` holds the solution bits of slots p .. p+63 (bit 0 is slot
+    # p), so each pivot's parity is one AND and popcount.
     nwords = num_slots // 64 + 2
-    sols = [[0] * nwords for _ in range(r)]
-    for p in range(num_slots - 1, -1, -1):
-        c = row_coeff[p]
-        if c == 0:
-            continue
-        v = row_value[p]
-        w0, off = p >> 6, p & 63
-        for k in range(r):
-            sk = sols[k]
-            window = ((sk[w0] >> off) | (sk[w0 + 1] << (64 - off))) & MASK64
-            if ((window & c).bit_count() ^ (v >> k)) & 1:
-                sk[w0] |= 1 << off
-    return [np.array(s, dtype=np.uint64) for s in sols]
+    planes = []
+    for k in range(r):
+        bits = bytearray(64 * nwords)  # one byte per solution bit
+        state = 0
+        for p in range(num_slots - 1, -1, -1):
+            state = (state << 1) & MASK64
+            c = row_coeff[p]
+            if c and ((state & c).bit_count() ^ (row_value[p] >> k)) & 1:
+                state |= 1
+                bits[p] = 1
+        packed = np.packbits(np.frombuffer(bits, dtype=np.uint8), bitorder="little")
+        planes.append(packed.view("<u8").astype(np.uint64))
+    return planes

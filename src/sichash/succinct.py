@@ -283,9 +283,7 @@ class EliasFanoSeq(Codec):
         if n and np.any(np.diff(values) < 0):
             raise ValueError("sequence not monotone")
         universe = int(values[-1]) if n else 0
-        width = 0
-        while n and (universe >> width) > n:
-            width += 1
+        width = _ef_lower_width(universe, n)
         highs = (values >> width) if n else values
         positions = np.arange(n, dtype=np.int64) + highs
         length = n + (universe >> width) + 1
@@ -335,7 +333,27 @@ class EliasFanoSeq(Codec):
         lower = PackedIntArray.read(r)
         if upper.popcount != n or lower.n != n or lower.width != width:
             raise DeserializationError("Elias-Fano: parts disagree with n or lower_width")
+        if width != _ef_lower_width(universe, n):
+            raise DeserializationError("Elias-Fano: lower_width does not fit universe and n")
+        last = 0
+        if n:
+            # the last value's high part is the top 1-bit's position minus n-1
+            words = upper.words
+            w = int(np.flatnonzero(words)[-1])
+            top = (w << 6) + int(words[w]).bit_length() - 1
+            last = ((top - (n - 1)) << width) | lower[n - 1]
+        if last != universe:
+            raise DeserializationError("Elias-Fano: universe differs from the last value")
         return cls(upper, lower, n, universe, width)
+
+
+def _ef_lower_width(universe: int, n: int) -> int:
+    """Low-bit width :meth:`EliasFanoSeq.encode` picks: the smallest with
+    ``universe >> width <= n`` (0 for an empty sequence)."""
+    width = 0
+    while n and (universe >> width) > n:
+        width += 1
+    return width
 
 
 def ef_encode(values) -> EliasFanoSeq:

@@ -52,6 +52,14 @@ class TestBuildVerifyBench:
         assert report["n"] == 3000
         assert report["bits_per_object"] > 0
         assert set(report["breakdown"]) == {"retrieval", "metadata", "remap", "total"}
+        assert list(report["stages"]) == [
+            "hash", "partition", "cuckoo", "retrieval_r1", "retrieval_r2", "retrieval_r3",
+        ]
+        retries = report["retries"]
+        assert set(retries) == {"displacements", "bucket_seeds", "retrieval"}
+        assert sum(retries["bucket_seeds"].values()) == 1  # one 5000-key bucket
+        assert set(retries["retrieval"]) == {"r1", "r2", "r3"}
+        assert set(retries["retrieval"]["r2"]) == {"seed", "seed_retries", "epsilon"}
 
         assert main(["verify", "--phf", str(out), "--keys", str(key_file)]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -68,6 +76,7 @@ class TestBuildVerifyBench:
         assert rc == 0
         assert report["minimal"] is True
         assert report["breakdown"]["remap"] > 0
+        assert "remap" in report["stages"]
         assert main(["verify", "--phf", str(out), "--keys", str(key_file)]) == 0
 
     def test_verify_fails_on_other_keys(self, tmp_path, key_file, capsys):

@@ -234,6 +234,31 @@ class TestBuildBucket:
         assert retried and failed
 
 
+class TestDegreeValidation:
+    # probes select ``counter & (degree - 1)``, which is the counter mod
+    # degree only for the power-of-two class degrees
+
+    @pytest.mark.parametrize("degree", [0, 1, 3, 5, 16, 258])
+    def test_bucket_input_rejects_other_degrees(self, degree):
+        with pytest.raises(ValueError, match="degrees"):
+            BucketInput([1, 2], [3, 4], [2, degree], 2)
+
+    @pytest.mark.parametrize("degree", [0, 1, 3, 5, 16])
+    def test_add_entry_rejects_other_degrees(self, degree):
+        table = RattleTable(10, seed=0)
+        with pytest.raises(ValueError, match="degree"):
+            table.add_entry(fold_hash(MasterHash(1, 2)), degree)
+        assert table.counters == [] and table.flat == []
+
+    def test_class_degrees_accepted(self):
+        inp = BucketInput([1, 2, 3], [4, 5, 6], [2, 4, 8], 3)
+        assert inp.degrees.tolist() == [2, 4, 8]
+        table = RattleTable(10, seed=0)
+        assert [table.add_entry(fold_hash(MasterHash(1, d)), d) for d in (2, 4, 8)] == [0, 1, 2]
+        assert table.mask == [1, 3, 7] and table.first == [0, 2, 6]
+        assert len(table.flat) == 14
+
+
 class TestRattleInsert:
     def test_first_insert_goes_to_counter_zero_cell(self):
         table = RattleTable(10, seed=0)

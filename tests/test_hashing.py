@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
 from sichash.hashing import (
+    _HASH_CHUNK,
     MasterHash,
     bucket_of,
     bucket_of_many,
@@ -54,6 +55,19 @@ def test_master_hash_scalar_matches_batch(key, seed):
     assert (h.hi, h.lo) == (int(hi[0]), int(lo[0]))
 
 
+def test_master_hash_many_across_chunks():
+    # more keys than one joined block, passed as a list and as an iterator
+    keys = [b"key %d" % i for i in range(2 * _HASH_CHUNK + 5)]
+    hi, lo = master_hash_many(keys, 17)
+    assert hi.dtype == lo.dtype == np.uint64 and len(hi) == len(keys)
+    for i in (0, _HASH_CHUNK - 1, _HASH_CHUNK, 2 * _HASH_CHUNK, len(keys) - 1):
+        assert master_hash(keys[i], 17) == (int(hi[i]), int(lo[i]))
+    hi2, lo2 = master_hash_many(iter(keys), 17)
+    assert np.array_equal(hi, hi2) and np.array_equal(lo, lo2)
+    empty_hi, empty_lo = master_hash_many([], 17)
+    assert len(empty_hi) == len(empty_lo) == 0 and empty_hi.dtype == np.uint64
+
+
 @given(U64)
 def test_mix64_scalar_matches_batch(x):
     assert mix64(x) == int(mix64_many(np.array([x], dtype=np.uint64))[0])
@@ -63,6 +77,21 @@ def test_mix64_scalar_matches_batch(x):
 def test_umulhi_matches_bigint(a, b):
     got = int(umulhi(np.array([a], dtype=np.uint64), np.uint64(b))[0])
     assert got == (a * b) >> 64
+
+
+@pytest.mark.parametrize("b_max", [1, 5556, 2**32 - 1, 2**32, 2**64 - 1])
+def test_umulhi_array_matches_bigint(b_max):
+    # table sizes below 2**32 take the two-product path; larger ones the
+    # full 64x64 product
+    rng = np.random.default_rng(b_max % 1000)
+    a = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
+    a[:2] = [0, 2**64 - 1]
+    b = rng.integers(0, b_max, size=2000, dtype=np.uint64, endpoint=True)
+    b[:2] = b_max
+    for bb in (b, np.uint64(b_max)):
+        got = umulhi(a, bb).tolist()
+        bl = np.broadcast_to(bb, a.shape).tolist()
+        assert got == [(x * y) >> 64 for x, y in zip(a.tolist(), bl)]
 
 
 class TestBucketOf:

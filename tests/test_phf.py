@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import struct
 import zlib
 
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sichash.cli import generate_keys
+from sichash.cuckoo import BucketInput, build_bucket
 from sichash.errors import ConstructionError, DeserializationError
+from sichash.hashing import class_of_many, class_thresholds
 from sichash.phf import (
     BucketMetaArray,
     PhfConfig,
     SicHashPhf,
     build,
+    build_from_hashes,
     class_fractions,
     minimize,
 )
@@ -138,6 +142,61 @@ class TestBuild:
         a = build(keys_20k[:3000], PhfConfig(alpha=0.9, global_seed=1))
         b = build(keys_20k[:3000], PhfConfig(alpha=0.9, global_seed=2))
         assert a.to_bytes() != b.to_bytes()
+
+
+_STAGES = ["hash", "partition", "cuckoo", "retrieval_r1", "retrieval_r2", "retrieval_r3"]
+
+
+class TestBuildStats:
+    def test_plain_build(self, phf_20k):
+        stats = phf_20k.build_stats
+        assert list(stats.stages) == _STAGES
+        assert all(t >= 0 for t in stats.stages.values())
+        seeds = phf_20k.meta.seeds
+        assert stats.bucket_seeds == {
+            int(k): int(v) for k, v in zip(*np.unique(seeds, return_counts=True))
+        }
+        assert sum(stats.bucket_seeds.values()) == phf_20k.meta.num_buckets
+        assert stats.displacements > 0
+        assert set(stats.stores) == {1, 2, 3}
+        for store in phf_20k.stores.values():
+            assert stats.stores[store.r] == {
+                "seed": store.seed,
+                "seed_retries": store.seed - 5,
+                "epsilon": 0.10,
+            }
+
+    def test_retries_report_is_json(self, phf_20k):
+        report = json.loads(json.dumps(phf_20k.build_stats.retries()))
+        assert set(report) == {"displacements", "bucket_seeds", "retrieval"}
+        assert set(report["retrieval"]) == {"r1", "r2", "r3"}
+
+    def test_minimal_build_times_the_remap(self, keys_20k):
+        phf = build(keys_20k[:3000], PhfConfig(alpha=0.97, minimal=True))
+        assert list(phf.build_stats.stages) == _STAGES + ["remap"]
+
+    def test_from_hashes_has_no_hash_stage(self):
+        rng = np.random.default_rng(3)
+        hi = rng.integers(0, 2**64, size=3000, dtype=np.uint64)
+        lo = rng.integers(0, 2**64, size=3000, dtype=np.uint64)
+        config = PhfConfig(alpha=0.9)
+        phf = build_from_hashes(hi, lo, config)
+        assert list(phf.build_stats.stages) == _STAGES[1:]
+        # 3000 keys make one bucket: its placement is the whole count
+        degrees = class_of_many(lo, *class_thresholds(config.p1, config.p2))
+        placed = build_bucket(BucketInput(hi, lo, degrees, round(3000 / 0.9)))
+        assert phf.build_stats.displacements == placed.displacements > 0
+
+    def test_seed_retries_counted(self):
+        # tiny buckets near load 1 need bucket seeds above 0
+        keys = generate_keys(2000, seed=8)
+        phf = build(keys, PhfConfig(alpha=1.0, beta=2.0, bucket_size=8))
+        hist = phf.build_stats.bucket_seeds
+        assert max(hist) > 0
+        assert max(hist) == int(phf.meta.seeds.max())
+
+    def test_not_serialized(self, phf_20k):
+        assert SicHashPhf.from_bytes(phf_20k.to_bytes()).build_stats is None
 
 
 class TestSerialization:

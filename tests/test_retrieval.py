@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from sichash.cli import generate_keys
 from sichash.errors import DeserializationError
-from sichash.hashing import MasterHash
-from sichash.phf import PhfConfig, SicHashPhf, build
-from sichash.retrieval import RetrievalStore
+from sichash.hashing import MASK64, MasterHash, mix64
+from sichash.phf import PhfConfig, SicHashPhf, build, build_from_hashes
+from sichash.retrieval import RetrievalStore, _rows_many, _solve
 
 
 def _random_hashes(rng, n):
@@ -174,3 +174,123 @@ def test_small_band_width():
     values = rng.integers(0, 4, size=800, dtype=np.uint64)
     store = RetrievalStore.build((hi, lo), values, r=2, band_width=32, epsilon=0.25)
     assert np.array_equal(store.query_many(hi, lo).astype(np.uint64), values)
+
+
+# -- solver reference -------------------------------------------------------
+# The elimination and back-substitution as first written: the pivot search
+# shifts before every table lookup, and each pivot reads its solution
+# window from two words of a Python word list.
+
+
+def _reference_solve(hi, lo, values, r, seed, num_slots, band_width):
+    starts, coeffs = _rows_many(hi, lo, seed, num_slots, band_width)
+    order = np.argsort(starts, kind="stable")
+    row_coeff = [0] * num_slots
+    row_value = [0] * num_slots
+    for s, c, v in zip(starts[order].tolist(), coeffs[order].tolist(), values[order].tolist()):
+        while c:
+            tz = (c & -c).bit_length() - 1
+            s += tz
+            c >>= tz
+            rc = row_coeff[s]
+            if rc == 0:
+                row_coeff[s] = c
+                row_value[s] = v
+                break
+            c ^= rc
+            v ^= row_value[s]
+        else:
+            if v:
+                return None
+
+    nwords = num_slots // 64 + 2
+    sols = [[0] * nwords for _ in range(r)]
+    for p in range(num_slots - 1, -1, -1):
+        c = row_coeff[p]
+        if c == 0:
+            continue
+        v = row_value[p]
+        w0, off = p >> 6, p & 63
+        for k in range(r):
+            sk = sols[k]
+            window = ((sk[w0] >> off) | (sk[w0 + 1] << (64 - off))) & MASK64
+            if ((window & c).bit_count() ^ (v >> k)) & 1:
+                sk[w0] |= 1 << off
+    return [np.array(s, dtype=np.uint64) for s in sols]
+
+
+def test_solve_matches_reference():
+    # Band widths 1 and 2 leave many identical equations.  Random values
+    # make most such systems inconsistent; values derived from the row
+    # give identical rows identical values, so they stay solvable with
+    # dependent rows.
+    rng = np.random.default_rng(57)
+    unsolvable = dependent = 0
+    for case in range(400):
+        n = int(rng.integers(0, 401))
+        r = int(rng.integers(1, 4))
+        band_width = int(rng.choice([1, 2, 63, 64]))
+        epsilon = 0.1 * rng.random()
+        num_slots = max(band_width, int(np.ceil(n * (1 + epsilon))))
+        hi, lo = _random_hashes(rng, n)
+        seed = int(rng.integers(0, 4))
+        starts, coeffs = _rows_many(hi, lo, seed, num_slots, band_width)
+        rows = list(zip(starts.tolist(), coeffs.tolist()))
+        if case % 2:
+            values = rng.integers(0, 2**r, size=n, dtype=np.uint64)
+        else:
+            values = np.array(
+                [mix64(s * 0x9E3779B97F4A7C15 ^ c) >> (64 - r) for s, c in rows],
+                dtype=np.uint64,
+            )
+        want = _reference_solve(hi, lo, values, r, seed, num_slots, band_width)
+        got = _solve(hi, lo, values, r, seed, num_slots, band_width)
+        if want is None:
+            unsolvable += 1
+            assert got is None
+            continue
+        dependent += len(set(rows)) < n
+        assert len(got) == r
+        for g, w in zip(got, want):
+            assert g.dtype == np.uint64 and len(g) == num_slots // 64 + 2
+            assert np.array_equal(g, w)
+    assert unsolvable and dependent
+
+
+# -- distinctness check -----------------------------------------------------
+
+
+def _shared_high_halves(n):
+    # pairs of keys share a high half and differ in the low half
+    rng = np.random.default_rng(61)
+    hi, lo = _random_hashes(rng, n)
+    hi[1::2] = hi[0::2]
+    return hi, lo
+
+
+def test_store_accepts_shared_high_halves():
+    hi, lo = _shared_high_halves(2000)
+    values = np.random.default_rng(62).integers(0, 4, size=2000, dtype=np.uint64)
+    store = RetrievalStore.build((hi, lo), values, r=2)
+    assert np.array_equal(store.query_many(hi, lo).astype(np.uint64), values)
+
+
+def test_store_rejects_equal_pair_behind_shared_high_halves():
+    hi, lo = _shared_high_halves(2000)
+    lo[1001] = lo[1000]
+    with pytest.raises(ValueError, match="duplicate keys"):
+        RetrievalStore.build((hi, lo), np.zeros(2000, dtype=np.uint64), r=1)
+
+
+def test_build_from_hashes_accepts_shared_high_halves():
+    hi, lo = _shared_high_halves(4000)
+    phf = build_from_hashes(hi, lo, PhfConfig(alpha=0.9, bucket_size=1000))
+    values = phf.evaluate_hashes(hi, lo)
+    assert len(np.unique(values)) == 4000 and values.max() < phf.m_total
+
+
+def test_build_from_hashes_rejects_equal_pair_behind_shared_high_halves():
+    hi, lo = _shared_high_halves(4000)
+    lo[3999] = lo[3998]
+    with pytest.raises(ValueError, match="duplicate keys"):
+        build_from_hashes(hi, lo, PhfConfig(alpha=0.9, bucket_size=1000))

@@ -207,6 +207,44 @@ class TestEliasFano:
             EliasFanoSeq.from_bytes(bad.to_bytes())
 
 
+    @pytest.mark.parametrize(
+        "values, universe",
+        [
+            ([0, 5, 5, 9, 100, 4096], 4095),
+            ([0, 5, 5, 9, 100, 4096], 4097),
+            ([0, 5, 5, 9, 100, 4096], 2**40),
+            ([7], 6),
+            ([], 1),
+        ],
+        ids=["below-last", "above-last", "far-above", "single", "empty"],
+    )
+    def test_universe_other_than_last_value_rejected(self, values, universe):
+        # every other field is the encoder's, so only universe is wrong
+        bad = dataclasses.replace(ef_encode(values), universe=universe)
+        with pytest.raises(DeserializationError, match="Elias-Fano"):
+            EliasFanoSeq.from_bytes(bad.to_bytes())
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_lower_width_other_than_encoders_rejected(self, delta):
+        # the lower array is re-packed at the mutated width, so n, the
+        # popcount and the lower array's width all agree with the header
+        seq = ef_encode([0, 5, 5, 9, 100, 4096])
+        width = seq.lower_width + delta
+        lows = np.array([0, 5, 5, 9, 100, 4096], dtype=np.uint64) & np.uint64((1 << width) - 1)
+        bad = dataclasses.replace(
+            seq, lower_width=width, lower=PackedIntArray.pack(lows, width)
+        )
+        with pytest.raises(DeserializationError, match="lower_width"):
+            EliasFanoSeq.from_bytes(bad.to_bytes())
+
+    @given(
+        st.lists(st.integers(0, 2**63 - 1), min_size=0, max_size=200).map(sorted)
+    )
+    def test_every_encoding_loads(self, values):
+        seq = EliasFanoSeq.from_bytes(ef_encode(values).to_bytes())
+        assert seq.to_array().tolist() == values
+
+
 class TestGolombRice:
     def test_zeros_k0(self):
         seq = gr_encode([0, 0, 0], 0)
