@@ -22,6 +22,7 @@ from sichash.phf import (
     minimize,
 )
 from sichash.succinct import EliasFanoSeq
+from sichash.thresholds import ClassMix, solve_threshold
 
 
 @pytest.fixture(scope="module")
@@ -487,3 +488,47 @@ def test_mutated_blob_rejected_or_total(name, data):
     got = [phf.evaluate(k) for k in FUZZ_PROBES]
     assert all(type(v) is int and 0 <= v < phf.output_range for v in got)
     assert got == phf.evaluate_many(FUZZ_PROBES).tolist()
+
+
+# -- end-to-end property ----------------------------------------------------
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    load=st.floats(0.5, 0.97),
+    beta=st.floats(1.0, 3.0),
+    x=st.floats(0.0, 1.0),
+    bucket_size=st.integers(1, 3000),
+    minimal=st.booleans(),
+    compressed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_config_end_to_end(n, load, beta, x, bucket_size, minimal, compressed, seed):
+    # alpha is a share of the mix's load threshold, so every build succeeds
+    c_star = solve_threshold(ClassMix(*class_fractions(beta, x))).c_star
+    config = PhfConfig(
+        alpha=min(1.0, load * c_star),
+        beta=beta,
+        x=x,
+        bucket_size=bucket_size,
+        global_seed=seed,
+        minimal=minimal,
+        compressed_metadata=compressed,
+    )
+    keys = generate_keys(n + 300, seed=seed)
+    members, strangers = keys[:n], keys[n:]
+    phf = build(members, config)
+
+    values = phf.evaluate_many(members)
+    if minimal:
+        assert np.array_equal(np.sort(values), np.arange(n, dtype=np.uint64))
+    else:
+        assert len(np.unique(values)) == n and values.max() < phf.output_range
+    batch = phf.evaluate_many(keys)
+    assert np.array_equal(batch[:n], values)
+    assert batch[n:].max() < phf.output_range
+    assert [phf.evaluate(k) for k in keys] == batch.tolist()
+    loaded = SicHashPhf.from_bytes(phf.to_bytes())
+    assert np.array_equal(loaded.evaluate_many(keys), batch)
+    assert [loaded.evaluate(k) for k in keys] == batch.tolist()
