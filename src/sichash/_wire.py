@@ -95,7 +95,8 @@ class Reader:
 
 class Codec:
     """``to_bytes``/``from_bytes`` for a structure with ``write(w)`` and a
-    ``read(r)`` classmethod; ``from_bytes`` rejects trailing bytes."""
+    ``read(r)`` classmethod.  ``from_bytes`` rejects trailing bytes and
+    re-raises a ``ValueError`` from ``read`` as :class:`DeserializationError`."""
 
     def to_bytes(self) -> bytes:
         w = Writer()
@@ -105,6 +106,9 @@ class Codec:
     @classmethod
     def from_bytes(cls, data: bytes):
         r = Reader(data)
-        out = cls.read(r)
+        try:
+            out = cls.read(r)
+        except ValueError as exc:
+            raise DeserializationError(f"{cls.__name__}: {exc}") from exc
         r.expect_end()
         return out

@@ -60,7 +60,7 @@ class BucketInput:
         self.hi = np.asarray(self.hi, dtype=np.uint64)
         self.lo = np.asarray(self.lo, dtype=np.uint64)
         degrees = np.asarray(self.degrees)
-        if not np.isin(degrees, CLASS_DEGREES).all():
+        if not np.logical_or.reduce([degrees == d for d in CLASS_DEGREES]).all():
             raise ValueError(f"degrees must be in {CLASS_DEGREES}")
         self.degrees = degrees.astype(np.uint8)
         if not (len(self.hi) == len(self.lo) == len(self.degrees)):

@@ -486,7 +486,8 @@ def build_from_hashes(
     t1, t2 = class_thresholds(config.p1, config.p2)
     degrees = class_of_many(lo, t1, t2)
 
-    order = np.argsort(buckets, kind="stable")
+    # a stable sort of the narrowest dtype is a radix sort: same order, faster
+    order = np.argsort(buckets.astype(np.min_scalar_type(num_buckets - 1)), kind="stable")
     hi_s, lo_s, deg_s = hi[order], lo[order], degrees[order]
     counts = np.bincount(buckets, minlength=num_buckets)
     bounds = np.concatenate([[0], np.cumsum(counts)])

@@ -3,9 +3,9 @@ r-bit values, r in {1, 2, 3}.
 
 Keys arrive as master-hash halves, a ``(hi, lo)`` tuple of uint64
 arrays.  Each key is assigned one linear equation over GF(2): a start
-slot ``s`` in ``[0, num_slots - band_width]`` plus a ``band_width``-bit
-coefficient pattern whose first bit is always set, so the pivot search
-never leaves the band.  Both derive from the store seed's
+slot ``s`` in ``[0, num_slots - 64]`` plus a 64-bit coefficient pattern
+whose first bit is always set, so the pivot search never leaves the
+band.  Both derive from the store seed's
 :func:`~sichash.hashing.row_keys`.  Solving the system in start order
 keeps elimination local and nearly linear: each row is XORed into the
 stored row at its current pivot until it finds a free pivot, becomes
@@ -22,7 +22,7 @@ The solution is stored as ``r`` separate bit planes; a query is one
 payload stays within ``r * num_keys * (1 + epsilon) + O(1)`` bits.
 
 Serialization: ``SHRS0001 | u8 r | u64 num_slots | u64 seed |
-u32 band_width | u64 num_keys | r x word array``.
+u32 band (always 64) | u64 num_keys | r x word array``.
 """
 
 from __future__ import annotations
@@ -49,21 +49,18 @@ from .hashing import (
 _MAGIC = b"SHRS0001"
 
 DEFAULT_EPSILON = 0.10
-DEFAULT_BAND_WIDTH = 64
-DEFAULT_MAX_SEED_RETRIES = 16
+BAND_WIDTH = 64  # bits per row coefficient: one machine word
+MAX_SEED_RETRIES = 16
 
 
 def _rows_many(
-    hi: np.ndarray, lo: np.ndarray, seed: int, num_slots: int, band_width: int
+    hi: np.ndarray, lo: np.ndarray, seed: int, num_slots: int
 ) -> tuple[np.ndarray, np.ndarray]:
     ks, kc = row_keys(seed)
-    starts = umulhi(mix64_many(hi ^ np.uint64(ks)), np.uint64(num_slots - band_width + 1))
+    starts = umulhi(mix64_many(hi ^ np.uint64(ks)), np.uint64(num_slots - BAND_WIDTH + 1))
     # the coefficient folds in both halves: keys sharing one half must
     # still receive distinct equations
-    coeffs = mix64_many(fold_hash_many(hi, lo) ^ np.uint64(kc))
-    if band_width < 64:
-        coeffs &= np.uint64((1 << band_width) - 1)
-    coeffs |= np.uint64(1)
+    coeffs = mix64_many(fold_hash_many(hi, lo) ^ np.uint64(kc)) | np.uint64(1)
     return starts, coeffs
 
 
@@ -73,9 +70,9 @@ def fetch(plan: tuple, hi: int, folded: int) -> int:
     ``hi`` is the key's high half and ``folded`` its :func:`fold_hash`
     word; the row derivation matches :func:`_rows_many`.
     """
-    ks, kc, span, mask, planes = plan
+    ks, kc, span, planes = plan
     start = (mix64(hi ^ ks) * span) >> 64
-    coeff = (mix64(folded ^ kc) & mask) | 1
+    coeff = mix64(folded ^ kc) | 1
     at, off = (start >> 6) << 3, start & 63  # byte offset of the first word
     out = 0
     for k, plane in enumerate(planes):
@@ -92,12 +89,11 @@ class RetrievalStore(Codec):
     r: int
     num_slots: int
     seed: int
-    band_width: int
     num_keys: int
     planes: list[np.ndarray]  # r word arrays, each padded with one extra word
     #: scalar query constants, derived from the fields above: the row keys,
-    #: start span, band mask and planes as little-endian bytes (none for
-    #: an empty store, which answers 0)
+    #: start span and planes as little-endian bytes (none for an empty
+    #: store, which answers 0)
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -105,8 +101,7 @@ class RetrievalStore(Codec):
         planes = ()
         if self.num_slots:
             planes = tuple(np.asarray(p, dtype="<u8").tobytes() for p in self.planes)
-        span = self.num_slots - self.band_width + 1
-        self.plan = (ks, kc, span, (1 << self.band_width) - 1, planes)
+        self.plan = (ks, kc, self.num_slots - BAND_WIDTH + 1, planes)
 
     @classmethod
     def build(
@@ -116,21 +111,17 @@ class RetrievalStore(Codec):
         r: int,
         *,
         epsilon: float = DEFAULT_EPSILON,
-        band_width: int = DEFAULT_BAND_WIDTH,
         base_seed: int = 0,
-        max_seed_retries: int = DEFAULT_MAX_SEED_RETRIES,
     ) -> "RetrievalStore":
         """Build a store mapping each hash to its r-bit value.
 
         ``hashes`` is a ``(hi, lo)`` tuple of uint64 arrays; anything else
         raises :class:`TypeError`.  All hashes must be distinct and all
-        values below ``2**r``.  Construction retries with an incremented
-        seed when the linear system is unsolvable.
+        values below ``2**r``.  Construction tries up to
+        :data:`MAX_SEED_RETRIES` consecutive seeds while the system is unsolvable.
         """
         if r not in (1, 2, 3):
             raise ValueError("r must be 1, 2, or 3")
-        if not 1 <= band_width <= 64:
-            raise ValueError("band_width must be in [1, 64]")
         if not (isinstance(hashes, tuple) and len(hashes) == 2):
             raise TypeError("hashes must be a (hi, lo) tuple of uint64 arrays")
         hi, lo = (np.asarray(a, dtype=np.uint64) for a in hashes)
@@ -142,17 +133,17 @@ class RetrievalStore(Codec):
             raise ValueError("value does not fit in r bits")
         check_distinct(hi, lo)
         if n == 0:
-            return cls(r, 0, base_seed, band_width, 0, [np.zeros(1, np.uint64) for _ in range(r)])
+            return cls(r, 0, base_seed, 0, [np.zeros(1, np.uint64) for _ in range(r)])
 
-        num_slots = max(band_width, math.ceil(n * (1.0 + epsilon)))
-        for attempt in range(max_seed_retries):
+        num_slots = max(BAND_WIDTH, math.ceil(n * (1.0 + epsilon)))
+        for attempt in range(MAX_SEED_RETRIES):
             seed = base_seed + attempt
-            planes = _solve(hi, lo, values, r, seed, num_slots, band_width)
+            planes = _solve(hi, lo, values, r, seed, num_slots)
             if planes is not None:
-                return cls(r, num_slots, seed, band_width, n, planes)
+                return cls(r, num_slots, seed, n, planes)
         raise ConstructionError(
             "retrieval construction failed after "
-            f"{max_seed_retries} seeds (pathological input or epsilon too small)"
+            f"{MAX_SEED_RETRIES} seeds (pathological input or epsilon too small)"
         )
 
     # -- queries ---------------------------------------------------------
@@ -165,14 +156,13 @@ class RetrievalStore(Codec):
         """Vectorized :meth:`query`."""
         if self.num_slots == 0:
             return np.zeros(len(hi), dtype=np.uint8)
-        starts, coeffs = _rows_many(hi, lo, self.seed, self.num_slots, self.band_width)
+        starts, coeffs = _rows_many(hi, lo, self.seed, self.num_slots)
         w0 = (starts >> np.uint64(6)).astype(np.int64)
         off = starts & np.uint64(63)
+        back = np.uint64(63) - off  # shifting by back, then 1, drops the next word at off=0
         out = np.zeros(len(hi), dtype=np.uint8)
-        shift = (np.uint64(64) - off) & np.uint64(63)  # off=0 handled by the mask below
-        high_mask = np.where(off == np.uint64(0), np.uint64(0), ~np.uint64(0))
         for k, plane in enumerate(self.planes):
-            window = (plane[w0] >> off) | ((plane[w0 + 1] << shift) & high_mask)
+            window = (plane[w0] >> off) | ((plane[w0 + 1] << back) << np.uint64(1))
             bit = np.bitwise_count(window & coeffs).astype(np.uint8) & np.uint8(1)
             out |= bit << np.uint8(k)
         return out
@@ -188,7 +178,7 @@ class RetrievalStore(Codec):
         w.u8(self.r)
         w.u64(self.num_slots)
         w.u64(self.seed)
-        w.u32(self.band_width)
+        w.u32(BAND_WIDTH)
         w.u64(self.num_keys)
         for plane in self.planes:
             w.words(plane)
@@ -203,11 +193,9 @@ class RetrievalStore(Codec):
         num_keys = r.u64()
         if rbits not in (1, 2, 3):
             raise DeserializationError(f"retrieval store: r={rbits} not in 1..3")
-        if not 1 <= band_width <= 64:
-            raise DeserializationError(
-                f"retrieval store: band_width={band_width} not in [1, 64]"
-            )
-        if 0 < num_slots < band_width:
+        if band_width != BAND_WIDTH:
+            raise DeserializationError(f"retrieval store: band width {band_width} is not 64")
+        if 0 < num_slots < BAND_WIDTH:
             raise DeserializationError("retrieval store: fewer slots than one band")
         planes = [r.words() for _ in range(rbits)]
         nwords = num_slots // 64 + 2 if num_slots else 1
@@ -215,7 +203,7 @@ class RetrievalStore(Codec):
             raise DeserializationError(
                 f"retrieval store: plane length differs from {nwords} words"
             )
-        return cls(rbits, num_slots, seed, band_width, num_keys, planes)
+        return cls(rbits, num_slots, seed, num_keys, planes)
 
 
 def _solve(
@@ -225,10 +213,9 @@ def _solve(
     r: int,
     seed: int,
     num_slots: int,
-    band_width: int,
 ) -> list[np.ndarray] | None:
     """Banded on-the-fly Gaussian elimination; None when inconsistent."""
-    starts, coeffs = _rows_many(hi, lo, seed, num_slots, band_width)
+    starts, coeffs = _rows_many(hi, lo, seed, num_slots)
     order = np.argsort(starts, kind="stable")
     starts_l = starts[order].tolist()
     coeffs_l = coeffs[order].tolist()

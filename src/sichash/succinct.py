@@ -11,8 +11,9 @@ counts, and serialize to versioned little-endian blobs:
 ``GolombRiceSeq``  ``SHGR0001 | u64 n | u8 k_log | unary BitVector |
                    remainder PackedIntArray``
 
-Bits are packed LSB-first within little-endian 64-bit words, i.e. bit
-``i`` lives at ``words[i >> 6] >> (i & 63) & 1``.
+A codec loaded alone with ``from_bytes`` raises ``DeserializationError``
+for any malformed blob.  Bits are packed LSB-first within little-endian
+64-bit words, i.e. bit ``i`` lives at ``words[i >> 6] >> (i & 63) & 1``.
 """
 
 from __future__ import annotations
@@ -104,29 +105,15 @@ class BitVector(Codec):
         if i < 0 or i >= self._popcount:
             raise ValueError("rank exceeds popcount")
         j = i // _SELECT_SAMPLE
-        words = self._words
-        if j == 0:
-            w = 0
-            remaining = i
-        else:
-            p = int(self._samples[j - 1])  # position of rank j*4096
-            remaining = i - j * _SELECT_SAMPLE
-            if remaining == 0:
-                return p
-            remaining -= 1  # now 0-indexed among bits strictly after p
-            w = p >> 6
-            word_after = int(words[w]) >> (p & 63) >> 1
-            c = word_after.bit_count()
-            if remaining < c:
-                return p + 1 + _select_in_word(word_after, remaining)
-            remaining -= c
+        p = int(self._samples[j - 1]) if j else 0  # position of rank j*4096
+        k = i - j * _SELECT_SAMPLE  # rank among the 1-bits from p on
+        w = p >> 6
+        word = int(self._words[w]) >> (p & 63) << (p & 63)
+        while (c := word.bit_count()) <= k:
+            k -= c
             w += 1
-        while True:
-            c = int(words[w]).bit_count()
-            if remaining < c:
-                return (w << 6) + _select_in_word(int(words[w]), remaining)
-            remaining -= c
-            w += 1
+            word = int(self._words[w])
+        return (w << 6) + _select_in_word(word, k)
 
     def all_positions(self) -> np.ndarray:
         """Positions of all 1-bits, ascending (vectorized bulk decode)."""
@@ -150,27 +137,14 @@ class BitVector(Codec):
     def read(cls, r: Reader) -> "BitVector":
         r.magic(_BV_MAGIC)
         length = r.u64()
-        words = r.words()
-        if len(words) != (length + 63) // 64:
-            raise DeserializationError("bit vector: word count does not match bit length")
-        return cls(words, length)
+        return cls(r.words(), length)
 
 
 def _select_in_word(word: int, k: int) -> int:
     """Offset of the k-th set bit inside a 64-bit word (k < popcount)."""
-    off = 0
-    while True:
-        byte = word & 0xFF
-        c = byte.bit_count()
-        if k < c:
-            for b in range(8):
-                if (byte >> b) & 1:
-                    if k == 0:
-                        return off + b
-                    k -= 1
-        k -= c
-        word >>= 8
-        off += 8
+    for _ in range(k):
+        word &= word - 1  # clear the lowest set bit
+    return (word & -word).bit_length() - 1
 
 
 class PackedIntArray:
@@ -228,11 +202,9 @@ class PackedIntArray:
         idx = np.arange(self.n, dtype=np.uint64) * np.uint64(self._width)
         w0 = (idx >> np.uint64(6)).astype(np.int64)
         off = idx & np.uint64(63)
-        lo = self._words[w0] >> off
-        shift = (np.uint64(64) - off) & np.uint64(63)
-        high_mask = np.where(off == np.uint64(0), np.uint64(0), ~np.uint64(0))
-        hi = (self._words[np.minimum(w0 + 1, len(self._words) - 1)] << shift) & high_mask
-        out = lo | hi
+        # the pad word makes w0 + 1 valid; shifting by 63 - off, then 1, drops it at off=0
+        high = (self._words[w0 + 1] << (np.uint64(63) - off)) << np.uint64(1)
+        out = (self._words[w0] >> off) | high
         if self._width < 64:
             out &= np.uint64((1 << self._width) - 1)
         return out

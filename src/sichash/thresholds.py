@@ -25,12 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SicHashError
 from .hashing import CLASS_DEGREES
 
-DEFAULT_LAMBDA_MIN = 1e-4
-DEFAULT_LAMBDA_MAX = 50.0
-DEFAULT_GRID_POINTS = 100_000
+LAMBDA_MIN = 1e-4
+LAMBDA_MAX = 50.0
+GRID_POINTS = 100_000
+TOLERANCE = 1e-6  # bisection stops when the bracket is this narrow
 
 
 @dataclass(frozen=True)
@@ -105,39 +105,27 @@ def c_of_lambda(lam, mix: ClassMix):
     return lam / (g_A(np.exp(-lam), mix) * mix.d_bar)
 
 
-def solve_threshold(
-    mix: ClassMix,
-    tol: float = 1e-6,
-    *,
-    lam_min: float = DEFAULT_LAMBDA_MIN,
-    lam_max: float = DEFAULT_LAMBDA_MAX,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> ThresholdSolution:
+def solve_threshold(mix: ClassMix) -> ThresholdSolution:
     """Threshold c* for a class mix.
 
-    Scans F(lam) - 1 on a log grid for sign changes and refines the
-    largest root by bisection to ``tol``.  When F stays below one on
-    the whole grid (degree-2 dominated mixes) the supremum is attained
-    at the lam -> 0 boundary and the minimum of c(lam) over the grid is
-    returned with ``lam_star = None``.  A mix whose F never drops below
-    one has no failing fixed point to bound it; that degenerate case
-    raises.
+    Scans F(lam) - 1 on a fixed log grid for sign changes and refines the
+    largest root by bisection to :data:`TOLERANCE`.  When F stays below
+    one on the whole grid (degree-2 dominated mixes) the supremum is
+    attained at the lam -> 0 boundary and the minimum of c(lam) over the
+    grid is returned with ``lam_star = None``.  F(LAMBDA_MAX) is about
+    d_bar / 50 <= 0.16 for every mix, so there is no third case.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lams = np.logspace(math.log10(lam_min), math.log10(lam_max), grid_points)
+    lams = np.logspace(math.log10(LAMBDA_MIN), math.log10(LAMBDA_MAX), GRID_POINTS)
     neg = F_of_lambda(lams, mix) < 1.0
     changes = np.flatnonzero(neg[:-1] != neg[1:])
     if len(changes) == 0:
-        if not neg.all():
-            raise SicHashError("no nontrivial root: threshold undefined for this mix")
         cs = c_of_lambda(lams, mix)
         lam = float(lams[np.argmin(cs)])
         lam_star = None
     else:
         a, b = float(lams[changes[-1]]), float(lams[changes[-1] + 1])
         fa = F_of_lambda(a, mix) - 1.0
-        while b - a > tol:
+        while b - a > TOLERANCE:
             mid = 0.5 * (a + b)
             fm = F_of_lambda(mid, mix) - 1.0
             if (fm > 0) == (fa > 0):

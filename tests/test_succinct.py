@@ -313,3 +313,18 @@ def test_rice_parameter():
 def test_reader_words_length_bounded_before_allocation():
     with pytest.raises(DeserializationError, match="truncated"):
         Reader(struct.pack("<Q", 2**61) + b"\0" * 64).words()
+
+
+@pytest.mark.parametrize(
+    "cls, seq", [(EliasFanoSeq, ef_encode([0, 5, 9])), (GolombRiceSeq, gr_encode([1, 2, 3], 1))]
+)
+def test_codec_alone_rejects_packed_width_65(cls, seq):
+    # the packed array is the last part; its word count fits width 65, so
+    # only the array's constructor refuses the width
+    blob = seq.to_bytes()
+    at = blob.index(b"SHPA0001") + 8
+    (n,) = struct.unpack_from("<Q", blob, at)
+    nwords = (n * 65 + 63) // 64 + 1
+    bad = blob[:at] + struct.pack("<QBQ", n, 65, nwords) + bytes(8 * nwords)
+    with pytest.raises(DeserializationError, match="width"):
+        cls.from_bytes(bad)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from sichash.errors import SicHashError
 from sichash.hashing import cell_of_many, class_of_many, class_thresholds
 from sichash.thresholds import (
     ClassMix,
@@ -124,11 +123,6 @@ class TestSolveThreshold:
         diffs = np.diff(values)
         assert (diffs >= -1e-9).all()
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            solve_threshold(ClassMix.of(0.5, 0.5), tol=0.0)
-
-
 def _matching_deficiency(rng, n, m, fractions):
     t1, t2 = class_thresholds(fractions[0], fractions[1])
     hi = rng.integers(0, 2**64, size=n, dtype=np.uint64)
@@ -180,12 +174,3 @@ class TestEmpiricalCrossValidation:
         ]
         assert max(below) <= 10
         assert min(at_full) >= 100
-
-
-def test_degenerate_mix_without_failing_branch_raises():
-    # a synthetic mix object with all mass on degree 8 scanned over a
-    # narrow grid that stays above F=1 has no root to return
-    with pytest.raises(SicHashError, match="no nontrivial root"):
-        solve_threshold(
-            ClassMix.of(0.0, 0.0), lam_min=1.0, lam_max=2.0, grid_points=50
-        )
