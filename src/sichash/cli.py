@@ -3,7 +3,8 @@
 Subcommands: ``keygen`` (random test keys), ``build`` (construct and
 serialize a function, printing a JSON run report with the build's stage
 times and seed retries), ``verify`` (exhaustive injectivity check of a
-blob against a key file), ``bench`` (single-threaded query throughput),
+blob against a key file), ``bench`` (single-threaded scalar and batch
+query timings, with their spread over repetitions),
 ``overload`` (incremental cuckoo load experiment, CSV to stdout,
 quartile summary to stderr), and ``thresholds`` (load-threshold solver,
 CSV).
@@ -27,6 +28,7 @@ import numpy as np
 from . import phf as phf_mod
 from .cuckoo import incremental_load_experiment, summarize_loads
 from .errors import SicHashError
+from .hashing import hash_backend
 from .phf import PhfConfig, SicHashPhf
 from .thresholds import ClassMix, solve_threshold
 
@@ -96,19 +98,36 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _time_queries(
-    phf: SicHashPhf, keys: list[bytes], reps: int, seed: int
-) -> tuple[int, float]:
-    """Scalar-evaluate every key ``reps`` times in a seeded shuffled order;
-    returns (queries, seconds)."""
+def _time_queries(phf: SicHashPhf, keys: list[bytes], reps: int, seed: int) -> list[float]:
+    """Seconds of each of ``reps`` passes of scalar ``evaluate`` over every
+    key, in one seeded shuffled order."""
     idx = list(range(len(keys)))
     random.Random(seed).shuffle(idx)
     evaluate = phf.evaluate
-    t0 = time.perf_counter()
+    times = []
     for _ in range(reps):
+        t0 = time.perf_counter()
         for i in idx:
             evaluate(keys[i])
-    return reps * len(idx), time.perf_counter() - t0
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def _time_batches(phf: SicHashPhf, keys: list[bytes], reps: int) -> list[float]:
+    """Seconds of each of ``reps`` ``evaluate_many`` calls over every key."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        phf.evaluate_many(keys)
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def _ns_per_key(times: list[float], count: int) -> dict:
+    """Min, median and max over repetitions, in nanoseconds per key."""
+    ns = sorted(t / count * 1e9 for t in times)
+    return {"min": round(ns[0], 1), "median": round(float(np.median(ns)), 1),
+            "max": round(ns[-1], 1)}
 
 
 def _injectivity_failure(phf: SicHashPhf, values: np.ndarray) -> str | None:
@@ -138,7 +157,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     blob = phf.to_bytes()
     Path(args.out).write_bytes(blob)
-    queries, seconds = _time_queries(phf, keys[:20000], reps=1, seed=0)
+    sample = keys[:20000]
+    seconds = _time_queries(phf, sample, reps=1, seed=0)[0]
 
     report = {
         "n": phf.n,
@@ -149,12 +169,13 @@ def cmd_build(args: argparse.Namespace) -> int:
         "bucket_size": config.bucket_size,
         "minimal": config.minimal,
         "build_seconds": round(build_seconds, 6),
-        "queries_per_second": round(queries / seconds if seconds > 0 else 0.0, 1),
+        "queries_per_second": round(len(sample) / seconds if seconds > 0 else 0.0, 1),
         "bits_per_object": phf.bits_per_object(),
         "breakdown": phf.space_breakdown().as_dict(),
         "verified": verified,
         "stages": {k: round(v, 6) for k, v in phf.build_stats.stages.items()},
         "retries": phf.build_stats.retries(),
+        "hash_backend": hash_backend(),
     }
     print(json.dumps(report))
     return 0 if verified else 1
@@ -172,14 +193,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise ValueError("--reps must be >= 1")
     phf = SicHashPhf.from_bytes(Path(args.phf).read_bytes())
-    total, dt = _time_queries(phf, read_keys(args.keys), args.reps, seed=1)
+    keys = read_keys(args.keys)
+    if not keys:
+        raise ValueError(f"{args.keys}: no keys")
+    scalar = _time_queries(phf, keys, args.reps, seed=1)
+    batch = _time_batches(phf, keys, args.reps)
+    total, dt = args.reps * len(keys), sum(scalar)
     print(
         json.dumps(
             {
                 "queries": total,
                 "seconds": round(dt, 6),
                 "mqueries_per_second": round(total / dt / 1e6, 4) if dt else 0.0,
+                "scalar_ns_per_key": _ns_per_key(scalar, len(keys)),
+                "batch_ns_per_key": _ns_per_key(batch, len(keys)),
+                "hash_backend": hash_backend(),
             }
         )
     )

@@ -8,6 +8,10 @@ key bytes a single time and agree bit for bit.  This module owns every
 derivation constant: the per-function cell keys (:func:`cell_key`) and
 the retrieval row keys (:func:`row_keys`) are defined here once.
 
+:func:`master_hash_many` runs a native BLAKE2b kernel (``_blake2b.c``),
+compiled when this module is first imported, and falls back to the
+:mod:`hashlib` loop when it cannot be compiled or loaded.
+
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
 instead of a modulo; the bias is at most ``m / 2**64``.
 
@@ -19,9 +23,16 @@ semantics on both paths).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
+import os
+import shlex
 import struct
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -88,24 +99,96 @@ def master_hash(key: bytes, seed: int) -> MasterHash:
 def master_hash_many(
     keys: Sequence[bytes], seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`master_hash`; returns (hi, lo) uint64 arrays."""
-    copy = keyed_blake2b(seed).copy
+    """Vectorized :func:`master_hash`; returns (hi, lo) uint64 arrays.
+
+    Keys are hashed :data:`_HASH_CHUNK` at a time, by the native kernel
+    when it loaded and by :mod:`hashlib` otherwise; both give the same
+    digests.  Any iterable of bytes-like keys is accepted.
+    """
+    hash_chunk = _hash_chunk_hashlib if _kernel is None else _hash_chunk_native
     keys = iter(keys)
-    digests = bytearray()
-    # Joined chunk by chunk: a digest object per key for all keys at once
-    # held ~60 MB at 1e6 keys and set the peak memory of a build.
-    while True:
-        parts = []
-        append = parts.append
-        for key in itertools.islice(keys, _HASH_CHUNK):
-            h = copy()
-            h.update(key)
-            append(h.digest())
-        if not parts:
-            break
-        digests += b"".join(parts)
-    flat = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+    his, los = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.uint64)]
+    # Chunk by chunk: a digest object per key for all keys at once held
+    # ~60 MB at 1e6 keys and set the peak memory of a build.
+    while parts := list(itertools.islice(keys, _HASH_CHUNK)):
+        hi, lo = hash_chunk(parts, seed)
+        his.append(hi)
+        los.append(lo)
+    return np.concatenate(his), np.concatenate(los)
+
+
+def _hash_chunk_hashlib(parts: list, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of each key by the hashlib loop: the reference path."""
+    copy = keyed_blake2b(seed).copy
+    digests = []
+    append = digests.append
+    for key in parts:
+        h = copy()
+        h.update(key)
+        append(h.digest())
+    flat = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
     return np.ascontiguousarray(flat[:, 0]), np.ascontiguousarray(flat[:, 1])
+
+
+def _hash_chunk_native(parts: list, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of each key by the native kernel, in one call."""
+    data = b"".join(parts)
+    ends = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)).cumsum()
+    if ends[-1] != len(data):
+        # a buffer whose len() is not its byte count, such as a memoryview
+        # of wider items: the hashlib loop reads it as bytes
+        return _hash_chunk_hashlib(parts, seed)
+    hi = np.empty(len(parts), dtype=np.uint64)
+    lo = np.empty(len(parts), dtype=np.uint64)
+    _kernel(data, ends.ctypes.data, len(parts), seed & MASK64, hi.ctypes.data, lo.ctypes.data)
+    return hi, lo
+
+
+# ---------------------------------------------------------------------------
+# native kernel: keyed BLAKE2b-128 for a batch of keys (_blake2b.c)
+
+_SOURCE = Path(__file__).with_name("_blake2b.c")
+#: compiler command; the flags avoid -march=native so a cached library
+#: also runs on another CPU of the same platform
+_CC = (*shlex.split(sysconfig.get_config_var("CC") or "cc"), "-O3", "-shared", "-fPIC")
+
+
+def _load_kernel(cache: Path):
+    """The kernel's C function, compiled into ``cache`` if not there yet,
+    or None when it cannot be had: a big-endian host, no compiler, an
+    unwritable cache or a library that fails to load."""
+    if sys.byteorder != "little":
+        return None
+    try:
+        digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
+        lib = cache / f"_blake2b-{digest}-{sysconfig.get_platform()}.so"
+        if not lib.exists():
+            cache.mkdir(exist_ok=True)
+            # concurrent imports each compile to their own name; the
+            # rename is atomic, so none loads a half-written file
+            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run([*_CC, "-o", str(tmp), str(_SOURCE)],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(tmp, lib)
+            finally:
+                tmp.unlink(missing_ok=True)
+        fn = ctypes.CDLL(str(lib)).sichash_blake2b128_batch
+    except (OSError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64,
+                   ctypes.c_void_p, ctypes.c_void_p]
+    fn.restype = None
+    return fn
+
+
+#: compiled once, here at import, so that no timed call pays for it
+_kernel = _load_kernel(Path(__file__).with_name("__pycache__"))
+
+
+def hash_backend() -> str:
+    """Which path :func:`master_hash_many` takes: "native" or "hashlib"."""
+    return "hashlib" if _kernel is None else "native"
 
 
 # ---------------------------------------------------------------------------

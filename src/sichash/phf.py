@@ -48,6 +48,7 @@ from .cuckoo import (
 from .errors import ConstructionError, DeserializationError
 from .hashing import (
     CLASS_DEGREES,
+    MASK64,
     MasterHash,
     bucket_of,
     bucket_of_many,
@@ -116,6 +117,8 @@ class PhfConfig:
             raise ValueError("bucket_size must be >= 1")
         if self.epsilon_r < 0:
             raise ValueError("epsilon_r must be non-negative")
+        if not 0 <= self.global_seed <= MASK64:
+            raise ValueError("global_seed must lie in [0, 2**64)")
         class_fractions(self.beta, self.x)  # validates beta and x
 
     @property

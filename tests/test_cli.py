@@ -4,7 +4,9 @@ import time
 import numpy as np
 import pytest
 
+from sichash import hashing
 from sichash.cli import generate_keys, main, read_keys
+from sichash.hashing import hash_backend
 
 
 @pytest.fixture()
@@ -60,6 +62,7 @@ class TestBuildVerifyBench:
         assert sum(retries["bucket_seeds"].values()) == 1  # one 5000-key bucket
         assert set(retries["retrieval"]) == {"r1", "r2", "r3"}
         assert set(retries["retrieval"]["r2"]) == {"seed", "seed_retries", "epsilon"}
+        assert report["hash_backend"] == hash_backend() in ("native", "hashlib")
 
         assert main(["verify", "--phf", str(out), "--keys", str(key_file)]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -120,6 +123,43 @@ class TestBuildVerifyBench:
         assert rc == 0
         assert report["queries"] == 6000
         assert report["mqueries_per_second"] > 0
+        assert report["hash_backend"] == hash_backend()
+        for path in ("scalar_ns_per_key", "batch_ns_per_key"):
+            spread = report[path]
+            assert 0 < spread["min"] <= spread["median"] <= spread["max"]
+
+    def test_bench_rejects_zero_reps_and_no_keys(self, tmp_path, key_file, capsys):
+        out = tmp_path / "f.phf"
+        main(["build", "--keys", str(key_file), "--alpha", "0.9", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["bench", "--phf", str(out), "--keys", str(key_file), "--reps", "0"]) == 1
+        assert "--reps" in capsys.readouterr().err
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        assert main(["bench", "--phf", str(out), "--keys", str(empty)]) == 1
+        assert "no keys" in capsys.readouterr().err
+
+    def test_build_without_native_kernel_reports_hashlib(
+        self, tmp_path, key_file, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(hashing, "_kernel", None)
+        out = tmp_path / "f.phf"
+        assert main(["build", "--keys", str(key_file), "--alpha", "0.9", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["hash_backend"] == "hashlib"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_build_seed_outside_64_bits_is_an_error(self, tmp_path, key_file, capsys, seed):
+        rc = main(
+            [
+                "build", "--keys", str(key_file), "--alpha", "0.9", "--seed", seed,
+                "--out", str(tmp_path / "x.phf"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: global_seed must lie in [0, 2**64)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.phf").exists()
 
 
 class TestOverload:

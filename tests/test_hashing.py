@@ -1,8 +1,15 @@
+import array
+import shutil
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
+import tests.test_golden as golden
+from sichash import hashing
+from sichash.cli import generate_keys
 from sichash.hashing import (
     _HASH_CHUNK,
     MasterHash,
@@ -48,7 +55,7 @@ def test_master_hash_no_collisions_million(million_keys):
     assert int(dup.sum()) == 0
 
 
-@given(st.binary(max_size=64), U64)
+@given(st.binary(max_size=300), U64)
 def test_master_hash_scalar_matches_batch(key, seed):
     h = master_hash(key, seed)
     hi, lo = master_hash_many([key], seed)
@@ -66,6 +73,108 @@ def test_master_hash_many_across_chunks():
     assert np.array_equal(hi, hi2) and np.array_equal(lo, lo2)
     empty_hi, empty_lo = master_hash_many([], 17)
     assert len(empty_hi) == len(empty_lo) == 0 and empty_hi.dtype == np.uint64
+
+
+# ---------------------------------------------------------------------------
+# the native kernel against the hashlib loop, its reference
+
+native = pytest.mark.skipif(hashing._kernel is None, reason="native kernel not loaded")
+
+#: around the 128-byte block boundaries, plus the empty and a long key
+KEY_LENGTHS = (0, 1, 127, 128, 129, 255, 256, 257, 10_000)
+
+
+def _reference(keys, seed):
+    """master_hash_many by the hashlib loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashing, "_kernel", None)
+        return master_hash_many(keys, seed)
+
+
+def _assert_same(got, want):
+    assert got[0].dtype == got[1].dtype == np.uint64
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@native
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_kernel_matches_hashlib_at_block_boundaries(seed):
+    rng = np.random.default_rng(seed % 997)
+    keys = [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in KEY_LENGTHS]
+    keys += [bytes(n) for n in KEY_LENGTHS]
+    _assert_same(master_hash_many(keys, seed), _reference(keys, seed))
+    for key in keys[: len(KEY_LENGTHS)]:  # each key alone, the empty one too
+        _assert_same(master_hash_many([key], seed), _reference([key], seed))
+
+
+@native
+def test_kernel_matches_hashlib_on_every_input_form():
+    keys = [b"key %d" % i + bytes(i % 300) for i in range(_HASH_CHUNK + 7)]
+    want = _reference(keys, 5)
+    _assert_same(master_hash_many(keys, 5), want)
+    _assert_same(master_hash_many(iter(keys), 5), want)
+    _assert_same(master_hash_many(map(bytearray, keys), 5), want)
+    _assert_same(master_hash_many(map(memoryview, keys), 5), want)
+    _assert_same(master_hash_many([], 5), _reference([], 5))
+    # len() of a memoryview of 4-byte items is not its byte count
+    wide = [memoryview(array.array("I", range(i))) for i in range(40)]
+    _assert_same(master_hash_many(wide, 5), _reference([bytes(w) for w in wide], 5))
+
+
+@pytest.mark.parametrize("config, blob_sha, values_sha", golden.GOLDEN,
+                         ids=["plain-a90", "minimal-compressed-a97", "plain-x066"])
+def test_hashlib_fallback_keeps_golden_outputs(monkeypatch, config, blob_sha, values_sha):
+    monkeypatch.setattr(hashing, "_kernel", None)
+    assert hashing.hash_backend() == "hashlib"
+    keys = generate_keys(20_000, seed=golden.GOLDEN_KEY_SEED)
+    golden.test_outputs_pinned(keys, config, blob_sha, values_sha)
+
+
+needs_cc = pytest.mark.skipif(shutil.which(hashing._CC[0]) is None, reason="no C compiler")
+
+
+class TestLoadKernel:
+    @needs_cc
+    def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
+        fn = hashing._load_kernel(tmp_path)
+        assert fn is not None
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+        # the cached library loads without the compiler
+        monkeypatch.setattr(hashing, "_CC", (str(tmp_path / "missing-cc"),))
+        monkeypatch.setattr(hashing, "_kernel", hashing._load_kernel(tmp_path))
+        assert hashing.hash_backend() == "native"
+        keys = [bytes(range(n % 256)) * (1 + n // 256) for n in range(300)]
+        _assert_same(master_hash_many(keys, 9), _reference(keys, 9))
+
+    def test_no_compiler(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hashing, "_CC", (str(tmp_path / "missing-cc"),))
+        assert hashing._load_kernel(tmp_path / "cache") is None
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_compile_error(self, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.c"
+        bad.write_text("this is not C\n")
+        monkeypatch.setattr(hashing, "_SOURCE", bad)
+        assert hashing._load_kernel(tmp_path / "cache") is None
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_unwritable_cache(self, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_bytes(b"")
+        assert hashing._load_kernel(not_a_dir) is None
+
+    @needs_cc
+    def test_library_that_fails_to_load(self, tmp_path):
+        assert hashing._load_kernel(tmp_path / "a") is not None
+        (lib,) = (tmp_path / "a").iterdir()
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / lib.name).write_bytes(b"not a shared library")
+        assert hashing._load_kernel(tmp_path / "b") is None
+
+    def test_big_endian_host(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "byteorder", "big")
+        assert hashing._load_kernel(tmp_path) is None
+        assert list(tmp_path.iterdir()) == []
 
 
 @given(U64)

@@ -73,6 +73,16 @@ class TestPhfConfig:
         with pytest.raises(ValueError):
             PhfConfig(alpha=1.2)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="global_seed"):
+            PhfConfig(alpha=0.9, global_seed=seed)
+
+    def test_seed_at_64_bit_limits_round_trips(self, keys_20k):
+        for seed in (0, 2**64 - 1):
+            phf = build(keys_20k[:100], PhfConfig(alpha=0.9, global_seed=seed))
+            assert SicHashPhf.from_bytes(phf.to_bytes()).config.global_seed == seed
+
     def test_fraction_properties(self):
         cfg = PhfConfig(alpha=0.9, beta=1.8, x=0.725)
         assert cfg.p1 == pytest.approx(0.49)
