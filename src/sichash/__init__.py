@@ -20,7 +20,6 @@ from .phf import (
     SpaceBreakdown,
     build,
     class_fractions,
-    minimize,
 )
 from .retrieval import RetrievalStore
 from .succinct import (
@@ -65,5 +64,4 @@ __all__ = [
     "incremental_load_experiment",
     "master_hash",
     "matching_oracle",
-    "minimize",
 ]

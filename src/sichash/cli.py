@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phf as phf_mod
+from .cuckoo import DEFAULT_INSERT_BUDGET, DEFAULT_MAX_BUCKET_SEEDS
 from .cuckoo import incremental_load_experiment, summarize_loads
 from .errors import SicHashError
 from .hashing import hash_backend
@@ -256,14 +257,14 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a perfect hash function")
     b.add_argument("--keys", required=True)
     b.add_argument("--alpha", type=float, required=True)
-    b.add_argument("--beta", type=float, default=2.0)
-    b.add_argument("--x", type=float, default=0.5)
-    b.add_argument("--bucket-size", type=int, default=5000)
+    b.add_argument("--beta", type=float, default=PhfConfig.beta)
+    b.add_argument("--x", type=float, default=PhfConfig.x)
+    b.add_argument("--bucket-size", type=int, default=PhfConfig.bucket_size)
     b.add_argument("--minimal", action="store_true")
-    b.add_argument("--epsilon", type=float, default=0.10)
+    b.add_argument("--epsilon", type=float, default=PhfConfig.epsilon_r)
     b.add_argument("--compressed-meta", action="store_true")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--max-bucket-seeds", type=int, default=1 << 16)
+    b.add_argument("--seed", type=int, default=PhfConfig.global_seed)
+    b.add_argument("--max-bucket-seeds", type=int, default=DEFAULT_MAX_BUCKET_SEEDS)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_build)
 
@@ -283,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--config", choices=sorted(OVERLOAD_CONFIGS), required=True)
     o.add_argument("--trials", type=int, required=True)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--insert-budget", type=int, default=1000)
+    o.add_argument("--insert-budget", type=int, default=DEFAULT_INSERT_BUDGET)
     o.set_defaults(func=cmd_overload)
 
     t = sub.add_parser("thresholds", help="load-threshold solver")

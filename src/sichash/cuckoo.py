@@ -42,6 +42,8 @@ from .hashing import (
 )
 
 DEFAULT_MAX_BUCKET_SEEDS = 1 << 16
+#: displacements allowed per insert in :func:`incremental_load_experiment`
+DEFAULT_INSERT_BUDGET = 1000
 #: total displacements allowed per seed attempt, times the entry count
 BUDGET_PER_ENTRY = 100
 
@@ -170,6 +172,8 @@ def build_bucket(
     ``max_seeds`` seeds all fail, which signals a load factor beyond
     what this table size can absorb.
     """
+    if max_seeds < 1:
+        raise ValueError("max_seeds must be >= 1")
     n = len(inp)
     if budget is None:
         budget = max(1, BUDGET_PER_ENTRY * n)
@@ -258,7 +262,7 @@ def incremental_load_experiment(
     trials: int,
     *,
     seed: int = 0,
-    insert_budget: int = 1000,
+    insert_budget: int = DEFAULT_INSERT_BUDGET,
 ) -> np.ndarray:
     """Insert random entries one at a time until the first failure.
 
@@ -267,6 +271,8 @@ def incremental_load_experiment(
     fixed per-insert displacement budget.  Returns the achieved load
     ``placed / m`` of every trial.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p1, p2, _ = fractions

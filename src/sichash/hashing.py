@@ -15,10 +15,10 @@ compiled when this module is first imported, and falls back to the
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
 instead of a modulo; the bias is at most ``m / 2**64``.
 
-Scalar functions operate on Python ints, and take a hash as a
-:class:`MasterHash` or any (hi, lo) pair; the ``*_many`` variants are
-numpy-vectorized and produce identical values (wrap-around uint64
-semantics on both paths).
+:func:`mix64`, :func:`fold_hash` and :func:`cell_key` serve both paths:
+they take Python ints or uint64 arrays (numpy casts the int constants to
+uint64 and wraps), and a hash as a (hi, lo) pair of either.  The
+``*_many`` functions build on them plus :func:`umulhi`.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ class MasterHash(NamedTuple):
     lo: int
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: bijective, strong avalanche."""
-    x &= MASK64
+def mix64(x):
+    """splitmix64 finalizer: bijective, strong avalanche; leaves an array as it is."""
     x = ((x ^ (x >> 30)) * _M1) & MASK64
     x = ((x ^ (x >> 27)) * _M2) & MASK64
     return x ^ (x >> 31)
@@ -212,12 +211,12 @@ def class_thresholds(p1: float, p2: float) -> tuple[int, int]:
     return t1, max(t1, t2)
 
 
-def cell_key(bucket_seed: int, fn_index: int) -> int:
+def cell_key(bucket_seed, fn_index):
     """Key of hash function ``fn_index`` under a bucket seed, for :func:`cell_at`."""
     return (bucket_seed * _GOLDEN + fn_index * _M1 + _CELL_SALT) & MASK64
 
 
-def fold_hash(h: MasterHash) -> int:
+def fold_hash(h):
     """Combine both halves into one 64-bit word for cell derivation."""
     hi, lo = h
     return lo ^ ((hi * _FOLD) & MASK64)
@@ -241,13 +240,7 @@ def row_keys(seed: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# numpy batch variants (exact same arithmetic, wrap-around uint64)
-
-
-def mix64_many(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_M1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_M2)
-    return x ^ (x >> np.uint64(31))
+# numpy batch derivation (the functions above, plus umulhi for ``* m >> 64``)
 
 
 def umulhi(a: np.ndarray, b) -> np.ndarray:
@@ -295,15 +288,9 @@ def class_of_many(lo: np.ndarray, t1: int, t2: int) -> np.ndarray:
     return deg
 
 
-def fold_hash_many(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    return lo ^ (hi * np.uint64(_FOLD))
-
-
 def cell_of_many(hi: np.ndarray, lo: np.ndarray, bucket_seed, fn_index, m) -> np.ndarray:
     """Vectorized :func:`cell_of`; seed, fn_index, and m may be arrays."""
     # 1-d minimum: 0-d uint64 arithmetic raises overflow warnings
     seed = np.atleast_1d(np.asarray(bucket_seed, dtype=np.uint64))
     fidx = np.atleast_1d(np.asarray(fn_index, dtype=np.uint64))
-    key = seed * np.uint64(_GOLDEN) + fidx * np.uint64(_M1) + np.uint64(_CELL_SALT)
-    z = mix64_many(fold_hash_many(hi, lo) ^ key)
-    return umulhi(z, m)
+    return umulhi(mix64(fold_hash((hi, lo)) ^ cell_key(seed, fidx)), m)

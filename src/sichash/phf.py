@@ -32,6 +32,7 @@ Top-level blob layout (little-endian, crc32 trailer):
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -65,7 +66,7 @@ from .hashing import (
     master_hash_many,
     split_digest,
 )
-from .retrieval import RetrievalStore, fetch
+from .retrieval import DEFAULT_EPSILON, RetrievalStore, fetch
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
 _MAGIC = b"SICPHF01"
@@ -107,7 +108,7 @@ class PhfConfig:
     bucket_size: int = 5000
     global_seed: int = 0
     minimal: bool = False
-    epsilon_r: float = 0.10
+    epsilon_r: float = DEFAULT_EPSILON
     compressed_metadata: bool = False
 
     def __post_init__(self) -> None:
@@ -115,8 +116,8 @@ class PhfConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if self.bucket_size < 1:
             raise ValueError("bucket_size must be >= 1")
-        if self.epsilon_r < 0:
-            raise ValueError("epsilon_r must be non-negative")
+        if not (math.isfinite(self.epsilon_r) and self.epsilon_r >= 0):
+            raise ValueError("epsilon_r must be finite and non-negative")
         if not 0 <= self.global_seed <= MASK64:
             raise ValueError("global_seed must lie in [0, 2**64)")
         class_fractions(self.beta, self.x)  # validates beta and x
@@ -459,14 +460,9 @@ def build(
     """
     t0 = time.perf_counter()
     hi, lo = master_hash_many(keys, config.global_seed)
-    t1 = time.perf_counter()
+    hash_s = time.perf_counter() - t0
     phf = build_from_hashes(hi, lo, config, max_bucket_seeds=max_bucket_seeds)
-    stats = phf.build_stats
-    stats.stages = {"hash": t1 - t0, **stats.stages}
-    if config.minimal:
-        t0 = time.perf_counter()
-        phf = _attach_remap(phf, phf.evaluate_hashes(hi, lo))
-        stats.stages["remap"] = time.perf_counter() - t0
+    phf.build_stats.stages = {"hash": hash_s, **phf.build_stats.stages}
     return phf
 
 
@@ -477,7 +473,25 @@ def build_from_hashes(
     *,
     max_bucket_seeds: int = DEFAULT_MAX_BUCKET_SEEDS,
 ) -> SicHashPhf:
-    """Build from precomputed master hashes (non-minimal assembly)."""
+    """Build from precomputed master hashes, in either mode.
+
+    A minimal function is assembled plain first; the values its batch
+    query path gives the keys then choose the remap.
+    """
+    # a function of its own, so that the plain assembly's per-key arrays are
+    # freed before the remap's batch query (held, they cost ~20 MB of peak
+    # RSS in repeated 1e6-key minimal builds)
+    phf = _build_plain(hi, lo, config, max_bucket_seeds)
+    if config.minimal:
+        t0 = time.perf_counter()
+        phf = _attach_remap(phf, phf.evaluate_hashes(hi, lo))
+        phf.build_stats.stages["remap"] = time.perf_counter() - t0
+    return phf
+
+
+def _build_plain(
+    hi: np.ndarray, lo: np.ndarray, config: PhfConfig, max_bucket_seeds: int
+) -> SicHashPhf:
     n = len(hi)
     if n < 1:
         raise ValueError("key set must be non-empty")
@@ -486,8 +500,7 @@ def build_from_hashes(
 
     num_buckets = max(1, round(n / config.bucket_size))
     buckets = bucket_of_many(hi, num_buckets).astype(np.int64)
-    t1, t2 = class_thresholds(config.p1, config.p2)
-    degrees = class_of_many(lo, t1, t2)
+    degrees = class_of_many(lo, *class_thresholds(config.p1, config.p2))
 
     # a stable sort of the narrowest dtype is a radix sort: same order, faster
     order = np.argsort(buckets.astype(np.min_scalar_type(num_buckets - 1)), kind="stable")
@@ -552,21 +565,15 @@ def build_from_hashes(
     return phf
 
 
-def minimize(phf: SicHashPhf, keys: Sequence[bytes]) -> SicHashPhf:
-    """Convert a perfect hash function into a minimal one (range [0, n)).
+def _attach_remap(phf: SicHashPhf, values: np.ndarray) -> SicHashPhf:
+    """The minimal function (range [0, n)) of a plain one, given the value
+    of every key.
 
     Values at or above n are re-mapped onto the unused values below n
     by rank; the mapping array has one slot per value in [n, m_total)
     and is Elias-Fano coded (don't-care slots repeat the previous entry
     to keep the sequence monotone).
     """
-    if phf.config.minimal:
-        return phf
-    values = phf.evaluate_many(keys)
-    return _attach_remap(phf, values)
-
-
-def _attach_remap(phf: SicHashPhf, values: np.ndarray) -> SicHashPhf:
     n, m = phf.n, phf.m_total
     if m < n:
         raise ValueError("output range smaller than key count")

@@ -6,15 +6,17 @@ arrays.  Each key is assigned one linear equation over GF(2): a start
 slot ``s`` in ``[0, num_slots - 64]`` plus a 64-bit coefficient pattern
 whose first bit is always set, so the pivot search never leaves the
 band.  Both derive from the store seed's
-:func:`~sichash.hashing.row_keys`.  Solving the system in start order
-keeps elimination local and nearly linear: each row is XORed into the
-stored row at its current pivot until it finds a free pivot, becomes
-zero (dependent) or proves the system inconsistent.  Back-substitution
-then runs once per bit plane from the last slot down, carrying the
-solution bits of the next 64 slots as one sliding 64-bit integer, so a
-pivot's bit is one AND and popcount; the bits are packed with numpy at
-the end.  Queries for keys outside the construction set return an
-arbitrary (but deterministic) r-bit value, never an error.
+:func:`~sichash.hashing.row_keys` by the same ``mix64`` and
+``fold_hash`` in :func:`fetch` and :func:`_rows_many`.  Solving the
+system in start order keeps elimination local and nearly linear: each
+row is XORed into the stored row at its current pivot until it finds a
+free pivot, becomes zero (dependent) or proves the system inconsistent.
+Back-substitution then runs once per bit plane from the last slot down,
+carrying the solution bits of the next 64 slots as one sliding 64-bit
+integer, so a pivot's bit is one AND and popcount;
+:func:`~sichash.succinct._pack_bits` packs the bits at the end.  Queries
+for keys outside the construction set return an arbitrary (but
+deterministic) r-bit value, never an error.
 
 The solution is stored as ``r`` separate bit planes; a query is one
 64-bit window fetch and popcount per plane.  Slot count is
@@ -39,12 +41,11 @@ from .hashing import (
     MasterHash,
     check_distinct,
     fold_hash,
-    fold_hash_many,
     mix64,
-    mix64_many,
     row_keys,
     umulhi,
 )
+from .succinct import _pack_bits
 
 _MAGIC = b"SHRS0001"
 
@@ -57,10 +58,10 @@ def _rows_many(
     hi: np.ndarray, lo: np.ndarray, seed: int, num_slots: int
 ) -> tuple[np.ndarray, np.ndarray]:
     ks, kc = row_keys(seed)
-    starts = umulhi(mix64_many(hi ^ np.uint64(ks)), np.uint64(num_slots - BAND_WIDTH + 1))
+    starts = umulhi(mix64(hi ^ ks), np.uint64(num_slots - BAND_WIDTH + 1))
     # the coefficient folds in both halves: keys sharing one half must
     # still receive distinct equations
-    coeffs = mix64_many(fold_hash_many(hi, lo) ^ np.uint64(kc)) | np.uint64(1)
+    coeffs = mix64(fold_hash((hi, lo)) ^ kc) | np.uint64(1)
     return starts, coeffs
 
 
@@ -255,6 +256,5 @@ def _solve(
             if c and ((state & c).bit_count() ^ (row_value[p] >> k)) & 1:
                 state |= 1
                 bits[p] = 1
-        packed = np.packbits(np.frombuffer(bits, dtype=np.uint8), bitorder="little")
-        planes.append(packed.view("<u8").astype(np.uint64))
+        planes.append(_pack_bits(np.frombuffer(bits, dtype=np.uint8), nwords))
     return planes

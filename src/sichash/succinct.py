@@ -14,6 +14,8 @@ counts, and serialize to versioned little-endian blobs:
 A codec loaded alone with ``from_bytes`` raises ``DeserializationError``
 for any malformed blob.  Bits are packed LSB-first within little-endian
 64-bit words, i.e. bit ``i`` lives at ``words[i >> 6] >> (i & 63) & 1``.
+:func:`_pack_bits` is the one packer: for bit vectors, packed arrays
+and the retrieval stores' bit planes.
 """
 
 from __future__ import annotations
@@ -71,23 +73,14 @@ class BitVector(Codec):
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "BitVector":
         """Build from an array of 0/1 values."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        packed = np.packbits(bits, bitorder="little")
-        pad = (-len(packed)) % 8
-        if pad:
-            packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        words = packed.view("<u8").astype(np.uint64)
-        return cls(words, len(bits))
+        return cls(_pack_bits(bits, (len(bits) + 63) // 64), len(bits))
 
     @classmethod
     def from_positions(cls, positions: np.ndarray, length: int) -> "BitVector":
         """Build with 1-bits at the given strictly increasing positions."""
-        positions = np.asarray(positions, dtype=np.int64)
-        words = np.zeros((length + 63) // 64, dtype=np.uint64)
-        np.bitwise_or.at(
-            words, positions >> 6, np.uint64(1) << (positions & 63).astype(np.uint64)
-        )
-        return cls(words, length)
+        bits = np.zeros(length, dtype=np.uint8)
+        bits[positions] = 1
+        return cls.from_bits(bits)
 
     def __len__(self) -> int:
         return self._length
@@ -140,6 +133,16 @@ class BitVector(Codec):
         return cls(r.words(), length)
 
 
+def _pack_bits(bits: np.ndarray, nwords: int) -> np.ndarray:
+    """The one bit packer: bit ``i`` of a 0/1 array goes to
+    ``words[i >> 6] >> (i & 63) & 1``, zero-padded to ``nwords`` uint64
+    words (``nwords >= ceil(len(bits) / 64)``)."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    out = np.zeros(8 * nwords, dtype=np.uint8)
+    out[: len(packed)] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
 def _select_in_word(word: int, k: int) -> int:
     """Offset of the k-th set bit inside a 64-bit word (k < popcount)."""
     for _ in range(k):
@@ -165,20 +168,11 @@ class PackedIntArray:
             return cls(np.empty(0, dtype=np.uint64), n, 0)
         if n and width < 64 and int(values.max()) >> width:
             raise ValueError("value does not fit the requested width")
+        # the low ``width`` bits of each value, LSB first, end to end
+        as_bytes = values.astype("<u8").view(np.uint8).reshape(n, 8)
+        bits = np.unpackbits(as_bytes, axis=1, count=width, bitorder="little")
         nwords = (n * width + 63) // 64 + 1  # pad word simplifies extraction
-        words = np.zeros(nwords, dtype=np.uint64)
-        bitpos = np.arange(n, dtype=np.uint64) * np.uint64(width)
-        w0 = (bitpos >> np.uint64(6)).astype(np.int64)
-        off = bitpos & np.uint64(63)
-        np.bitwise_or.at(words, w0, values << off)
-        spill = off > np.uint64(64 - width) if width < 64 else off > np.uint64(0)
-        if spill.any():
-            np.bitwise_or.at(
-                words,
-                w0[spill] + 1,
-                values[spill] >> (np.uint64(64) - off[spill]),
-            )
-        return cls(words, n, width)
+        return cls(_pack_bits(bits.ravel(), nwords), n, width)
 
     @property
     def width(self) -> int:

@@ -161,6 +161,28 @@ class TestBuildVerifyBench:
         assert "Traceback" not in err
         assert not (tmp_path / "x.phf").exists()
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--epsilon", "inf", "epsilon_r must be finite and non-negative"),
+            ("--epsilon", "nan", "epsilon_r must be finite and non-negative"),
+            ("--max-bucket-seeds", "0", "max_seeds must be >= 1"),
+        ],
+    )
+    def test_build_bad_option_is_an_error(
+        self, tmp_path, key_file, capsys, option, value, message
+    ):
+        rc = main(
+            [
+                "build", "--keys", str(key_file), "--alpha", "0.9", option, value,
+                "--out", str(tmp_path / "x.phf"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "x.phf").exists()
+
 
 class TestOverload:
     def test_single_trial_summary_equals_sample(self, capsys):
@@ -191,6 +213,14 @@ class TestOverload:
         first = capsys.readouterr().out
         main(["overload", "--m", "40", "--config", "C", "--trials", "3", "--seed", "8"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    def test_m_below_one_is_an_error(self, capsys, m):
+        rc = main(["overload", "--m", m, "--config", "C", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines() == ["error: m must be >= 1"]
+        assert captured.out == ""
 
 
 class TestThresholds:

@@ -213,6 +213,13 @@ class TestBuildBucket:
         with pytest.raises(ConstructionError, match="unconstructible"):
             build_bucket(inp, max_seeds=16)
 
+    @pytest.mark.parametrize("max_seeds", [0, -3])
+    def test_max_seeds_below_one_rejected(self, max_seeds):
+        rng = np.random.default_rng(8)
+        inp = _random_bucket(rng, 10, 0.9, (0.3, 0.4, 0.3))
+        with pytest.raises(ValueError, match="max_seeds must be >= 1"):
+            build_bucket(inp, max_seeds=max_seeds)
+
     def test_matches_per_probe_reference(self):
         # small budgets and seed caps force seed retries and exhaustion
         rng = np.random.default_rng(12)
@@ -377,3 +384,8 @@ class TestIncrementalExperiment:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             incremental_load_experiment(10, (1.0, 0.0, 0.0), trials=0)
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_m_validation(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            incremental_load_experiment(m, (1.0, 0.0, 0.0), trials=1)

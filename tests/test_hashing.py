@@ -15,14 +15,15 @@ from sichash.hashing import (
     MasterHash,
     bucket_of,
     bucket_of_many,
+    cell_key,
     cell_of,
     cell_of_many,
     class_of_many,
     class_thresholds,
+    fold_hash,
     master_hash,
     master_hash_many,
     mix64,
-    mix64_many,
     umulhi,
 )
 from tests.conftest import MILLION_KEY_SEED
@@ -177,9 +178,14 @@ class TestLoadKernel:
         assert list(tmp_path.iterdir()) == []
 
 
-@given(U64)
-def test_mix64_scalar_matches_batch(x):
-    assert mix64(x) == int(mix64_many(np.array([x], dtype=np.uint64))[0])
+@given(U64, U64)
+def test_mix64_scalar_matches_batch(x, y):
+    # mix64, fold_hash and cell_key serve Python ints and uint64 arrays alike
+    a, b = np.array([x], dtype=np.uint64), np.array([y], dtype=np.uint64)
+    assert mix64(x) == int(mix64(a)[0])
+    assert a[0] == x  # the array argument is left as it was
+    assert fold_hash((x, y)) == int(fold_hash((a, b))[0])
+    assert cell_key(x, y) == int(cell_key(a, b)[0])
 
 
 @given(U64, U64)

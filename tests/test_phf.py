@@ -11,15 +11,15 @@ from hypothesis import given, settings, strategies as st
 from sichash.cli import generate_keys
 from sichash.cuckoo import BucketInput, build_bucket
 from sichash.errors import ConstructionError, DeserializationError
-from sichash.hashing import class_of_many, class_thresholds
+from sichash.hashing import class_of_many, class_thresholds, master_hash_many
 from sichash.phf import (
     BucketMetaArray,
     PhfConfig,
     SicHashPhf,
+    _attach_remap,
     build,
     build_from_hashes,
     class_fractions,
-    minimize,
 )
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
@@ -82,6 +82,11 @@ class TestPhfConfig:
         for seed in (0, 2**64 - 1):
             phf = build(keys_20k[:100], PhfConfig(alpha=0.9, global_seed=seed))
             assert SicHashPhf.from_bytes(phf.to_bytes()).config.global_seed == seed
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon_r must be finite and non-negative"):
+            PhfConfig(alpha=0.9, epsilon_r=epsilon)
 
     def test_fraction_properties(self):
         cfg = PhfConfig(alpha=0.9, beta=1.8, x=0.725)
@@ -268,16 +273,15 @@ class TestMinimal:
         # beta=3 keeps the load-1.0 per-bucket searches cheap (8 choices
         # per key); degree-2-heavy mixes are hopeless at exact fit.
         keys = keys_20k[:192]
-        phf = build(keys, PhfConfig(alpha=1.0, beta=3.0, x=0.0, bucket_size=48))
-        raw = phf.evaluate_many(keys)
-        mphf = minimize(phf, keys)
+        config = PhfConfig(alpha=1.0, beta=3.0, x=0.0, bucket_size=48)
+        raw = build(keys, config).evaluate_many(keys)
+        mphf = build(keys, dataclasses.replace(config, minimal=True))
         assert mphf.m_total == len(keys)
         assert np.array_equal(mphf.evaluate_many(keys), raw)
         assert mphf.space_breakdown().remap_bits <= 1024  # empty sequence, headers only
 
     def test_bijectivity(self, keys_20k):
-        phf = build(keys_20k, PhfConfig(alpha=0.95))
-        mphf = minimize(phf, keys_20k)
+        mphf = build(keys_20k, PhfConfig(alpha=0.95, minimal=True))
         values = np.sort(mphf.evaluate_many(keys_20k))
         assert np.array_equal(values, np.arange(len(keys_20k), dtype=values.dtype))
 
@@ -285,12 +289,25 @@ class TestMinimal:
         direct = build(keys_20k, PhfConfig(alpha=0.95, minimal=True))
         values = np.sort(direct.evaluate_many(keys_20k))
         assert np.array_equal(values, np.arange(len(keys_20k), dtype=values.dtype))
+        # the same blob as remapping a plain build by its values on the keys
+        plain = build(keys_20k, PhfConfig(alpha=0.95))
+        remapped = _attach_remap(plain, plain.evaluate_many(keys_20k))
+        assert remapped.to_bytes() == direct.to_bytes()
+
+    def test_from_hashes_minimal_matches_build(self, keys_20k):
+        keys = keys_20k[:3000]
+        config = PhfConfig(alpha=0.97, global_seed=4, minimal=True)
+        hi, lo = master_hash_many(keys, config.global_seed)
+        mphf = build_from_hashes(hi, lo, config)
+        assert mphf.config.minimal and mphf.output_range == len(keys)
+        values = np.sort(mphf.evaluate_hashes(hi, lo))
+        assert np.array_equal(values, np.arange(len(keys), dtype=values.dtype))
+        assert mphf.to_bytes() == build(keys, config).to_bytes()
 
     def test_overflow_keys_land_in_holes(self, keys_20k):
         keys = keys_20k[:9000]
-        phf = build(keys, PhfConfig(alpha=0.9))
-        raw = phf.evaluate_many(keys)
-        mphf = minimize(phf, keys)
+        raw = build(keys, PhfConfig(alpha=0.9)).evaluate_many(keys)
+        mphf = build(keys, PhfConfig(alpha=0.9, minimal=True))
         mapped = mphf.evaluate_many(keys)
         n = len(keys)
         over = raw >= n
@@ -300,9 +317,8 @@ class TestMinimal:
 
     def test_remap_size_formula(self):
         keys = generate_keys(100_000, seed=12)
-        phf = build(keys, PhfConfig(alpha=0.95))
-        mphf = minimize(phf, keys)
-        m, n = phf.m_total, len(keys)
+        mphf = build(keys, PhfConfig(alpha=0.95, minimal=True))
+        m, n = mphf.m_total, len(keys)
         formula = (m - n) * (2 + np.ceil(np.log2(n / (m - n))))
         breakdown = mphf.space_breakdown()
         assert breakdown.remap_bits <= formula + mphf.remap.aux_bits() + 512
@@ -433,8 +449,13 @@ class TestLoadChecks:
             (25, "<d", 1.5),
             (33, "<Q", 0),
             (49, "<d", -0.1),
+            (49, "<d", float("nan")),
+            (49, "<d", float("inf")),
         ],
-        ids=["alpha0", "alpha1.5", "beta0.5", "x1.5", "bucket_size0", "epsilon_neg"],
+        ids=[
+            "alpha0", "alpha1.5", "beta0.5", "x1.5", "bucket_size0", "epsilon_neg",
+            "epsilon_nan", "epsilon_inf",
+        ],
     )
     def test_config_out_of_range_rejected(self, offset, fmt, value):
         body = bytearray(_small().to_bytes()[:-4])

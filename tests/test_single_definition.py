@@ -1,0 +1,88 @@
+"""Each derivation constant and the bit packer live in one place.
+
+``hashing.py`` owns every multiplier and salt of the hash derivations,
+and ``succinct._pack_bits`` is the only code that packs bits into
+words.  A second copy elsewhere in ``src/sichash`` could drift from the
+first and make scalar and batch paths disagree.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sichash"
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((SRC / name).read_text(), filename=name)
+
+
+def _derivation_constants() -> dict[int, str]:
+    """Module-level private int constants of hashing.py that are wider than
+    32 bits: the splitmix multipliers, the seed spreaders and the salts."""
+    out = {}
+    for node in _tree("hashing.py").body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.startswith("_")
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+            and node.value.value > 0xFFFFFFFF
+        ):
+            out[node.value.value] = node.targets[0].id
+    return out
+
+
+def _enclosing_functions(tree: ast.Module) -> dict[ast.AST, str]:
+    """Each node's innermost enclosing function name ("" at module level)."""
+    owner: dict[ast.AST, str] = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return owner
+
+
+def test_derivation_constants_found():
+    names = set(_derivation_constants().values())
+    assert {"_M1", "_M2", "_GOLDEN", "_FOLD", "_CELL_SALT", "_ROW_MULT",
+            "_START_SALT", "_COEFF_SALT"} <= names
+
+
+def test_derivation_constants_only_in_hashing():
+    constants = _derivation_constants()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "hashing.py":
+            continue
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                if node.value in constants:
+                    found.append(f"{path.name}:{node.lineno} {constants[node.value]}")
+    assert found == []
+
+
+def test_one_bit_packer():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name, inner = node.attr, getattr(node.value, "attr", None)
+            elif isinstance(node, ast.Name):
+                name, inner = node.id, None
+            else:
+                continue
+            is_or_at = (inner, name) == ("bitwise_or", "at")
+            is_packbits = name == "packbits"
+            if is_or_at or (
+                is_packbits and (path.name, owner[node]) != ("succinct.py", "_pack_bits")
+            ):
+                found.append(f"{path.name}:{node.lineno} in {owner[node] or 'module'}")
+    assert found == []

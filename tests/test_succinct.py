@@ -21,6 +21,52 @@ from sichash.succinct import (
 )
 
 
+def _reference_pack(values, width):
+    """Words of a packed array by ``np.bitwise_or.at``: the packer the
+    single-helper packer replaced, kept to compare against."""
+    values = np.asarray(values, dtype=np.uint64)
+    n = len(values)
+    if width == 0:
+        return np.empty(0, dtype=np.uint64)
+    nwords = (n * width + 63) // 64 + 1
+    words = np.zeros(nwords, dtype=np.uint64)
+    bitpos = np.arange(n, dtype=np.uint64) * np.uint64(width)
+    w0 = (bitpos >> np.uint64(6)).astype(np.int64)
+    off = bitpos & np.uint64(63)
+    np.bitwise_or.at(words, w0, values << off)
+    spill = off > np.uint64(64 - width) if width < 64 else off > np.uint64(0)
+    if spill.any():
+        np.bitwise_or.at(words, w0[spill] + 1, values[spill] >> (np.uint64(64) - off[spill]))
+    return words
+
+
+def _reference_positions(positions, length):
+    """Words of a bit vector with 1-bits at ``positions``, by ``np.bitwise_or.at``."""
+    positions = np.asarray(positions, dtype=np.int64)
+    words = np.zeros((length + 63) // 64, dtype=np.uint64)
+    np.bitwise_or.at(words, positions >> 6, np.uint64(1) << (positions & 63).astype(np.uint64))
+    return words
+
+
+@pytest.mark.parametrize("width", range(65))
+def test_pack_matches_reference(width):
+    rng = np.random.default_rng(width)
+    for n in [0, 1, 2, 63, 64, 65, 300, *rng.integers(0, 301, size=20)]:
+        values = rng.integers(0, 2**width - 1, size=n, dtype=np.uint64, endpoint=True)
+        got = PackedIntArray.pack(values, width)
+        assert np.array_equal(got._words, _reference_pack(values, width))
+
+
+def test_from_positions_matches_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        length = int(rng.integers(0, 2000))
+        count = int(rng.integers(0, length + 1))
+        positions = np.sort(rng.choice(length, size=count, replace=False))
+        got = BitVector.from_positions(positions, length)
+        assert np.array_equal(got.words, _reference_positions(positions, length))
+
+
 class TestBitVector:
     def test_hand_case(self):
         bv = BitVector.from_bits(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
