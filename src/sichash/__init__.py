@@ -22,13 +22,7 @@ from .phf import (
     class_fractions,
 )
 from .retrieval import RetrievalStore
-from .succinct import (
-    BitVector,
-    EliasFanoSeq,
-    GolombRiceSeq,
-    ef_encode,
-    gr_encode,
-)
+from .succinct import BitVector, EliasFanoSeq, GolombRiceSeq
 from .thresholds import ClassMix, ThresholdSolution, g_A, F_of_lambda, solve_threshold
 
 __version__ = "0.1.0"
@@ -58,9 +52,7 @@ __all__ = [
     "build_bucket",
     "cell_of",
     "class_fractions",
-    "ef_encode",
     "g_A",
-    "gr_encode",
     "incremental_load_experiment",
     "master_hash",
     "matching_oracle",

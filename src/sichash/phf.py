@@ -66,7 +66,7 @@ from .hashing import (
     master_hash_many,
     split_digest,
 )
-from .retrieval import DEFAULT_EPSILON, RetrievalStore, fetch
+from .retrieval import DEFAULT_EPSILON, MAX_EPSILON, RetrievalStore, fetch
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
 _MAGIC = b"SICPHF01"
@@ -97,7 +97,8 @@ class PhfConfig:
 
     ``alpha`` is the load factor n/m, ``beta`` the retrieval budget in
     bits per key, ``x`` interpolates among the equal-budget class
-    mixes.  ``epsilon_r`` is the retrieval slot slack and
+    mixes.  ``epsilon_r`` is the retrieval slot slack, at most
+    :data:`~sichash.retrieval.MAX_EPSILON`, and
     ``compressed_metadata`` switches bucket metadata serialization from
     plain arrays to Elias-Fano offsets plus Golomb-Rice seeds.
     """
@@ -118,6 +119,8 @@ class PhfConfig:
             raise ValueError("bucket_size must be >= 1")
         if not (math.isfinite(self.epsilon_r) and self.epsilon_r >= 0):
             raise ValueError("epsilon_r must be finite and non-negative")
+        if self.epsilon_r > MAX_EPSILON:
+            raise ValueError(f"epsilon_r must be at most {MAX_EPSILON}")
         if not 0 <= self.global_seed <= MASK64:
             raise ValueError("global_seed must lie in [0, 2**64)")
         class_fractions(self.beta, self.x)  # validates beta and x
@@ -275,6 +278,8 @@ class SicHashPhf:
             raise ValueError("retrieval stores do not hold n keys in total")
         if meta.num_buckets < 1:
             raise ValueError("need at least one bucket")
+        if config.compressed_metadata != meta.compressed:
+            raise ValueError("metadata encoding differs from compressed_metadata")
         if config.minimal != (remap is not None):
             raise ValueError("a minimal function needs a remap, a plain one has none")
         self.config = config
@@ -317,7 +322,7 @@ class SicHashPhf:
     @property
     def output_range(self) -> int:
         """Size of the value range: n in minimal mode, m_total otherwise."""
-        return self.n if self.config.minimal else self.m_total
+        return self._limit
 
     # -- evaluation -------------------------------------------------------
 
@@ -414,6 +419,8 @@ class SicHashPhf:
         r = Reader(payload)
         r.magic(_MAGIC)
         flags = r.u8()
+        if flags & ~3:
+            raise DeserializationError(f"unknown header flags {flags:#04x}")
         try:
             config = PhfConfig(
                 alpha=r.f64(),

@@ -20,8 +20,9 @@ deterministic) r-bit value, never an error.
 
 The solution is stored as ``r`` separate bit planes; a query is one
 64-bit window fetch and popcount per plane.  Slot count is
-``ceil(num_keys * (1 + epsilon))`` (with a one-band floor), so the
-payload stays within ``r * num_keys * (1 + epsilon) + O(1)`` bits.
+``max(64, ceil(num_keys * (1 + epsilon)))``: every store, an empty one
+too, has at least one band, so the payload stays within
+``r * num_keys * (1 + epsilon) + O(1)`` bits.
 
 Serialization: ``SHRS0001 | u8 r | u64 num_slots | u64 seed |
 u32 band (always 64) | u64 num_keys | r x word array``.
@@ -50,6 +51,7 @@ from .succinct import _pack_bits
 _MAGIC = b"SHRS0001"
 
 DEFAULT_EPSILON = 0.10
+MAX_EPSILON = 1.0  # the slot count, and so the space, doubles at this slack
 BAND_WIDTH = 64  # bits per row coefficient: one machine word
 MAX_SEED_RETRIES = 16
 
@@ -93,15 +95,12 @@ class RetrievalStore(Codec):
     num_keys: int
     planes: list[np.ndarray]  # r word arrays, each padded with one extra word
     #: scalar query constants, derived from the fields above: the row keys,
-    #: start span and planes as little-endian bytes (none for an empty
-    #: store, which answers 0)
+    #: start span and planes as little-endian bytes
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ks, kc = row_keys(self.seed)
-        planes = ()
-        if self.num_slots:
-            planes = tuple(np.asarray(p, dtype="<u8").tobytes() for p in self.planes)
+        planes = tuple(np.asarray(p, dtype="<u8").tobytes() for p in self.planes)
         self.plan = (ks, kc, self.num_slots - BAND_WIDTH + 1, planes)
 
     @classmethod
@@ -118,11 +117,14 @@ class RetrievalStore(Codec):
 
         ``hashes`` is a ``(hi, lo)`` tuple of uint64 arrays; anything else
         raises :class:`TypeError`.  All hashes must be distinct and all
-        values below ``2**r``.  Construction tries up to
-        :data:`MAX_SEED_RETRIES` consecutive seeds while the system is unsolvable.
+        values below ``2**r``, and ``epsilon`` in ``[0, MAX_EPSILON]``.
+        Construction tries up to :data:`MAX_SEED_RETRIES` consecutive seeds
+        while the system is unsolvable.
         """
         if r not in (1, 2, 3):
             raise ValueError("r must be 1, 2, or 3")
+        if not 0 <= epsilon <= MAX_EPSILON:
+            raise ValueError(f"epsilon must lie in [0, {MAX_EPSILON}]")
         if not (isinstance(hashes, tuple) and len(hashes) == 2):
             raise TypeError("hashes must be a (hi, lo) tuple of uint64 arrays")
         hi, lo = (np.asarray(a, dtype=np.uint64) for a in hashes)
@@ -133,9 +135,6 @@ class RetrievalStore(Codec):
         if n and int(values.max()) >> r:
             raise ValueError("value does not fit in r bits")
         check_distinct(hi, lo)
-        if n == 0:
-            return cls(r, 0, base_seed, 0, [np.zeros(1, np.uint64) for _ in range(r)])
-
         num_slots = max(BAND_WIDTH, math.ceil(n * (1.0 + epsilon)))
         for attempt in range(MAX_SEED_RETRIES):
             seed = base_seed + attempt
@@ -155,8 +154,6 @@ class RetrievalStore(Codec):
 
     def query_many(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`query`."""
-        if self.num_slots == 0:
-            return np.zeros(len(hi), dtype=np.uint8)
         starts, coeffs = _rows_many(hi, lo, self.seed, self.num_slots)
         w0 = (starts >> np.uint64(6)).astype(np.int64)
         off = starts & np.uint64(63)
@@ -196,10 +193,10 @@ class RetrievalStore(Codec):
             raise DeserializationError(f"retrieval store: r={rbits} not in 1..3")
         if band_width != BAND_WIDTH:
             raise DeserializationError(f"retrieval store: band width {band_width} is not 64")
-        if 0 < num_slots < BAND_WIDTH:
+        if num_slots < BAND_WIDTH:
             raise DeserializationError("retrieval store: fewer slots than one band")
         planes = [r.words() for _ in range(rbits)]
-        nwords = num_slots // 64 + 2 if num_slots else 1
+        nwords = num_slots // 64 + 2
         if any(len(p) != nwords for p in planes):
             raise DeserializationError(
                 f"retrieval store: plane length differs from {nwords} words"

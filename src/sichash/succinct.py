@@ -27,8 +27,6 @@ import numpy as np
 from ._wire import Codec, Reader, Writer
 from .errors import DeserializationError
 
-_SELECT_SAMPLE = 4096  # one sampled position per this many 1-bits
-
 _BV_MAGIC = b"SHBV0001"
 _PA_MAGIC = b"SHPA0001"
 _EF_MAGIC = b"SHEF0001"
@@ -36,12 +34,11 @@ _GR_MAGIC = b"SHGR0001"
 
 
 class BitVector(Codec):
-    """Static bit vector with near-constant-time select1.
+    """Static bit vector with select1.
 
-    The select index stores the position of every 4096th 1-bit; a query
-    starts at the nearest sample and scans whole words by popcount.  The
-    index is 64/4096 of the payload at most (well under a 25% budget)
-    and is rebuilt on load rather than serialized.
+    It holds only its words, bit length and popcount; select1 finds the
+    word by binary search over the words' cumulative popcount, so there
+    is no index to build on construction or load.
     """
 
     def __init__(self, words: np.ndarray, length: int):
@@ -50,25 +47,7 @@ class BitVector(Codec):
             raise ValueError("word count does not match bit length")
         self._words = words
         self._length = length
-        counts = np.bitwise_count(words).astype(np.int64)
-        self._popcount = int(counts.sum())
-        # positions of ranks 4096, 8192, ... (rank 0..4095 scans from word 0)
-        self._samples = self._build_samples(counts)
-
-    def _build_samples(self, counts: np.ndarray) -> np.ndarray:
-        n_samples = (self._popcount - 1) // _SELECT_SAMPLE if self._popcount else 0
-        if n_samples <= 0:
-            return np.empty(0, dtype=np.int64)
-        cum = np.cumsum(counts)
-        ranks = np.arange(1, n_samples + 1, dtype=np.int64) * _SELECT_SAMPLE
-        words_idx = np.searchsorted(cum, ranks, side="right")
-        samples = np.empty(n_samples, dtype=np.int64)
-        for j, w in enumerate(words_idx):
-            before = int(cum[w - 1]) if w > 0 else 0
-            samples[j] = (w << 6) + _select_in_word(
-                int(self._words[w]), int(ranks[j]) - before
-            )
-        return samples
+        self._popcount = int(np.bitwise_count(words).sum(dtype=np.int64))
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "BitVector":
@@ -97,16 +76,10 @@ class BitVector(Codec):
         """Position of the i-th 1-bit (0-indexed rank)."""
         if i < 0 or i >= self._popcount:
             raise ValueError("rank exceeds popcount")
-        j = i // _SELECT_SAMPLE
-        p = int(self._samples[j - 1]) if j else 0  # position of rank j*4096
-        k = i - j * _SELECT_SAMPLE  # rank among the 1-bits from p on
-        w = p >> 6
-        word = int(self._words[w]) >> (p & 63) << (p & 63)
-        while (c := word.bit_count()) <= k:
-            k -= c
-            w += 1
-            word = int(self._words[w])
-        return (w << 6) + _select_in_word(word, k)
+        cum = np.cumsum(np.bitwise_count(self._words), dtype=np.int64)
+        w = int(np.searchsorted(cum, i, side="right"))  # first word past rank i
+        before = int(cum[w - 1]) if w else 0
+        return (w << 6) + _select_in_word(int(self._words[w]), i - before)
 
     def all_positions(self) -> np.ndarray:
         """Positions of all 1-bits, ascending (vectorized bulk decode)."""
@@ -115,11 +88,12 @@ class BitVector(Codec):
         return np.flatnonzero(bits).astype(np.int64)
 
     def bits(self) -> int:
-        """Exact payload size in bits (excluding the rebuilt select index)."""
+        """Exact payload size in bits."""
         return len(self._words) * 64
 
     def aux_bits(self) -> int:
-        return len(self._samples) * 64
+        """Bits of select support beyond the payload: none."""
+        return 0
 
     def write(self, w: Writer) -> None:
         w.magic(_BV_MAGIC)
@@ -231,7 +205,7 @@ class EliasFanoSeq(Codec):
     verbatim, and a high part stored as a 1-bit at position
     ``i + (v_i >> lower_width)`` of the upper bit vector.  Access is one
     select1 plus one packed-array fetch.  Total payload stays within
-    ``2n + n*ceil(log2(universe/n))`` bits plus the select overhead.
+    ``2n + n*ceil(log2(universe/n))`` bits plus word padding.
     """
 
     upper: BitVector
@@ -304,10 +278,7 @@ class EliasFanoSeq(Codec):
         last = 0
         if n:
             # the last value's high part is the top 1-bit's position minus n-1
-            words = upper.words
-            w = int(np.flatnonzero(words)[-1])
-            top = (w << 6) + int(words[w]).bit_length() - 1
-            last = ((top - (n - 1)) << width) | lower[n - 1]
+            last = ((upper.select1(n - 1) - (n - 1)) << width) | lower[n - 1]
         if last != universe:
             raise DeserializationError("Elias-Fano: universe differs from the last value")
         return cls(upper, lower, n, universe, width)

@@ -166,6 +166,8 @@ class TestBuildVerifyBench:
         [
             ("--epsilon", "inf", "epsilon_r must be finite and non-negative"),
             ("--epsilon", "nan", "epsilon_r must be finite and non-negative"),
+            ("--epsilon", "2", "epsilon_r must be at most 1.0"),
+            ("--epsilon", "1e20", "epsilon_r must be at most 1.0"),
             ("--max-bucket-seeds", "0", "max_seeds must be >= 1"),
         ],
     )

@@ -21,6 +21,7 @@ from sichash.phf import (
     build_from_hashes,
     class_fractions,
 )
+from sichash.retrieval import MAX_EPSILON
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
 
@@ -87,6 +88,15 @@ class TestPhfConfig:
     def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
         with pytest.raises(ValueError, match="epsilon_r must be finite and non-negative"):
             PhfConfig(alpha=0.9, epsilon_r=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [1.0 + 1e-9, 2.0, 1e20])
+    def test_epsilon_above_max_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon_r must be at most 1.0"):
+            PhfConfig(alpha=0.9, epsilon_r=epsilon)
+
+    def test_epsilon_at_max_builds(self):
+        phf = build(generate_keys(500, seed=1), PhfConfig(alpha=0.9, epsilon_r=MAX_EPSILON))
+        assert SicHashPhf.from_bytes(phf.to_bytes()).config.epsilon_r == MAX_EPSILON
 
     def test_fraction_properties(self):
         cfg = PhfConfig(alpha=0.9, beta=1.8, x=0.725)
@@ -392,7 +402,7 @@ class TestScalarPlan:
         if config.minimal:
             assert built.m_total > built.n  # some keys go through the remap
         if config.beta in (1.0, 3.0):
-            assert sum(s.num_slots == 0 for s in built.stores.values()) == 2
+            assert sum(s.num_keys == 0 for s in built.stores.values()) == 2
         keys = keys_20k + [b"not a key %d" % i for i in range(2000)]
         want = built.evaluate_many(keys)
         assert np.array_equal(loaded.evaluate_many(keys), want)
@@ -451,10 +461,11 @@ class TestLoadChecks:
             (49, "<d", -0.1),
             (49, "<d", float("nan")),
             (49, "<d", float("inf")),
+            (49, "<d", 2.0),
         ],
         ids=[
             "alpha0", "alpha1.5", "beta0.5", "x1.5", "bucket_size0", "epsilon_neg",
-            "epsilon_nan", "epsilon_inf",
+            "epsilon_nan", "epsilon_inf", "epsilon2",
         ],
     )
     def test_config_out_of_range_rejected(self, offset, fmt, value):
@@ -462,6 +473,31 @@ class TestLoadChecks:
         struct.pack_into(fmt, body, offset, value)
         with pytest.raises(DeserializationError):
             SicHashPhf.from_bytes(_reseal(bytes(body)))
+
+    # the flags byte follows the 8-byte magic: 1 = minimal, 2 = compressed
+    @pytest.mark.parametrize("flag", [0x04, 0x80])
+    def test_unknown_flag_bits_rejected(self, flag):
+        body = bytearray(_small().to_bytes()[:-4])
+        body[8] |= flag
+        with pytest.raises(DeserializationError, match="flags"):
+            SicHashPhf.from_bytes(_reseal(bytes(body)))
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_compressed_flag_must_match_metadata(self, compressed):
+        phf = build(
+            generate_keys(2000, seed=3),
+            PhfConfig(alpha=0.9, compressed_metadata=compressed),
+        )
+        body = bytearray(phf.to_bytes()[:-4])
+        body[8] ^= 2
+        with pytest.raises(DeserializationError, match="metadata encoding"):
+            SicHashPhf.from_bytes(_reseal(bytes(body)))
+
+    def test_constructor_rejects_metadata_encoding_mismatch(self):
+        phf = _small()
+        config = dataclasses.replace(phf.config, compressed_metadata=True)
+        with pytest.raises(ValueError, match="metadata encoding"):
+            SicHashPhf(config, phf.meta, phf.stores, phf.n)
 
     def test_remap_of_wrong_length_rejected(self):
         phf = _small(minimal=True)
@@ -494,6 +530,8 @@ FUZZ_BLOBS = {
         PhfConfig(alpha=0.97, bucket_size=100, minimal=True, compressed_metadata=True),
     ),
     "empty-last-bucket": (generate_keys(6, 0), PhfConfig(alpha=0.9, bucket_size=1)),
+    # only degree-8 keys: the r=1 and r=2 stores are empty one-band stores
+    "beta3-empty-stores": (FUZZ_KEYS, PhfConfig(alpha=0.9, beta=3.0, bucket_size=100)),
 }
 
 
@@ -501,6 +539,12 @@ FUZZ_BLOBS = {
 def _fuzz_body(name: str) -> bytes:
     keys, config = FUZZ_BLOBS[name]
     return build(keys, config).to_bytes()[:-4]
+
+
+def test_beta3_fuzz_blob_has_two_empty_one_band_stores():
+    phf = SicHashPhf.from_bytes(_reseal(_fuzz_body("beta3-empty-stores")))
+    empty = [s for s in phf.stores.values() if s.num_keys == 0]
+    assert [s.num_slots for s in empty] == [64, 64]
 
 
 @pytest.mark.parametrize("name", list(FUZZ_BLOBS))

@@ -25,6 +25,42 @@ def test_empty_store():
     assert st_.query(MasterHash(123, 456)) == v
 
 
+def _empty(r):
+    return RetrievalStore.build((np.empty(0, np.uint64), np.empty(0, np.uint64)), [], r=r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_empty_store_is_one_zero_band(r):
+    store = _empty(r)
+    assert store.num_keys == 0 and store.num_slots == 64
+    assert len(store.planes) == r
+    assert all(np.array_equal(p, np.zeros(3, np.uint64)) for p in store.planes)
+    back = RetrievalStore.from_bytes(store.to_bytes())
+    assert (back.r, back.num_slots, back.seed, back.num_keys) == (r, 64, 0, 0)
+    assert all(np.array_equal(p, np.zeros(3, np.uint64)) for p in back.planes)
+    assert back.to_bytes() == store.to_bytes()
+    hi, lo = _random_hashes(np.random.default_rng(r), 1000)
+    for s in (store, back):
+        assert s.query(MasterHash(123, 456)) == 0
+        assert not s.query_many(hi, lo).any()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("words", [3, 1], ids=["one-band-planes", "zero-slot-layout"])
+def test_empty_store_without_slots_rejected(r, words):
+    # words=1 is the zero-slot layout that empty stores were once written in
+    store = _empty(r)
+    blob = _replaced(store, num_slots=0, planes=_planes(store, words))
+    with pytest.raises(DeserializationError, match="band"):
+        RetrievalStore.from_bytes(blob)
+
+
+@pytest.mark.parametrize("epsilon", [2.0, 1.0 + 1e-9, -0.1, float("nan")])
+def test_epsilon_out_of_range_rejected(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        RetrievalStore.build(([1], [2]), [0], r=1, epsilon=epsilon)
+
+
 def test_single_pair():
     st_ = RetrievalStore.build(([11], [22]), [5], r=3)
     assert st_.query(MasterHash(11, 22)) == 5
