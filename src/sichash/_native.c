@@ -1,4 +1,16 @@
-/* Keyed BLAKE2b-128 over a batch of keys, as specified in RFC 7693.
+/* The package's native kernels, compiled into one library:
+ *
+ *   sichash_blake2b128_batch  keyed BLAKE2b-128 over a batch of keys
+ *   sichash_ribbon_solve      a retrieval store's banded elimination and
+ *                             back-substitution
+ *
+ * Build: cc -O3 -shared -fPIC -o _native.so _native.c
+ */
+#include <stdint.h>
+#include <string.h>
+
+/* ------------------------------------------------------------------------
+ * Keyed BLAKE2b-128 over a batch of keys, as specified in RFC 7693.
  *
  * Every key is hashed under the same 8-byte BLAKE2 key, the little-endian
  * global seed, into a 16-byte digest; its two little-endian 64-bit halves
@@ -8,11 +20,7 @@
  * The key block is compressed once per call, so a key of up to 128 bytes
  * costs one compression.  Message words and digest halves are copied as
  * they lie in memory: the caller runs this on little-endian hosts only.
- *
- * Build: cc -O3 -shared -fPIC -o _blake2b.so _blake2b.c
  */
-#include <stdint.h>
-#include <string.h>
 
 static const uint64_t IV[8] = {
     0x6A09E667F3BCC908ULL, 0xBB67AE8584CAA73BULL,
@@ -117,4 +125,63 @@ void sichash_blake2b128_batch(const uint8_t *data, const int64_t *ends,
         hi[i] = h[0];
         lo[i] = h[1];
     }
+}
+
+/* ------------------------------------------------------------------------
+ * Ribbon retrieval solve over GF(2), the loop of retrieval._solve_python
+ * for r = 1, 2 or 3 bit planes.
+ *
+ * Row i is the equation "the solution bits of slots starts[i] ..
+ * starts[i] + 63, masked by coeffs[i], have parity values[i]"; bit 0 of
+ * every coefficient is set and the rows come sorted by start.  Each row
+ * is XORed into the stored row at its current pivot until it finds a free
+ * pivot or becomes zero.  row_coeff and row_value (num_slots entries,
+ * zeroed) receive the stored rows, anchored at their pivot.  Returns -1
+ * when a row reduces to 0 = 1, the system being inconsistent.
+ *
+ * Back-substitution then walks the slots once from the last down, with
+ * one 64-bit state per bit plane holding the solution bits of slots
+ * p .. p+63 (bit 0 is slot p).  Plane k's bit of slot p is written to
+ * bits[k * stride + p], which the caller zeroed.  Returns 0.
+ */
+int sichash_ribbon_solve(const uint64_t *starts, const uint64_t *coeffs,
+                         const uint8_t *values, int64_t n, int64_t num_slots,
+                         int r, uint64_t *row_coeff, uint8_t *row_value,
+                         uint8_t *bits, int64_t stride)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t s = starts[i], c = coeffs[i];
+        uint8_t v = values[i];
+        /* a fresh row has bit 0 set, so it is already anchored at s */
+        for (;;) {
+            if (!row_coeff[s]) {
+                row_coeff[s] = c;
+                row_value[s] = v;
+                break;
+            }
+            c ^= row_coeff[s];
+            v ^= row_value[s];
+            if (!c) {
+                if (v)
+                    return -1; /* identical equation, different value */
+                break;         /* dependent but consistent: nothing to store */
+            }
+            int tz = __builtin_ctzll(c);
+            s += tz;
+            c >>= tz;
+        }
+    }
+
+    uint64_t state[3] = {0, 0, 0};
+    for (int64_t p = num_slots - 1; p >= 0; p--) {
+        uint64_t c = row_coeff[p];
+        for (int k = 0; k < r; k++) {
+            state[k] <<= 1;
+            if (c && (__builtin_parityll(state[k] & c) ^ (row_value[p] >> k)) & 1) {
+                state[k] |= 1;
+                bits[k * stride + p] = 1;
+            }
+        }
+    }
+    return 0;
 }

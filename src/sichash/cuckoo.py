@@ -168,12 +168,14 @@ def build_bucket(
     """Find the smallest seed whose rattle-kicking insertion succeeds.
 
     ``budget`` is the displacement limit per seed attempt and defaults
-    to 100 per entry.  Raises :class:`ConstructionError` once
+    to 100 per entry; 0 allows no displacement.  Raises :class:`ConstructionError` once
     ``max_seeds`` seeds all fail, which signals a load factor beyond
     what this table size can absorb.
     """
     if max_seeds < 1:
         raise ValueError("max_seeds must be >= 1")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be >= 0")
     n = len(inp)
     if budget is None:
         budget = max(1, BUDGET_PER_ENTRY * n)
@@ -268,13 +270,15 @@ def incremental_load_experiment(
 
     Per trial, entries draw a class from ``fractions`` (degrees 2/4/8)
     and random 128-bit hashes; insertion uses rattle kicking with a
-    fixed per-insert displacement budget.  Returns the achieved load
-    ``placed / m`` of every trial.
+    fixed per-insert displacement budget (0 allows no displacement).
+    Returns the achieved load ``placed / m`` of every trial.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if insert_budget < 0:
+        raise ValueError("insert_budget must be >= 0")
     p1, p2, _ = fractions
     t1, t2 = class_thresholds(p1, p2)
     rng = random.Random(seed)

@@ -8,9 +8,12 @@ key bytes a single time and agree bit for bit.  This module owns every
 derivation constant: the per-function cell keys (:func:`cell_key`) and
 the retrieval row keys (:func:`row_keys`) are defined here once.
 
-:func:`master_hash_many` runs a native BLAKE2b kernel (``_blake2b.c``),
-compiled when this module is first imported, and falls back to the
-:mod:`hashlib` loop when it cannot be compiled or loaded.
+The package has one native library, compiled from ``_native.c`` when
+this module is first imported, with two kernels: the batch BLAKE2b of
+:func:`master_hash_many` and the retrieval solve that
+:mod:`~sichash.retrieval` takes from :data:`_kernel`.  When the library
+cannot be compiled or loaded, both fall back to their pure-Python
+reference: the :mod:`hashlib` loop and the Python elimination loop.
 
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
 instead of a modulo; the bias is at most ``m / 2**64``.
@@ -139,28 +142,37 @@ def _hash_chunk_native(parts: list, seed: int) -> tuple[np.ndarray, np.ndarray]:
         return _hash_chunk_hashlib(parts, seed)
     hi = np.empty(len(parts), dtype=np.uint64)
     lo = np.empty(len(parts), dtype=np.uint64)
-    _kernel(data, ends.ctypes.data, len(parts), seed & MASK64, hi.ctypes.data, lo.ctypes.data)
+    _kernel.sichash_blake2b128_batch(
+        data, ends.ctypes.data, len(parts), seed & MASK64, hi.ctypes.data, lo.ctypes.data
+    )
     return hi, lo
 
 
 # ---------------------------------------------------------------------------
-# native kernel: keyed BLAKE2b-128 for a batch of keys (_blake2b.c)
+# native library: the batch BLAKE2b and the retrieval solve (_native.c)
 
-_SOURCE = Path(__file__).with_name("_blake2b.c")
+_SOURCE = Path(__file__).with_name("_native.c")
 #: compiler command; the flags avoid -march=native so a cached library
 #: also runs on another CPU of the same platform
 _CC = (*shlex.split(sysconfig.get_config_var("CC") or "cc"), "-O3", "-shared", "-fPIC")
+_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+#: the library's functions, with their argument and result types
+_SIGNATURES = {
+    "sichash_blake2b128_batch": ([ctypes.c_char_p, _P, _I64, ctypes.c_uint64, _P, _P], None),
+    "sichash_ribbon_solve": ([_P, _P, _P, _I64, _I64, ctypes.c_int, _P, _P, _P, _I64],
+                             ctypes.c_int),
+}
 
 
 def _load_kernel(cache: Path):
-    """The kernel's C function, compiled into ``cache`` if not there yet,
-    or None when it cannot be had: a big-endian host, no compiler, an
+    """The native library, compiled into ``cache`` if not there yet, or
+    None when it cannot be had: a big-endian host, no compiler, an
     unwritable cache or a library that fails to load."""
     if sys.byteorder != "little":
         return None
     try:
         digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
-        lib = cache / f"_blake2b-{digest}-{sysconfig.get_platform()}.so"
+        lib = cache / f"_native-{digest}-{sysconfig.get_platform()}.so"
         if not lib.exists():
             cache.mkdir(exist_ok=True)
             # concurrent imports each compile to their own name; the
@@ -172,21 +184,23 @@ def _load_kernel(cache: Path):
                 os.replace(tmp, lib)
             finally:
                 tmp.unlink(missing_ok=True)
-        fn = ctypes.CDLL(str(lib)).sichash_blake2b128_batch
+        native = ctypes.CDLL(str(lib))
     except (OSError, subprocess.SubprocessError):
         return None
-    fn.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64,
-                   ctypes.c_void_p, ctypes.c_void_p]
-    fn.restype = None
-    return fn
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(native, name)
+        fn.argtypes, fn.restype = argtypes, restype
+    return native
 
 
-#: compiled once, here at import, so that no timed call pays for it
+#: the native library, compiled once, here at import, so that no timed
+#: call pays for it
 _kernel = _load_kernel(Path(__file__).with_name("__pycache__"))
 
 
 def hash_backend() -> str:
-    """Which path :func:`master_hash_many` takes: "native" or "hashlib"."""
+    """Which path :func:`master_hash_many` takes: "native" when the native
+    library loaded, "hashlib" otherwise."""
     return "hashlib" if _kernel is None else "native"
 
 

@@ -97,9 +97,10 @@ class PhfConfig:
 
     ``alpha`` is the load factor n/m, ``beta`` the retrieval budget in
     bits per key, ``x`` interpolates among the equal-budget class
-    mixes.  ``epsilon_r`` is the retrieval slot slack, at most
-    :data:`~sichash.retrieval.MAX_EPSILON`, and
-    ``compressed_metadata`` switches bucket metadata serialization from
+    mixes.  ``bucket_size`` and ``global_seed`` are stored as 64-bit
+    words, so both must lie below ``2**64``.  ``epsilon_r`` is the
+    retrieval slot slack, at most :data:`~sichash.retrieval.MAX_EPSILON`,
+    and ``compressed_metadata`` switches bucket metadata serialization from
     plain arrays to Elias-Fano offsets plus Golomb-Rice seeds.
     """
 
@@ -115,8 +116,8 @@ class PhfConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.bucket_size < 1:
-            raise ValueError("bucket_size must be >= 1")
+        if not 1 <= self.bucket_size <= MASK64:
+            raise ValueError("bucket_size must lie in [1, 2**64)")
         if not (math.isfinite(self.epsilon_r) and self.epsilon_r >= 0):
             raise ValueError("epsilon_r must be finite and non-negative")
         if self.epsilon_r > MAX_EPSILON:

@@ -11,9 +11,16 @@ band.  Both derive from the store seed's
 system in start order keeps elimination local and nearly linear: each
 row is XORed into the stored row at its current pivot until it finds a
 free pivot, becomes zero (dependent) or proves the system inconsistent.
-Back-substitution then runs once per bit plane from the last slot down,
-carrying the solution bits of the next 64 slots as one sliding 64-bit
-integer, so a pivot's bit is one AND and popcount;
+Back-substitution then runs from the last slot down, carrying the
+solution bits of the next 64 slots as one sliding 64-bit word, so a
+pivot's bit is one AND and parity.  :func:`_solve` derives and sorts the
+rows and hands them to the native kernel (``_native.c``, loaded by
+:mod:`~sichash.hashing`), which eliminates and then back-substitutes
+all r planes in a single pass over the slots, one sliding word per
+plane.  When the native library did not load, :func:`_solve_python`
+runs the same elimination in Python, one back-substitution pass per
+plane; it is also the reference the tests compare the kernel against.
+Both give the same pivots and so the same planes;
 :func:`~sichash.succinct._pack_bits` packs the bits at the end.  Queries
 for keys outside the construction set return an arbitrary (but
 deterministic) r-bit value, never an error.
@@ -40,6 +47,7 @@ from .errors import ConstructionError, DeserializationError
 from .hashing import (
     MASK64,
     MasterHash,
+    _kernel as _native,
     check_distinct,
     fold_hash,
     mix64,
@@ -54,6 +62,9 @@ DEFAULT_EPSILON = 0.10
 MAX_EPSILON = 1.0  # the slot count, and so the space, doubles at this slack
 BAND_WIDTH = 64  # bits per row coefficient: one machine word
 MAX_SEED_RETRIES = 16
+#: the native solve from the package's one native library, or None when
+#: that did not load and :func:`_solve_python` runs instead
+_solve_kernel = None if _native is None else _native.sichash_ribbon_solve
 
 
 def _rows_many(
@@ -212,16 +223,40 @@ def _solve(
     seed: int,
     num_slots: int,
 ) -> list[np.ndarray] | None:
-    """Banded on-the-fly Gaussian elimination; None when inconsistent."""
+    """Banded on-the-fly Gaussian elimination; None when inconsistent.
+
+    The rows are derived and sorted here; the native kernel solves them
+    when the library loaded, :func:`_solve_python` otherwise, with the
+    same pivots and so the same planes.
+    """
     starts, coeffs = _rows_many(hi, lo, seed, num_slots)
     order = np.argsort(starts, kind="stable")
-    starts_l = starts[order].tolist()
-    coeffs_l = coeffs[order].tolist()
-    vals_l = values[order].tolist()
+    starts, coeffs, values = starts[order], coeffs[order], values[order]
+    nwords = num_slots // 64 + 2
+    if _solve_kernel is None:
+        bits = _solve_python(starts, coeffs, values, r, num_slots)
+    else:
+        values = values.astype(np.uint8)
+        row_coeff = np.zeros(num_slots, dtype=np.uint64)
+        row_value = np.zeros(num_slots, dtype=np.uint8)
+        bits = np.zeros((r, 64 * nwords), dtype=np.uint8)
+        if _solve_kernel(
+            starts.ctypes.data, coeffs.ctypes.data, values.ctypes.data, len(starts),
+            num_slots, r, row_coeff.ctypes.data, row_value.ctypes.data,
+            bits.ctypes.data, bits.shape[1],
+        ):
+            return None  # inconsistent
+    return None if bits is None else [_pack_bits(b, nwords) for b in bits]
 
+
+def _solve_python(
+    starts: np.ndarray, coeffs: np.ndarray, values: np.ndarray, r: int, num_slots: int
+) -> list[np.ndarray] | None:
+    """One solution byte per slot for each plane, or None when the sorted
+    rows are inconsistent: the reference and fallback of the native solve."""
     row_coeff = [0] * num_slots  # anchored at pivot: bit 0 is the pivot
     row_value = [0] * num_slots
-    for s, c, v in zip(starts_l, coeffs_l, vals_l):
+    for s, c, v in zip(starts.tolist(), coeffs.tolist(), values.tolist()):
         # a fresh row has bit 0 set, so it is already anchored at ``s``
         while True:
             rc = row_coeff[s]
@@ -253,5 +288,5 @@ def _solve(
             if c and ((state & c).bit_count() ^ (row_value[p] >> k)) & 1:
                 state |= 1
                 bits[p] = 1
-        planes.append(_pack_bits(np.frombuffer(bits, dtype=np.uint8), nwords))
+        planes.append(np.frombuffer(bits, dtype=np.uint8))
     return planes

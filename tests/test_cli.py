@@ -169,6 +169,7 @@ class TestBuildVerifyBench:
             ("--epsilon", "2", "epsilon_r must be at most 1.0"),
             ("--epsilon", "1e20", "epsilon_r must be at most 1.0"),
             ("--max-bucket-seeds", "0", "max_seeds must be >= 1"),
+            ("--bucket-size", str(10**20), "bucket_size must lie in [1, 2**64)"),
         ],
     )
     def test_build_bad_option_is_an_error(
@@ -222,6 +223,16 @@ class TestOverload:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.splitlines() == ["error: m must be >= 1"]
+        assert captured.out == ""
+
+    def test_negative_insert_budget_is_an_error(self, capsys):
+        argv = ["overload", "--m", "100", "--config", "C", "--trials", "2"]
+        assert main([*argv, "--insert-budget", "0"]) == 0
+        capsys.readouterr()
+        rc = main([*argv, "--insert-budget", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines() == ["error: insert_budget must be >= 0"]
         assert captured.out == ""
 
 

@@ -220,6 +220,14 @@ class TestBuildBucket:
         with pytest.raises(ValueError, match="max_seeds must be >= 1"):
             build_bucket(inp, max_seeds=max_seeds)
 
+    def test_negative_budget_rejected(self):
+        rng = np.random.default_rng(8)
+        inp = _random_bucket(rng, 10, 0.3, (0.3, 0.4, 0.3))
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            build_bucket(inp, budget=-1)
+        # a budget of 0 allows no displacement
+        assert build_bucket(inp, budget=0).displacements == 0
+
     def test_matches_per_probe_reference(self):
         # small budgets and seed caps force seed retries and exhaustion
         rng = np.random.default_rng(12)
@@ -389,3 +397,11 @@ class TestIncrementalExperiment:
     def test_m_validation(self, m):
         with pytest.raises(ValueError, match="m must be >= 1"):
             incremental_load_experiment(m, (1.0, 0.0, 0.0), trials=1)
+
+    def test_insert_budget_validation(self):
+        with pytest.raises(ValueError, match="insert_budget must be >= 0"):
+            incremental_load_experiment(100, (0.3, 0.4, 0.3), trials=2, insert_budget=-1)
+        # a budget of 0 allows no displacement, and so places fewer entries
+        none = incremental_load_experiment(100, (0.3, 0.4, 0.3), trials=5, insert_budget=0)
+        full = incremental_load_experiment(100, (0.3, 0.4, 0.3), trials=5)
+        assert none.mean() < full.mean()

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
 import tests.test_golden as golden
-from sichash import hashing
+from sichash import hashing, retrieval
 from sichash.cli import generate_keys
 from sichash.hashing import (
     _HASH_CHUNK,
@@ -124,8 +124,10 @@ def test_kernel_matches_hashlib_on_every_input_form():
 
 @pytest.mark.parametrize("config, blob_sha, values_sha", golden.GOLDEN,
                          ids=["plain-a90", "minimal-compressed-a97", "plain-x066"])
-def test_hashlib_fallback_keeps_golden_outputs(monkeypatch, config, blob_sha, values_sha):
+def test_pure_python_fallback_keeps_golden_outputs(monkeypatch, config, blob_sha, values_sha):
+    # both kernels removed: the hashlib loop and the Python retrieval solve
     monkeypatch.setattr(hashing, "_kernel", None)
+    monkeypatch.setattr(retrieval, "_solve_kernel", None)
     assert hashing.hash_backend() == "hashlib"
     keys = generate_keys(20_000, seed=golden.GOLDEN_KEY_SEED)
     golden.test_outputs_pinned(keys, config, blob_sha, values_sha)

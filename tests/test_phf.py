@@ -79,6 +79,16 @@ class TestPhfConfig:
         with pytest.raises(ValueError, match="global_seed"):
             PhfConfig(alpha=0.9, global_seed=seed)
 
+    @pytest.mark.parametrize("bucket_size", [0, -1, 2**64, 10**20])
+    def test_bucket_size_outside_64_bits_rejected(self, bucket_size):
+        # the header stores it as a u64
+        with pytest.raises(ValueError, match="bucket_size must lie in"):
+            PhfConfig(alpha=0.9, bucket_size=bucket_size)
+
+    def test_bucket_size_at_64_bit_limit_round_trips(self, keys_20k):
+        phf = build(keys_20k[:100], PhfConfig(alpha=0.9, bucket_size=2**64 - 1))
+        assert SicHashPhf.from_bytes(phf.to_bytes()).config.bucket_size == 2**64 - 1
+
     def test_seed_at_64_bit_limits_round_trips(self, keys_20k):
         for seed in (0, 2**64 - 1):
             phf = build(keys_20k[:100], PhfConfig(alpha=0.9, global_seed=seed))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sichash.cli import generate_keys
-from sichash.errors import DeserializationError
+from sichash import retrieval
+from sichash.errors import ConstructionError, DeserializationError
 from sichash.hashing import MASK64, MasterHash, mix64
 from sichash.phf import PhfConfig, SicHashPhf, build, build_from_hashes
-from sichash.retrieval import RetrievalStore, _rows_many, _solve
+from sichash.retrieval import MAX_SEED_RETRIES, RetrievalStore, _rows_many, _solve
 
 
 def _random_hashes(rng, n):
@@ -300,6 +302,70 @@ def test_solve_matches_reference():
             assert g.dtype == np.uint64 and len(g) == num_slots // 64 + 2
             assert np.array_equal(g, w)
     assert unsolvable and dependent
+
+
+# -- the native solve against the Python loop, its reference and fallback ---
+
+native = pytest.mark.skipif(retrieval._solve_kernel is None, reason="native library not loaded")
+
+
+def _python_path(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the native solve removed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "_solve_kernel", None)
+        return fn(*args, **kwargs)
+
+
+@native
+@pytest.mark.parametrize("epsilon", [0.0, 0.02, 0.1])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_matches_python_solve(r, epsilon):
+    # n = 0 is the empty one-band store; at epsilon 0 the larger systems
+    # are past the ribbon's threshold and so unsolvable
+    rng = np.random.default_rng(100 * r + int(100 * epsilon))
+    unsolvable = 0
+    for n in (0, 1, 63, 64, 65, 500, 3000):
+        num_slots = max(64, math.ceil(n * (1 + epsilon)))
+        hi, lo = _random_hashes(rng, n)
+        values = rng.integers(0, 2**r, size=n, dtype=np.uint64)
+        for seed in (0, 1):
+            want = _python_path(_solve, hi, lo, values, r, seed, num_slots)
+            got = _solve(hi, lo, values, r, seed, num_slots)
+            if want is None:
+                unsolvable += 1
+                assert got is None
+                continue
+            assert len(got) == len(want) == r
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.uint64
+                assert np.array_equal(g, w)
+    if epsilon == 0:
+        assert unsolvable
+
+
+def test_build_takes_the_same_seed_on_both_paths():
+    rng = np.random.default_rng(71)
+    retried = 0
+    for base_seed in range(6):
+        hi, lo = _random_hashes(rng, 2000)
+        values = rng.integers(0, 8, size=2000, dtype=np.uint64)
+        args = ((hi, lo), values, 3)
+        kw = {"epsilon": 0.03, "base_seed": base_seed}
+        store = RetrievalStore.build(*args, **kw)
+        assert store.to_bytes() == _python_path(RetrievalStore.build, *args, **kw).to_bytes()
+        retried += store.seed > base_seed
+    assert retried
+
+
+def test_build_fails_the_same_way_on_both_paths():
+    rng = np.random.default_rng(72)
+    hi, lo = _random_hashes(rng, 3000)
+    values = rng.integers(0, 4, size=3000, dtype=np.uint64)
+    message = f"after {MAX_SEED_RETRIES} seeds"
+    with pytest.raises(ConstructionError, match=message):
+        RetrievalStore.build((hi, lo), values, 2, epsilon=0.0)
+    with pytest.raises(ConstructionError, match=message):
+        _python_path(RetrievalStore.build, (hi, lo), values, 2, epsilon=0.0)
 
 
 # -- distinctness check -----------------------------------------------------
