@@ -8,7 +8,6 @@ from .cuckoo import (
     RattleTable,
     build_bucket,
     incremental_load_experiment,
-    matching_oracle,
 )
 from .errors import ConstructionError, DeserializationError, SicHashError
 from .hashing import MasterHash, bucket_of, cell_of, master_hash
@@ -55,5 +54,4 @@ __all__ = [
     "g_A",
     "incremental_load_experiment",
     "master_hash",
-    "matching_oracle",
 ]

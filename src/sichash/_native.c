@@ -1,8 +1,16 @@
-/* The package's native kernels, compiled into one library:
+/* The package's native kernels, compiled into one library and loaded by
+ * _native.py as sichash._native.lib:
  *
  *   sichash_blake2b128_batch  keyed BLAKE2b-128 over a batch of keys
  *   sichash_ribbon_solve      a retrieval store's banded elimination and
  *                             back-substitution
+ *   sichash_rattle_place      a cuckoo bucket's rattle-kicking placement
+ *                             under one seed
+ *
+ * None derives a bucket, class, cell or retrieval row: Python derives them
+ * in hashing.py, which holds every derivation constant, and passes the
+ * results in.  Each kernel has a pure-Python reference that runs when the
+ * library is None and that the tests compare it against.
  *
  * Build: cc -O3 -shared -fPIC -o _native.so _native.c
  */
@@ -184,4 +192,52 @@ int sichash_ribbon_solve(const uint64_t *starts, const uint64_t *coeffs,
         }
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * Rattle-kicking placement of one cuckoo bucket under one seed, the loop of
+ * cuckoo.RattleTable.insert run over entries 0 .. n-1 in order.
+ *
+ * Entry i's candidate cells are flat[first[i] .. first[i] + mask[i]], each
+ * in [0, m), and mask[i] is its degree minus one (1, 3 or 7), so the probe
+ * of counter c is flat[first[i] + (c & mask[i])].  cells holds m entries
+ * set to -1 (empty) and counters n zeros.  An occupant is evicted only
+ * when its counter is below the prober's; an evicted entry re-probes with
+ * its counter plus one, and on a tie the prober advances its own counter.
+ * Each eviction or tie is one displacement, counted across the whole
+ * bucket.  Returns the displacement total once every entry is placed, or
+ * -1 as soon as it exceeds budget; counters then hold their values at that
+ * point, as the Python loop leaves them.
+ */
+int64_t sichash_rattle_place(const int64_t *flat, const int64_t *first,
+                             const uint8_t *mask, int64_t n, int64_t budget,
+                             int64_t *cells, int64_t *counters)
+{
+    int64_t steps = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t cur = i, c = 0; /* entry i has not been probed yet */
+        for (;;) {
+            int64_t cell = flat[first[cur] + (c & mask[cur])];
+            int64_t occ = cells[cell];
+            if (occ < 0) {
+                cells[cell] = cur;
+                counters[cur] = c;
+                break;
+            }
+            int64_t oc = counters[occ];
+            if (oc < c) {
+                cells[cell] = cur;
+                counters[cur] = c;
+                cur = occ;
+                c = oc + 1;
+            } else {
+                c++;
+            }
+            if (++steps > budget) {
+                counters[cur] = c;
+                return -1;
+            }
+        }
+    }
+    return steps;
 }

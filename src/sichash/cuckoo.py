@@ -1,5 +1,5 @@
-"""Per-bucket cuckoo table construction by rattle kicking, a matching
-oracle for feasibility checks, and the incremental overload experiment.
+"""Per-bucket cuckoo table construction by rattle kicking, and the
+incremental overload experiment.
 
 Rattle kicking keeps a counter per object counting how often it moved.
 On each attempt the object probes the cell selected by
@@ -11,10 +11,16 @@ Construction of a whole bucket is retried with seeds 0, 1, 2, ... until
 all entries place within the displacement budget.
 
 Each entry's candidate cells are derived once per (entry, seed), in one
-vectorized pass per bucket seed, into one flat list.  An entry keeps the
-index of its first cell and ``degree - 1`` as a mask; degrees are
-powers of two, so a probe is ``flat[first + (counter & mask)]`` and the
-final assignments are ``counters & mask`` in numpy.  The injectivity
+vectorized pass per bucket seed, into one flat int64 array.  An entry
+keeps the index of its first cell and ``degree - 1`` as a mask; degrees
+are powers of two, so a probe is ``flat[first + (counter & mask)]`` and
+the final assignments are ``counters & mask`` in numpy.  The kicking
+loop over one seed runs in the native kernel ``sichash_rattle_place``
+(``_native.c``), which derives nothing and only reads those arrays; when
+:data:`sichash._native.lib` is None, :meth:`RattleTable.insert` runs the
+same loop in Python, as fallback and as the reference the tests compare
+the kernel against.  :func:`incremental_load_experiment` inserts one
+entry at a time and always uses :class:`RattleTable`.  The injectivity
 self-check on a finished placement re-derives the chosen cells with the
 vectorized query-side derivation.
 """
@@ -26,15 +32,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from . import _native
 from .errors import ConstructionError
 from .hashing import (
     CLASS_DEGREES,
-    MasterHash,
     cell_key,
-    cell_of,
     cell_of_many,
     class_thresholds,
     fold_hash,
@@ -46,6 +49,8 @@ DEFAULT_MAX_BUCKET_SEEDS = 1 << 16
 DEFAULT_INSERT_BUDGET = 1000
 #: total displacements allowed per seed attempt, times the entry count
 BUDGET_PER_ENTRY = 100
+#: the native placement counts in int64; no bucket comes near this budget
+_MAX_BUDGET = 2**63 - 1
 
 
 @dataclass
@@ -183,21 +188,30 @@ def build_bucket(
         return PlacementResult(0, np.empty(0, dtype=np.uint8), 0)
     # one (entry, fn_index) pair per candidate cell, entries in order
     ends = np.cumsum(inp.degrees, dtype=np.int64)
-    starts = ends - inp.degrees
+    first = ends - inp.degrees
     entry = np.repeat(np.arange(n), inp.degrees)
-    fn_index = np.arange(int(ends[-1])) - starts[entry]
+    fn_index = np.arange(int(ends[-1])) - first[entry]
     hi, lo = inp.hi[entry], inp.lo[entry]
     mask = inp.degrees - np.uint8(1)
-    first, mask_l = starts.tolist(), mask.tolist()
+    lib = _native.lib
     for seed in range(max_seeds):
-        flat = cell_of_many(hi, lo, seed, fn_index, inp.m).tolist()
-        table = RattleTable(inp.m, seed, flat, first, mask_l)
-        for i in range(n):
-            if not table.insert(i, budget):
-                break
+        # every cell is below m, so the int64 view keeps its value
+        flat = cell_of_many(hi, lo, seed, fn_index, inp.m).view(np.int64)
+        if lib is None:
+            table = RattleTable(inp.m, seed, flat.tolist(), first.tolist(), mask.tolist())
+            placed = all(table.insert(i, budget) for i in range(n))
+            counters, displacements = table.counters, table.displacements
         else:
-            assignments = (np.array(table.counters) & mask).astype(np.uint8)
-            result = PlacementResult(seed, assignments, table.displacements)
+            cells = np.full(inp.m, -1, dtype=np.int64)
+            counters = np.zeros(n, dtype=np.int64)
+            displacements = lib.sichash_rattle_place(
+                flat.ctypes.data, first.ctypes.data, mask.ctypes.data, n,
+                min(budget, _MAX_BUDGET), cells.ctypes.data, counters.ctypes.data,
+            )
+            placed = displacements >= 0
+        if placed:
+            assignments = (np.asarray(counters) & mask).astype(np.uint8)
+            result = PlacementResult(seed, assignments, displacements)
             _check_placement(inp, result)
             return result
     raise ConstructionError(
@@ -218,44 +232,6 @@ def _check_placement(inp: BucketInput, result: PlacementResult) -> None:
     occupied[placement_cells(inp, result)] = True
     if np.count_nonzero(occupied) != len(inp):
         raise ConstructionError("internal error: placement is not injective")
-
-
-def matching_oracle(
-    inp: BucketInput, seed: int
-) -> tuple[bool, Optional[np.ndarray]]:
-    """Feasibility of a seed by maximum bipartite matching
-    (Hopcroft-Karp), independent of the rattle-kicking path.
-
-    Returns ``(feasible, assignments)``; assignments are one valid
-    fn-index per entry when a perfect matching exists.  Intended for
-    test-scale inputs.
-    """
-    n = len(inp)
-    if n == 0:
-        return True, np.empty(0, dtype=np.uint8)
-    rows = []
-    cols = []
-    cand: list[dict[int, int]] = []
-    for i in range(n):
-        h = MasterHash(int(inp.hi[i]), int(inp.lo[i]))
-        cells = {}
-        for t in range(int(inp.degrees[i])):
-            cell = cell_of(h, seed, t, inp.m)
-            cells.setdefault(cell, t)
-        cand.append(cells)
-        for cell in cells:
-            rows.append(i)
-            cols.append(cell)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, inp.m)
-    )
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    if int((match >= 0).sum()) < n:
-        return False, None
-    assignments = np.array(
-        [cand[i][int(match[i])] for i in range(n)], dtype=np.uint8
-    )
-    return True, assignments
 
 
 def incremental_load_experiment(

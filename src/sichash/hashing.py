@@ -8,12 +8,11 @@ key bytes a single time and agree bit for bit.  This module owns every
 derivation constant: the per-function cell keys (:func:`cell_key`) and
 the retrieval row keys (:func:`row_keys`) are defined here once.
 
-The package has one native library, compiled from ``_native.c`` when
-this module is first imported, with two kernels: the batch BLAKE2b of
-:func:`master_hash_many` and the retrieval solve that
-:mod:`~sichash.retrieval` takes from :data:`_kernel`.  When the library
-cannot be compiled or loaded, both fall back to their pure-Python
-reference: the :mod:`hashlib` loop and the Python elimination loop.
+:func:`master_hash_many` hashes with the batch BLAKE2b kernel of the
+package's one native library, :data:`sichash._native.lib`, and falls back
+to its :mod:`hashlib` reference loop when that is None.  The library's
+other two kernels, the retrieval solve and the cuckoo placement, take
+every derived value from Python and derive nothing themselves.
 
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
 instead of a modulo; the bias is at most ``m / 2**64``.
@@ -26,19 +25,14 @@ uint64 and wraps), and a hash as a (hi, lo) pair of either.  The
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import itertools
-import os
-import shlex
 import struct
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from . import _native
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MASK32 = 0xFFFFFFFF
@@ -107,7 +101,7 @@ def master_hash_many(
     when it loaded and by :mod:`hashlib` otherwise; both give the same
     digests.  Any iterable of bytes-like keys is accepted.
     """
-    hash_chunk = _hash_chunk_hashlib if _kernel is None else _hash_chunk_native
+    hash_chunk = _hash_chunk_hashlib if _native.lib is None else _hash_chunk_native
     keys = iter(keys)
     his, los = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.uint64)]
     # Chunk by chunk: a digest object per key for all keys at once held
@@ -142,66 +136,16 @@ def _hash_chunk_native(parts: list, seed: int) -> tuple[np.ndarray, np.ndarray]:
         return _hash_chunk_hashlib(parts, seed)
     hi = np.empty(len(parts), dtype=np.uint64)
     lo = np.empty(len(parts), dtype=np.uint64)
-    _kernel.sichash_blake2b128_batch(
+    _native.lib.sichash_blake2b128_batch(
         data, ends.ctypes.data, len(parts), seed & MASK64, hi.ctypes.data, lo.ctypes.data
     )
     return hi, lo
 
 
-# ---------------------------------------------------------------------------
-# native library: the batch BLAKE2b and the retrieval solve (_native.c)
-
-_SOURCE = Path(__file__).with_name("_native.c")
-#: compiler command; the flags avoid -march=native so a cached library
-#: also runs on another CPU of the same platform
-_CC = (*shlex.split(sysconfig.get_config_var("CC") or "cc"), "-O3", "-shared", "-fPIC")
-_P, _I64 = ctypes.c_void_p, ctypes.c_int64
-#: the library's functions, with their argument and result types
-_SIGNATURES = {
-    "sichash_blake2b128_batch": ([ctypes.c_char_p, _P, _I64, ctypes.c_uint64, _P, _P], None),
-    "sichash_ribbon_solve": ([_P, _P, _P, _I64, _I64, ctypes.c_int, _P, _P, _P, _I64],
-                             ctypes.c_int),
-}
-
-
-def _load_kernel(cache: Path):
-    """The native library, compiled into ``cache`` if not there yet, or
-    None when it cannot be had: a big-endian host, no compiler, an
-    unwritable cache or a library that fails to load."""
-    if sys.byteorder != "little":
-        return None
-    try:
-        digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
-        lib = cache / f"_native-{digest}-{sysconfig.get_platform()}.so"
-        if not lib.exists():
-            cache.mkdir(exist_ok=True)
-            # concurrent imports each compile to their own name; the
-            # rename is atomic, so none loads a half-written file
-            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-            try:
-                subprocess.run([*_CC, "-o", str(tmp), str(_SOURCE)],
-                               check=True, capture_output=True, timeout=120)
-                os.replace(tmp, lib)
-            finally:
-                tmp.unlink(missing_ok=True)
-        native = ctypes.CDLL(str(lib))
-    except (OSError, subprocess.SubprocessError):
-        return None
-    for name, (argtypes, restype) in _SIGNATURES.items():
-        fn = getattr(native, name)
-        fn.argtypes, fn.restype = argtypes, restype
-    return native
-
-
-#: the native library, compiled once, here at import, so that no timed
-#: call pays for it
-_kernel = _load_kernel(Path(__file__).with_name("__pycache__"))
-
-
 def hash_backend() -> str:
     """Which path :func:`master_hash_many` takes: "native" when the native
     library loaded, "hashlib" otherwise."""
-    return "hashlib" if _kernel is None else "native"
+    return "hashlib" if _native.lib is None else "native"
 
 
 # ---------------------------------------------------------------------------

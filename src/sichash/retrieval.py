@@ -14,10 +14,10 @@ free pivot, becomes zero (dependent) or proves the system inconsistent.
 Back-substitution then runs from the last slot down, carrying the
 solution bits of the next 64 slots as one sliding 64-bit word, so a
 pivot's bit is one AND and parity.  :func:`_solve` derives and sorts the
-rows and hands them to the native kernel (``_native.c``, loaded by
-:mod:`~sichash.hashing`), which eliminates and then back-substitutes
+rows and hands them to the native kernel (``_native.c``, loaded as
+:data:`sichash._native.lib`), which eliminates and then back-substitutes
 all r planes in a single pass over the slots, one sliding word per
-plane.  When the native library did not load, :func:`_solve_python`
+plane.  When that library is None, :func:`_solve_python`
 runs the same elimination in Python, one back-substitution pass per
 plane; it is also the reference the tests compare the kernel against.
 Both give the same pivots and so the same planes;
@@ -42,12 +42,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from ._wire import Codec, Reader, Writer
 from .errors import ConstructionError, DeserializationError
 from .hashing import (
     MASK64,
     MasterHash,
-    _kernel as _native,
     check_distinct,
     fold_hash,
     mix64,
@@ -62,9 +62,6 @@ DEFAULT_EPSILON = 0.10
 MAX_EPSILON = 1.0  # the slot count, and so the space, doubles at this slack
 BAND_WIDTH = 64  # bits per row coefficient: one machine word
 MAX_SEED_RETRIES = 16
-#: the native solve from the package's one native library, or None when
-#: that did not load and :func:`_solve_python` runs instead
-_solve_kernel = None if _native is None else _native.sichash_ribbon_solve
 
 
 def _rows_many(
@@ -233,14 +230,15 @@ def _solve(
     order = np.argsort(starts, kind="stable")
     starts, coeffs, values = starts[order], coeffs[order], values[order]
     nwords = num_slots // 64 + 2
-    if _solve_kernel is None:
+    lib = _native.lib
+    if lib is None:
         bits = _solve_python(starts, coeffs, values, r, num_slots)
     else:
         values = values.astype(np.uint8)
         row_coeff = np.zeros(num_slots, dtype=np.uint64)
         row_value = np.zeros(num_slots, dtype=np.uint8)
         bits = np.zeros((r, 64 * nwords), dtype=np.uint8)
-        if _solve_kernel(
+        if lib.sichash_ribbon_solve(
             starts.ctypes.data, coeffs.ctypes.data, values.ctypes.data, len(starts),
             num_slots, r, row_coeff.ctypes.data, row_value.ctypes.data,
             bits.ctypes.data, bits.shape[1],

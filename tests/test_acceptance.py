@@ -15,7 +15,6 @@ from sichash.cuckoo import (
     RattleTable,
     build_bucket,
     incremental_load_experiment,
-    matching_oracle,
 )
 from sichash.hashing import (
     MasterHash,
@@ -28,6 +27,7 @@ from sichash.phf import PhfConfig, SicHashPhf, build
 from sichash.retrieval import RetrievalStore
 from sichash.succinct import BitVector, ef_encode, gr_encode
 from sichash.thresholds import ClassMix, solve_threshold
+from tests.matching import matching_oracle
 
 
 def _report(num: int, ok: bool, desc: str, detail: str = "") -> None:

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from sichash import hashing
+from sichash import _native
 from sichash.cli import generate_keys, main, read_keys
 from sichash.hashing import hash_backend
 
@@ -142,7 +142,7 @@ class TestBuildVerifyBench:
     def test_build_without_native_kernel_reports_hashlib(
         self, tmp_path, key_file, capsys, monkeypatch
     ):
-        monkeypatch.setattr(hashing, "_kernel", None)
+        monkeypatch.setattr(_native, "lib", None)
         out = tmp_path / "f.phf"
         assert main(["build", "--keys", str(key_file), "--alpha", "0.9", "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["hash_backend"] == "hashlib"

@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from sichash import _native
 from sichash.cli import OVERLOAD_CONFIGS
 from sichash.cuckoo import (
     BucketInput,
     RattleTable,
     build_bucket,
     incremental_load_experiment,
-    matching_oracle,
     placement_cells,
     summarize_loads,
 )
@@ -22,6 +22,7 @@ from sichash.hashing import (
     class_thresholds,
     fold_hash,
 )
+from tests.matching import matching_oracle
 
 
 def _random_bucket(rng, n, alpha, fractions):
@@ -95,6 +96,18 @@ def _reference_build_bucket(inp, budget, max_seeds):
         else:
             return seed, [counters[i] % degrees[i] for i in range(n)], steps
     return None
+
+
+def _seeded_buckets():
+    """120 seeded (bucket, budget, max_seeds) cases; small budgets and seed
+    caps force seed retries and exhaustion."""
+    rng = np.random.default_rng(12)
+    for _ in range(120):
+        n = int(rng.integers(1, 301))
+        inp = _random_bucket(rng, n, 0.8 + 0.2 * rng.random(), rng.dirichlet([1, 1, 1]))
+        budget = int(rng.choice([n // 4 + 1, n, 4 * n, 100 * n]))
+        max_seeds = int(rng.integers(1, 9))
+        yield inp, budget, max_seeds
 
 
 def _reference_loads(m, fractions, trials, seed, insert_budget=1000):
@@ -229,14 +242,8 @@ class TestBuildBucket:
         assert build_bucket(inp, budget=0).displacements == 0
 
     def test_matches_per_probe_reference(self):
-        # small budgets and seed caps force seed retries and exhaustion
-        rng = np.random.default_rng(12)
         retried = failed = 0
-        for _ in range(120):
-            n = int(rng.integers(1, 301))
-            inp = _random_bucket(rng, n, 0.8 + 0.2 * rng.random(), rng.dirichlet([1, 1, 1]))
-            budget = int(rng.choice([n // 4 + 1, n, 4 * n, 100 * n]))
-            max_seeds = int(rng.integers(1, 9))
+        for inp, budget, max_seeds in _seeded_buckets():
             want = _reference_build_bucket(inp, budget, max_seeds)
             if want is None:
                 failed += 1
@@ -247,6 +254,111 @@ class TestBuildBucket:
             retried += got.seed > 0
             assert (got.seed, got.assignments.tolist(), got.displacements) == want
         assert retried and failed
+
+
+# -- the native placement against the Python loop, its reference and fallback
+
+native = pytest.mark.skipif(_native.lib is None, reason="native library not loaded")
+
+
+def _outcome(inp, **kwargs):
+    """build_bucket's (seed, assignments, displacements), or its error text."""
+    try:
+        got = build_bucket(inp, **kwargs)
+    except ConstructionError as e:
+        return str(e)
+    return got.seed, got.assignments.tolist(), got.displacements
+
+
+def _python_outcome(inp, **kwargs):
+    """:func:`_outcome` with the native library switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "lib", None)
+        return _outcome(inp, **kwargs)
+
+
+def _place_both(inp, seed, budget):
+    """One seed's placement by the kernel and by :meth:`RattleTable.insert`,
+    each as (displacements or -1, cells, counters)."""
+    table = RattleTable(inp.m, seed)
+    for hi, lo, d in zip(inp.hi.tolist(), inp.lo.tolist(), inp.degrees.tolist()):
+        table.add_entry(fold_hash((hi, lo)), d)
+    n = len(inp)
+    flat = np.array(table.flat, dtype=np.int64)
+    first = np.array(table.first, dtype=np.int64)
+    mask = np.array(table.mask, dtype=np.uint8)
+    cells = np.full(inp.m, -1, dtype=np.int64)
+    counters = np.zeros(n, dtype=np.int64)
+    got = _native.lib.sichash_rattle_place(
+        flat.ctypes.data, first.ctypes.data, mask.ctypes.data, n, budget,
+        cells.ctypes.data, counters.ctypes.data,
+    )
+    placed = all(table.insert(i, budget) for i in range(n))
+    want = table.displacements if placed else -1
+    return (got, cells.tolist(), counters.tolist()), (want, table.cells, table.counters)
+
+
+@native
+class TestNativePlacement:
+    def test_matches_python_on_seeded_buckets(self):
+        retried = failed = 0
+        for inp, budget, max_seeds in _seeded_buckets():
+            got = _outcome(inp, budget=budget, max_seeds=max_seeds)
+            assert got == _python_outcome(inp, budget=budget, max_seeds=max_seeds)
+            failed += isinstance(got, str)
+            retried += not isinstance(got, str) and got[0] > 0
+        assert retried and failed
+
+    def test_budget_runs_out_partway(self):
+        rng = np.random.default_rng(13)
+        inp = _random_bucket(rng, 400, 0.95, (0.25, 0.5, 0.25))
+        full, _ = _place_both(inp, 0, 100 * len(inp))
+        spent = full[0]
+        assert spent > 10
+        for budget in (0, 1, spent // 2, spent - 1, spent, 2**63 - 1):
+            got, want = _place_both(inp, 0, budget)
+            assert got == want
+            assert got[0] == (spent if budget >= spent else -1)
+
+    def test_budget_zero(self):
+        rng = np.random.default_rng(14)
+        outcomes = []
+        for n, alpha in ((8, 0.5), (30, 0.6), (200, 0.97)):
+            inp = _random_bucket(rng, n, alpha, (0.3, 0.4, 0.3))
+            got = _outcome(inp, budget=0, max_seeds=32)
+            assert got == _python_outcome(inp, budget=0, max_seeds=32)
+            outcomes.append(got)
+        assert outcomes[0][2] == 0  # placed without a displacement
+        assert isinstance(outcomes[-1], str)  # no seed places 200 without one
+
+    def test_budget_beyond_64_bits(self):
+        rng = np.random.default_rng(15)
+        inp = _random_bucket(rng, 100, 0.9, (0.3, 0.4, 0.3))
+        got = _outcome(inp, budget=2**70)
+        assert got == _python_outcome(inp, budget=2**70) == _outcome(inp)
+
+    def test_max_seeds_exhausted(self):
+        rng = np.random.default_rng(8)
+        inp = _random_bucket(rng, 60, 1.0, (1.0, 0.0, 0.0))
+        got = _outcome(inp, max_seeds=16)
+        assert "unconstructible" in got
+        assert got == _python_outcome(inp, max_seeds=16)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    @pytest.mark.parametrize("degree", [2, 4, 8])
+    def test_single_entry(self, m, degree):
+        inp = BucketInput([2**64 - 1], [12345], [degree], m)
+        got = _outcome(inp)
+        assert got == _python_outcome(inp) == (0, [0], 0)
+
+    def test_table_as_large_as_the_bucket(self):
+        rng = np.random.default_rng(16)
+        for n in (10, 100, 500):
+            inp = _random_bucket(rng, n, 1.0, (0.1, 0.3, 0.6))
+            assert inp.m == n
+            got = _outcome(inp, max_seeds=64)
+            assert got == _python_outcome(inp, max_seeds=64)
+            assert not isinstance(got, str)
 
 
 class TestDegreeValidation:

@@ -1,6 +1,7 @@
 import array
 import shutil
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
 import tests.test_golden as golden
-from sichash import hashing, retrieval
+from sichash import _native, hashing
 from sichash.cli import generate_keys
 from sichash.hashing import (
     _HASH_CHUNK,
@@ -79,7 +80,7 @@ def test_master_hash_many_across_chunks():
 # ---------------------------------------------------------------------------
 # the native kernel against the hashlib loop, its reference
 
-native = pytest.mark.skipif(hashing._kernel is None, reason="native kernel not loaded")
+native = pytest.mark.skipif(_native.lib is None, reason="native kernel not loaded")
 
 #: around the 128-byte block boundaries, plus the empty and a long key
 KEY_LENGTHS = (0, 1, 127, 128, 129, 255, 256, 257, 10_000)
@@ -88,7 +89,7 @@ KEY_LENGTHS = (0, 1, 127, 128, 129, 255, 256, 257, 10_000)
 def _reference(keys, seed):
     """master_hash_many by the hashlib loop alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hashing, "_kernel", None)
+        mp.setattr(_native, "lib", None)
         return master_hash_many(keys, seed)
 
 
@@ -125,58 +126,75 @@ def test_kernel_matches_hashlib_on_every_input_form():
 @pytest.mark.parametrize("config, blob_sha, values_sha", golden.GOLDEN,
                          ids=["plain-a90", "minimal-compressed-a97", "plain-x066"])
 def test_pure_python_fallback_keeps_golden_outputs(monkeypatch, config, blob_sha, values_sha):
-    # both kernels removed: the hashlib loop and the Python retrieval solve
-    monkeypatch.setattr(hashing, "_kernel", None)
-    monkeypatch.setattr(retrieval, "_solve_kernel", None)
+    # the native library switched off: the hashlib loop, the Python
+    # retrieval solve and the Python placement loop
+    monkeypatch.setattr(_native, "lib", None)
     assert hashing.hash_backend() == "hashlib"
     keys = generate_keys(20_000, seed=golden.GOLDEN_KEY_SEED)
     golden.test_outputs_pinned(keys, config, blob_sha, values_sha)
 
 
-needs_cc = pytest.mark.skipif(shutil.which(hashing._CC[0]) is None, reason="no C compiler")
+needs_cc = pytest.mark.skipif(shutil.which(_native._CC[0]) is None, reason="no C compiler")
 
 
 class TestLoadKernel:
     @needs_cc
     def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
-        fn = hashing._load_kernel(tmp_path)
+        fn = _native._load_kernel(tmp_path)
         assert fn is not None
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
         # the cached library loads without the compiler
-        monkeypatch.setattr(hashing, "_CC", (str(tmp_path / "missing-cc"),))
-        monkeypatch.setattr(hashing, "_kernel", hashing._load_kernel(tmp_path))
+        monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"),))
+        monkeypatch.setattr(_native, "lib", _native._load_kernel(tmp_path))
         assert hashing.hash_backend() == "native"
         keys = [bytes(range(n % 256)) * (1 + n // 256) for n in range(300)]
         _assert_same(master_hash_many(keys, 9), _reference(keys, 9))
 
     def test_no_compiler(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(hashing, "_CC", (str(tmp_path / "missing-cc"),))
-        assert hashing._load_kernel(tmp_path / "cache") is None
+        monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"),))
+        assert _native._load_kernel(tmp_path / "cache") is None
         assert list((tmp_path / "cache").iterdir()) == []
 
     def test_compile_error(self, tmp_path, monkeypatch):
         bad = tmp_path / "bad.c"
         bad.write_text("this is not C\n")
-        monkeypatch.setattr(hashing, "_SOURCE", bad)
-        assert hashing._load_kernel(tmp_path / "cache") is None
+        monkeypatch.setattr(_native, "_SOURCE", bad)
+        assert _native._load_kernel(tmp_path / "cache") is None
         assert list((tmp_path / "cache").iterdir()) == []
 
     def test_unwritable_cache(self, tmp_path):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_bytes(b"")
-        assert hashing._load_kernel(not_a_dir) is None
+        assert _native._load_kernel(not_a_dir) is None
 
     @needs_cc
     def test_library_that_fails_to_load(self, tmp_path):
-        assert hashing._load_kernel(tmp_path / "a") is not None
+        assert _native._load_kernel(tmp_path / "a") is not None
         (lib,) = (tmp_path / "a").iterdir()
         (tmp_path / "b").mkdir()
         (tmp_path / "b" / lib.name).write_bytes(b"not a shared library")
-        assert hashing._load_kernel(tmp_path / "b") is None
+        assert _native._load_kernel(tmp_path / "b") is None
+
+    @needs_cc
+    def test_removes_stale_libraries(self, tmp_path):
+        platform = sysconfig.get_platform()
+        stale = [f"_native-{'0' * 64}-{platform}.so", f"_blake2b-{'1' * 64}-{platform}.so"]
+        kept = [f"_native-{'2' * 64}-{platform}.so.123.tmp", "other.so",
+                f"_native-{'3' * 64}-another-platform.so"]
+        for name in stale + kept:
+            (tmp_path / name).write_bytes(b"")
+        assert _native._load_kernel(tmp_path) is not None
+        current = [p.name for p in tmp_path.glob(f"_native-*-{platform}.so")]
+        assert len(current) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(current + kept)
+        # a cached library is loaded as it is, and removes nothing
+        (tmp_path / stale[0]).write_bytes(b"")
+        assert _native._load_kernel(tmp_path) is not None
+        assert (tmp_path / stale[0]).exists()
 
     def test_big_endian_host(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "byteorder", "big")
-        assert hashing._load_kernel(tmp_path) is None
+        assert _native._load_kernel(tmp_path) is None
         assert list(tmp_path.iterdir()) == []
 
 

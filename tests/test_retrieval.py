@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sichash.cli import generate_keys
-from sichash import retrieval
+from sichash import _native
 from sichash.errors import ConstructionError, DeserializationError
 from sichash.hashing import MASK64, MasterHash, mix64
 from sichash.phf import PhfConfig, SicHashPhf, build, build_from_hashes
@@ -306,13 +306,13 @@ def test_solve_matches_reference():
 
 # -- the native solve against the Python loop, its reference and fallback ---
 
-native = pytest.mark.skipif(retrieval._solve_kernel is None, reason="native library not loaded")
+native = pytest.mark.skipif(_native.lib is None, reason="native library not loaded")
 
 
 def _python_path(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with the native solve removed."""
+    """``fn(*args, **kwargs)`` with the native library switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(retrieval, "_solve_kernel", None)
+        mp.setattr(_native, "lib", None)
         return fn(*args, **kwargs)
 
 

@@ -3,10 +3,13 @@
 ``hashing.py`` owns every multiplier and salt of the hash derivations,
 and ``succinct._pack_bits`` is the only code that packs bits into
 words.  A second copy elsewhere in ``src/sichash`` could drift from the
-first and make scalar and batch paths disagree.
+first and make scalar and batch paths disagree.  The native kernels in
+``_native.c`` take derived values from Python and hold none of the
+constants, so no C code derives a cell or a retrieval row.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sichash"
@@ -65,6 +68,25 @@ def test_derivation_constants_only_in_hashing():
                 if node.value in constants:
                     found.append(f"{path.name}:{node.lineno} {constants[node.value]}")
     assert found == []
+
+
+def _hex_literals(c_source: str) -> set[int]:
+    """Values of the hex integer literals in C source, any case, with or
+    without a ``ULL`` suffix."""
+    return {int(h, 16) for h in re.findall(r"\b0x([0-9a-f]+)(?:ull)?\b", c_source, re.I)}
+
+
+def test_hex_literal_scan():
+    assert _hex_literals("x = 0xBF58476D1CE4E5B9ULL; y = 0x94d049bb133111eb;") == {
+        0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+    }
+
+
+def test_derivation_constants_not_in_native_source():
+    constants = _derivation_constants()
+    literals = _hex_literals((SRC / "_native.c").read_text())
+    assert literals  # the BLAKE2b IV at least
+    assert sorted(constants[v] for v in literals & constants.keys()) == []
 
 
 def test_one_bit_packer():
