@@ -193,7 +193,7 @@ class BucketMetaArray(Codec):
 
 @dataclass
 class SpaceBreakdown:
-    """Serialized payload sizes by component, in bits."""
+    """Serialized section sizes by component, in bits, headers included."""
 
     retrieval_bits: int
     metadata_bits: int
@@ -279,6 +279,8 @@ class SicHashPhf:
             raise ValueError("retrieval stores do not hold n keys in total")
         if meta.num_buckets < 1:
             raise ValueError("need at least one bucket")
+        if not 1 <= n <= meta.m_total:
+            raise ValueError("need 1 <= n <= m_total")
         if config.compressed_metadata != meta.compressed:
             raise ValueError("metadata encoding differs from compressed_metadata")
         if config.minimal != (remap is not None):

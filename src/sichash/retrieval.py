@@ -173,11 +173,7 @@ class RetrievalStore(Codec):
             out |= bit << np.uint8(k)
         return out
 
-    # -- accounting and serialization ------------------------------------
-
-    def bits(self) -> int:
-        """Exact serialized size in bits."""
-        return len(self.to_bytes()) * 8
+    # -- serialization ---------------------------------------------------
 
     def write(self, w: Writer) -> None:
         w.magic(_MAGIC)

@@ -1,8 +1,10 @@
 """Succinct sequence structures: bit vector with select1, Elias-Fano
 coded monotone sequences, and Golomb-Rice coded integer sequences.
 
-All structures are immutable after construction, report their exact bit
-counts, and serialize to versioned little-endian blobs:
+All structures are immutable after construction.  ``bits()`` is the
+payload: 64 bits for each word a structure holds, headers excluded.  The
+serialized size is ``8 * len(to_bytes())``, the payload plus a fixed
+header, in these versioned little-endian blobs:
 
 ``BitVector``      ``SHBV0001 | u64 length_bits | u64 nwords | words``
 ``PackedIntArray`` ``SHPA0001 | u64 n | u8 width | u64 nwords | words``
@@ -91,10 +93,6 @@ class BitVector(Codec):
         """Exact payload size in bits."""
         return len(self._words) * 64
 
-    def aux_bits(self) -> int:
-        """Bits of select support beyond the payload: none."""
-        return 0
-
     def write(self, w: Writer) -> None:
         w.magic(_BV_MAGIC)
         w.u64(self._length)
@@ -124,7 +122,7 @@ def _select_in_word(word: int, k: int) -> int:
     return (word & -word).bit_length() - 1
 
 
-class PackedIntArray:
+class PackedIntArray(Codec):
     """Fixed-width array of unsigned integers, bit-packed into words."""
 
     def __init__(self, words: np.ndarray, n: int, width: int):
@@ -252,9 +250,6 @@ class EliasFanoSeq(Codec):
     def bits(self) -> int:
         return self.upper.bits() + self.lower.bits()
 
-    def aux_bits(self) -> int:
-        return self.upper.aux_bits()
-
     def write(self, w: Writer) -> None:
         w.magic(_EF_MAGIC)
         w.u64(self.n)
@@ -291,10 +286,6 @@ def _ef_lower_width(universe: int, n: int) -> int:
     while n and (universe >> width) > n:
         width += 1
     return width
-
-
-def ef_encode(values) -> EliasFanoSeq:
-    return EliasFanoSeq.encode(values)
 
 
 @dataclass
@@ -361,15 +352,13 @@ class GolombRiceSeq(Codec):
         r.magic(_GR_MAGIC)
         n = r.u64()
         k_log = r.u8()
+        if k_log > 63:
+            raise DeserializationError(f"Golomb-Rice: k_log={k_log} above 63")
         unary = BitVector.read(r)
         rem = PackedIntArray.read(r)
         if unary.popcount != n or rem.n != n or rem.width != k_log:
             raise DeserializationError("Golomb-Rice: parts disagree with n or k_log")
         return cls(k_log, unary, rem, n)
-
-
-def gr_encode(values, k_log: int) -> GolombRiceSeq:
-    return GolombRiceSeq.encode(values, k_log)
 
 
 def rice_parameter(values) -> int:

@@ -25,7 +25,7 @@ from sichash.hashing import (
 )
 from sichash.phf import PhfConfig, SicHashPhf, build
 from sichash.retrieval import RetrievalStore
-from sichash.succinct import BitVector, ef_encode, gr_encode
+from sichash.succinct import BitVector, EliasFanoSeq, GolombRiceSeq
 from sichash.thresholds import ClassMix, solve_threshold
 from tests.matching import matching_oracle
 
@@ -222,16 +222,16 @@ def test_criterion_09_codec_roundtrips():
     # Elias-Fano: every element of every sequence decodes exactly
     count = 0
     big = np.sort(rng.integers(0, 10**7, size=10_000))
-    seq = ef_encode(big)
+    seq = EliasFanoSeq.encode(big)
     assert np.array_equal(seq.to_array(), big.astype(np.uint64))
     for i in range(len(big)):
         assert seq.access(i) == big[i]
     count += len(big)
     n, u = len(big), int(big[-1])
-    space_ok = seq.bits() <= 2 * n + n * int(np.ceil(np.log2(u / n))) + seq.aux_bits() + 192
+    space_ok = seq.bits() <= 2 * n + n * int(np.ceil(np.log2(u / n))) + 192
     for _ in range(60):
         vals = np.sort(rng.integers(0, 2**40, size=int(rng.integers(0, 300))))
-        s = ef_encode(vals)
+        s = EliasFanoSeq.encode(vals)
         assert np.array_equal(s.to_array(), vals.astype(np.uint64))
         count += len(vals)
     cases["elias_fano"] = count
@@ -239,7 +239,7 @@ def test_criterion_09_codec_roundtrips():
     # Golomb-Rice
     count = 0
     geo = (rng.geometric(0.4, size=10_000) - 1).astype(np.uint64)
-    gseq = gr_encode(geo, 1)
+    gseq = GolombRiceSeq.encode(geo, 1)
     assert np.array_equal(gseq.to_array(), geo)
     for i in range(len(geo)):
         assert gseq.access(i) == geo[i]
@@ -247,7 +247,7 @@ def test_criterion_09_codec_roundtrips():
     for _ in range(60):
         vals = rng.integers(0, 5000, size=int(rng.integers(0, 300)))
         k = int(rng.integers(0, 10))
-        s = gr_encode(vals, k)
+        s = GolombRiceSeq.encode(vals, k)
         assert np.array_equal(s.to_array(), vals.astype(np.uint64))
         count += len(vals)
     cases["golomb_rice"] = count

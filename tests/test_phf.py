@@ -21,7 +21,7 @@ from sichash.phf import (
     build_from_hashes,
     class_fractions,
 )
-from sichash.retrieval import MAX_EPSILON
+from sichash.retrieval import MAX_EPSILON, RetrievalStore
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
 
@@ -341,7 +341,7 @@ class TestMinimal:
         m, n = mphf.m_total, len(keys)
         formula = (m - n) * (2 + np.ceil(np.log2(n / (m - n))))
         breakdown = mphf.space_breakdown()
-        assert breakdown.remap_bits <= formula + mphf.remap.aux_bits() + 512
+        assert breakdown.remap_bits <= formula + 512
 
     def test_serialization_roundtrip(self, keys_20k):
         mphf = build(keys_20k, PhfConfig(alpha=0.95, minimal=True))
@@ -457,6 +457,30 @@ class TestLoadChecks:
         phf = _small()
         phf.meta = BucketMetaArray(np.empty(0), np.zeros(1))
         with pytest.raises(DeserializationError, match="bucket"):
+            SicHashPhf.from_bytes(phf.to_bytes())
+
+    @pytest.mark.parametrize("minimal", [False, True])
+    def test_no_keys_rejected(self, minimal):
+        # every part agrees with n = 0: empty stores, one empty bucket and,
+        # when minimal, an empty remap; queries on it raised IndexError
+        phf = _small(minimal)
+        phf.n = 0
+        phf.meta = BucketMetaArray(np.zeros(1), np.zeros(2))
+        none = (np.empty(0, dtype=np.uint64),) * 2
+        phf.stores = {d: RetrievalStore.build(none, [], s.r) for d, s in phf.stores.items()}
+        if minimal:
+            phf.remap = EliasFanoSeq.encode([])
+        with pytest.raises(DeserializationError, match="m_total"):
+            SicHashPhf.from_bytes(phf.to_bytes())
+
+    def test_more_keys_than_cells_rejected(self):
+        phf = _small()
+        extra = phf.m_total - phf.n + 1
+        phf.n += extra
+        phf.stores[2] = dataclasses.replace(
+            phf.stores[2], num_keys=phf.stores[2].num_keys + extra
+        )
+        with pytest.raises(DeserializationError, match="m_total"):
             SicHashPhf.from_bytes(phf.to_bytes())
 
     # byte offsets after the 8-byte magic and the flags byte

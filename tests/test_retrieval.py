@@ -97,7 +97,7 @@ def test_bulk_query_back_and_space():
     store = RetrievalStore.build((hi, lo), values, r=2)
     got = store.query_many(hi, lo)
     assert np.array_equal(got.astype(np.uint64), values)
-    assert store.bits() <= 2 * n * 1.10 + 2048
+    assert 8 * len(store.to_bytes()) <= 2 * n * 1.10 + 2048
 
 
 def test_unseen_keys_deterministic_in_range():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sichash._wire import Reader, Writer
+from sichash._wire import Reader
 from sichash.cli import generate_keys
 from sichash.errors import DeserializationError
 from sichash.phf import PhfConfig, SicHashPhf, build
@@ -15,8 +15,6 @@ from sichash.succinct import (
     EliasFanoSeq,
     GolombRiceSeq,
     PackedIntArray,
-    ef_encode,
-    gr_encode,
     rice_parameter,
 )
 
@@ -110,7 +108,6 @@ class TestBitVector:
         bv = BitVector.from_bits(bits)
         # no select index: the blob is the words behind a fixed header of
         # magic, bit length and word count
-        assert bv.aux_bits() == 0
         assert bv.bits() == 64 * len(bv.words)
         assert 8 * len(bv.to_bytes()) == bv.bits() + 3 * 64
 
@@ -133,7 +130,7 @@ class TestBitVector:
 
     def test_length_disagreeing_with_word_count(self):
         # the upper bit vector's length field sits after the EF header
-        blob = bytearray(ef_encode([0, 5, 5, 9, 100, 4096]).to_bytes())
+        blob = bytearray(EliasFanoSeq.encode([0, 5, 5, 9, 100, 4096]).to_bytes())
         at = 25 + 8
         struct.pack_into("<Q", blob, at, struct.unpack_from("<Q", blob, at)[0] + 64)
         with pytest.raises(DeserializationError, match="word count"):
@@ -168,8 +165,8 @@ class TestPackedIntArray:
     def test_huge_width_zero_array_in_codecs(self):
         # n >= 2**63 does not fit a Python length
         huge = PackedIntArray(np.empty(0, dtype=np.uint64), 2**63, 0)
-        ef = dataclasses.replace(ef_encode([0, 1, 2]), lower=huge)
-        gr = dataclasses.replace(gr_encode([1, 2], 0), remainders=huge)
+        ef = dataclasses.replace(EliasFanoSeq.encode([0, 1, 2]), lower=huge)
+        gr = dataclasses.replace(GolombRiceSeq.encode([1, 2], 0), remainders=huge)
         with pytest.raises(DeserializationError, match="Elias-Fano"):
             EliasFanoSeq.from_bytes(ef.to_bytes())
         with pytest.raises(DeserializationError, match="Golomb-Rice"):
@@ -190,39 +187,45 @@ class TestPackedIntArray:
     def test_word_count_checked_on_load(self, extra):
         nwords = (100 * 7 + 63) // 64 + 1
         bad = PackedIntArray(np.zeros(nwords + extra, dtype=np.uint64), 100, 7)
-        w = Writer()
-        bad.write(w)
         with pytest.raises(DeserializationError, match="word count"):
-            PackedIntArray.read(Reader(w.getvalue()))
+            PackedIntArray.from_bytes(bad.to_bytes())
+
+    @pytest.mark.parametrize("width", [0, 9, 64])
+    def test_serialization_roundtrip(self, width):
+        rng = np.random.default_rng(width)
+        vals = rng.integers(0, 2**width - 1, size=100, dtype=np.uint64, endpoint=True)
+        arr = PackedIntArray.from_bytes(PackedIntArray.pack(vals, width).to_bytes())
+        assert (arr.n, arr.width) == (100, width)
+        assert np.array_equal(arr.to_array(), vals)
 
 
 class TestEliasFano:
     def test_empty(self):
-        seq = ef_encode([])
+        seq = EliasFanoSeq.encode([])
         assert len(seq) == 0
         with pytest.raises(IndexError):
             seq.access(0)
 
     def test_all_zero(self):
-        seq = ef_encode([0, 0, 0])
+        seq = EliasFanoSeq.encode([0, 0, 0])
         assert [seq.access(i) for i in range(3)] == [0, 0, 0]
 
     def test_hand_case(self):
-        seq = ef_encode([3, 7, 20])
+        seq = EliasFanoSeq.encode([3, 7, 20])
         assert seq.access(1) == 7
 
     def test_range(self):
-        seq = ef_encode(list(range(1000)))
+        seq = EliasFanoSeq.encode(list(range(1000)))
         assert seq.access(500) == 500
 
     def test_non_monotone_rejected(self):
         with pytest.raises(ValueError, match="monotone"):
-            ef_encode([3, 2])
+            EliasFanoSeq.encode([3, 2])
         with pytest.raises(ValueError, match="monotone"):
-            ef_encode([-1, 2])
+            EliasFanoSeq.encode([-1, 2])
 
     def test_out_of_bounds(self):
-        seq = ef_encode([1, 2, 3])
+        seq = EliasFanoSeq.encode([1, 2, 3])
         with pytest.raises(IndexError, match="out of bounds"):
             seq.access(3)
 
@@ -230,7 +233,7 @@ class TestEliasFano:
         st.lists(st.integers(0, 2**40), min_size=0, max_size=300).map(sorted)
     )
     def test_roundtrip(self, values):
-        seq = ef_encode(values)
+        seq = EliasFanoSeq.encode(values)
         assert np.array_equal(seq.to_array(), np.array(values, dtype=np.uint64))
         for i in range(0, len(values), 7):
             assert seq.access(i) == values[i]
@@ -238,20 +241,20 @@ class TestEliasFano:
     def test_space_bound(self):
         rng = np.random.default_rng(11)
         values = np.sort(rng.integers(0, 10**6, size=10_000))
-        seq = ef_encode(values)
+        seq = EliasFanoSeq.encode(values)
         n, u = len(values), int(values[-1])
         bound = 2 * n + n * int(np.ceil(np.log2(u / n)))
-        # allow the select index plus padding/constants
-        assert seq.bits() <= bound + seq.aux_bits() + 192
+        # allow word padding
+        assert seq.bits() <= bound + 192
 
     def test_serialization_roundtrip(self):
         values = [0, 5, 5, 9, 100, 4096]
-        seq = EliasFanoSeq.from_bytes(ef_encode(values).to_bytes())
+        seq = EliasFanoSeq.from_bytes(EliasFanoSeq.encode(values).to_bytes())
         assert [seq.access(i) for i in range(len(values))] == values
 
     @pytest.mark.parametrize("field, delta", [("n", 1), ("n", -1), ("lower_width", 1)])
     def test_inconsistent_header_rejected(self, field, delta):
-        seq = ef_encode([0, 5, 5, 9, 100, 4096])
+        seq = EliasFanoSeq.encode([0, 5, 5, 9, 100, 4096])
         bad = dataclasses.replace(seq, **{field: getattr(seq, field) + delta})
         with pytest.raises(DeserializationError, match="Elias-Fano"):
             EliasFanoSeq.from_bytes(bad.to_bytes())
@@ -270,7 +273,7 @@ class TestEliasFano:
     )
     def test_universe_other_than_last_value_rejected(self, values, universe):
         # every other field is the encoder's, so only universe is wrong
-        bad = dataclasses.replace(ef_encode(values), universe=universe)
+        bad = dataclasses.replace(EliasFanoSeq.encode(values), universe=universe)
         with pytest.raises(DeserializationError, match="Elias-Fano"):
             EliasFanoSeq.from_bytes(bad.to_bytes())
 
@@ -278,7 +281,7 @@ class TestEliasFano:
     def test_lower_width_other_than_encoders_rejected(self, delta):
         # the lower array is re-packed at the mutated width, so n, the
         # popcount and the lower array's width all agree with the header
-        seq = ef_encode([0, 5, 5, 9, 100, 4096])
+        seq = EliasFanoSeq.encode([0, 5, 5, 9, 100, 4096])
         width = seq.lower_width + delta
         lows = np.array([0, 5, 5, 9, 100, 4096], dtype=np.uint64) & np.uint64((1 << width) - 1)
         bad = dataclasses.replace(
@@ -291,45 +294,45 @@ class TestEliasFano:
         st.lists(st.integers(0, 2**63 - 1), min_size=0, max_size=200).map(sorted)
     )
     def test_every_encoding_loads(self, values):
-        seq = EliasFanoSeq.from_bytes(ef_encode(values).to_bytes())
+        seq = EliasFanoSeq.from_bytes(EliasFanoSeq.encode(values).to_bytes())
         assert seq.to_array().tolist() == values
 
 
 class TestGolombRice:
     def test_zeros_k0(self):
-        seq = gr_encode([0, 0, 0], 0)
+        seq = GolombRiceSeq.encode([0, 0, 0], 0)
         assert seq.unary.bits() >= 3  # three unary terminators, word-padded
         assert seq.unary.popcount == 3
         assert [seq.access(i) for i in range(3)] == [0, 0, 0]
 
     def test_hand_case_five(self):
         # 5 = quotient 1, remainder 1 at k_log=2
-        seq = gr_encode([5], 2)
+        seq = GolombRiceSeq.encode([5], 2)
         assert seq.unary.popcount == 1
         assert seq.unary.select1(0) == 1  # one zero bit, then the terminator
         assert seq.remainders[0] == 1
         assert seq.access(0) == 5
 
     def test_empty(self):
-        seq = gr_encode([], 3)
+        seq = GolombRiceSeq.encode([], 3)
         assert len(seq) == 0
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            gr_encode([1], -1)
+            GolombRiceSeq.encode([1], -1)
         with pytest.raises(ValueError):
-            gr_encode([1], 64)
+            GolombRiceSeq.encode([1], 64)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            gr_encode([-2], 1)
+            GolombRiceSeq.encode([-2], 1)
 
     @given(
         st.lists(st.integers(0, 5000), max_size=300),
         st.integers(0, 12),
     )
     def test_roundtrip(self, values, k_log):
-        seq = gr_encode(values, k_log)
+        seq = GolombRiceSeq.encode(values, k_log)
         assert np.array_equal(seq.to_array(), np.array(values, dtype=np.uint64))
         for i in range(0, len(values), 5):
             assert seq.access(i) == values[i]
@@ -338,20 +341,28 @@ class TestGolombRice:
         rng = np.random.default_rng(13)
         values = (rng.geometric(0.5, size=10_000) - 1).astype(np.uint64)
         k = rice_parameter(values)
-        seq = gr_encode(values, k)
+        seq = GolombRiceSeq.encode(values, k)
         assert np.array_equal(seq.to_array(), values)
 
     def test_serialization_roundtrip(self):
         values = [0, 1, 7, 0, 300]
-        seq = GolombRiceSeq.from_bytes(gr_encode(values, 2).to_bytes())
+        seq = GolombRiceSeq.from_bytes(GolombRiceSeq.encode(values, 2).to_bytes())
         assert [seq.access(i) for i in range(len(values))] == values
 
     @pytest.mark.parametrize("field, delta", [("n", 1), ("n", -1), ("k_log", 1)])
     def test_inconsistent_header_rejected(self, field, delta):
-        seq = gr_encode([0, 1, 7, 0, 300], 2)
+        seq = GolombRiceSeq.encode([0, 1, 7, 0, 300], 2)
         bad = dataclasses.replace(seq, **{field: getattr(seq, field) + delta})
         with pytest.raises(DeserializationError, match="Golomb-Rice"):
             GolombRiceSeq.from_bytes(bad.to_bytes())
+
+    def test_k_log_above_63_rejected(self):
+        # quotient 1 and remainder 5 at k_log 64, every part agreeing: it
+        # loaded with access(0) == 2**64 + 5 but to_array() == [5]
+        unary = BitVector.from_positions(np.array([1]), 2)
+        rem = PackedIntArray.pack(np.array([5], dtype=np.uint64), 64)
+        with pytest.raises(DeserializationError, match="k_log"):
+            GolombRiceSeq.from_bytes(GolombRiceSeq(64, unary, rem, 1).to_bytes())
 
 
 def test_rice_parameter():
@@ -366,7 +377,11 @@ def test_reader_words_length_bounded_before_allocation():
 
 
 @pytest.mark.parametrize(
-    "cls, seq", [(EliasFanoSeq, ef_encode([0, 5, 9])), (GolombRiceSeq, gr_encode([1, 2, 3], 1))]
+    "cls, seq",
+    [
+        (EliasFanoSeq, EliasFanoSeq.encode([0, 5, 9])),
+        (GolombRiceSeq, GolombRiceSeq.encode([1, 2, 3], 1)),
+    ],
 )
 def test_codec_alone_rejects_packed_width_65(cls, seq):
     # the packed array is the last part; its word count fits width 65, so
@@ -378,3 +393,33 @@ def test_codec_alone_rejects_packed_width_65(cls, seq):
     bad = blob[:at] + struct.pack("<QBQ", n, 65, nwords) + bytes(8 * nwords)
     with pytest.raises(DeserializationError, match="width"):
         cls.from_bytes(bad)
+
+
+def _words_held(codec):
+    if isinstance(codec, BitVector):
+        return len(codec.words)
+    if isinstance(codec, PackedIntArray):
+        return len(codec._words)
+    if isinstance(codec, EliasFanoSeq):
+        return _words_held(codec.upper) + _words_held(codec.lower)
+    return _words_held(codec.unary) + _words_held(codec.remainders)
+
+
+@pytest.mark.parametrize(
+    "codec, header_bits",
+    [
+        (BitVector.from_bits(np.array([1, 0, 0] * 100, dtype=np.uint8)), 192),
+        (BitVector.from_bits(np.empty(0, dtype=np.uint8)), 192),
+        (PackedIntArray.pack(np.arange(100, dtype=np.uint64), 7), 200),
+        (PackedIntArray.pack(np.zeros(10, dtype=np.uint64), 0), 200),
+        (EliasFanoSeq.encode([0, 5, 5, 9, 100, 4096]), 592),
+        (EliasFanoSeq.encode([]), 592),
+        (GolombRiceSeq.encode([0, 1, 7, 0, 300], 2), 528),
+        (GolombRiceSeq.encode([], 3), 528),
+    ],
+    ids=["bv", "bv-empty", "pa", "pa-width0", "ef", "ef-empty", "gr", "gr-empty"],
+)
+def test_bits_is_payload_words(codec, header_bits):
+    # bits() counts the words a codec holds; the blob adds a fixed header
+    assert codec.bits() == 64 * _words_held(codec)
+    assert 8 * len(codec.to_bytes()) - codec.bits() == header_bits
