@@ -86,7 +86,6 @@ def _config_from_args(args: argparse.Namespace) -> PhfConfig:
         bucket_size=args.bucket_size,
         global_seed=args.seed,
         minimal=args.minimal,
-        epsilon_r=args.epsilon,
         compressed_metadata=args.compressed_meta,
     )
 
@@ -261,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--x", type=float, default=PhfConfig.x)
     b.add_argument("--bucket-size", type=int, default=PhfConfig.bucket_size)
     b.add_argument("--minimal", action="store_true")
-    b.add_argument("--epsilon", type=float, default=PhfConfig.epsilon_r)
     b.add_argument("--compressed-meta", action="store_true")
     b.add_argument("--seed", type=int, default=PhfConfig.global_seed)
     b.add_argument("--max-bucket-seeds", type=int, default=DEFAULT_MAX_BUCKET_SEEDS)

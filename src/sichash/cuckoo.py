@@ -37,11 +37,11 @@ from . import _native
 from .errors import ConstructionError
 from .hashing import (
     CLASS_DEGREES,
+    cell_at,
     cell_key,
     cell_of_many,
     class_thresholds,
     fold_hash,
-    mix64,
 )
 
 DEFAULT_MAX_BUCKET_SEEDS = 1 << 16
@@ -125,7 +125,7 @@ class RattleTable:
             raise ValueError(f"degree must be one of {CLASS_DEGREES}")
         m = self.m
         self.first.append(len(self.flat))
-        self.flat.extend([(mix64(folded ^ k) * m) >> 64 for k in self._keys[:degree]])
+        self.flat.extend([cell_at(folded, k, m) for k in self._keys[:degree]])
         self.mask.append(degree - 1)
         self.counters.append(0)
         return len(self.counters) - 1

@@ -23,16 +23,18 @@ values below n ("holes") through an Elias-Fano coded array of length
 
 Top-level blob layout (little-endian, crc32 trailer):
 
-    SICPHF01 | u8 flags | f64 alpha,beta,x | u64 bucket_size |
-    u64 global_seed | f64 epsilon_r | u64 n | u64 m_total |
-    meta blob | u8 store_count | store blobs | u8 has_remap |
-    [remap blob] | u32 crc32
+    SICPHF02 | u8 flags (1 = minimal) | f64 alpha,beta,x |
+    u64 bucket_size,global_seed | meta blob | r1,r2,r3 store blobs |
+    [remap blob iff minimal] | u32 crc32
+
+Each fact is stored once: n is the stores' key count, m_total the
+metadata's last offset and the metadata encoding its own tag byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+import operator
 import time
 import zlib
 from dataclasses import dataclass
@@ -66,13 +68,12 @@ from .hashing import (
     master_hash_many,
     split_digest,
 )
-from .retrieval import DEFAULT_EPSILON, MAX_EPSILON, RetrievalStore, fetch
+from .retrieval import EPSILON, RetrievalStore, fetch
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
-_MAGIC = b"SICPHF01"
+_MAGIC = b"SICPHF02"
 
 _R_BY_DEGREE = {d: r for r, d in enumerate(CLASS_DEGREES, 1)}
-_DEGREE_BY_R = {r: d for d, r in _R_BY_DEGREE.items()}
 
 
 def class_fractions(beta: float, x: float) -> tuple[float, float, float]:
@@ -97,10 +98,9 @@ class PhfConfig:
 
     ``alpha`` is the load factor n/m, ``beta`` the retrieval budget in
     bits per key, ``x`` interpolates among the equal-budget class
-    mixes.  ``bucket_size`` and ``global_seed`` are stored as 64-bit
-    words, so both must lie below ``2**64``.  ``epsilon_r`` is the
-    retrieval slot slack, at most :data:`~sichash.retrieval.MAX_EPSILON`,
-    and ``compressed_metadata`` switches bucket metadata serialization from
+    mixes.  ``bucket_size`` and ``global_seed`` are integers stored as
+    64-bit words, so both must lie below ``2**64``.
+    ``compressed_metadata`` switches bucket metadata serialization from
     plain arrays to Elias-Fano offsets plus Golomb-Rice seeds.
     """
 
@@ -110,19 +110,14 @@ class PhfConfig:
     bucket_size: int = 5000
     global_seed: int = 0
     minimal: bool = False
-    epsilon_r: float = DEFAULT_EPSILON
     compressed_metadata: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if not 1 <= self.bucket_size <= MASK64:
+        if not 1 <= _integer("bucket_size", self.bucket_size) <= MASK64:
             raise ValueError("bucket_size must lie in [1, 2**64)")
-        if not (math.isfinite(self.epsilon_r) and self.epsilon_r >= 0):
-            raise ValueError("epsilon_r must be finite and non-negative")
-        if self.epsilon_r > MAX_EPSILON:
-            raise ValueError(f"epsilon_r must be at most {MAX_EPSILON}")
-        if not 0 <= self.global_seed <= MASK64:
+        if not 0 <= _integer("global_seed", self.global_seed) <= MASK64:
             raise ValueError("global_seed must lie in [0, 2**64)")
         class_fractions(self.beta, self.x)  # validates beta and x
 
@@ -130,17 +125,12 @@ class PhfConfig:
     def fractions(self) -> tuple[float, float, float]:
         return class_fractions(self.beta, self.x)
 
-    @property
-    def p1(self) -> float:
-        return self.fractions[0]
 
-    @property
-    def p2(self) -> float:
-        return self.fractions[1]
-
-    @property
-    def p3(self) -> float:
-        return self.fractions[2]
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
 
 
 @dataclass
@@ -182,7 +172,10 @@ class BucketMetaArray(Codec):
 
     @classmethod
     def read(cls, r: Reader) -> "BucketMetaArray":
-        if r.u8() == 1:
+        tag = r.u8()  # the one record of the encoding
+        if tag > 1:
+            raise ValueError(f"unknown metadata encoding {tag}")
+        if tag:
             gr = GolombRiceSeq.read(r)
             ef = EliasFanoSeq.read(r)
             return cls(gr.to_array(), ef.to_array(), compressed=True)
@@ -270,13 +263,11 @@ class SicHashPhf:
         config: PhfConfig,
         meta: BucketMetaArray,
         stores: dict[int, RetrievalStore],
-        n: int,
         remap: Optional[EliasFanoSeq] = None,
     ):
         if {d: s.r for d, s in stores.items()} != _R_BY_DEGREE:
             raise ValueError("need one retrieval store per class, with r = 1, 2, 3")
-        if sum(s.num_keys for s in stores.values()) != n:
-            raise ValueError("retrieval stores do not hold n keys in total")
+        n = sum(s.num_keys for s in stores.values())
         if meta.num_buckets < 1:
             raise ValueError("need at least one bucket")
         if not 1 <= n <= meta.m_total:
@@ -300,7 +291,7 @@ class SicHashPhf:
             len(self._remap_values) and int(self._remap_values.max()) >= n
         ):
             raise ValueError("remap must map each value in [n, m_total) below n")
-        self._thresholds = class_thresholds(config.p1, config.p2)
+        self._thresholds = class_thresholds(*config.fractions[:2])
         self._sizes = np.diff(meta.offsets)
         self._starts = np.where(self._sizes > 0, meta.offsets[:-1], np.uint64(0))
         buckets = list(
@@ -369,7 +360,7 @@ class SicHashPhf:
 
     def _sections(self) -> tuple[bytes, list[bytes], bytes]:
         meta = self.meta.to_bytes()
-        stores = [self.stores[d].to_bytes() for d in sorted(self.stores)]
+        stores = [self.stores[d].to_bytes() for d in CLASS_DEGREES]
         remap = self.remap.to_bytes() if self.remap is not None else b""
         return meta, stores, remap
 
@@ -391,23 +382,16 @@ class SicHashPhf:
         w = Writer()
         w.magic(_MAGIC)
         cfg = self.config
-        flags = (1 if cfg.minimal else 0) | (2 if cfg.compressed_metadata else 0)
-        w.u8(flags)
+        w.u8(1 if cfg.minimal else 0)
         w.f64(cfg.alpha)
         w.f64(cfg.beta)
         w.f64(cfg.x)
         w.u64(cfg.bucket_size)
         w.u64(cfg.global_seed)
-        w.f64(cfg.epsilon_r)
-        w.u64(self.n)
-        w.u64(self.m_total)
         meta, stores, remap = self._sections()
-        w.blob(meta)
-        w.u8(len(stores))
-        for s in stores:
-            w.blob(s)
-        w.u8(1 if remap else 0)
-        if remap:
+        for section in (meta, *stores):
+            w.blob(section)
+        if cfg.minimal:
             w.blob(remap)
         payload = w.getvalue()
         return payload + zlib.crc32(payload).to_bytes(4, "little")
@@ -422,36 +406,21 @@ class SicHashPhf:
         r = Reader(payload)
         r.magic(_MAGIC)
         flags = r.u8()
-        if flags & ~3:
+        if flags & ~1:
             raise DeserializationError(f"unknown header flags {flags:#04x}")
+        minimal = bool(flags)
         try:
-            config = PhfConfig(
-                alpha=r.f64(),
-                beta=r.f64(),
-                x=r.f64(),
-                bucket_size=r.u64(),
-                global_seed=r.u64(),
-                epsilon_r=r.f64(),
-                minimal=bool(flags & 1),
-                compressed_metadata=bool(flags & 2),
-            )
-            n = r.u64()
-            m_total = r.u64()
+            alpha, beta, x = r.f64(), r.f64(), r.f64()
+            bucket_size, global_seed = r.u64(), r.u64()
             meta = BucketMetaArray.from_bytes(r.blob())
-            stores: dict[int, RetrievalStore] = {}
-            for _ in range(r.u8()):
-                store = RetrievalStore.from_bytes(r.blob())
-                degree = _DEGREE_BY_R[store.r]
-                if degree in stores:
-                    raise DeserializationError(f"two retrieval stores with r={store.r}")
-                stores[degree] = store
-            remap = None
-            if r.u8():
-                remap = EliasFanoSeq.from_bytes(r.blob())
+            stores = {d: RetrievalStore.from_bytes(r.blob()) for d in CLASS_DEGREES}
+            remap = EliasFanoSeq.from_bytes(r.blob()) if minimal else None
             r.expect_end()
-            if meta.m_total != m_total:
-                raise DeserializationError("inconsistent table sizes")
-            return cls(config, meta, stores, n, remap)
+            config = PhfConfig(
+                alpha, beta, x, bucket_size, global_seed,
+                minimal=minimal, compressed_metadata=meta.compressed,
+            )
+            return cls(config, meta, stores, remap)
         except ValueError as exc:
             raise DeserializationError(f"invalid blob: {exc}") from exc
 
@@ -510,7 +479,7 @@ def _build_plain(
 
     num_buckets = max(1, round(n / config.bucket_size))
     buckets = bucket_of_many(hi, num_buckets).astype(np.int64)
-    degrees = class_of_many(lo, *class_thresholds(config.p1, config.p2))
+    degrees = class_of_many(lo, *class_thresholds(*config.fractions[:2]))
 
     # a stable sort of the narrowest dtype is a radix sort: same order, faster
     order = np.argsort(buckets.astype(np.min_scalar_type(num_buckets - 1)), kind="stable")
@@ -553,7 +522,6 @@ def _build_plain(
             (hi_s[mask], lo_s[mask]),
             fn_values[mask],
             r,
-            epsilon=config.epsilon_r,
             base_seed=config.global_seed,
         )
         t1 = time.perf_counter()
@@ -562,12 +530,12 @@ def _build_plain(
         store_stats[r] = {
             "seed": store.seed,
             "seed_retries": store.seed - config.global_seed,
-            "epsilon": config.epsilon_r,
+            "epsilon": EPSILON,
         }
 
     meta = BucketMetaArray(seeds, offsets, compressed=config.compressed_metadata)
     cfg_plain = dataclasses.replace(config, minimal=False)
-    phf = SicHashPhf(cfg_plain, meta, stores, n)
+    phf = SicHashPhf(cfg_plain, meta, stores)
     used, counts = np.unique(seeds, return_counts=True)
     phf.build_stats = BuildStats(
         stages, displacements, dict(zip(used.tolist(), counts.tolist())), store_stats
@@ -600,6 +568,6 @@ def _attach_remap(phf: SicHashPhf, values: np.ndarray) -> SicHashPhf:
     slots[slots < 0] = holes[0] if len(holes) else 0
     remap = EliasFanoSeq.encode(slots)
     cfg = dataclasses.replace(phf.config, minimal=True)
-    out = SicHashPhf(cfg, phf.meta, phf.stores, n, remap=remap)
+    out = SicHashPhf(cfg, phf.meta, phf.stores, remap=remap)
     out.build_stats = phf.build_stats
     return out

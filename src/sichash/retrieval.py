@@ -27,9 +27,11 @@ deterministic) r-bit value, never an error.
 
 The solution is stored as ``r`` separate bit planes; a query is one
 64-bit window fetch and popcount per plane.  Slot count is
-``max(64, ceil(num_keys * (1 + epsilon)))``: every store, an empty one
+``max(64, ceil(num_keys * (1 + EPSILON)))``: every store, an empty one
 too, has at least one band, so the payload stays within
-``r * num_keys * (1 + epsilon) + O(1)`` bits.
+``r * num_keys * (1 + EPSILON) + O(1)`` bits.  The slack
+:data:`EPSILON` is a constant of this band-64 ribbon: below about 0.08
+its systems fail or need seed retries.
 
 Serialization: ``SHRS0001 | u8 r | u64 num_slots | u64 seed |
 u32 band (always 64) | u64 num_keys | r x word array``.
@@ -58,8 +60,7 @@ from .succinct import _pack_bits
 
 _MAGIC = b"SHRS0001"
 
-DEFAULT_EPSILON = 0.10
-MAX_EPSILON = 1.0  # the slot count, and so the space, doubles at this slack
+EPSILON = 0.10  # slot slack of every store
 BAND_WIDTH = 64  # bits per row coefficient: one machine word
 MAX_SEED_RETRIES = 16
 
@@ -118,21 +119,18 @@ class RetrievalStore(Codec):
         values,
         r: int,
         *,
-        epsilon: float = DEFAULT_EPSILON,
         base_seed: int = 0,
     ) -> "RetrievalStore":
         """Build a store mapping each hash to its r-bit value.
 
         ``hashes`` is a ``(hi, lo)`` tuple of uint64 arrays; anything else
         raises :class:`TypeError`.  All hashes must be distinct and all
-        values below ``2**r``, and ``epsilon`` in ``[0, MAX_EPSILON]``.
+        values below ``2**r``.
         Construction tries up to :data:`MAX_SEED_RETRIES` consecutive seeds
         while the system is unsolvable.
         """
         if r not in (1, 2, 3):
             raise ValueError("r must be 1, 2, or 3")
-        if not 0 <= epsilon <= MAX_EPSILON:
-            raise ValueError(f"epsilon must lie in [0, {MAX_EPSILON}]")
         if not (isinstance(hashes, tuple) and len(hashes) == 2):
             raise TypeError("hashes must be a (hi, lo) tuple of uint64 arrays")
         hi, lo = (np.asarray(a, dtype=np.uint64) for a in hashes)
@@ -143,7 +141,7 @@ class RetrievalStore(Codec):
         if n and int(values.max()) >> r:
             raise ValueError("value does not fit in r bits")
         check_distinct(hi, lo)
-        num_slots = max(BAND_WIDTH, math.ceil(n * (1.0 + epsilon)))
+        num_slots = max(BAND_WIDTH, math.ceil(n * (1.0 + EPSILON)))
         for attempt in range(MAX_SEED_RETRIES):
             seed = base_seed + attempt
             planes = _solve(hi, lo, values, r, seed, num_slots)
@@ -151,7 +149,7 @@ class RetrievalStore(Codec):
                 return cls(r, num_slots, seed, n, planes)
         raise ConstructionError(
             "retrieval construction failed after "
-            f"{MAX_SEED_RETRIES} seeds (pathological input or epsilon too small)"
+            f"{MAX_SEED_RETRIES} seeds (pathological input)"
         )
 
     # -- queries ---------------------------------------------------------

@@ -24,7 +24,7 @@ from sichash.hashing import (
     master_hash_many,
 )
 from sichash.phf import PhfConfig, SicHashPhf, build
-from sichash.retrieval import RetrievalStore
+from sichash.retrieval import EPSILON, RetrievalStore
 from sichash.succinct import BitVector, EliasFanoSeq, GolombRiceSeq
 from sichash.thresholds import ClassMix, solve_threshold
 from tests.matching import matching_oracle
@@ -117,8 +117,8 @@ def test_criterion_05_config_ordering():
 def test_criterion_06_space_accounting(million_keys):
     # fractions (0.49, 0.22, 0.29): budget 1.80 bits/key
     config = PhfConfig(alpha=0.9768, beta=1.80, x=0.725, bucket_size=5000)
-    assert config.p1 == pytest.approx(0.49, abs=1e-12)
-    assert config.p2 == pytest.approx(0.22, abs=1e-12)
+    assert config.fractions[0] == pytest.approx(0.49, abs=1e-12)
+    assert config.fractions[1] == pytest.approx(0.22, abs=1e-12)
     phf = build(million_keys, config)
     values = phf.evaluate_many(million_keys)
     perfect = (
@@ -127,7 +127,7 @@ def test_criterion_06_space_accounting(million_keys):
     )
 
     hi, lo = master_hash_many(million_keys, config.global_seed)
-    t1, t2 = class_thresholds(config.p1, config.p2)
+    t1, t2 = class_thresholds(*config.fractions[:2])
     degrees = class_of_many(lo, t1, t2)
     n = len(million_keys)
     info = (
@@ -136,7 +136,7 @@ def test_criterion_06_space_accounting(million_keys):
         + int((degrees == 8).sum()) * 3
     ) / n
     total = phf.bits_per_object()
-    bound = 1.80 * (1 + config.epsilon_r) + 0.05
+    bound = 1.80 * (1 + EPSILON) + 0.05
     ok = perfect and abs(info - 1.80) <= 0.01 and total <= bound
     _report(
         6,

@@ -164,10 +164,6 @@ class TestBuildVerifyBench:
     @pytest.mark.parametrize(
         "option, value, message",
         [
-            ("--epsilon", "inf", "epsilon_r must be finite and non-negative"),
-            ("--epsilon", "nan", "epsilon_r must be finite and non-negative"),
-            ("--epsilon", "2", "epsilon_r must be at most 1.0"),
-            ("--epsilon", "1e20", "epsilon_r must be at most 1.0"),
             ("--max-bucket-seeds", "0", "max_seeds must be >= 1"),
             ("--bucket-size", str(10**20), "bucket_size must lie in [1, 2**64)"),
         ],
@@ -185,6 +181,13 @@ class TestBuildVerifyBench:
         assert rc == 1
         assert err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "x.phf").exists()
+
+    def test_build_has_no_slack_option(self, capsys):
+        # the retrieval slack is the constant retrieval.EPSILON, not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--help"])
+        assert exc.value.code == 0
+        assert "epsilon" not in capsys.readouterr().out
 
 
 class TestOverload:

@@ -3,7 +3,7 @@ key set must stay byte-identical.
 
 A change that alters outputs on purpose re-pins these digests and says
 so in CHANGES.md.  The per-section digests show which part of the blob
-moved: the header (magic, flags, config, n, m_total), the bucket
+moved: the header (magic, flags, config), the bucket
 metadata, each retrieval store and, in minimal mode, the remap.
 """
 
@@ -22,17 +22,17 @@ GOLDEN_KEY_SEED = 2024
 GOLDEN = [
     (
         PhfConfig(alpha=0.90),
-        "6ca699124f1100ddf3afab886ab09ee7b22c124730addf8202da49fe254653a8",
+        "f2878a170b9e12c5b8782c765fe824456e8c6aca13853fd37805fbfda09ce5de",
         "c75e6ed21e12449ecb1a09c4669bad72c3accd8efa831ffbe5a516e3e3bfeb20",
     ),
     (
         PhfConfig(alpha=0.97, minimal=True, compressed_metadata=True),
-        "e4a1216c841d1835828cca39a04ecfff8d94e45d1d26002f5ca6b5d6733931f5",
+        "7d7423a8ee04d1b9a163a72771a511949eb729ca0292696face279dd7a710133",
         "31aa6bb53952f821d85ce443de4defeb56ea12f6e5c717f1defd4637fcae43f3",
     ),
     (
         PhfConfig(alpha=0.90, x=0.66),
-        "5b9bcb4b58fb893c531c678a5e4277df23a380e85b9a46359362b2e1ac947336",
+        "9bd990fb3e1bbe3a1e42314999b2a773cfa6ed877d11550deb7e4865322b45c1",
         "9155b3e690a5e1b8b8d6f94032b5ab7e54edf8ef14f243fdbf49381ef45e4cc3",
     ),
 ]
@@ -40,14 +40,14 @@ GOLDEN = [
 # sha256 of each blob section, in the order of GOLDEN
 SECTIONS = [
     {
-        "header": "5961b055a4abc451f982c05efe336bc319ceeb68149f702bd4ad373963456875",
+        "header": "73b565cf856427cde6dda57edfdcfb620a0600986ca01bfece8c0488b0357463",
         "metadata": "c703ba4dc14e6ca2f1177d074758ac2e7aed0a1ab10a3f919896a991316dbfe5",
         "r1": "139d78933bc55c9031774f32c7309c7fd98bb1bd4951567011fbdd3d7e7e5115",
         "r2": "b621fec7c78bdf59848a5a73cf1cf020bf920c83ee4fa9e00af88a73a6511cee",
         "r3": "e539c24f1b4c5e1c01e9c4ebe48fdc0dd3cf71ae4095b8c7acff79261284c95d",
     },
     {
-        "header": "be4167f618cabee766627df2f1dfc9cdcef242b8e42df59aeb76fd93158819af",
+        "header": "dbe00e787e96fd3c86ba003b203bc703879fcffad9c0a6485a8804a3098f96c0",
         "metadata": "c36a315ae872e2bfb0eb27e9e039dad3a54dbcef7be69dffaa1c2d46c7c28a5b",
         "r1": "caad9fb1b3939676b38833d4521e510e777afe6993ade7b371a9e2293e37e191",
         "r2": "c8f89457f5dc005f8c2cdce26d50a15330e21634942398c0f795e5d4ad0947f3",
@@ -55,7 +55,7 @@ SECTIONS = [
         "remap": "d119c60aa4e5793c201b4a4e84c13a6ade195356fd8af73d5f449c6854fc295e",
     },
     {
-        "header": "49eca4fbe1ca61b886509c909d29462c792a5fc037c8f3a95d285219f2d31c77",
+        "header": "1f8edbbb8eaf798476e330d0e872fd412b01db47dfbb3f0d6438d625de8097b1",
         "metadata": "c703ba4dc14e6ca2f1177d074758ac2e7aed0a1ab10a3f919896a991316dbfe5",
         "r1": "84a64663caec4a03f24486515fa0703de517d85ebd98be55716e40fa0847039c",
         "r2": "d7879c73b6181201d0eececf24ebbdc107289844597b25b06e12969f91607cd3",
@@ -63,8 +63,8 @@ SECTIONS = [
     },
 ]
 
-# magic, flags, alpha, beta, x, bucket_size, global_seed, epsilon_r, n, m_total
-HEADER_BYTES = 8 + 1 + 8 * 8
+# magic, flags, alpha, beta, x, bucket_size, global_seed
+HEADER_BYTES = 8 + 1 + 5 * 8
 
 
 def _sections(blob: bytes) -> dict[str, bytes]:
@@ -72,10 +72,9 @@ def _sections(blob: bytes) -> dict[str, bytes]:
     out = {"header": blob[:HEADER_BYTES]}
     r = Reader(blob[HEADER_BYTES:-4])  # the crc32 trailer is pinned with the blob
     out["metadata"] = r.blob()
-    for _ in range(r.u8()):
-        store = r.blob()
-        out[f"r{store[8]}"] = store  # the store's u8 r follows its magic
-    if r.u8():
+    for name in ("r1", "r2", "r3"):
+        out[name] = r.blob()
+    if blob[8] & 1:  # the minimal flag
         out["remap"] = r.blob()
     r.expect_end()
     return out

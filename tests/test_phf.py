@@ -21,7 +21,7 @@ from sichash.phf import (
     build_from_hashes,
     class_fractions,
 )
-from sichash.retrieval import MAX_EPSILON, RetrievalStore
+from sichash.retrieval import EPSILON, RetrievalStore
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
 
@@ -94,25 +94,21 @@ class TestPhfConfig:
             phf = build(keys_20k[:100], PhfConfig(alpha=0.9, global_seed=seed))
             assert SicHashPhf.from_bytes(phf.to_bytes()).config.global_seed == seed
 
-    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf"), -0.1])
-    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon_r must be finite and non-negative"):
-            PhfConfig(alpha=0.9, epsilon_r=epsilon)
+    def test_non_integer_bucket_size_rejected(self):
+        # a float used to build in full and then fail in to_bytes
+        with pytest.raises(ValueError, match="bucket_size must be an integer"):
+            PhfConfig(alpha=0.9, bucket_size=500.5)
 
-    @pytest.mark.parametrize("epsilon", [1.0 + 1e-9, 2.0, 1e20])
-    def test_epsilon_above_max_rejected(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon_r must be at most 1.0"):
-            PhfConfig(alpha=0.9, epsilon_r=epsilon)
-
-    def test_epsilon_at_max_builds(self):
-        phf = build(generate_keys(500, seed=1), PhfConfig(alpha=0.9, epsilon_r=MAX_EPSILON))
-        assert SicHashPhf.from_bytes(phf.to_bytes()).config.epsilon_r == MAX_EPSILON
+    def test_non_integer_seed_rejected(self):
+        # a float used to fail with TypeError inside the build's hashing
+        with pytest.raises(ValueError, match="global_seed must be an integer"):
+            PhfConfig(alpha=0.9, global_seed=1.5)
 
     def test_fraction_properties(self):
         cfg = PhfConfig(alpha=0.9, beta=1.8, x=0.725)
-        assert cfg.p1 == pytest.approx(0.49)
-        assert cfg.p2 == pytest.approx(0.22)
-        assert cfg.p3 == pytest.approx(0.29)
+        assert cfg.fractions[0] == pytest.approx(0.49)
+        assert cfg.fractions[1] == pytest.approx(0.22)
+        assert cfg.fractions[2] == pytest.approx(0.29)
 
 
 class TestBuild:
@@ -219,7 +215,7 @@ class TestBuildStats:
         phf = build_from_hashes(hi, lo, config)
         assert list(phf.build_stats.stages) == _STAGES[1:]
         # 3000 keys make one bucket: its placement is the whole count
-        degrees = class_of_many(lo, *class_thresholds(config.p1, config.p2))
+        degrees = class_of_many(lo, *class_thresholds(*config.fractions[:2]))
         placed = build_bucket(BucketInput(hi, lo, degrees, round(3000 / 0.9)))
         assert phf.build_stats.displacements == placed.displacements > 0
 
@@ -264,6 +260,11 @@ class TestSerialization:
         fixed = body + zlib.crc32(body).to_bytes(4, "little")
         with pytest.raises(DeserializationError, match="magic"):
             SicHashPhf.from_bytes(fixed)
+
+    def test_first_format_rejected(self, phf_20k):
+        body = b"SICPHF01" + phf_20k.to_bytes()[8:-4]
+        with pytest.raises(DeserializationError, match="magic"):
+            SicHashPhf.from_bytes(_reseal(body))
 
     def test_container_overhead_constant(self, keys_20k):
         a = build(keys_20k[:2000], PhfConfig(alpha=0.9))
@@ -366,7 +367,7 @@ class TestSpaceAccounting:
         cfg = PhfConfig(alpha=0.9, beta=2.0, x=0.5)
         phf = build(keys_100k, cfg)
         per_obj = phf.space_breakdown().retrieval_bits / len(keys_100k)
-        assert 2.0 <= per_obj <= 2.0 * (1 + cfg.epsilon_r) + 0.05
+        assert 2.0 <= per_obj <= 2.0 * (1 + EPSILON) + 0.05
 
 
 class TestBucketMetaArray:
@@ -381,6 +382,12 @@ class TestBucketMetaArray:
         back = BucketMetaArray.from_bytes(meta.to_bytes())
         assert np.array_equal(back.seeds, meta.seeds)
         assert np.array_equal(back.offsets, meta.offsets)
+
+    def test_unknown_encoding_rejected(self):
+        blob = bytearray(BucketMetaArray(np.array([1]), np.array([0, 5])).to_bytes())
+        blob[0] = 2  # the tag byte: 0 = plain, 1 = compressed
+        with pytest.raises(DeserializationError, match="metadata encoding"):
+            BucketMetaArray.from_bytes(bytes(blob))
 
     def test_compressed_roundtrip(self):
         meta = BucketMetaArray(
@@ -430,27 +437,60 @@ def _small(minimal: bool = False) -> SicHashPhf:
     return build(generate_keys(2000, seed=3), PhfConfig(alpha=0.9, minimal=minimal))
 
 
+# magic, flags, alpha, beta, x, bucket_size, global_seed
+_HEADER_BYTES = 8 + 1 + 5 * 8
+
+
+def _split(phf: SicHashPhf) -> tuple[bytes, list[bytes]]:
+    """A blob's fixed header and its length-prefixed sections, prefixes
+    included, without the checksum."""
+    body = phf.to_bytes()[:-4]
+    sections, at = [], _HEADER_BYTES
+    while at < len(body):
+        end = at + 8 + int.from_bytes(body[at : at + 8], "little")
+        sections.append(body[at:end])
+        at = end
+    return body[:_HEADER_BYTES], sections
+
+
 class TestLoadChecks:
     """Blobs with a valid checksum whose parts do not fit together."""
 
     def test_missing_store_rejected(self):
-        phf = _small()
-        del phf.stores[4]
-        with pytest.raises(DeserializationError):
-            SicHashPhf.from_bytes(phf.to_bytes())
+        header, (meta, r1, r2, r3) = _split(_small())
+        with pytest.raises(DeserializationError, match="truncated"):
+            SicHashPhf.from_bytes(_reseal(header + meta + r1 + r3))
+
+    def test_stores_out_of_order_rejected(self):
+        header, (meta, r1, r2, r3) = _split(_small())
+        with pytest.raises(DeserializationError, match="one retrieval store per class"):
+            SicHashPhf.from_bytes(_reseal(header + meta + r2 + r1 + r3))
 
     def test_duplicate_store_rejected(self):
         phf = _small()
-        phf.stores[16] = phf.stores[4]  # written as a second store with r=2
-        with pytest.raises(DeserializationError, match="two retrieval stores"):
-            SicHashPhf.from_bytes(phf.to_bytes())
+        stores = {**phf.stores, 16: phf.stores[4]}  # a second store with r=2
+        with pytest.raises(ValueError, match="one retrieval store per class"):
+            SicHashPhf(phf.config, phf.meta, stores)
+
+    def test_trailing_section_rejected(self):
+        header, sections = _split(_small())
+        remap = _split(_small(minimal=True))[1][-1]
+        with pytest.raises(DeserializationError, match="trailing"):
+            SicHashPhf.from_bytes(_reseal(header + b"".join(sections) + remap))
+
+    def test_minimal_without_remap_rejected(self):
+        header, sections = _split(_small(minimal=True))
+        with pytest.raises(DeserializationError, match="truncated"):
+            SicHashPhf.from_bytes(_reseal(header + b"".join(sections[:-1])))
 
     def test_store_key_counts_must_sum_to_n(self):
-        phf = _small()
+        # n is not stored: in minimal mode the remap length pins it, and one
+        # key more in a store leaves one remap value too many
+        phf = _small(minimal=True)
         phf.stores[4] = dataclasses.replace(
             phf.stores[4], num_keys=phf.stores[4].num_keys + 1
         )
-        with pytest.raises(DeserializationError):
+        with pytest.raises(DeserializationError, match="remap"):
             SicHashPhf.from_bytes(phf.to_bytes())
 
     def test_empty_bucket_table_rejected(self):
@@ -464,7 +504,6 @@ class TestLoadChecks:
         # every part agrees with n = 0: empty stores, one empty bucket and,
         # when minimal, an empty remap; queries on it raised IndexError
         phf = _small(minimal)
-        phf.n = 0
         phf.meta = BucketMetaArray(np.zeros(1), np.zeros(2))
         none = (np.empty(0, dtype=np.uint64),) * 2
         phf.stores = {d: RetrievalStore.build(none, [], s.r) for d, s in phf.stores.items()}
@@ -476,7 +515,6 @@ class TestLoadChecks:
     def test_more_keys_than_cells_rejected(self):
         phf = _small()
         extra = phf.m_total - phf.n + 1
-        phf.n += extra
         phf.stores[2] = dataclasses.replace(
             phf.stores[2], num_keys=phf.stores[2].num_keys + extra
         )
@@ -492,15 +530,8 @@ class TestLoadChecks:
             (17, "<d", 0.5),
             (25, "<d", 1.5),
             (33, "<Q", 0),
-            (49, "<d", -0.1),
-            (49, "<d", float("nan")),
-            (49, "<d", float("inf")),
-            (49, "<d", 2.0),
         ],
-        ids=[
-            "alpha0", "alpha1.5", "beta0.5", "x1.5", "bucket_size0", "epsilon_neg",
-            "epsilon_nan", "epsilon_inf", "epsilon2",
-        ],
+        ids=["alpha0", "alpha1.5", "beta0.5", "x1.5", "bucket_size0"],
     )
     def test_config_out_of_range_rejected(self, offset, fmt, value):
         body = bytearray(_small().to_bytes()[:-4])
@@ -508,7 +539,7 @@ class TestLoadChecks:
         with pytest.raises(DeserializationError):
             SicHashPhf.from_bytes(_reseal(bytes(body)))
 
-    # the flags byte follows the 8-byte magic: 1 = minimal, 2 = compressed
+    # the flags byte follows the 8-byte magic: 1 = minimal
     @pytest.mark.parametrize("flag", [0x04, 0x80])
     def test_unknown_flag_bits_rejected(self, flag):
         body = bytearray(_small().to_bytes()[:-4])
@@ -518,20 +549,23 @@ class TestLoadChecks:
 
     @pytest.mark.parametrize("compressed", [False, True])
     def test_compressed_flag_must_match_metadata(self, compressed):
+        # the metadata section's own tag is the flag: the header has none,
+        # and bit 2, where the first format kept one, is refused
         phf = build(
             generate_keys(2000, seed=3),
             PhfConfig(alpha=0.9, compressed_metadata=compressed),
         )
         body = bytearray(phf.to_bytes()[:-4])
-        body[8] ^= 2
-        with pytest.raises(DeserializationError, match="metadata encoding"):
+        assert SicHashPhf.from_bytes(_reseal(bytes(body))).config == phf.config
+        body[8] |= 2
+        with pytest.raises(DeserializationError, match="flags"):
             SicHashPhf.from_bytes(_reseal(bytes(body)))
 
     def test_constructor_rejects_metadata_encoding_mismatch(self):
         phf = _small()
         config = dataclasses.replace(phf.config, compressed_metadata=True)
         with pytest.raises(ValueError, match="metadata encoding"):
-            SicHashPhf(config, phf.meta, phf.stores, phf.n)
+            SicHashPhf(config, phf.meta, phf.stores)
 
     def test_remap_of_wrong_length_rejected(self):
         phf = _small(minimal=True)
@@ -550,9 +584,9 @@ class TestLoadChecks:
     @pytest.mark.parametrize("minimal", [True, False], ids=["minimal-none", "plain-some"])
     def test_remap_presence_must_match_mode(self, minimal):
         phf = _small(minimal)
-        phf.remap = None if minimal else EliasFanoSeq.encode(np.arange(3))
-        with pytest.raises(DeserializationError, match="remap"):
-            SicHashPhf.from_bytes(phf.to_bytes())
+        remap = None if minimal else EliasFanoSeq.encode(np.arange(3))
+        with pytest.raises(ValueError, match="remap"):
+            SicHashPhf(phf.config, phf.meta, phf.stores, remap)
 
 
 FUZZ_KEYS = generate_keys(400, seed=12)
