@@ -6,10 +6,13 @@
  *                             back-substitution
  *   sichash_rattle_place      a cuckoo bucket's rattle-kicking placement
  *                             under one seed
+ *   sichash_query_key,        a function's value of one key or of a batch
+ *   sichash_query_hashes      of master hashes, from its packed query plan
+ *                             (set up by sichash_query_init)
  *
- * None derives a bucket, class, cell or retrieval row: Python derives them
- * in hashing.py, which holds every derivation constant, and passes the
- * results in.  Each kernel has a pure-Python reference that runs when the
+ * No kernel holds a derivation constant: the query kernel gets them from
+ * hashing.py through the plan, and the others take derived values from
+ * Python.  Each kernel has a pure-Python reference that runs when the
  * library is None and that the tests compare it against.
  *
  * Build: cc -O3 -shared -fPIC -o _native.so _native.c
@@ -25,9 +28,10 @@
  * are written to hi[i] and lo[i].  The digests equal those of Python's
  * hashlib.blake2b(digest_size=16, key=seed.to_bytes(8, "little")).
  *
- * The key block is compressed once per call, so a key of up to 128 bytes
- * costs one compression.  Message words and digest halves are copied as
- * they lie in memory: the caller runs this on little-endian hosts only.
+ * The key block is compressed once per batch (once per plan for the query
+ * kernel below), so a key of up to 128 bytes costs one compression.
+ * Message words and digest halves are copied as they lie in memory: the
+ * caller runs this on little-endian hosts only.
  */
 
 static const uint64_t IV[8] = {
@@ -95,43 +99,56 @@ static void compress(uint64_t h[8], const uint8_t *block, uint64_t t, int last)
         h[i] ^= v[i] ^ v[i + 8];
 }
 
+/* The state after the key block of a seed, and the state that is the
+ * digest of the empty key, for which the key block is the last block. */
+static void key_states(uint64_t seed, uint64_t keyed[8], uint64_t empty[8])
+{
+    uint8_t block[128] = {0};
+    /* parameter block: digest length 16, key length 8, fanout and depth 1 */
+    memcpy(keyed, IV, 8 * sizeof *keyed);
+    keyed[0] ^= 0x01010000ULL ^ (8 << 8) ^ 16;
+    memcpy(empty, keyed, 8 * sizeof *empty);
+    memcpy(block, &seed, sizeof seed);
+    compress(keyed, block, 128, 0);
+    compress(empty, block, 128, 1);
+}
+
+/* the digest halves of the len bytes at p, given a seed's key_states */
+static inline void hash_key(const uint64_t keyed[8], const uint64_t empty[8],
+                            const uint8_t *p, uint64_t len, uint64_t *hi,
+                            uint64_t *lo)
+{
+    if (len == 0) {
+        *hi = empty[0];
+        *lo = empty[1];
+        return;
+    }
+    uint8_t block[128] = {0};
+    uint64_t h[8], t = 128;
+    memcpy(h, keyed, sizeof h);
+    for (; len > 128; p += 128, len -= 128) {
+        t += 128;
+        compress(h, p, t, 0);
+    }
+    memcpy(block, p, len);
+    compress(h, block, t + len, 1);
+    *hi = h[0];
+    *lo = h[1];
+}
+
 /* Key i is data[ends[i-1]:ends[i]] (from 0 for the first key); ends is
  * non-decreasing.  The output arrays hold n words each. */
 void sichash_blake2b128_batch(const uint8_t *data, const int64_t *ends,
                               int64_t n, uint64_t seed, uint64_t *hi,
                               uint64_t *lo)
 {
-    uint8_t block[128] = {0};
-    uint64_t keyed[8], empty[8], h[8];
-    /* parameter block: digest length 16, key length 8, fanout and depth 1 */
-    memcpy(keyed, IV, sizeof keyed);
-    keyed[0] ^= 0x01010000ULL ^ (8 << 8) ^ 16;
-    memcpy(empty, keyed, sizeof empty);
-    memcpy(block, &seed, sizeof seed);
-    compress(keyed, block, 128, 0);
-    /* for the empty key, the key block is the last block */
-    compress(empty, block, 128, 1);
-
+    uint64_t keyed[8], empty[8];
+    key_states(seed, keyed, empty);
     int64_t start = 0;
     for (int64_t i = 0; i < n; i++) {
-        const uint8_t *p = data + start;
-        uint64_t len = (uint64_t)(ends[i] - start), t = 128;
+        hash_key(keyed, empty, data + start, (uint64_t)(ends[i] - start),
+                 &hi[i], &lo[i]);
         start = ends[i];
-        if (len == 0) {
-            hi[i] = empty[0];
-            lo[i] = empty[1];
-            continue;
-        }
-        memcpy(h, keyed, sizeof h);
-        for (; len > 128; p += 128, len -= 128) {
-            t += 128;
-            compress(h, p, t, 0);
-        }
-        memset(block, 0, sizeof block);
-        memcpy(block, p, len);
-        compress(h, block, t + len, 1);
-        hi[i] = h[0];
-        lo[i] = h[1];
     }
 }
 
@@ -240,4 +257,86 @@ int64_t sichash_rattle_place(const int64_t *flat, const int64_t *first,
         }
     }
     return steps;
+}
+
+/* ------------------------------------------------------------------------
+ * Scalar and batch query, the derivation of SicHashPhf.evaluate_hash: the
+ * bucket by multiply-high, the class by the thresholds t1 and t2, the
+ * class's retrieval row and r-plane window parity (retrieval.fetch), the
+ * cell key and cell (hashing.cell_key, cell_at), the bucket's offset and
+ * the minimal-mode remap.
+ *
+ * The plan is filled once by SicHashPhf's constructor, which keeps every
+ * array it points to alive.  The kernel checks no bounds; the checks that
+ * make each read valid run when the plan's parts are assembled:
+ *   - the bucket b = mulhi(hi, num_buckets) is below num_buckets, the
+ *     length of starts, sizes and seeds;
+ *   - offsets start at 0 and are non-decreasing up to m_total
+ *     (BucketMetaArray), so a cell below a bucket's size, plus its start,
+ *     is below m_total; an empty bucket has size 0 and answers 0;
+ *   - a store has num_slots >= 64 and r planes of num_slots // 64 + 2
+ *     words (SicHashPhf's constructor), and its row start is below
+ *     span = num_slots - 63, so window words w and w + 1 are in range;
+ *   - a value at or above limit indexes remap at value - limit, below
+ *     m_total - limit, which the constructor checks is len(remap).
+ */
+
+typedef struct {
+    uint64_t keyed[8], empty[8]; /* set by sichash_query_init */
+    uint64_t m1, m2, golden, fold, cell_salt; /* from hashing.py */
+    uint64_t t1, t2, num_buckets, limit;
+    const uint64_t *starts, *sizes, *seeds, *remap;
+    uint64_t row_keys[3][2], spans[3]; /* store c's start and coefficient keys */
+    const uint64_t *planes[3][3];      /* store c holds c + 1 planes */
+} sichash_plan;
+
+static inline uint64_t mulhi(uint64_t a, uint64_t b)
+{
+    return (uint64_t)(((unsigned __int128)a * b) >> 64);
+}
+
+/* hashing.mix64 */
+static inline uint64_t mix(const sichash_plan *p, uint64_t x)
+{
+    x = (x ^ (x >> 30)) * p->m1;
+    x = (x ^ (x >> 27)) * p->m2;
+    return x ^ (x >> 31);
+}
+
+static inline uint64_t value_of(const sichash_plan *p, uint64_t hi, uint64_t lo)
+{
+    uint64_t b = mulhi(hi, p->num_buckets);
+    int c = lo < p->t1 ? 0 : lo < p->t2 ? 1 : 2;
+    uint64_t folded = lo ^ (hi * p->fold);
+    uint64_t start = mulhi(mix(p, hi ^ p->row_keys[c][0]), p->spans[c]);
+    uint64_t coeff = mix(p, folded ^ p->row_keys[c][1]) | 1;
+    uint64_t w = start >> 6, off = start & 63, fn = 0;
+    for (int k = 0; k <= c; k++) {
+        const uint64_t *plane = p->planes[c][k];
+        /* shifting by 63 - off, then 1, drops the next word at off = 0 */
+        uint64_t window = (plane[w] >> off) | ((plane[w + 1] << (63 - off)) << 1);
+        fn |= (uint64_t)__builtin_parityll(window & coeff) << k;
+    }
+    uint64_t key = p->seeds[b] * p->golden + fn * p->m1 + p->cell_salt;
+    uint64_t value = p->starts[b] + mulhi(mix(p, folded ^ key), p->sizes[b]);
+    return value >= p->limit ? p->remap[value - p->limit] : value;
+}
+
+void sichash_query_init(sichash_plan *p, uint64_t seed)
+{
+    key_states(seed, p->keyed, p->empty);
+}
+
+uint64_t sichash_query_key(const sichash_plan *p, const uint8_t *data, int64_t len)
+{
+    uint64_t hi, lo;
+    hash_key(p->keyed, p->empty, data, (uint64_t)len, &hi, &lo);
+    return value_of(p, hi, lo);
+}
+
+void sichash_query_hashes(const sichash_plan *p, const uint64_t *hi,
+                          const uint64_t *lo, int64_t n, uint64_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = value_of(p, hi[i], lo[i]);
 }

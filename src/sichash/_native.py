@@ -1,11 +1,14 @@
 """The package's one native library, compiled from ``_native.c``.
 
-It holds three kernels: the batch BLAKE2b of
+It holds four kernels: the batch BLAKE2b of
 :func:`~sichash.hashing.master_hash_many`, the retrieval solve of
-:func:`~sichash.retrieval._solve` and the rattle-kicking placement of
-:func:`~sichash.cuckoo.build_bucket`.  Each caller reads :data:`lib` when
-it is called and runs its pure-Python reference when :data:`lib` is None,
-so setting it to None switches every kernel off at once.
+:func:`~sichash.retrieval._solve`, the rattle-kicking placement of
+:func:`~sichash.cuckoo.build_bucket` and the scalar and batch query of
+:class:`~sichash.phf.SicHashPhf`, which runs from a :class:`QueryPlan`.
+Each caller reads :data:`lib` when it is called and runs its pure-Python
+reference when :data:`lib` is None, so setting it to None switches every
+kernel off at once.  No kernel holds a derivation constant: the query
+kernel gets them from :mod:`sichash.hashing` through the plan.
 """
 
 from __future__ import annotations
@@ -24,13 +27,45 @@ _SOURCE = Path(__file__).with_name("_native.c")
 #: compiler command; the flags avoid -march=native so a cached library
 #: also runs on another CPU of the same platform
 _CC = (*shlex.split(sysconfig.get_config_var("CC") or "cc"), "-O3", "-shared", "-fPIC")
-_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+_P, _I64, _U64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
+
+
+class QueryPlan(ctypes.Structure):
+    """The query kernel's plan, field for field the ``sichash_plan`` of
+    ``_native.c``; the pointers address uint64 arrays that its owner keeps."""
+
+    _fields_ = [
+        ("keyed", _U64 * 8),
+        ("empty", _U64 * 8),
+        ("m1", _U64),
+        ("m2", _U64),
+        ("golden", _U64),
+        ("fold", _U64),
+        ("cell_salt", _U64),
+        ("t1", _U64),
+        ("t2", _U64),
+        ("num_buckets", _U64),
+        ("limit", _U64),
+        ("starts", _P),
+        ("sizes", _P),
+        ("seeds", _P),
+        ("remap", _P),
+        ("row_keys", (_U64 * 2) * 3),
+        ("spans", _U64 * 3),
+        ("planes", (_P * 3) * 3),
+    ]
+
+
+_PLAN = ctypes.POINTER(QueryPlan)
 #: the library's functions, with their argument and result types
 _SIGNATURES = {
-    "sichash_blake2b128_batch": ([ctypes.c_char_p, _P, _I64, ctypes.c_uint64, _P, _P], None),
+    "sichash_blake2b128_batch": ([ctypes.c_char_p, _P, _I64, _U64, _P, _P], None),
     "sichash_ribbon_solve": ([_P, _P, _P, _I64, _I64, ctypes.c_int, _P, _P, _P, _I64],
                              ctypes.c_int),
     "sichash_rattle_place": ([_P, _P, _P, _I64, _I64, _P, _P], _I64),
+    "sichash_query_init": ([_PLAN, _U64], None),
+    "sichash_query_key": ([_PLAN, ctypes.c_char_p, _I64], _U64),
+    "sichash_query_hashes": ([_PLAN, _P, _P, _I64, _P], None),
 }
 
 

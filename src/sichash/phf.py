@@ -42,6 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _native
 from ._wire import Codec, Reader, Writer
 from .cuckoo import (
     DEFAULT_MAX_BUCKET_SEEDS,
@@ -52,6 +53,7 @@ from .errors import ConstructionError, DeserializationError
 from .hashing import (
     CLASS_DEGREES,
     MASK64,
+    QUERY_CONSTANTS,
     MasterHash,
     bucket_of,
     bucket_of_many,
@@ -68,7 +70,7 @@ from .hashing import (
     master_hash_many,
     split_digest,
 )
-from .retrieval import EPSILON, RetrievalStore, fetch
+from .retrieval import BAND_WIDTH, EPSILON, RetrievalStore, fetch
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
 _MAGIC = b"SICPHF02"
@@ -247,10 +249,15 @@ class SicHashPhf:
     minimal-mode remap and builds the scalar query plan: plain Python
     constants (class thresholds, per-bucket offset, size and seed, each
     store's :attr:`~sichash.retrieval.RetrievalStore.plan`, a view of the
-    decoded remap) and a pre-keyed BLAKE2b state.  Nothing is written after
-    that, so any number of threads may query one instance.  An empty
-    bucket answers from offset 0 on both paths, so a non-member key that
-    lands in an empty last bucket stays below ``m_total``.
+    decoded remap) and a pre-keyed BLAKE2b state.  When the native library
+    is loaded it also packs the same plan into a
+    :class:`~sichash._native.QueryPlan`, whose kernel answers
+    :meth:`evaluate` on ``bytes`` keys and :meth:`evaluate_hashes` in one
+    call each; the Python plan stays the fallback and the reference.
+    Nothing is written after that, so any number of threads may query one
+    instance.  An empty bucket answers from offset 0 on every path, so a
+    non-member key that lands in an empty last bucket stays below
+    ``m_total``.
 
     A freshly built function carries its :class:`BuildStats` as
     ``build_stats``; a loaded or hand-assembled one has ``None``.
@@ -276,6 +283,12 @@ class SicHashPhf:
             raise ValueError("metadata encoding differs from compressed_metadata")
         if config.minimal != (remap is not None):
             raise ValueError("a minimal function needs a remap, a plain one has none")
+        for s in stores.values():
+            # what RetrievalStore.read checks, for stores assembled by hand:
+            # the query reads window words up to num_slots // 64
+            nwords = s.num_slots // 64 + 2
+            if s.num_slots < BAND_WIDTH or [np.shape(p) for p in s.planes] != [(nwords,)] * s.r:
+                raise ValueError(f"retrieval store needs {s.r} planes of {nwords} words")
         self.config = config
         self.meta = meta
         self.stores = stores  # keyed by degree: 2, 4, 8
@@ -308,6 +321,33 @@ class SicHashPhf:
             self._limit,
             memoryview(self._remap_values),  # indexes to ints without a copy
         )
+        lib = _native.lib
+        self._query = None if lib is None else self._native_plan(lib)
+
+    def _native_plan(self, lib) -> _native.QueryPlan:
+        """The Python plan packed for the query kernel; the instance keeps
+        every array that the plan points to."""
+        seeds = np.ascontiguousarray(self.meta.seeds, dtype=np.uint64)
+        stores = [self.stores[d] for d in CLASS_DEGREES]
+        planes = [[np.ascontiguousarray(p, dtype="<u8") for p in s.planes] for s in stores]
+        self._query_arrays = (seeds, planes)
+        plan = _native.QueryPlan(
+            **QUERY_CONSTANTS,
+            t1=self._thresholds[0],
+            t2=self._thresholds[1],
+            num_buckets=self.meta.num_buckets,
+            limit=self._limit,
+            starts=self._starts.ctypes.data,
+            sizes=self._sizes.ctypes.data,
+            seeds=seeds.ctypes.data,
+            remap=self._remap_values.ctypes.data,
+            # ctypes fills its array fields from tuples
+            row_keys=tuple(s.plan[:2] for s in stores),
+            spans=tuple(s.num_slots - BAND_WIDTH + 1 for s in stores),
+            planes=tuple(tuple(p.ctypes.data for p in ps) for ps in planes),
+        )
+        lib.sichash_query_init(plan, self.config.global_seed)
+        return plan
 
     @property
     def m_total(self) -> int:
@@ -321,6 +361,9 @@ class SicHashPhf:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, key: bytes) -> int:
+        lib = _native.lib
+        if lib is not None and self._query is not None and type(key) is bytes:
+            return lib.sichash_query_key(self._query, key, len(key))
         h = self._hasher.copy()
         h.update(key)
         return self.evaluate_hash(split_digest(h.digest()))
@@ -340,6 +383,18 @@ class SicHashPhf:
         return self.evaluate_hashes(hi, lo)
 
     def evaluate_hashes(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """Values of master hashes given as arrays (or sequences) of halves."""
+        hi = np.ascontiguousarray(hi, dtype=np.uint64)
+        lo = np.ascontiguousarray(lo, dtype=np.uint64)
+        if hi.ndim != 1 or hi.shape != lo.shape:
+            raise ValueError("hi and lo must be 1-d and of equal length")
+        lib = _native.lib
+        if lib is not None and self._query is not None:
+            values = np.empty(len(hi), dtype=np.uint64)
+            lib.sichash_query_hashes(
+                self._query, hi.ctypes.data, lo.ctypes.data, len(hi), values.ctypes.data
+            )
+            return values
         t1, t2 = self._thresholds
         degrees = class_of_many(lo, t1, t2)
         b = bucket_of_many(hi, self.meta.num_buckets).astype(np.int64)

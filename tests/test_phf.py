@@ -1,3 +1,5 @@
+import array
+import contextlib
 import dataclasses
 import functools
 import json
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sichash import _native
 from sichash.cli import generate_keys
 from sichash.cuckoo import BucketInput, build_bucket
 from sichash.errors import ConstructionError, DeserializationError
@@ -24,6 +27,7 @@ from sichash.phf import (
 from sichash.retrieval import EPSILON, RetrievalStore
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
+from tests.test_hashing import KEY_LENGTHS
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +38,29 @@ def keys_20k():
 @pytest.fixture(scope="module")
 def phf_20k(keys_20k):
     return build(keys_20k, PhfConfig(alpha=0.9, beta=2.0, x=0.5, global_seed=5))
+
+
+#: the native query kernel, then the Python plan (its reference)
+LIBRARIES = pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "python"])
+
+
+@contextlib.contextmanager
+def _library(lib):
+    """Run the block with ``_native.lib`` set to ``lib``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "lib", lib)
+        yield
+
+
+def _values_on_each_path(phf, keys) -> list[list[int]]:
+    """Scalar and batch values of the keys, on the kernel and on the
+    Python plan, each as a list."""
+    out = []
+    for lib in (_native.lib, None):
+        with _library(lib):
+            out.append([phf.evaluate(k) for k in keys])
+            out.append(phf.evaluate_many(keys).tolist())
+    return out
 
 
 class TestClassFractions:
@@ -421,12 +448,76 @@ class TestScalarPlan:
         if config.beta in (1.0, 3.0):
             assert sum(s.num_keys == 0 for s in built.stores.values()) == 2
         keys = keys_20k + [b"not a key %d" % i for i in range(2000)]
-        want = built.evaluate_many(keys)
-        assert np.array_equal(loaded.evaluate_many(keys), want)
+        with _library(None):  # the Python plan is the reference
+            want = built.evaluate_many(keys).tolist()
         for phf in (built, loaded):
-            got = [phf.evaluate(k) for k in keys]
-            assert all(type(v) is int for v in got)
-            assert np.array_equal(np.array(got, dtype=np.uint64), want)
+            scalar, batch, python_scalar, python_batch = _values_on_each_path(phf, keys)
+            assert all(type(v) is int for v in scalar + python_scalar)
+            assert scalar == batch == python_scalar == python_batch == want
+
+
+class TestNativeQuery:
+    """The query kernel against the Python plan, which runs when
+    ``_native.lib`` is None."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_block_boundary_keys(self, seed):
+        rng = np.random.default_rng(seed % 997)
+        keys = [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in KEY_LENGTHS]
+        keys += [bytes(n) for n in KEY_LENGTHS]  # the empty key among them
+        phf = build(generate_keys(2000, seed=3), PhfConfig(alpha=0.9, global_seed=seed))
+        first, *others = _values_on_each_path(phf, keys)
+        assert all(got == first for got in others)
+
+    def test_evaluate_hashes_inputs(self, phf_20k):
+        rng = np.random.default_rng(8)
+        pairs = rng.integers(0, 2**64, size=(3000, 2), dtype=np.uint64)
+        hi, lo = pairs[:, 0], pairs[:, 1]  # strided columns
+        inputs = [
+            (hi, lo),
+            (hi[::3], lo[1::3]),
+            (hi[:50].tolist(), lo[:50].tolist()),
+            (hi[:0], lo[:0]),
+            ([], []),
+        ]
+        for h, l in inputs:
+            scalar = [phf_20k.evaluate_hash((int(a), int(b))) for a, b in zip(h, l)]
+            for lib in (_native.lib, None):
+                with _library(lib):
+                    got = phf_20k.evaluate_hashes(h, l)
+                assert got.dtype == np.uint64
+                assert got.tolist() == scalar
+
+    @LIBRARIES
+    def test_evaluate_hashes_rejects_unequal_lengths(self, phf_20k, lib):
+        hi = np.zeros(3, dtype=np.uint64)
+        with _library(lib), pytest.raises(ValueError, match="equal length"):
+            phf_20k.evaluate_hashes(hi, hi[:2])
+
+    def test_library_switched_off_after_construction(self, keys_20k, phf_20k):
+        keys = keys_20k[:500] + [b"stranger %d" % i for i in range(500)]
+        want = phf_20k.evaluate_many(keys).tolist()
+        calls = []
+        reference = SicHashPhf.evaluate_hash
+        with _library(None), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SicHashPhf, "evaluate_hash",
+                       lambda self, h: calls.append(h) or reference(self, h))
+            assert [phf_20k.evaluate(k) for k in keys] == want
+            assert phf_20k.evaluate_many(keys).tolist() == want
+            # one built without the library answers alike once it is back
+            plain = build(keys_20k, phf_20k.config)
+        assert len(calls) == len(keys)
+        assert [plain.evaluate(k) for k in keys] == want
+
+    @LIBRARIES
+    def test_key_types(self, phf_20k, lib):
+        wide = memoryview(array.array("I", range(9)))  # len() is not its byte count
+        with _library(lib):
+            for key in (bytearray(b"a key"), memoryview(b"a key"), wide, bytearray()):
+                assert phf_20k.evaluate(key) == phf_20k.evaluate(bytes(key))
+            for bad in ("a key", 12345, None):
+                with pytest.raises(TypeError):
+                    phf_20k.evaluate(bad)
 
 
 def _reseal(body: bytes) -> bytes:
@@ -581,6 +672,25 @@ class TestLoadChecks:
         with pytest.raises(DeserializationError, match="remap"):
             SicHashPhf.from_bytes(phf.to_bytes())
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            lambda s: dict(planes=[np.zeros(1, dtype=np.uint64)] * s.r),
+            lambda s: dict(planes=s.planes[:-1]),
+            lambda s: dict(planes=[np.stack([p, p]) for p in s.planes]),
+            lambda s: dict(num_slots=0, planes=[np.zeros(2, dtype=np.uint64)] * s.r),
+        ],
+        ids=["truncated-planes", "plane-missing", "2d-planes", "fewer-slots-than-a-band"],
+    )
+    def test_constructor_checks_store_planes(self, fields):
+        # RetrievalStore.read checks these; a store assembled by hand is
+        # checked here, before any query can read past its planes
+        phf = _small()
+        stores = dict(phf.stores)
+        stores[8] = dataclasses.replace(stores[8], **fields(stores[8]))
+        with pytest.raises(ValueError, match="planes"):
+            SicHashPhf(phf.config, phf.meta, stores)
+
     @pytest.mark.parametrize("minimal", [True, False], ids=["minimal-none", "plain-some"])
     def test_remap_presence_must_match_mode(self, minimal):
         phf = _small(minimal)
@@ -628,9 +738,10 @@ def test_mutated_blob_rejected_or_total(name, data):
         phf = SicHashPhf.from_bytes(_reseal(bytes(body)))
     except DeserializationError:
         return
-    got = [phf.evaluate(k) for k in FUZZ_PROBES]
+    # scalar and batch, on the kernel and on the Python plan
+    got, *others = _values_on_each_path(phf, FUZZ_PROBES)
     assert all(type(v) is int and 0 <= v < phf.output_range for v in got)
-    assert got == phf.evaluate_many(FUZZ_PROBES).tolist()
+    assert all(other == got for other in others)
 
 
 # -- end-to-end property ----------------------------------------------------

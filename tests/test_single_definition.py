@@ -3,9 +3,10 @@
 ``hashing.py`` owns every multiplier and salt of the hash derivations,
 and ``succinct._pack_bits`` is the only code that packs bits into
 words.  A second copy elsewhere in ``src/sichash`` could drift from the
-first and make scalar and batch paths disagree.  The native kernels in
-``_native.c`` take derived values from Python and hold none of the
-constants, so no C code derives a cell or a retrieval row.
+first and make scalar and batch paths disagree.  No kernel in
+``_native.c`` holds a derivation constant: the query kernel gets them
+from ``hashing.py`` through the plan, and the other kernels take
+derived values from Python.
 """
 
 import ast
