@@ -1,24 +1,51 @@
-/* The package's native kernels, compiled into one library and loaded by
- * _native.py as sichash._native.lib:
+/* The package's native kernels, built as one CPython extension module and
+ * loaded by _native.py as sichash._native.lib:
  *
- *   sichash_blake2b128_batch  keyed BLAKE2b-128 over a batch of keys
- *   sichash_ribbon_solve      a retrieval store's banded elimination and
- *                             back-substitution
- *   sichash_rattle_place      a cuckoo bucket's rattle-kicking placement
- *                             under one seed
- *   sichash_query_key,        a function's value of one key or of a batch
- *   sichash_query_hashes      of master hashes, from its packed query plan
- *                             (set up by sichash_query_init)
+ *   blake2b128_batch(keys, seed, hi, lo)
+ *       keyed BLAKE2b-128 over a sequence of bytes-like keys
+ *   ribbon_solve(starts, coeffs, values, num_slots, r, bits)
+ *       a retrieval store's banded elimination and back-substitution
+ *   rattle_place(flat, first, mask, budget, cells, counters)
+ *       a cuckoo bucket's rattle-kicking placement under one seed
+ *   Plan(...), plan.query(key), plan.query_hashes(hi, lo, out)
+ *       a function's packed query plan, and its value of one key or of a
+ *       batch of master hashes
  *
- * No kernel holds a derivation constant: the query kernel gets them from
- * hashing.py through the plan, and the others take derived values from
- * Python.  Each kernel has a pure-Python reference that runs when the
- * library is None and that the tests compare it against.
+ * Array arguments are C-contiguous buffers, such as numpy arrays.  Each
+ * entry point checks their item sizes and lengths, and every value it uses
+ * as an index, before it reads them, and raises TypeError (item size) or
+ * ValueError (length, value); so a wrong argument never reads or writes
+ * out of bounds.  The batch kernels release the GIL around their loops,
+ * once they hold their buffers; the scalar query keeps it.
  *
- * Build: cc -O3 -shared -fPIC -o _native.so _native.c
+ * No kernel holds a derivation constant: the plan gets them from
+ * hashing.py, and the other kernels take derived values from Python.
+ * Each kernel has a pure-Python reference that runs when the library is
+ * None and that the tests compare it against.
+ *
+ * Build: cc -O3 -shared -fPIC -I<Python include dir> -o _native.so _native.c
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <string.h>
+
+/* Check that a buffer holds count items of itemsize bytes each. */
+static int check_buffer(const Py_buffer *b, Py_ssize_t itemsize, Py_ssize_t count,
+                        const char *name)
+{
+    if (b->itemsize != itemsize) {
+        PyErr_Format(PyExc_TypeError, "%s: need items of %zd bytes, got %zd", name,
+                     itemsize, b->itemsize);
+        return -1;
+    }
+    if (b->len != itemsize * count) {
+        PyErr_Format(PyExc_ValueError, "%s: need %zd items, got %zd", name, count,
+                     b->len / itemsize);
+        return -1;
+    }
+    return 0;
+}
 
 /* ------------------------------------------------------------------------
  * Keyed BLAKE2b-128 over a batch of keys, as specified in RFC 7693.
@@ -136,20 +163,73 @@ static inline void hash_key(const uint64_t keyed[8], const uint64_t empty[8],
     *lo = h[1];
 }
 
-/* Key i is data[ends[i-1]:ends[i]] (from 0 for the first key); ends is
- * non-decreasing.  The output arrays hold n words each. */
-void sichash_blake2b128_batch(const uint8_t *data, const int64_t *ends,
-                              int64_t n, uint64_t seed, uint64_t *hi,
-                              uint64_t *lo)
+/* A key's bytes as hashlib reads them: any C-contiguous buffer of at most
+ * one dimension, so str, int and None raise TypeError and a strided
+ * memoryview BufferError. */
+static int get_key(PyObject *key, Py_buffer *view)
 {
-    uint64_t keyed[8], empty[8];
-    key_states(seed, keyed, empty);
-    int64_t start = 0;
-    for (int64_t i = 0; i < n; i++) {
-        hash_key(keyed, empty, data + start, (uint64_t)(ends[i] - start),
-                 &hi[i], &lo[i]);
-        start = ends[i];
+    if (PyObject_GetBuffer(key, view, PyBUF_SIMPLE) < 0)
+        return -1;
+    if (view->ndim > 1) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_BufferError, "Buffer must be single dimension");
+        return -1;
     }
+    return 0;
+}
+
+/* keys per block of blake2b128_batch: a block's buffers are taken with
+ * the GIL held, then hashed without it */
+#define KEY_BLOCK 256
+
+/* blake2b128_batch(keys, seed, hi, lo): the digest halves of key i into
+ * hi[i] and lo[i], two uint64 arrays of len(keys) words.  keys is any
+ * iterable of bytes-like objects; it is read once, into a list unless it
+ * is a list or tuple. */
+static PyObject *blake2b128_batch(PyObject *self, PyObject *args)
+{
+    PyObject *keys, *seq, *result = NULL;
+    unsigned long long seed;
+    Py_buffer hi, lo, views[KEY_BLOCK];
+    if (!PyArg_ParseTuple(args, "OKw*w*:blake2b128_batch", &keys, &seed, &hi, &lo))
+        return NULL;
+    seq = PySequence_Fast(keys, "keys must be an iterable of bytes-like objects");
+    if (!seq)
+        goto done;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0)
+        goto done;
+    uint64_t keyed[8], empty[8], *h = hi.buf, *l = lo.buf;
+    key_states(seed, keyed, empty);
+    for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
+        Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK, held = 0;
+        /* a key's buffer protocol may run code that resizes a list */
+        while (held < m && PySequence_Fast_GET_SIZE(seq) == n &&
+               get_key(PySequence_Fast_GET_ITEM(seq, at + held), &views[held]) == 0)
+            held++;
+        if (held == m) {
+            Py_BEGIN_ALLOW_THREADS
+            for (Py_ssize_t j = 0; j < m; j++)
+                hash_key(keyed, empty, views[j].buf, (uint64_t)views[j].len,
+                         &h[at + j], &l[at + j]);
+            Py_END_ALLOW_THREADS
+        }
+        while (held)
+            PyBuffer_Release(&views[--held]);
+        if (PyErr_Occurred())
+            goto done;
+        if (PySequence_Fast_GET_SIZE(seq) != n) {
+            PyErr_SetString(PyExc_RuntimeError, "keys changed size while being hashed");
+            goto done;
+        }
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    Py_XDECREF(seq);
+    PyBuffer_Release(&hi);
+    PyBuffer_Release(&lo);
+    return result;
 }
 
 /* ------------------------------------------------------------------------
@@ -167,12 +247,12 @@ void sichash_blake2b128_batch(const uint8_t *data, const int64_t *ends,
  * Back-substitution then walks the slots once from the last down, with
  * one 64-bit state per bit plane holding the solution bits of slots
  * p .. p+63 (bit 0 is slot p).  Plane k's bit of slot p is written to
- * bits[k * stride + p], which the caller zeroed.  Returns 0.
+ * bits[k * stride + p], which is zeroed first.  Returns 0.
  */
-int sichash_ribbon_solve(const uint64_t *starts, const uint64_t *coeffs,
-                         const uint8_t *values, int64_t n, int64_t num_slots,
-                         int r, uint64_t *row_coeff, uint8_t *row_value,
-                         uint8_t *bits, int64_t stride)
+static int solve(const uint64_t *starts, const uint64_t *coeffs,
+                 const uint8_t *values, int64_t n, int64_t num_slots, int r,
+                 uint64_t *row_coeff, uint8_t *row_value, uint8_t *bits,
+                 int64_t stride)
 {
     for (int64_t i = 0; i < n; i++) {
         uint64_t s = starts[i], c = coeffs[i];
@@ -211,6 +291,61 @@ int sichash_ribbon_solve(const uint64_t *starts, const uint64_t *coeffs,
     return 0;
 }
 
+/* ribbon_solve(starts, coeffs, values, num_slots, r, bits): True when the
+ * rows solve, with bits (r rows of at least num_slots bytes) holding the
+ * solution, False when they are inconsistent.  starts and coeffs hold one
+ * uint64 per row and values one uint8; every start is at most
+ * num_slots - 64, so that a row's 64 slots all exist. */
+static PyObject *ribbon_solve(PyObject *self, PyObject *args)
+{
+    Py_buffer starts, coeffs, values, bits;
+    Py_ssize_t num_slots;
+    int r;
+    if (!PyArg_ParseTuple(args, "y*y*y*niw*:ribbon_solve", &starts, &coeffs, &values,
+                          &num_slots, &r, &bits))
+        return NULL;
+    PyObject *result = NULL;
+    uint64_t *row_coeff = NULL;
+    uint8_t *row_value = NULL;
+    Py_ssize_t n = starts.len / 8, stride = bits.len / (r < 1 ? 1 : r);
+    if (r < 1 || r > 3 || num_slots < 64) {
+        PyErr_SetString(PyExc_ValueError, "need 1 <= r <= 3 and num_slots >= 64");
+        goto done;
+    }
+    if (check_buffer(&starts, 8, n, "starts") < 0 || check_buffer(&coeffs, 8, n, "coeffs") < 0 ||
+        check_buffer(&values, 1, n, "values") < 0 ||
+        check_buffer(&bits, 1, r * (stride < num_slots ? num_slots : stride), "bits") < 0)
+        goto done;
+    const uint64_t *s = starts.buf;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (s[i] > (uint64_t)num_slots - 64) {
+            PyErr_SetString(PyExc_ValueError, "starts: a row starts past num_slots - 64");
+            goto done;
+        }
+    }
+    row_coeff = PyMem_Calloc(num_slots, sizeof *row_coeff);
+    row_value = PyMem_Calloc(num_slots, sizeof *row_value);
+    if (!row_coeff || !row_value) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int status;
+    Py_BEGIN_ALLOW_THREADS
+    memset(bits.buf, 0, bits.len);
+    status = solve(s, coeffs.buf, values.buf, n, num_slots, r, row_coeff, row_value,
+                   bits.buf, stride);
+    Py_END_ALLOW_THREADS
+    result = PyBool_FromLong(status == 0);
+done:
+    PyMem_Free(row_coeff);
+    PyMem_Free(row_value);
+    PyBuffer_Release(&starts);
+    PyBuffer_Release(&coeffs);
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&bits);
+    return result;
+}
+
 /* ------------------------------------------------------------------------
  * Rattle-kicking placement of one cuckoo bucket under one seed, the loop of
  * cuckoo.RattleTable.insert run over entries 0 .. n-1 in order.
@@ -226,9 +361,9 @@ int sichash_ribbon_solve(const uint64_t *starts, const uint64_t *coeffs,
  * -1 as soon as it exceeds budget; counters then hold their values at that
  * point, as the Python loop leaves them.
  */
-int64_t sichash_rattle_place(const int64_t *flat, const int64_t *first,
-                             const uint8_t *mask, int64_t n, int64_t budget,
-                             int64_t *cells, int64_t *counters)
+static int64_t place(const int64_t *flat, const int64_t *first,
+                     const uint8_t *mask, int64_t n, int64_t budget,
+                     int64_t *cells, int64_t *counters)
 {
     int64_t steps = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -259,6 +394,54 @@ int64_t sichash_rattle_place(const int64_t *flat, const int64_t *first,
     return steps;
 }
 
+/* rattle_place(flat, first, mask, budget, cells, counters): place's
+ * result.  flat and first are int64 arrays and mask a uint8 array of one
+ * entry each; cells (int64, m = len(cells)) and counters (int64, one per
+ * entry) are filled here, and every index is checked first. */
+static PyObject *rattle_place(PyObject *self, PyObject *args)
+{
+    Py_buffer flat, first, mask, cells, counters;
+    long long budget;
+    if (!PyArg_ParseTuple(args, "y*y*y*Lw*w*:rattle_place", &flat, &first, &mask, &budget,
+                          &cells, &counters))
+        return NULL;
+    PyObject *result = NULL;
+    Py_ssize_t n = first.len / 8, nflat = flat.len / 8, m = cells.len / 8;
+    if (check_buffer(&flat, 8, nflat, "flat") < 0 || check_buffer(&first, 8, n, "first") < 0 ||
+        check_buffer(&mask, 1, n, "mask") < 0 || check_buffer(&cells, 8, m, "cells") < 0 ||
+        check_buffer(&counters, 8, n, "counters") < 0)
+        goto done;
+    const int64_t *f = flat.buf, *fi = first.buf;
+    const uint8_t *mk = mask.buf;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (fi[i] < 0 || fi[i] >= nflat - mk[i]) {
+            PyErr_SetString(PyExc_ValueError, "first: an entry's cells run past flat");
+            goto done;
+        }
+    }
+    for (Py_ssize_t j = 0; j < nflat; j++) {
+        if (f[j] < 0 || f[j] >= m) {
+            PyErr_SetString(PyExc_ValueError, "flat: a cell outside [0, len(cells))");
+            goto done;
+        }
+    }
+    int64_t steps, *c = cells.buf, *k = counters.buf;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t j = 0; j < m; j++)
+        c[j] = -1;
+    memset(k, 0, counters.len);
+    steps = place(f, fi, mk, n, budget, c, k);
+    Py_END_ALLOW_THREADS
+    result = PyLong_FromLongLong(steps);
+done:
+    PyBuffer_Release(&flat);
+    PyBuffer_Release(&first);
+    PyBuffer_Release(&mask);
+    PyBuffer_Release(&cells);
+    PyBuffer_Release(&counters);
+    return result;
+}
+
 /* ------------------------------------------------------------------------
  * Scalar and batch query, the derivation of SicHashPhf.evaluate_hash: the
  * bucket by multiply-high, the class by the thresholds t1 and t2, the
@@ -266,23 +449,21 @@ int64_t sichash_rattle_place(const int64_t *flat, const int64_t *first,
  * cell key and cell (hashing.cell_key, cell_at), the bucket's offset and
  * the minimal-mode remap.
  *
- * The plan is filled once by SicHashPhf's constructor, which keeps every
- * array it points to alive.  The kernel checks no bounds; the checks that
- * make each read valid run when the plan's parts are assembled:
- *   - the bucket b = mulhi(hi, num_buckets) is below num_buckets, the
- *     length of starts, sizes and seeds;
- *   - offsets start at 0 and are non-decreasing up to m_total
- *     (BucketMetaArray), so a cell below a bucket's size, plus its start,
- *     is below m_total; an empty bucket has size 0 and answers 0;
- *   - a store has num_slots >= 64 and r planes of num_slots // 64 + 2
- *     words (SicHashPhf's constructor), and its row start is below
- *     span = num_slots - 63, so window words w and w + 1 are in range;
- *   - a value at or above limit indexes remap at value - limit, below
- *     m_total - limit, which the constructor checks is len(remap).
+ * A Plan is built once, by SicHashPhf's constructor, and holds a buffer
+ * on every array it reads, so it keeps them alive on its own.  value_of
+ * checks no bounds; Plan() checks what makes each of its reads valid:
+ *   - starts, sizes and seeds hold num_buckets >= 1 words each, and the
+ *     bucket b = mulhi(hi, num_buckets) is below num_buckets;
+ *   - every bucket has starts[b] + max(sizes[b], 1) <= limit + len(remap),
+ *     so a value, start plus a cell below the size, is below that sum;
+ *   - a store has num_slots >= 64 and c + 1 planes of num_slots // 64 + 2
+ *     words, and its row start is below span = num_slots - 63, so window
+ *     words w and w + 1 are in range;
+ *   - a value at or above limit indexes remap at value - limit.
  */
 
 typedef struct {
-    uint64_t keyed[8], empty[8]; /* set by sichash_query_init */
+    uint64_t keyed[8], empty[8]; /* key_states of the global seed */
     uint64_t m1, m2, golden, fold, cell_salt; /* from hashing.py */
     uint64_t t1, t2, num_buckets, limit;
     const uint64_t *starts, *sizes, *seeds, *remap;
@@ -322,21 +503,188 @@ static inline uint64_t value_of(const sichash_plan *p, uint64_t hi, uint64_t lo)
     return value >= p->limit ? p->remap[value - p->limit] : value;
 }
 
-void sichash_query_init(sichash_plan *p, uint64_t seed)
+typedef struct {
+    PyObject_HEAD
+    sichash_plan p;
+    /* starts, sizes, seeds and remap, then the stores' planes */
+    Py_buffer views[10];
+    int held;
+} Plan;
+
+static void plan_dealloc(Plan *self)
 {
-    key_states(seed, p->keyed, p->empty);
+    while (self->held)
+        PyBuffer_Release(&self->views[--self->held]);
+    Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-uint64_t sichash_query_key(const sichash_plan *p, const uint8_t *data, int64_t len)
+static PyObject *plan_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"seed", "t1", "t2", "limit", "starts", "sizes", "seeds",
+                             "remap", "stores", "m1", "m2", "golden", "fold",
+                             "cell_salt", NULL};
+    /* store c is (start key, coefficient key, num_slots, *planes) */
+    static const char *store_formats[3] = {"KKny*", "KKny*y*", "KKny*y*y*"};
+    Plan *self = (Plan *)type->tp_alloc(type, 0);
+    if (!self)
+        return NULL;
+    sichash_plan *p = &self->p;
+    Py_buffer *v = self->views;
+    unsigned long long seed;
+    PyObject *stores, *seq = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "KKKKy*y*y*y*O$KKKKK:Plan", kwlist, &seed,
+                                     &p->t1, &p->t2, &p->limit, &v[0], &v[1], &v[2], &v[3],
+                                     &stores, &p->m1, &p->m2, &p->golden, &p->fold,
+                                     &p->cell_salt))
+        goto fail;
+    self->held = 4;
+    Py_ssize_t nb = v[0].len / 8, nremap = v[3].len / 8;
+    if (check_buffer(&v[0], 8, nb, "starts") < 0 || check_buffer(&v[1], 8, nb, "sizes") < 0 ||
+        check_buffer(&v[2], 8, nb, "seeds") < 0 || check_buffer(&v[3], 8, nremap, "remap") < 0)
+        goto fail;
+    p->num_buckets = nb;
+    p->starts = v[0].buf;
+    p->sizes = v[1].buf;
+    p->seeds = v[2].buf;
+    p->remap = v[3].buf;
+    uint64_t total = p->limit + nremap;
+    if (nb < 1 || total < p->limit) {
+        PyErr_SetString(PyExc_ValueError, "need at least one bucket and limit + len(remap) < 2**64");
+        goto fail;
+    }
+    for (Py_ssize_t b = 0; b < nb; b++) {
+        if (p->starts[b] >= total || p->sizes[b] > total - p->starts[b]) {
+            PyErr_SetString(PyExc_ValueError, "a bucket's cells reach past limit + len(remap)");
+            goto fail;
+        }
+    }
+    seq = PySequence_Fast(stores, "stores must be a sequence");
+    if (!seq)
+        goto fail;
+    if (PySequence_Fast_GET_SIZE(seq) != 3) {
+        PyErr_SetString(PyExc_ValueError, "need three stores");
+        goto fail;
+    }
+    for (int c = 0; c < 3; c++) {
+        Py_buffer *planes = &v[self->held];
+        Py_ssize_t num_slots;
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq, c), store_formats[c],
+                              &p->row_keys[c][0], &p->row_keys[c][1], &num_slots, &planes[0],
+                              &planes[1], &planes[2]))
+            goto fail;
+        self->held += c + 1;
+        if (num_slots < 64) {
+            PyErr_SetString(PyExc_ValueError, "a store needs num_slots >= 64");
+            goto fail;
+        }
+        p->spans[c] = num_slots - 63;
+        for (int k = 0; k <= c; k++) {
+            if (check_buffer(&planes[k], 8, num_slots / 64 + 2, "plane") < 0)
+                goto fail;
+            p->planes[c][k] = planes[k].buf;
+        }
+    }
+    Py_DECREF(seq);
+    key_states(seed, p->keyed, p->empty);
+    return (PyObject *)self;
+fail:
+    Py_XDECREF(seq);
+    Py_DECREF(self);
+    return NULL;
+}
+
+/* plan.query(key): the value of one bytes-like key */
+static PyObject *plan_query(Plan *self, PyObject *key)
 {
     uint64_t hi, lo;
-    hash_key(p->keyed, p->empty, data, (uint64_t)len, &hi, &lo);
-    return value_of(p, hi, lo);
+    if (PyBytes_CheckExact(key)) {
+        hash_key(self->p.keyed, self->p.empty, (const uint8_t *)PyBytes_AS_STRING(key),
+                 (uint64_t)PyBytes_GET_SIZE(key), &hi, &lo);
+    } else {
+        Py_buffer view;
+        if (get_key(key, &view) < 0)
+            return NULL;
+        hash_key(self->p.keyed, self->p.empty, view.buf, (uint64_t)view.len, &hi, &lo);
+        PyBuffer_Release(&view);
+    }
+    return PyLong_FromUnsignedLongLong(value_of(&self->p, hi, lo));
 }
 
-void sichash_query_hashes(const sichash_plan *p, const uint64_t *hi,
-                          const uint64_t *lo, int64_t n, uint64_t *out)
+/* plan.query_hashes(hi, lo, out): out[i] is the value of master hash
+ * (hi[i], lo[i]); three uint64 arrays of one length */
+static PyObject *plan_query_hashes(Plan *self, PyObject *args)
 {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = value_of(p, hi[i], lo[i]);
+    Py_buffer hi, lo, out;
+    if (!PyArg_ParseTuple(args, "y*y*w*:query_hashes", &hi, &lo, &out))
+        return NULL;
+    PyObject *result = NULL;
+    Py_ssize_t n = hi.len / 8;
+    if (check_buffer(&hi, 8, n, "hi") == 0 && check_buffer(&lo, 8, n, "lo") == 0 &&
+        check_buffer(&out, 8, n, "out") == 0) {
+        const uint64_t *h = hi.buf, *l = lo.buf;
+        uint64_t *o = out.buf;
+        Py_BEGIN_ALLOW_THREADS
+        for (Py_ssize_t i = 0; i < n; i++)
+            o[i] = value_of(&self->p, h[i], l[i]);
+        Py_END_ALLOW_THREADS
+        result = Py_None;
+        Py_INCREF(result);
+    }
+    PyBuffer_Release(&hi);
+    PyBuffer_Release(&lo);
+    PyBuffer_Release(&out);
+    return result;
+}
+
+static PyMethodDef plan_methods[] = {
+    {"query", (PyCFunction)plan_query, METH_O, "query(key): the value of one bytes-like key"},
+    {"query_hashes", (PyCFunction)plan_query_hashes, METH_VARARGS,
+     "query_hashes(hi, lo, out): the values of master hashes, into out"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject PlanType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "sichash._native.lib.Plan",
+    .tp_basicsize = sizeof(Plan),
+    .tp_dealloc = (destructor)plan_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Plan(seed, t1, t2, limit, starts, sizes, seeds, remap, stores, *, m1, m2, "
+              "golden, fold, cell_salt): a function's packed query plan",
+    .tp_methods = plan_methods,
+    .tp_new = plan_new,
+};
+
+/* ------------------------------------------------------------------------
+ * The module.
+ */
+
+static PyMethodDef methods[] = {
+    {"blake2b128_batch", blake2b128_batch, METH_VARARGS,
+     "blake2b128_batch(keys, seed, hi, lo): keyed BLAKE2b-128 of each key"},
+    {"ribbon_solve", ribbon_solve, METH_VARARGS,
+     "ribbon_solve(starts, coeffs, values, num_slots, r, bits): solve a ribbon"},
+    {"rattle_place", rattle_place, METH_VARARGS,
+     "rattle_place(flat, first, mask, budget, cells, counters): place a bucket"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "sichash._native.lib", "The package's native kernels.", -1, methods,
+};
+
+PyMODINIT_FUNC PyInit_lib(void)
+{
+    if (PyType_Ready(&PlanType) < 0)
+        return NULL;
+    PyObject *m = PyModule_Create(&module);
+    if (!m)
+        return NULL;
+    Py_INCREF(&PlanType);
+    if (PyModule_AddObject(m, "Plan", (PyObject *)&PlanType) < 0) {
+        Py_DECREF(&PlanType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
 }

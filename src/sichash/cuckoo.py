@@ -15,7 +15,7 @@ vectorized pass per bucket seed, into one flat int64 array.  An entry
 keeps the index of its first cell and ``degree - 1`` as a mask; degrees
 are powers of two, so a probe is ``flat[first + (counter & mask)]`` and
 the final assignments are ``counters & mask`` in numpy.  The kicking
-loop over one seed runs in the native kernel ``sichash_rattle_place``
+loop over one seed runs in the native kernel ``rattle_place``
 (``_native.c``), which derives nothing and only reads those arrays; when
 :data:`sichash._native.lib` is None, :meth:`RattleTable.insert` runs the
 same loop in Python, as fallback and as the reference the tests compare
@@ -202,11 +202,10 @@ def build_bucket(
             placed = all(table.insert(i, budget) for i in range(n))
             counters, displacements = table.counters, table.displacements
         else:
-            cells = np.full(inp.m, -1, dtype=np.int64)
-            counters = np.zeros(n, dtype=np.int64)
-            displacements = lib.sichash_rattle_place(
-                flat.ctypes.data, first.ctypes.data, mask.ctypes.data, n,
-                min(budget, _MAX_BUDGET), cells.ctypes.data, counters.ctypes.data,
+            cells = np.empty(inp.m, dtype=np.int64)
+            counters = np.empty(n, dtype=np.int64)
+            displacements = lib.rattle_place(
+                flat, first, mask, min(budget, _MAX_BUDGET), cells, counters
             )
             placed = displacements >= 0
         if placed:

@@ -9,10 +9,10 @@ derivation constant: the per-function cell keys (:func:`cell_key`) and
 the retrieval row keys (:func:`row_keys`) are defined here once.
 
 :func:`master_hash_many` hashes with the batch BLAKE2b kernel of the
-package's one native library, :data:`sichash._native.lib`, and falls back
-to its :mod:`hashlib` reference loop when that is None.  No kernel holds a
-derivation constant: the query kernel gets them from this module through
-the plan (:data:`QUERY_CONSTANTS`), and the retrieval solve and the cuckoo
+package's native extension module, :data:`sichash._native.lib`, and
+falls back to its :mod:`hashlib` reference loop when that is None.  No
+kernel holds a derivation constant: the query plan gets them from this
+module (:data:`QUERY_CONSTANTS`), and the retrieval solve and the cuckoo
 placement take every derived value from Python.
 
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
@@ -27,9 +27,8 @@ uint64 and wraps), and a hash as a (hi, lo) pair of either.  The
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +58,6 @@ QUERY_CONSTANTS = dict(m1=_M1, m2=_M2, golden=_GOLDEN, fold=_FOLD, cell_salt=_CE
 
 #: candidate-cell counts for the three key classes
 CLASS_DEGREES = (2, 4, 8)
-#: keys hashed per joined block in :func:`master_hash_many`
-_HASH_CHUNK = 1 << 16
 
 
 class MasterHash(NamedTuple):
@@ -99,53 +96,37 @@ def master_hash(key: bytes, seed: int) -> MasterHash:
 
 
 def master_hash_many(
-    keys: Sequence[bytes], seed: int
+    keys: Iterable[bytes], seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`master_hash`; returns (hi, lo) uint64 arrays.
 
-    Keys are hashed :data:`_HASH_CHUNK` at a time, by the native kernel
-    when it loaded and by :mod:`hashlib` otherwise; both give the same
-    digests.  Any iterable of bytes-like keys is accepted.
+    Any iterable of bytes-like keys is accepted; it is read once.  The
+    native kernel reads each key's buffer as :mod:`hashlib` does, so both
+    paths give the same digests and raise the same errors.
     """
-    hash_chunk = _hash_chunk_hashlib if _native.lib is None else _hash_chunk_native
-    keys = iter(keys)
-    his, los = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.uint64)]
-    # Chunk by chunk: a digest object per key for all keys at once held
-    # ~60 MB at 1e6 keys and set the peak memory of a build.
-    while parts := list(itertools.islice(keys, _HASH_CHUNK)):
-        hi, lo = hash_chunk(parts, seed)
-        his.append(hi)
-        los.append(lo)
-    return np.concatenate(his), np.concatenate(los)
+    if not isinstance(keys, (list, tuple)):
+        keys = list(keys)
+    lib = _native.lib
+    if lib is None:
+        return _master_hash_many_hashlib(keys, seed)
+    hi = np.empty(len(keys), dtype=np.uint64)
+    lo = np.empty(len(keys), dtype=np.uint64)
+    lib.blake2b128_batch(keys, seed & MASK64, hi, lo)
+    return hi, lo
 
 
-def _hash_chunk_hashlib(parts: list, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _master_hash_many_hashlib(keys: Sequence, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) of each key by the hashlib loop: the reference path."""
     copy = keyed_blake2b(seed).copy
-    digests = []
-    append = digests.append
-    for key in parts:
+    # digests are appended to one buffer: a bytes object per key for all
+    # keys at once would hold ~60 MB at 1e6 keys
+    digests = bytearray()
+    for key in keys:
         h = copy()
         h.update(key)
-        append(h.digest())
-    flat = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
+        digests += h.digest()
+    flat = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
     return np.ascontiguousarray(flat[:, 0]), np.ascontiguousarray(flat[:, 1])
-
-
-def _hash_chunk_native(parts: list, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) of each key by the native kernel, in one call."""
-    data = b"".join(parts)
-    ends = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)).cumsum()
-    if ends[-1] != len(data):
-        # a buffer whose len() is not its byte count, such as a memoryview
-        # of wider items: the hashlib loop reads it as bytes
-        return _hash_chunk_hashlib(parts, seed)
-    hi = np.empty(len(parts), dtype=np.uint64)
-    lo = np.empty(len(parts), dtype=np.uint64)
-    _native.lib.sichash_blake2b128_batch(
-        data, ends.ctypes.data, len(parts), seed & MASK64, hi.ctypes.data, lo.ctypes.data
-    )
-    return hi, lo
 
 
 def hash_backend() -> str:

@@ -249,11 +249,11 @@ class SicHashPhf:
     minimal-mode remap and builds the scalar query plan: plain Python
     constants (class thresholds, per-bucket offset, size and seed, each
     store's :attr:`~sichash.retrieval.RetrievalStore.plan`, a view of the
-    decoded remap) and a pre-keyed BLAKE2b state.  When the native library
-    is loaded it also packs the same plan into a
-    :class:`~sichash._native.QueryPlan`, whose kernel answers
-    :meth:`evaluate` on ``bytes`` keys and :meth:`evaluate_hashes` in one
-    call each; the Python plan stays the fallback and the reference.
+    decoded remap) and a pre-keyed BLAKE2b state.  When the native module
+    is loaded it also packs the same plan into a ``_native.lib.Plan``,
+    whose methods answer :meth:`evaluate` on any bytes-like key and
+    :meth:`evaluate_hashes` in one call each; the Python plan stays the
+    fallback and the reference.
     Nothing is written after that, so any number of threads may query one
     instance.  An empty bucket answers from offset 0 on every path, so a
     non-member key that lands in an empty last bucket stays below
@@ -324,30 +324,25 @@ class SicHashPhf:
         lib = _native.lib
         self._query = None if lib is None else self._native_plan(lib)
 
-    def _native_plan(self, lib) -> _native.QueryPlan:
-        """The Python plan packed for the query kernel; the instance keeps
-        every array that the plan points to."""
-        seeds = np.ascontiguousarray(self.meta.seeds, dtype=np.uint64)
+    def _native_plan(self, lib):
+        """The Python plan packed into a ``lib.Plan``, which holds its own
+        buffer on every array it reads."""
+
+        def words(a):
+            return np.ascontiguousarray(a, dtype=np.uint64)
+
         stores = [self.stores[d] for d in CLASS_DEGREES]
-        planes = [[np.ascontiguousarray(p, dtype="<u8") for p in s.planes] for s in stores]
-        self._query_arrays = (seeds, planes)
-        plan = _native.QueryPlan(
+        return lib.Plan(
+            self.config.global_seed,
+            *self._thresholds,
+            self._limit,
+            self._starts,
+            self._sizes,
+            words(self.meta.seeds),
+            self._remap_values,
+            tuple((*s.plan[:2], s.num_slots, *map(words, s.planes)) for s in stores),
             **QUERY_CONSTANTS,
-            t1=self._thresholds[0],
-            t2=self._thresholds[1],
-            num_buckets=self.meta.num_buckets,
-            limit=self._limit,
-            starts=self._starts.ctypes.data,
-            sizes=self._sizes.ctypes.data,
-            seeds=seeds.ctypes.data,
-            remap=self._remap_values.ctypes.data,
-            # ctypes fills its array fields from tuples
-            row_keys=tuple(s.plan[:2] for s in stores),
-            spans=tuple(s.num_slots - BAND_WIDTH + 1 for s in stores),
-            planes=tuple(tuple(p.ctypes.data for p in ps) for ps in planes),
         )
-        lib.sichash_query_init(plan, self.config.global_seed)
-        return plan
 
     @property
     def m_total(self) -> int:
@@ -361,9 +356,8 @@ class SicHashPhf:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, key: bytes) -> int:
-        lib = _native.lib
-        if lib is not None and self._query is not None and type(key) is bytes:
-            return lib.sichash_query_key(self._query, key, len(key))
+        if self._query is not None and _native.lib is not None:
+            return self._query.query(key)
         h = self._hasher.copy()
         h.update(key)
         return self.evaluate_hash(split_digest(h.digest()))
@@ -388,12 +382,9 @@ class SicHashPhf:
         lo = np.ascontiguousarray(lo, dtype=np.uint64)
         if hi.ndim != 1 or hi.shape != lo.shape:
             raise ValueError("hi and lo must be 1-d and of equal length")
-        lib = _native.lib
-        if lib is not None and self._query is not None:
+        if self._query is not None and _native.lib is not None:
             values = np.empty(len(hi), dtype=np.uint64)
-            lib.sichash_query_hashes(
-                self._query, hi.ctypes.data, lo.ctypes.data, len(hi), values.ctypes.data
-            )
+            self._query.query_hashes(hi, lo, values)
             return values
         t1, t2 = self._thresholds
         degrees = class_of_many(lo, t1, t2)

@@ -228,15 +228,8 @@ def _solve(
     if lib is None:
         bits = _solve_python(starts, coeffs, values, r, num_slots)
     else:
-        values = values.astype(np.uint8)
-        row_coeff = np.zeros(num_slots, dtype=np.uint64)
-        row_value = np.zeros(num_slots, dtype=np.uint8)
-        bits = np.zeros((r, 64 * nwords), dtype=np.uint8)
-        if lib.sichash_ribbon_solve(
-            starts.ctypes.data, coeffs.ctypes.data, values.ctypes.data, len(starts),
-            num_slots, r, row_coeff.ctypes.data, row_value.ctypes.data,
-            bits.ctypes.data, bits.shape[1],
-        ):
+        bits = np.empty((r, 64 * nwords), dtype=np.uint8)
+        if not lib.ribbon_solve(starts, coeffs, values.astype(np.uint8), num_slots, r, bits):
             return None  # inconsistent
     return None if bits is None else [_pack_bits(b, nwords) for b in bits]
 

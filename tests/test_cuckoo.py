@@ -287,12 +287,9 @@ def _place_both(inp, seed, budget):
     flat = np.array(table.flat, dtype=np.int64)
     first = np.array(table.first, dtype=np.int64)
     mask = np.array(table.mask, dtype=np.uint8)
-    cells = np.full(inp.m, -1, dtype=np.int64)
-    counters = np.zeros(n, dtype=np.int64)
-    got = _native.lib.sichash_rattle_place(
-        flat.ctypes.data, first.ctypes.data, mask.ctypes.data, n, budget,
-        cells.ctypes.data, counters.ctypes.data,
-    )
+    cells = np.empty(inp.m, dtype=np.int64)
+    counters = np.empty(n, dtype=np.int64)
+    got = _native.lib.rattle_place(flat, first, mask, budget, cells, counters)
     placed = all(table.insert(i, budget) for i in range(n))
     want = table.displacements if placed else -1
     return (got, cells.tolist(), counters.tolist()), (want, table.cells, table.counters)
@@ -359,6 +356,51 @@ class TestNativePlacement:
             got = _outcome(inp, max_seeds=64)
             assert got == _python_outcome(inp, max_seeds=64)
             assert not isinstance(got, str)
+
+
+@native
+class TestPlacementArguments:
+    """The placement kernel checks its arrays, and every index it reads
+    from them, before it runs."""
+
+    @staticmethod
+    def _arrays():
+        # two entries of degree 2 in three cells
+        return dict(flat=np.array([0, 1, 1, 2], dtype=np.int64),
+                    first=np.array([0, 2], dtype=np.int64),
+                    mask=np.array([1, 1], dtype=np.uint8),
+                    cells=np.empty(3, dtype=np.int64),
+                    counters=np.empty(2, dtype=np.int64))
+
+    def _place(self, **changes):
+        a = {**self._arrays(), **changes}
+        return _native.lib.rattle_place(a["flat"], a["first"], a["mask"], 100,
+                                        a["cells"], a["counters"])
+
+    def test_valid_arrays_place(self):
+        assert self._place() == 0
+
+    def test_wrong_dtype(self):
+        with pytest.raises(TypeError, match="flat: need items of 8 bytes"):
+            self._place(flat=np.array([0, 1, 1, 2], dtype=np.int32))
+        with pytest.raises(TypeError, match="mask: need items of 1 bytes"):
+            self._place(mask=np.array([1, 1], dtype=np.int64))
+
+    def test_short_output(self):
+        with pytest.raises(ValueError, match="counters: need 2 items, got 1"):
+            self._place(counters=np.empty(1, dtype=np.int64))
+
+    def test_indexes_out_of_range(self):
+        with pytest.raises(ValueError, match="flat: a cell outside"):
+            self._place(flat=np.array([0, 1, 1, 3], dtype=np.int64))
+        with pytest.raises(ValueError, match="flat: a cell outside"):
+            self._place(flat=np.array([0, -1, 1, 2], dtype=np.int64))
+        with pytest.raises(ValueError, match="first: an entry's cells run past flat"):
+            self._place(first=np.array([0, 3], dtype=np.int64))
+
+    def test_strided_input(self):
+        with pytest.raises((BufferError, ValueError)):
+            self._place(flat=np.zeros(8, dtype=np.int64)[::2])
 
 
 class TestDegreeValidation:

@@ -12,7 +12,6 @@ import tests.test_golden as golden
 from sichash import _native, hashing
 from sichash.cli import generate_keys
 from sichash.hashing import (
-    _HASH_CHUNK,
     MasterHash,
     bucket_of,
     bucket_of_many,
@@ -64,12 +63,17 @@ def test_master_hash_scalar_matches_batch(key, seed):
     assert (h.hi, h.lo) == (int(hi[0]), int(lo[0]))
 
 
+#: keys per block of the native batch hash, which takes a block's buffers
+#: and then hashes the block without the GIL
+KEY_BLOCK = 256
+
+
 def test_master_hash_many_across_chunks():
-    # more keys than one joined block, passed as a list and as an iterator
-    keys = [b"key %d" % i for i in range(2 * _HASH_CHUNK + 5)]
+    # more keys than one block, passed as a list and as an iterator
+    keys = [b"key %d" % i for i in range(512 * KEY_BLOCK + 5)]
     hi, lo = master_hash_many(keys, 17)
     assert hi.dtype == lo.dtype == np.uint64 and len(hi) == len(keys)
-    for i in (0, _HASH_CHUNK - 1, _HASH_CHUNK, 2 * _HASH_CHUNK, len(keys) - 1):
+    for i in (0, KEY_BLOCK - 1, KEY_BLOCK, 2 * KEY_BLOCK, len(keys) - 1):
         assert master_hash(keys[i], 17) == (int(hi[i]), int(lo[i]))
     hi2, lo2 = master_hash_many(iter(keys), 17)
     assert np.array_equal(hi, hi2) and np.array_equal(lo, lo2)
@@ -111,7 +115,7 @@ def test_kernel_matches_hashlib_at_block_boundaries(seed):
 
 @native
 def test_kernel_matches_hashlib_on_every_input_form():
-    keys = [b"key %d" % i + bytes(i % 300) for i in range(_HASH_CHUNK + 7)]
+    keys = [b"key %d" % i + bytes(i % 300) for i in range(256 * KEY_BLOCK + 7)]
     want = _reference(keys, 5)
     _assert_same(master_hash_many(keys, 5), want)
     _assert_same(master_hash_many(iter(keys), 5), want)
@@ -121,6 +125,51 @@ def test_kernel_matches_hashlib_on_every_input_form():
     # len() of a memoryview of 4-byte items is not its byte count
     wide = [memoryview(array.array("I", range(i))) for i in range(40)]
     _assert_same(master_hash_many(wide, 5), _reference([bytes(w) for w in wide], 5))
+
+
+#: the two paths of master_hash_many and of a function's queries
+PATHS = pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "hashlib"])
+#: bytes-like forms of a key; the wide memoryview's len() is not its byte count
+KEY_FORMS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    "wide-memoryview": lambda key: memoryview(key).cast("I"),
+}
+#: keys whose lengths are multiples of 4, so each has every form
+FORM_KEYS = [bytes(i % 256 for i in range(n)) for n in (0, 4, 128, 132, 256, 1000)]
+#: what hashlib refuses to hash, with the error it raises
+BAD_KEYS = pytest.mark.parametrize("bad, error", [
+    (memoryview(bytes(16))[::2], BufferError),  # not contiguous
+    ("a key", TypeError),
+    (12345, TypeError),
+    (None, TypeError),
+], ids=["strided-memoryview", "str", "int", "None"])
+
+
+@PATHS
+@pytest.mark.parametrize("form", KEY_FORMS.values(), ids=KEY_FORMS)
+def test_master_hash_many_key_forms(monkeypatch, lib, form):
+    want = _reference(FORM_KEYS, 3)
+    monkeypatch.setattr(_native, "lib", lib)
+    _assert_same(master_hash_many([form(k) for k in FORM_KEYS], 3), want)
+    _assert_same(master_hash_many((form(k) for k in FORM_KEYS), 3), want)
+
+
+@PATHS
+@BAD_KEYS
+def test_master_hash_many_rejects_what_hashlib_rejects(monkeypatch, lib, bad, error):
+    monkeypatch.setattr(_native, "lib", lib)
+    with pytest.raises(error):
+        master_hash_many([b"a key"] * (KEY_BLOCK + 3) + [bad], 3)
+
+
+@PATHS
+def test_master_hash_many_of_no_keys(monkeypatch, lib):
+    monkeypatch.setattr(_native, "lib", lib)
+    for keys in ([], (), iter([]), (k for k in [])):
+        hi, lo = master_hash_many(keys, 3)
+        assert hi.dtype == lo.dtype == np.uint64 and len(hi) == len(lo) == 0
 
 
 @pytest.mark.parametrize("config, blob_sha, values_sha", golden.GOLDEN,
@@ -134,6 +183,29 @@ def test_pure_python_fallback_keeps_golden_outputs(monkeypatch, config, blob_sha
     golden.test_outputs_pinned(keys, config, blob_sha, values_sha)
 
 
+EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+
+
+@native
+class TestBatchHashArguments:
+    """The batch kernel checks its output arrays before it writes them."""
+
+    def test_wrong_dtype(self):
+        hi = np.empty(2, dtype=np.uint64)
+        with pytest.raises(TypeError, match="hi: need items of 8 bytes"):
+            _native.lib.blake2b128_batch([b"a", b"b"], 0, hi.view(np.uint32), hi)
+
+    def test_short_output(self):
+        hi = np.empty(2, dtype=np.uint64)
+        with pytest.raises(ValueError, match="lo: need 2 items, got 1"):
+            _native.lib.blake2b128_batch([b"a", b"b"], 0, hi, hi[:1].copy())
+
+    def test_read_only_output(self):
+        hi = np.empty(1, dtype=np.uint64)
+        with pytest.raises(TypeError):
+            _native.lib.blake2b128_batch([b"a"], 0, hi, bytes(8))
+
+
 needs_cc = pytest.mark.skipif(shutil.which(_native._CC[0]) is None, reason="no C compiler")
 
 
@@ -142,9 +214,12 @@ class TestLoadKernel:
     def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
         fn = _native._load_kernel(tmp_path)
         assert fn is not None
-        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
-        # the cached library loads without the compiler
+        # named for this interpreter's extension ABI
+        (cached,) = tmp_path.iterdir()
+        assert cached.name.endswith(f"-{sysconfig.get_platform()}{EXT_SUFFIX}")
+        # the cached library loads without the compiler or Python.h
         monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"),))
+        monkeypatch.setattr(_native, "_INCLUDE", tmp_path / "no-include")
         monkeypatch.setattr(_native, "lib", _native._load_kernel(tmp_path))
         assert hashing.hash_backend() == "native"
         keys = [bytes(range(n % 256)) * (1 + n // 256) for n in range(300)]
@@ -154,6 +229,12 @@ class TestLoadKernel:
         monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"),))
         assert _native._load_kernel(tmp_path / "cache") is None
         assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_no_python_header(self, tmp_path, monkeypatch):
+        (tmp_path / "include").mkdir()
+        monkeypatch.setattr(_native, "_INCLUDE", tmp_path / "include")
+        assert _native._load_kernel(tmp_path / "cache") is None
+        assert not (tmp_path / "cache").exists()
 
     def test_compile_error(self, tmp_path, monkeypatch):
         bad = tmp_path / "bad.c"
@@ -178,13 +259,17 @@ class TestLoadKernel:
     @needs_cc
     def test_removes_stale_libraries(self, tmp_path):
         platform = sysconfig.get_platform()
-        stale = [f"_native-{'0' * 64}-{platform}.so", f"_blake2b-{'1' * 64}-{platform}.so"]
-        kept = [f"_native-{'2' * 64}-{platform}.so.123.tmp", "other.so",
-                f"_native-{'3' * 64}-another-platform.so"]
+        # an older source's module, and the ctypes libraries of earlier versions
+        stale = [f"_native-{'0' * 64}-{platform}{EXT_SUFFIX}", f"_native-{'4' * 64}-{platform}.so",
+                 f"_blake2b-{'1' * 64}-{platform}.so"]
+        # another interpreter's build is kept, as are other platforms' files
+        kept = [f"_native-{'2' * 64}-{platform}{EXT_SUFFIX}.123.tmp", "other.so",
+                f"_native-{'3' * 64}-another-platform{EXT_SUFFIX}",
+                f"_native-{'5' * 64}-{platform}.cpython-399-other.so"]
         for name in stale + kept:
             (tmp_path / name).write_bytes(b"")
         assert _native._load_kernel(tmp_path) is not None
-        current = [p.name for p in tmp_path.glob(f"_native-*-{platform}.so")]
+        current = [p.name for p in tmp_path.glob(f"_native-*-{platform}{EXT_SUFFIX}")]
         assert len(current) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(current + kept)
         # a cached library is loaded as it is, and removes nothing

@@ -1,10 +1,12 @@
-import array
 import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import struct
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,12 @@ from sichash import _native
 from sichash.cli import generate_keys
 from sichash.cuckoo import BucketInput, build_bucket
 from sichash.errors import ConstructionError, DeserializationError
-from sichash.hashing import class_of_many, class_thresholds, master_hash_many
+from sichash.hashing import (
+    QUERY_CONSTANTS,
+    class_of_many,
+    class_thresholds,
+    master_hash_many,
+)
 from sichash.phf import (
     BucketMetaArray,
     PhfConfig,
@@ -27,7 +34,7 @@ from sichash.phf import (
 from sichash.retrieval import EPSILON, RetrievalStore
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
-from tests.test_hashing import KEY_LENGTHS
+from tests.test_hashing import BAD_KEYS, FORM_KEYS, KEY_FORMS, KEY_LENGTHS
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +49,7 @@ def phf_20k(keys_20k):
 
 #: the native query kernel, then the Python plan (its reference)
 LIBRARIES = pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "python"])
+native = pytest.mark.skipif(_native.lib is None, reason="native library not loaded")
 
 
 @contextlib.contextmanager
@@ -510,14 +518,112 @@ class TestNativeQuery:
         assert [plain.evaluate(k) for k in keys] == want
 
     @LIBRARIES
-    def test_key_types(self, phf_20k, lib):
-        wide = memoryview(array.array("I", range(9)))  # len() is not its byte count
+    @pytest.mark.parametrize("form", KEY_FORMS.values(), ids=KEY_FORMS)
+    def test_key_forms_agree_with_hashlib(self, phf_20k, lib, form):
+        with _library(None):  # hashlib and the Python plan: the reference
+            want = phf_20k.evaluate_many(FORM_KEYS).tolist()
+        keys = [form(k) for k in FORM_KEYS]
         with _library(lib):
-            for key in (bytearray(b"a key"), memoryview(b"a key"), wide, bytearray()):
-                assert phf_20k.evaluate(key) == phf_20k.evaluate(bytes(key))
-            for bad in ("a key", 12345, None):
-                with pytest.raises(TypeError):
-                    phf_20k.evaluate(bad)
+            assert [phf_20k.evaluate(k) for k in keys] == want
+            assert phf_20k.evaluate_many(keys).tolist() == want
+            assert phf_20k.evaluate_many(form(k) for k in FORM_KEYS).tolist() == want
+
+    @LIBRARIES
+    @BAD_KEYS
+    def test_rejects_what_hashlib_rejects(self, phf_20k, lib, bad, error):
+        with _library(lib):
+            with pytest.raises(error):
+                phf_20k.evaluate(bad)
+            with pytest.raises(error):
+                phf_20k.evaluate_many([b"a key", bad])
+
+    @native
+    def test_plan_outlives_its_function(self, keys_20k):
+        phf = build(keys_20k[:3000], PhfConfig(alpha=0.97, minimal=True, global_seed=4))
+        keys = keys_20k[:3000] + [b"stranger %d" % i for i in range(500)]
+        want = phf.evaluate_many(keys).tolist()
+        hi, lo = master_hash_many(keys, phf.config.global_seed)
+        plan = phf._query
+        del phf
+        gc.collect()
+        # reuse freed memory, so that a plan reading it would see other values
+        junk = [np.full(1000, 2**64 - 1, dtype=np.uint64) for _ in range(100)]
+        assert [plan.query(k) for k in keys] == want
+        values = np.empty(len(keys), dtype=np.uint64)
+        plan.query_hashes(hi, lo, values)
+        assert values.tolist() == want
+        del junk
+
+    @LIBRARIES
+    def test_threads_share_one_function(self, phf_20k, lib):
+        rng = np.random.default_rng(12)
+        hi, lo = rng.integers(0, 2**64, size=(2, 50_000), dtype=np.uint64)
+        with _library(lib):
+            want = phf_20k.evaluate_hashes(hi, lo)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(phf_20k.evaluate_hashes, hi, lo) for _ in range(16)]
+                    results = [f.result(timeout=120) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+        assert all(np.array_equal(got, want) for got in results)
+
+
+def _plan_args(phf: SicHashPhf) -> list:
+    """The positional arguments of ``lib.Plan`` for a function."""
+    stores = tuple((*s.plan[:2], s.num_slots, *s.planes) for s in map(phf.stores.get, (2, 4, 8)))
+    return [phf.config.global_seed, *phf._thresholds, phf._limit, phf._starts, phf._sizes,
+            phf.meta.seeds, phf._remap_values, stores]
+
+
+@native
+class TestPlanArguments:
+    """``lib.Plan`` and ``query_hashes`` check their arrays, and every
+    bucket's range, before they read them."""
+
+    def _plan(self, phf, **changes):
+        args = _plan_args(phf)
+        names = ["seed", "t1", "t2", "limit", "starts", "sizes", "seeds", "remap", "stores"]
+        for name, value in changes.items():
+            args[names.index(name)] = value
+        return _native.lib.Plan(*args, **QUERY_CONSTANTS)
+
+    def test_valid_arguments_answer_alike(self, keys_20k, phf_20k):
+        plan = self._plan(phf_20k)
+        assert [plan.query(k) for k in keys_20k[:500]] == phf_20k.evaluate_many(keys_20k[:500]).tolist()
+
+    def test_query_hashes_wrong_dtype(self, phf_20k):
+        hi = np.zeros(4, dtype=np.uint64)
+        with pytest.raises(TypeError, match="lo: need items of 8 bytes"):
+            phf_20k._query.query_hashes(hi, hi.view(np.uint32), np.empty(4, dtype=np.uint64))
+
+    def test_query_hashes_short_output(self, phf_20k):
+        hi = np.zeros(4, dtype=np.uint64)
+        with pytest.raises(ValueError, match="out: need 4 items, got 3"):
+            phf_20k._query.query_hashes(hi, hi, np.empty(3, dtype=np.uint64))
+
+    def test_wrong_dtype(self, phf_20k):
+        with pytest.raises(TypeError, match="starts: need items of 8 bytes"):
+            self._plan(phf_20k, starts=phf_20k._starts.astype(np.uint32))
+
+    def test_short_arrays(self, phf_20k):
+        with pytest.raises(ValueError, match="seeds: need"):
+            self._plan(phf_20k, seeds=phf_20k.meta.seeds[:-1].copy())
+        stores = list(_plan_args(phf_20k)[-1])
+        *head, last_plane = stores[2]
+        stores[2] = (*head, last_plane[:-1].copy())
+        with pytest.raises(ValueError, match="plane: need"):
+            self._plan(phf_20k, stores=tuple(stores))
+        with pytest.raises(ValueError, match="need three stores"):
+            self._plan(phf_20k, stores=tuple(stores[:2]))
+
+    def test_bucket_past_the_value_range(self, phf_20k):
+        sizes = phf_20k._sizes.copy()
+        sizes[-1] += 1
+        with pytest.raises(ValueError, match="a bucket's cells reach past"):
+            self._plan(phf_20k, sizes=sizes)
 
 
 def _reseal(body: bytes) -> bytes:

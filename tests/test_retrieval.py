@@ -337,6 +337,46 @@ def test_kernel_matches_python_solve(r, epsilon):
         assert unsolvable
 
 
+@native
+class TestSolveArguments:
+    """The solve kernel checks its arrays, and every row start, before it
+    runs."""
+
+    @staticmethod
+    def _solve(starts=None, coeffs=None, values=None, num_slots=64, r=1, bits=None):
+        starts = np.zeros(2, dtype=np.uint64) if starts is None else starts
+        coeffs = np.array([1, 3], dtype=np.uint64) if coeffs is None else coeffs
+        values = np.array([1, 0], dtype=np.uint8) if values is None else values
+        bits = np.empty((r, 64), dtype=np.uint8) if bits is None else bits
+        return _native.lib.ribbon_solve(starts, coeffs, values, num_slots, r, bits)
+
+    def test_valid_rows_solve(self):
+        assert self._solve() is True
+        # the same equation with another value is inconsistent
+        assert self._solve(coeffs=np.ones(2, dtype=np.uint64)) is False
+
+    def test_wrong_dtype(self):
+        with pytest.raises(TypeError, match="starts: need items of 8 bytes"):
+            self._solve(starts=np.zeros(2, dtype=np.uint32))
+        with pytest.raises(TypeError, match="values: need items of 1 bytes"):
+            self._solve(values=np.ones(2, dtype=np.uint64))
+
+    def test_short_output(self):
+        with pytest.raises(ValueError, match="bits: need 128 items, got 127"):
+            self._solve(r=2, bits=np.empty(127, dtype=np.uint8))
+        with pytest.raises(ValueError, match="coeffs: need 2 items, got 1"):
+            self._solve(coeffs=np.ones(1, dtype=np.uint64))
+
+    def test_row_start_out_of_range(self):
+        with pytest.raises(ValueError, match="a row starts past num_slots - 64"):
+            self._solve(starts=np.array([0, 1], dtype=np.uint64))
+
+    @pytest.mark.parametrize("r, num_slots", [(0, 64), (4, 64), (1, 63)])
+    def test_bad_shape(self, r, num_slots):
+        with pytest.raises(ValueError, match="need 1 <= r <= 3"):
+            self._solve(r=r, num_slots=num_slots, bits=np.empty((1, 64), dtype=np.uint8))
+
+
 def test_build_takes_the_same_seed_on_both_paths(monkeypatch):
     # a tight slack makes seed retries common
     monkeypatch.setattr(retrieval, "EPSILON", 0.03)
