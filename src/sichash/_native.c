@@ -5,8 +5,9 @@
  *       keyed BLAKE2b-128 over a sequence of bytes-like keys
  *   ribbon_solve(starts, coeffs, values, num_slots, r, bits)
  *       a retrieval store's banded elimination and back-substitution
- *   rattle_place(flat, first, mask, budget, cells, counters)
- *       a cuckoo bucket's rattle-kicking placement under one seed
+ *   rattle_place(hi, lo, mask, seed, budget, cells, counters, *, ...)
+ *       a cuckoo bucket's candidate cells under one seed and its
+ *       rattle-kicking placement
  *   Plan(...), plan.query(key), plan.query_hashes(hi, lo, out)
  *       a function's packed query plan, and its value of one key or of a
  *       batch of master hashes
@@ -18,10 +19,12 @@
  * out of bounds.  The batch kernels release the GIL around their loops,
  * once they hold their buffers; the scalar query keeps it.
  *
- * No kernel holds a derivation constant: the plan gets them from
- * hashing.py, and the other kernels take derived values from Python.
- * Each kernel has a pure-Python reference that runs when the library is
- * None and that the tests compare it against.
+ * No kernel holds a derivation constant: the plan and the placement take
+ * the multipliers of hashing.py as keyword arguments (QUERY_CONSTANTS)
+ * into one struct, and derive cells with the one inline derivation below;
+ * the solve takes its rows derived and sorted in Python.  Each kernel has
+ * a pure-Python reference that runs when the library is None and that the
+ * tests compare it against.
  *
  * Build: cc -O3 -shared -fPIC -I<Python include dir> -o _native.so _native.c
  */
@@ -347,6 +350,48 @@ done:
 }
 
 /* ------------------------------------------------------------------------
+ * The cell derivation of hashing.py, shared by the placement and the query.
+ *
+ * The multipliers come from hashing.QUERY_CONSTANTS, as keyword arguments
+ * of rattle_place and Plan, so that this file holds none of them.
+ */
+
+typedef struct {
+    uint64_t m1, m2, golden, fold, cell_salt;
+} derivation;
+
+static inline uint64_t mulhi(uint64_t a, uint64_t b)
+{
+    return (uint64_t)(((unsigned __int128)a * b) >> 64);
+}
+
+/* hashing.mix64 */
+static inline uint64_t mix(const derivation *d, uint64_t x)
+{
+    x = (x ^ (x >> 30)) * d->m1;
+    x = (x ^ (x >> 27)) * d->m2;
+    return x ^ (x >> 31);
+}
+
+/* hashing.fold_hash */
+static inline uint64_t fold(const derivation *d, uint64_t hi, uint64_t lo)
+{
+    return lo ^ (hi * d->fold);
+}
+
+/* hashing.cell_key */
+static inline uint64_t cell_key(const derivation *d, uint64_t seed, uint64_t fn)
+{
+    return seed * d->golden + fn * d->m1 + d->cell_salt;
+}
+
+/* hashing.cell_at: a cell in [0, m) */
+static inline uint64_t cell_at(const derivation *d, uint64_t folded, uint64_t key, uint64_t m)
+{
+    return mulhi(mix(d, folded ^ key), m);
+}
+
+/* ------------------------------------------------------------------------
  * Rattle-kicking placement of one cuckoo bucket under one seed, the loop of
  * cuckoo.RattleTable.insert run over entries 0 .. n-1 in order.
  *
@@ -394,48 +439,76 @@ static int64_t place(const int64_t *flat, const int64_t *first,
     return steps;
 }
 
-/* rattle_place(flat, first, mask, budget, cells, counters): place's
- * result.  flat and first are int64 arrays and mask a uint8 array of one
- * entry each; cells (int64, m = len(cells)) and counters (int64, one per
- * entry) are filled here, and every index is checked first. */
-static PyObject *rattle_place(PyObject *self, PyObject *args)
+/* rattle_place(hi, lo, mask, seed, budget, cells, counters, *, m1, m2,
+ * golden, fold, cell_salt): place's result for the entries with master
+ * hash halves hi[i], lo[i] (uint64) and degree mask[i] + 1 (uint8) under
+ * a bucket seed, in a table of m = len(cells) cells.  Entry i's cell for
+ * hash function t is cell_at(fold(hi, lo), cell_key(seed, t), m), as
+ * hashing.cell_of_many derives it; so every cell is below m.  cells
+ * (int64, m entries) and counters (int64, n) are filled here. */
+static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    Py_buffer flat, first, mask, cells, counters;
+    static char *kwlist[] = {"hi", "lo", "mask", "seed", "budget", "cells", "counters",
+                             "m1", "m2", "golden", "fold", "cell_salt", NULL};
+    Py_buffer hi, lo, mask, cells, counters;
+    unsigned long long seed;
     long long budget;
-    if (!PyArg_ParseTuple(args, "y*y*y*Lw*w*:rattle_place", &flat, &first, &mask, &budget,
-                          &cells, &counters))
+    derivation d;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "y*y*y*KLw*w*$KKKKK:rattle_place", kwlist,
+                                     &hi, &lo, &mask, &seed, &budget, &cells, &counters,
+                                     &d.m1, &d.m2, &d.golden, &d.fold, &d.cell_salt))
         return NULL;
     PyObject *result = NULL;
-    Py_ssize_t n = first.len / 8, nflat = flat.len / 8, m = cells.len / 8;
-    if (check_buffer(&flat, 8, nflat, "flat") < 0 || check_buffer(&first, 8, n, "first") < 0 ||
+    int64_t *scratch = NULL;
+    Py_ssize_t n = hi.len / 8, m = cells.len / 8, total = 0;
+    if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
         check_buffer(&mask, 1, n, "mask") < 0 || check_buffer(&cells, 8, m, "cells") < 0 ||
         check_buffer(&counters, 8, n, "counters") < 0)
         goto done;
-    const int64_t *f = flat.buf, *fi = first.buf;
     const uint8_t *mk = mask.buf;
     for (Py_ssize_t i = 0; i < n; i++) {
-        if (fi[i] < 0 || fi[i] >= nflat - mk[i]) {
-            PyErr_SetString(PyExc_ValueError, "first: an entry's cells run past flat");
+        if (mk[i] != 1 && mk[i] != 3 && mk[i] != 7) {
+            PyErr_SetString(PyExc_ValueError, "mask: a degree mask other than 1, 3 or 7");
             goto done;
         }
+        total += mk[i] + 1;
     }
-    for (Py_ssize_t j = 0; j < nflat; j++) {
-        if (f[j] < 0 || f[j] >= m) {
-            PyErr_SetString(PyExc_ValueError, "flat: a cell outside [0, len(cells))");
-            goto done;
-        }
+    if (n && !m) {
+        PyErr_SetString(PyExc_ValueError, "cells: no cell for the entries");
+        goto done;
     }
-    int64_t steps, *c = cells.buf, *k = counters.buf;
+    if (budget < 0) {
+        PyErr_SetString(PyExc_ValueError, "budget must be >= 0");
+        goto done;
+    }
+    /* first (n entries), then flat (total) */
+    scratch = PyMem_Malloc((n + total) * sizeof *scratch);
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t steps, *first = scratch, *flat = scratch + n, *c = cells.buf, *k = counters.buf;
+    const uint64_t *h = hi.buf, *l = lo.buf;
     Py_BEGIN_ALLOW_THREADS
+    uint64_t keys[8];
+    for (int t = 0; t < 8; t++)
+        keys[t] = cell_key(&d, seed, t);
+    for (Py_ssize_t i = 0, at = 0; i < n; i++) {
+        uint64_t folded = fold(&d, h[i], l[i]);
+        first[i] = at;
+        for (int t = 0; t <= mk[i]; t++)
+            flat[at++] = (int64_t)cell_at(&d, folded, keys[t], (uint64_t)m);
+    }
     for (Py_ssize_t j = 0; j < m; j++)
         c[j] = -1;
     memset(k, 0, counters.len);
-    steps = place(f, fi, mk, n, budget, c, k);
+    steps = place(flat, first, mk, n, budget, c, k);
     Py_END_ALLOW_THREADS
     result = PyLong_FromLongLong(steps);
 done:
-    PyBuffer_Release(&flat);
-    PyBuffer_Release(&first);
+    PyMem_Free(scratch);
+    PyBuffer_Release(&hi);
+    PyBuffer_Release(&lo);
     PyBuffer_Release(&mask);
     PyBuffer_Release(&cells);
     PyBuffer_Release(&counters);
@@ -464,33 +537,21 @@ done:
 
 typedef struct {
     uint64_t keyed[8], empty[8]; /* key_states of the global seed */
-    uint64_t m1, m2, golden, fold, cell_salt; /* from hashing.py */
+    derivation d;
     uint64_t t1, t2, num_buckets, limit;
     const uint64_t *starts, *sizes, *seeds, *remap;
     uint64_t row_keys[3][2], spans[3]; /* store c's start and coefficient keys */
     const uint64_t *planes[3][3];      /* store c holds c + 1 planes */
 } sichash_plan;
 
-static inline uint64_t mulhi(uint64_t a, uint64_t b)
-{
-    return (uint64_t)(((unsigned __int128)a * b) >> 64);
-}
-
-/* hashing.mix64 */
-static inline uint64_t mix(const sichash_plan *p, uint64_t x)
-{
-    x = (x ^ (x >> 30)) * p->m1;
-    x = (x ^ (x >> 27)) * p->m2;
-    return x ^ (x >> 31);
-}
-
 static inline uint64_t value_of(const sichash_plan *p, uint64_t hi, uint64_t lo)
 {
+    const derivation *d = &p->d;
     uint64_t b = mulhi(hi, p->num_buckets);
     int c = lo < p->t1 ? 0 : lo < p->t2 ? 1 : 2;
-    uint64_t folded = lo ^ (hi * p->fold);
-    uint64_t start = mulhi(mix(p, hi ^ p->row_keys[c][0]), p->spans[c]);
-    uint64_t coeff = mix(p, folded ^ p->row_keys[c][1]) | 1;
+    uint64_t folded = fold(d, hi, lo);
+    uint64_t start = mulhi(mix(d, hi ^ p->row_keys[c][0]), p->spans[c]);
+    uint64_t coeff = mix(d, folded ^ p->row_keys[c][1]) | 1;
     uint64_t w = start >> 6, off = start & 63, fn = 0;
     for (int k = 0; k <= c; k++) {
         const uint64_t *plane = p->planes[c][k];
@@ -498,8 +559,7 @@ static inline uint64_t value_of(const sichash_plan *p, uint64_t hi, uint64_t lo)
         uint64_t window = (plane[w] >> off) | ((plane[w + 1] << (63 - off)) << 1);
         fn |= (uint64_t)__builtin_parityll(window & coeff) << k;
     }
-    uint64_t key = p->seeds[b] * p->golden + fn * p->m1 + p->cell_salt;
-    uint64_t value = p->starts[b] + mulhi(mix(p, folded ^ key), p->sizes[b]);
+    uint64_t value = p->starts[b] + cell_at(d, folded, cell_key(d, p->seeds[b], fn), p->sizes[b]);
     return value >= p->limit ? p->remap[value - p->limit] : value;
 }
 
@@ -534,8 +594,8 @@ static PyObject *plan_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     PyObject *stores, *seq = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "KKKKy*y*y*y*O$KKKKK:Plan", kwlist, &seed,
                                      &p->t1, &p->t2, &p->limit, &v[0], &v[1], &v[2], &v[3],
-                                     &stores, &p->m1, &p->m2, &p->golden, &p->fold,
-                                     &p->cell_salt))
+                                     &stores, &p->d.m1, &p->d.m2, &p->d.golden, &p->d.fold,
+                                     &p->d.cell_salt))
         goto fail;
     self->held = 4;
     Py_ssize_t nb = v[0].len / 8, nremap = v[3].len / 8;
@@ -664,8 +724,9 @@ static PyMethodDef methods[] = {
      "blake2b128_batch(keys, seed, hi, lo): keyed BLAKE2b-128 of each key"},
     {"ribbon_solve", ribbon_solve, METH_VARARGS,
      "ribbon_solve(starts, coeffs, values, num_slots, r, bits): solve a ribbon"},
-    {"rattle_place", rattle_place, METH_VARARGS,
-     "rattle_place(flat, first, mask, budget, cells, counters): place a bucket"},
+    {"rattle_place", (PyCFunction)(void (*)(void))rattle_place, METH_VARARGS | METH_KEYWORDS,
+     "rattle_place(hi, lo, mask, seed, budget, cells, counters, *, m1, m2, golden, fold, "
+     "cell_salt): derive a bucket's cells under one seed and place it"},
     {NULL, NULL, 0, NULL},
 };
 

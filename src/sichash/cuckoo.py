@@ -10,19 +10,22 @@ an evicted object re-enters with its counter incremented by one.
 Construction of a whole bucket is retried with seeds 0, 1, 2, ... until
 all entries place within the displacement budget.
 
-Each entry's candidate cells are derived once per (entry, seed), in one
-vectorized pass per bucket seed, into one flat int64 array.  An entry
-keeps the index of its first cell and ``degree - 1`` as a mask; degrees
-are powers of two, so a probe is ``flat[first + (counter & mask)]`` and
-the final assignments are ``counters & mask`` in numpy.  The kicking
-loop over one seed runs in the native kernel ``rattle_place``
-(``_native.c``), which derives nothing and only reads those arrays; when
-:data:`sichash._native.lib` is None, :meth:`RattleTable.insert` runs the
-same loop in Python, as fallback and as the reference the tests compare
-the kernel against.  :func:`incremental_load_experiment` inserts one
-entry at a time and always uses :class:`RattleTable`.  The injectivity
-self-check on a finished placement re-derives the chosen cells with the
-vectorized query-side derivation.
+Each entry's candidate cells are derived once per (entry, seed) into one
+flat array.  An entry keeps the index of its first cell and
+``degree - 1`` as a mask; degrees are powers of two, so a probe is
+``flat[first + (counter & mask)]`` and the final assignments are
+``counters & mask`` in numpy.  One call of the native kernel
+``rattle_place`` (``_native.c``) per bucket seed takes the bucket's hash
+halves and masks, derives the cells as :func:`cell_of_many` does, with
+the constants of :data:`~sichash.hashing.QUERY_CONSTANTS`, and runs the
+kicking loop.  When :data:`sichash._native.lib` is None, the cells are
+derived by :func:`cell_of_many` in one vectorized pass per bucket seed
+and :meth:`RattleTable.insert` runs the same loop in Python, as fallback
+and as the reference the tests compare the kernel against.
+:func:`incremental_load_experiment` inserts one entry at a time and
+always uses :class:`RattleTable`.  The injectivity self-check on a
+finished placement re-derives the chosen cells with the vectorized
+query-side derivation.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from . import _native
 from .errors import ConstructionError
 from .hashing import (
     CLASS_DEGREES,
+    QUERY_CONSTANTS,
     cell_at,
     cell_key,
     cell_of_many,
@@ -64,8 +68,8 @@ class BucketInput:
     m: int
 
     def __post_init__(self) -> None:
-        self.hi = np.asarray(self.hi, dtype=np.uint64)
-        self.lo = np.asarray(self.lo, dtype=np.uint64)
+        self.hi = np.ascontiguousarray(self.hi, dtype=np.uint64)
+        self.lo = np.ascontiguousarray(self.lo, dtype=np.uint64)
         degrees = np.asarray(self.degrees)
         if not np.logical_or.reduce([degrees == d for d in CLASS_DEGREES]).all():
             raise ValueError(f"degrees must be in {CLASS_DEGREES}")
@@ -186,26 +190,29 @@ def build_bucket(
         budget = max(1, BUDGET_PER_ENTRY * n)
     if n == 0:
         return PlacementResult(0, np.empty(0, dtype=np.uint8), 0)
-    # one (entry, fn_index) pair per candidate cell, entries in order
-    ends = np.cumsum(inp.degrees, dtype=np.int64)
-    first = ends - inp.degrees
-    entry = np.repeat(np.arange(n), inp.degrees)
-    fn_index = np.arange(int(ends[-1])) - first[entry]
-    hi, lo = inp.hi[entry], inp.lo[entry]
     mask = inp.degrees - np.uint8(1)
     lib = _native.lib
+    if lib is None:
+        # one (entry, fn_index) pair per candidate cell, entries in order
+        ends = np.cumsum(inp.degrees, dtype=np.int64)
+        first = ends - inp.degrees
+        entry = np.repeat(np.arange(n), inp.degrees)
+        fn_index = np.arange(int(ends[-1])) - first[entry]
+        hi, lo = inp.hi[entry], inp.lo[entry]
+    else:
+        cells = np.empty(inp.m, dtype=np.int64)
+        counters = np.empty(n, dtype=np.int64)
     for seed in range(max_seeds):
-        # every cell is below m, so the int64 view keeps its value
-        flat = cell_of_many(hi, lo, seed, fn_index, inp.m).view(np.int64)
         if lib is None:
+            flat = cell_of_many(hi, lo, seed, fn_index, inp.m)
             table = RattleTable(inp.m, seed, flat.tolist(), first.tolist(), mask.tolist())
             placed = all(table.insert(i, budget) for i in range(n))
             counters, displacements = table.counters, table.displacements
         else:
-            cells = np.empty(inp.m, dtype=np.int64)
-            counters = np.empty(n, dtype=np.int64)
+            # the kernel derives the cells as cell_of_many does
             displacements = lib.rattle_place(
-                flat, first, mask, min(budget, _MAX_BUDGET), cells, counters
+                inp.hi, inp.lo, mask, seed, min(budget, _MAX_BUDGET), cells, counters,
+                **QUERY_CONSTANTS,
             )
             placed = displacements >= 0
         if placed:

@@ -11,9 +11,10 @@ the retrieval row keys (:func:`row_keys`) are defined here once.
 :func:`master_hash_many` hashes with the batch BLAKE2b kernel of the
 package's native extension module, :data:`sichash._native.lib`, and
 falls back to its :mod:`hashlib` reference loop when that is None.  No
-kernel holds a derivation constant: the query plan gets them from this
-module (:data:`QUERY_CONSTANTS`), and the retrieval solve and the cuckoo
-placement take every derived value from Python.
+kernel holds a derivation constant: the query plan and the cuckoo
+placement get them from this module (:data:`QUERY_CONSTANTS`) and derive
+cells with one C copy of :func:`cell_of`, and the retrieval solve takes
+its rows from Python.
 
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
 instead of a modulo; the bias is at most ``m / 2**64``.
@@ -51,9 +52,10 @@ _ROW_MULT = 0xC2B2AE3D27D4EB4F
 _START_SALT = 0xA24BAED4963EE407
 _COEFF_SALT = 0x9FB21C651E98DF25
 
-#: the constants of a scalar query, by field of the native query plan:
-#: mix64's multipliers, cell_key's seed spreader and salt, and fold_hash's
-#: multiplier (a store's row keys come from :func:`row_keys`)
+#: the constants of a scalar query and of a bucket's cells, by keyword of
+#: the native query plan and placement: mix64's multipliers, cell_key's
+#: seed spreader and salt, and fold_hash's multiplier (a store's row keys
+#: come from :func:`row_keys`)
 QUERY_CONSTANTS = dict(m1=_M1, m2=_M2, golden=_GOLDEN, fold=_FOLD, cell_salt=_CELL_SALT)
 
 #: candidate-cell counts for the three key classes

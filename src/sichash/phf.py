@@ -260,7 +260,8 @@ class SicHashPhf:
     ``m_total``.
 
     A freshly built function carries its :class:`BuildStats` as
-    ``build_stats``; a loaded or hand-assembled one has ``None``.
+    ``build_stats``; a loaded, unpickled, copied or hand-assembled one has
+    ``None``.
     """
 
     build_stats: Optional[BuildStats] = None
@@ -441,6 +442,12 @@ class SicHashPhf:
             w.blob(remap)
         payload = w.getvalue()
         return payload + zlib.crc32(payload).to_bytes(4, "little")
+
+    def __reduce__(self):
+        """Pickle and copy through the blob: an unpickled or copied function
+        is ``from_bytes(to_bytes())``, which gives the same values on every
+        path.  Its ``build_stats`` is None, as on any loaded function."""
+        return self.from_bytes, (self.to_bytes(),)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SicHashPhf":

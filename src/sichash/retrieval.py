@@ -13,8 +13,9 @@ row is XORed into the stored row at its current pivot until it finds a
 free pivot, becomes zero (dependent) or proves the system inconsistent.
 Back-substitution then runs from the last slot down, carrying the
 solution bits of the next 64 slots as one sliding 64-bit word, so a
-pivot's bit is one AND and parity.  :func:`_solve` derives and sorts the
-rows and hands them to the native kernel (``_native.c``, loaded as
+pivot's bit is one AND and parity.  :func:`_solve` derives the rows,
+puts them in stable start order with one packed sort (:func:`_start_order`)
+and hands them to the native kernel (``_native.c``, loaded as
 :data:`sichash._native.lib`), which eliminates and then back-substitutes
 all r planes in a single pass over the slots, one sliding word per
 plane.  When that library is None, :func:`_solve_python`
@@ -221,7 +222,7 @@ def _solve(
     same pivots and so the same planes.
     """
     starts, coeffs = _rows_many(hi, lo, seed, num_slots)
-    order = np.argsort(starts, kind="stable")
+    order = _start_order(starts, num_slots)
     starts, coeffs, values = starts[order], coeffs[order], values[order]
     nwords = num_slots // 64 + 2
     lib = _native.lib
@@ -232,6 +233,29 @@ def _solve(
         if not lib.ribbon_solve(starts, coeffs, values.astype(np.uint8), num_slots, r, bits):
             return None  # inconsistent
     return None if bits is None else [_pack_bits(b, nwords) for b in bits]
+
+
+def _start_order(starts: np.ndarray, num_slots: int) -> np.ndarray:
+    """The stable sort order of the row starts, each at most
+    ``num_slots - 64``.
+
+    One in-place sort of ``start << b | index``, with ``b`` the bit length
+    of ``n - 1`` (at least 1): the packed words are distinct, and equal
+    starts keep their index order, so the low ``b`` bits of the sorted
+    words are the order a stable argsort gives.  Raises
+    :class:`ConstructionError` when the largest start shifted by ``b``
+    does not fit in 64 bits.
+    """
+    b = max(1, (len(starts) - 1).bit_length())
+    if (num_slots - BAND_WIDTH) >> (64 - b):
+        raise ConstructionError(
+            f"{len(starts)} rows over {num_slots} slots overflow a 64-bit sort key"
+        )
+    packed = starts << np.uint64(b)
+    packed |= np.arange(len(starts), dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << b) - 1)
+    return packed.view(np.int64)
 
 
 def _solve_python(

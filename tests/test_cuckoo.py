@@ -16,8 +16,10 @@ from sichash.cuckoo import (
 )
 from sichash.errors import ConstructionError
 from sichash.hashing import (
+    QUERY_CONSTANTS,
     MasterHash,
     cell_of,
+    cell_of_many,
     class_of_many,
     class_thresholds,
     fold_hash,
@@ -284,12 +286,10 @@ def _place_both(inp, seed, budget):
     for hi, lo, d in zip(inp.hi.tolist(), inp.lo.tolist(), inp.degrees.tolist()):
         table.add_entry(fold_hash((hi, lo)), d)
     n = len(inp)
-    flat = np.array(table.flat, dtype=np.int64)
-    first = np.array(table.first, dtype=np.int64)
-    mask = np.array(table.mask, dtype=np.uint8)
     cells = np.empty(inp.m, dtype=np.int64)
     counters = np.empty(n, dtype=np.int64)
-    got = _native.lib.rattle_place(flat, first, mask, budget, cells, counters)
+    got = _native.lib.rattle_place(inp.hi, inp.lo, inp.degrees - np.uint8(1), seed, budget,
+                                   cells, counters, **QUERY_CONSTANTS)
     placed = all(table.insert(i, budget) for i in range(n))
     want = table.displacements if placed else -1
     return (got, cells.tolist(), counters.tolist()), (want, table.cells, table.counters)
@@ -359,48 +359,97 @@ class TestNativePlacement:
 
 
 @native
+def test_kernel_derives_cells_as_cell_of_many():
+    # 2000 entries in 2100 cells kick enough that entries of every degree
+    # end on each of their hash functions; each occupied cell must be its
+    # entry's cell_of_many cell under the function its counter selects
+    rng = np.random.default_rng(17)
+    inp = _random_bucket(rng, 2000, 2000 / 2100, (0.3, 0.4, 0.3))
+    cells = np.empty(inp.m, dtype=np.int64)
+    counters = np.empty(len(inp), dtype=np.int64)
+    mask = inp.degrees - np.uint8(1)
+    seed = 3
+    assert _native.lib.rattle_place(inp.hi, inp.lo, mask, seed, 10**9, cells, counters,
+                                    **QUERY_CONSTANTS) > 0
+    occupied = np.flatnonzero(cells >= 0)
+    entries = cells[occupied]
+    assert sorted(entries.tolist()) == list(range(len(inp)))
+    fn = counters[entries] & mask[entries]
+    assert {(int(d), int(t)) for d, t in zip(inp.degrees[entries], fn)} == {
+        (d, t) for d in (2, 4, 8) for t in range(d)
+    }
+    want = cell_of_many(inp.hi[entries], inp.lo[entries], seed, fn, inp.m)
+    assert np.array_equal(occupied, want)
+
+
+@native
 class TestPlacementArguments:
-    """The placement kernel checks its arrays, and every index it reads
-    from them, before it runs."""
+    """The placement kernel checks its arrays and values before it runs."""
 
     @staticmethod
     def _arrays():
         # two entries of degree 2 in three cells
-        return dict(flat=np.array([0, 1, 1, 2], dtype=np.int64),
-                    first=np.array([0, 2], dtype=np.int64),
+        return dict(hi=np.array([1, 2], dtype=np.uint64),
+                    lo=np.array([3, 4], dtype=np.uint64),
                     mask=np.array([1, 1], dtype=np.uint8),
                     cells=np.empty(3, dtype=np.int64),
                     counters=np.empty(2, dtype=np.int64))
 
-    def _place(self, **changes):
+    def _place(self, budget=100, **changes):
         a = {**self._arrays(), **changes}
-        return _native.lib.rattle_place(a["flat"], a["first"], a["mask"], 100,
-                                        a["cells"], a["counters"])
+        return _native.lib.rattle_place(a["hi"], a["lo"], a["mask"], 0, budget, a["cells"],
+                                        a["counters"], **QUERY_CONSTANTS)
 
     def test_valid_arrays_place(self):
-        assert self._place() == 0
+        cells = np.empty(3, dtype=np.int64)
+        assert self._place(cells=cells) >= 0
+        assert sorted(cells.tolist())[1:] == [0, 1]
+
+    def test_no_entries(self):
+        empty = np.empty(0, dtype=np.uint64)
+        assert self._place(hi=empty, lo=empty, mask=np.empty(0, dtype=np.uint8),
+                           cells=np.empty(0, dtype=np.int64),
+                           counters=np.empty(0, dtype=np.int64)) == 0
 
     def test_wrong_dtype(self):
-        with pytest.raises(TypeError, match="flat: need items of 8 bytes"):
-            self._place(flat=np.array([0, 1, 1, 2], dtype=np.int32))
-        with pytest.raises(TypeError, match="mask: need items of 1 bytes"):
-            self._place(mask=np.array([1, 1], dtype=np.int64))
+        for name, dtype, size in (("hi", np.uint32, 8), ("lo", np.int32, 8),
+                                  ("mask", np.int64, 1), ("cells", np.int32, 8),
+                                  ("counters", np.uint32, 8)):
+            wrong = self._arrays()[name].astype(dtype)
+            with pytest.raises(TypeError, match=f"{name}: need items of {size} bytes"):
+                self._place(**{name: wrong})
 
     def test_short_output(self):
-        with pytest.raises(ValueError, match="counters: need 2 items, got 1"):
-            self._place(counters=np.empty(1, dtype=np.int64))
+        # n is len(hi), so a short hi shows as a long lo
+        for name, message in (("hi", "lo: need 1 items, got 2"),
+                              ("lo", "lo: need 2 items, got 1"),
+                              ("mask", "mask: need 2 items, got 1"),
+                              ("counters", "counters: need 2 items, got 1")):
+            with pytest.raises(ValueError, match=message):
+                self._place(**{name: self._arrays()[name][:1]})
 
-    def test_indexes_out_of_range(self):
-        with pytest.raises(ValueError, match="flat: a cell outside"):
-            self._place(flat=np.array([0, 1, 1, 3], dtype=np.int64))
-        with pytest.raises(ValueError, match="flat: a cell outside"):
-            self._place(flat=np.array([0, -1, 1, 2], dtype=np.int64))
-        with pytest.raises(ValueError, match="first: an entry's cells run past flat"):
-            self._place(first=np.array([0, 3], dtype=np.int64))
+    @pytest.mark.parametrize("bad", [0, 2, 8])
+    def test_mask_not_a_degree(self, bad):
+        with pytest.raises(ValueError, match="mask: a degree mask other than 1, 3 or 7"):
+            self._place(mask=np.array([1, bad], dtype=np.uint8))
+
+    def test_entries_without_cells(self):
+        with pytest.raises(ValueError, match="cells: no cell"):
+            self._place(cells=np.empty(0, dtype=np.int64))
+
+    def test_negative_budget(self):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            self._place(budget=-1)
+
+    def test_constants_are_keyword_only(self):
+        a = self._arrays()
+        with pytest.raises(TypeError):
+            _native.lib.rattle_place(a["hi"], a["lo"], a["mask"], 0, 100, a["cells"],
+                                     a["counters"], *QUERY_CONSTANTS.values())
 
     def test_strided_input(self):
         with pytest.raises((BufferError, ValueError)):
-            self._place(flat=np.zeros(8, dtype=np.int64)[::2])
+            self._place(hi=np.zeros(4, dtype=np.uint64)[::2])
 
 
 class TestDegreeValidation:

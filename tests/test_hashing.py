@@ -1,5 +1,6 @@
 import array
 import shutil
+import subprocess
 import sys
 import sysconfig
 
@@ -224,6 +225,18 @@ class TestLoadKernel:
         assert hashing.hash_backend() == "native"
         keys = [bytes(range(n % 256)) * (1 + n // 256) for n in range(300)]
         _assert_same(master_hash_many(keys, 9), _reference(keys, 9))
+
+    @needs_cc
+    @pytest.mark.skipif(not (_native._INCLUDE / "Python.h").is_file(), reason="no Python.h")
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # -Wall only: -Wextra flags the unused ``self`` of module functions
+        # and the module definition's unset trailing fields
+        out = subprocess.run(
+            [*_native._CC, "-Wall", "-Werror", f"-I{_native._INCLUDE}",
+             "-o", str(tmp_path / "lib.so"), str(_native._SOURCE)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
 
     def test_no_compiler(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"),))

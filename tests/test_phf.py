@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import dataclasses
 import functools
 import gc
 import json
+import pickle
 import struct
 import sys
 import zlib
@@ -321,6 +323,22 @@ class TestSerialization:
             restored.evaluate_many(keys_20k), plain.evaluate_many(keys_20k)
         )
         assert restored.config.compressed_metadata
+
+
+@pytest.mark.parametrize("minimal", [False, True], ids=["plain", "minimal"])
+@LIBRARIES
+def test_pickle_and_copy_roundtrip(lib, minimal):
+    keys = generate_keys(3000, seed=12)
+    with _library(lib):
+        phf = build(keys, PhfConfig(alpha=0.9, minimal=minimal, compressed_metadata=minimal))
+        blob = phf.to_bytes()
+        values = phf.evaluate_many(keys).tolist()
+        for copied in (pickle.loads(pickle.dumps(phf)), copy.deepcopy(phf), copy.copy(phf)):
+            assert copied is not phf
+            assert copied.build_stats is None
+            assert copied.to_bytes() == blob
+            assert copied.evaluate_many(keys).tolist() == values
+            assert [copied.evaluate(k) for k in keys[:200]] == values[:200]
 
 
 class TestMinimal:

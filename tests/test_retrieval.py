@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import struct
 
@@ -11,7 +12,13 @@ from sichash import _native, retrieval
 from sichash.errors import ConstructionError, DeserializationError
 from sichash.hashing import MASK64, MasterHash, mix64
 from sichash.phf import PhfConfig, SicHashPhf, build, build_from_hashes
-from sichash.retrieval import MAX_SEED_RETRIES, RetrievalStore, _rows_many, _solve
+from sichash.retrieval import (
+    MAX_SEED_RETRIES,
+    RetrievalStore,
+    _rows_many,
+    _solve,
+    _start_order,
+)
 
 
 def _random_hashes(rng, n):
@@ -213,6 +220,43 @@ def test_keys_sharing_one_half_are_separable():
 
     store2 = RetrievalStore.build((lo, hi), values, r=1)
     assert np.array_equal(store2.query_many(lo, hi).astype(np.uint64), values)
+
+
+# -- the packed sort of the row starts ---------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_start_order_small(n):
+    for starts in itertools.product(range(3), repeat=n):
+        starts = np.array(starts, dtype=np.uint64)
+        assert np.array_equal(_start_order(starts, 66), np.argsort(starts, kind="stable"))
+
+
+def test_start_order_ties():
+    # 10k rows over 200 start slots: ~50 rows share each start
+    starts = np.random.default_rng(81).integers(0, 200, size=10_000).astype(np.uint64)
+    assert np.array_equal(_start_order(starts, 263), np.argsort(starts, kind="stable"))
+
+
+def test_start_order_random_rows():
+    rng = np.random.default_rng(82)
+    for n in (5, 64, 1000, 70_000):
+        num_slots = max(64, math.ceil(n * 1.1))
+        hi, lo = _random_hashes(rng, n)
+        starts, _ = _rows_many(hi, lo, int(rng.integers(0, 100)), num_slots)
+        assert np.array_equal(_start_order(starts, num_slots), np.argsort(starts, kind="stable"))
+
+
+@pytest.mark.parametrize("n, b", [(2, 1), (3, 2), (1000, 10)])
+def test_start_order_overflow(n, b):
+    # starts reach num_slots - 64; shifted left by b they need 64 bits
+    # up to 2**(64 - b) - 1 and overflow from 2**(64 - b)
+    widest = np.uint64(2 ** (64 - b) - 1)
+    starts = np.full(n, widest, dtype=np.uint64)
+    starts[0] = 0
+    assert np.array_equal(_start_order(starts, int(widest) + 64), np.arange(n))
+    with pytest.raises(ConstructionError, match="overflow"):
+        _start_order(starts, int(widest) + 65)
 
 
 # -- solver reference -------------------------------------------------------

@@ -4,9 +4,9 @@
 and ``succinct._pack_bits`` is the only code that packs bits into
 words.  A second copy elsewhere in ``src/sichash`` could drift from the
 first and make scalar and batch paths disagree.  No kernel in
-``_native.c`` holds a derivation constant: the query kernel gets them
-from ``hashing.py`` through the plan, and the other kernels take
-derived values from Python.
+``_native.c`` holds a derivation constant: the query plan and the cuckoo
+placement get them from ``hashing.py`` as keyword arguments, and the
+retrieval solve takes its rows derived in Python.
 """
 
 import ast
