@@ -16,8 +16,11 @@
  * entry point checks their item sizes and lengths, and every value it uses
  * as an index, before it reads them, and raises TypeError (item size) or
  * ValueError (length, value); so a wrong argument never reads or writes
- * out of bounds.  The batch kernels release the GIL around their loops,
- * once they hold their buffers; the scalar query keeps it.
+ * out of bounds.  Integer arguments of 64 bits (seeds, thresholds, keys and
+ * multipliers) go through u64_arg, which raises OverflowError outside
+ * [0, 2**64) where the K format would wrap them.  The batch kernels
+ * release the GIL around their loops, once they hold their buffers; the
+ * scalar query keeps it.
  *
  * No kernel holds a derivation constant: the plan and the placement take
  * the multipliers of hashing.py as keyword arguments (QUERY_CONSTANTS)
@@ -48,6 +51,21 @@ static int check_buffer(const Py_buffer *b, Py_ssize_t itemsize, Py_ssize_t coun
         return -1;
     }
     return 0;
+}
+
+/* O& converter: an integer in [0, 2**64) into a uint64_t, or OverflowError
+ * (TypeError for an object without __index__) */
+static int u64_arg(PyObject *obj, void *out)
+{
+    PyObject *index = PyNumber_Index(obj);
+    if (!index)
+        return 0;
+    unsigned long long v = PyLong_AsUnsignedLongLong(index);
+    Py_DECREF(index);
+    if (v == (unsigned long long)-1 && PyErr_Occurred())
+        return 0;
+    *(uint64_t *)out = v;
+    return 1;
 }
 
 /* ------------------------------------------------------------------------
@@ -192,9 +210,9 @@ static int get_key(PyObject *key, Py_buffer *view)
 static PyObject *blake2b128_batch(PyObject *self, PyObject *args)
 {
     PyObject *keys, *seq, *result = NULL;
-    unsigned long long seed;
+    uint64_t seed;
     Py_buffer hi, lo, views[KEY_BLOCK];
-    if (!PyArg_ParseTuple(args, "OKw*w*:blake2b128_batch", &keys, &seed, &hi, &lo))
+    if (!PyArg_ParseTuple(args, "OO&w*w*:blake2b128_batch", &keys, u64_arg, &seed, &hi, &lo))
         return NULL;
     seq = PySequence_Fast(keys, "keys must be an iterable of bytes-like objects");
     if (!seq)
@@ -451,12 +469,13 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"hi", "lo", "mask", "seed", "budget", "cells", "counters",
                              "m1", "m2", "golden", "fold", "cell_salt", NULL};
     Py_buffer hi, lo, mask, cells, counters;
-    unsigned long long seed;
+    uint64_t seed;
     long long budget;
     derivation d;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "y*y*y*KLw*w*$KKKKK:rattle_place", kwlist,
-                                     &hi, &lo, &mask, &seed, &budget, &cells, &counters,
-                                     &d.m1, &d.m2, &d.golden, &d.fold, &d.cell_salt))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "y*y*y*O&Lw*w*$O&O&O&O&O&:rattle_place",
+                                     kwlist, &hi, &lo, &mask, u64_arg, &seed, &budget, &cells,
+                                     &counters, u64_arg, &d.m1, u64_arg, &d.m2, u64_arg,
+                                     &d.golden, u64_arg, &d.fold, u64_arg, &d.cell_salt))
         return NULL;
     PyObject *result = NULL;
     int64_t *scratch = NULL;
@@ -518,9 +537,9 @@ done:
 /* ------------------------------------------------------------------------
  * Scalar and batch query, the derivation of SicHashPhf.evaluate_hash: the
  * bucket by multiply-high, the class by the thresholds t1 and t2, the
- * class's retrieval row and r-plane window parity (retrieval.fetch), the
- * cell key and cell (hashing.cell_key, cell_at), the bucket's offset and
- * the minimal-mode remap.
+ * class's retrieval row and r-plane window parity (RetrievalStore.query),
+ * the cell key and cell (hashing.cell_key, cell_at), the bucket's offset
+ * and the minimal-mode remap.
  *
  * A Plan is built once, by SicHashPhf's constructor, and holds a buffer
  * on every array it reads, so it keeps them alive on its own.  value_of
@@ -584,18 +603,19 @@ static PyObject *plan_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                              "remap", "stores", "m1", "m2", "golden", "fold",
                              "cell_salt", NULL};
     /* store c is (start key, coefficient key, num_slots, *planes) */
-    static const char *store_formats[3] = {"KKny*", "KKny*y*", "KKny*y*y*"};
+    static const char *store_formats[3] = {"O&O&ny*", "O&O&ny*y*", "O&O&ny*y*y*"};
     Plan *self = (Plan *)type->tp_alloc(type, 0);
     if (!self)
         return NULL;
     sichash_plan *p = &self->p;
     Py_buffer *v = self->views;
-    unsigned long long seed;
+    uint64_t seed;
     PyObject *stores, *seq = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "KKKKy*y*y*y*O$KKKKK:Plan", kwlist, &seed,
-                                     &p->t1, &p->t2, &p->limit, &v[0], &v[1], &v[2], &v[3],
-                                     &stores, &p->d.m1, &p->d.m2, &p->d.golden, &p->d.fold,
-                                     &p->d.cell_salt))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&O&y*y*y*y*O$O&O&O&O&O&:Plan", kwlist,
+                                     u64_arg, &seed, u64_arg, &p->t1, u64_arg, &p->t2, u64_arg,
+                                     &p->limit, &v[0], &v[1], &v[2], &v[3], &stores, u64_arg,
+                                     &p->d.m1, u64_arg, &p->d.m2, u64_arg, &p->d.golden,
+                                     u64_arg, &p->d.fold, u64_arg, &p->d.cell_salt))
         goto fail;
     self->held = 4;
     Py_ssize_t nb = v[0].len / 8, nremap = v[3].len / 8;
@@ -628,9 +648,9 @@ static PyObject *plan_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     for (int c = 0; c < 3; c++) {
         Py_buffer *planes = &v[self->held];
         Py_ssize_t num_slots;
-        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq, c), store_formats[c],
-                              &p->row_keys[c][0], &p->row_keys[c][1], &num_slots, &planes[0],
-                              &planes[1], &planes[2]))
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq, c), store_formats[c], u64_arg,
+                              &p->row_keys[c][0], u64_arg, &p->row_keys[c][1], &num_slots,
+                              &planes[0], &planes[1], &planes[2]))
             goto fail;
         self->held += c + 1;
         if (num_slots < 64) {

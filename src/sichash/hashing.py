@@ -86,15 +86,11 @@ def keyed_blake2b(seed: int):
     return hashlib.blake2b(digest_size=16, key=(seed & MASK64).to_bytes(8, "little"))
 
 
-#: the (hi, lo) halves of a 16-byte master-hash digest, as a plain tuple
-split_digest = struct.Struct("<QQ").unpack
-
-
 def master_hash(key: bytes, seed: int) -> MasterHash:
     """Hash a key into 128 bits, keyed by the 64-bit global seed."""
     h = keyed_blake2b(seed)
     h.update(key)
-    return MasterHash._make(split_digest(h.digest()))
+    return MasterHash._make(struct.unpack("<QQ", h.digest()))
 
 
 def master_hash_many(

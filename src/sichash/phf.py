@@ -57,20 +57,16 @@ from .hashing import (
     MasterHash,
     bucket_of,
     bucket_of_many,
-    cell_at,
-    cell_key,
-    cell_of,  # noqa: F401  (cell_of, master_hash: perfbench/tracing.py wraps them)
+    cell_of,
     cell_of_many,
     check_distinct,
     class_of_many,
     class_thresholds,
-    fold_hash,
-    keyed_blake2b,
-    master_hash,  # noqa: F401
+    master_hash,
     master_hash_many,
-    split_digest,
+    row_keys,
 )
-from .retrieval import BAND_WIDTH, EPSILON, RetrievalStore, fetch
+from .retrieval import BAND_WIDTH, EPSILON, RetrievalStore
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
 _MAGIC = b"SICPHF02"
@@ -246,14 +242,16 @@ class SicHashPhf:
     """An assembled perfect hash function.
 
     The constructor checks that the parts fit together, decodes the
-    minimal-mode remap and builds the scalar query plan: plain Python
-    constants (class thresholds, per-bucket offset, size and seed, each
-    store's :attr:`~sichash.retrieval.RetrievalStore.plan`, a view of the
-    decoded remap) and a pre-keyed BLAKE2b state.  When the native module
-    is loaded it also packs the same plan into a ``_native.lib.Plan``,
-    whose methods answer :meth:`evaluate` on any bytes-like key and
-    :meth:`evaluate_hashes` in one call each; the Python plan stays the
-    fallback and the reference.
+    minimal-mode remap and derives the per-bucket start and size arrays.
+    When the native module is loaded it packs those arrays, the
+    thresholds, the bucket seeds and each store's row keys and planes
+    into a ``_native.lib.Plan``, whose methods answer :meth:`evaluate` on
+    any bytes-like key and :meth:`evaluate_hashes` in one call each.
+    Otherwise :meth:`evaluate` composes :func:`~sichash.hashing.master_hash`
+    and :meth:`evaluate_hash`, and :meth:`evaluate_hashes` runs the same
+    derivation in numpy; both read the same arrays as the native plan,
+    and :meth:`evaluate_hash` is the reference the others are tested
+    against.
     Nothing is written after that, so any number of threads may query one
     instance.  An empty bucket answers from offset 0 on every path, so a
     non-member key that lands in an empty last bucket stays below
@@ -308,26 +306,12 @@ class SicHashPhf:
         self._thresholds = class_thresholds(*config.fractions[:2])
         self._sizes = np.diff(meta.offsets)
         self._starts = np.where(self._sizes > 0, meta.offsets[:-1], np.uint64(0))
-        buckets = list(
-            zip(self._starts.tolist(), self._sizes.tolist(), meta.seeds.tolist())
-        )
-        self._hasher = keyed_blake2b(config.global_seed)
-        self._plan = (
-            *self._thresholds,
-            meta.num_buckets,
-            buckets,
-            stores[2].plan,
-            stores[4].plan,
-            stores[8].plan,
-            self._limit,
-            memoryview(self._remap_values),  # indexes to ints without a copy
-        )
         lib = _native.lib
         self._query = None if lib is None else self._native_plan(lib)
 
     def _native_plan(self, lib):
-        """The Python plan packed into a ``lib.Plan``, which holds its own
-        buffer on every array it reads."""
+        """The arrays :meth:`evaluate_hash` reads, packed into a ``lib.Plan``,
+        which holds its own buffer on every array it reads."""
 
         def words(a):
             return np.ascontiguousarray(a, dtype=np.uint64)
@@ -341,7 +325,7 @@ class SicHashPhf:
             self._sizes,
             words(self.meta.seeds),
             self._remap_values,
-            tuple((*s.plan[:2], s.num_slots, *map(words, s.planes)) for s in stores),
+            tuple((*row_keys(s.seed), s.num_slots, *map(words, s.planes)) for s in stores),
             **QUERY_CONSTANTS,
         )
 
@@ -359,19 +343,29 @@ class SicHashPhf:
     def evaluate(self, key: bytes) -> int:
         if self._query is not None and _native.lib is not None:
             return self._query.query(key)
-        h = self._hasher.copy()
-        h.update(key)
-        return self.evaluate_hash(split_digest(h.digest()))
+        return self.evaluate_hash(master_hash(key, self.config.global_seed))
 
     def evaluate_hash(self, h: MasterHash) -> int:
-        """Value of a master hash, given as a MasterHash or a (hi, lo) pair."""
-        t1, t2, num_buckets, buckets, row2, row4, row8, limit, remap = self._plan
-        hi, lo = h
-        off, m_b, seed = buckets[bucket_of(h, num_buckets)]
-        folded = fold_hash(h)
-        fn_index = fetch(row2 if lo < t1 else row4 if lo < t2 else row8, hi, folded)
-        value = off + cell_at(folded, cell_key(seed, fn_index), m_b)
-        return remap[value - limit] if value >= limit else value
+        """Value of a master hash, given as a MasterHash or a (hi, lo) pair
+        of integers in ``[0, 2**64)``; other halves raise
+        :class:`OverflowError`, as in :meth:`evaluate_hashes`.
+
+        The scalar reference of every query path: bucket, class, the
+        class's retrieval store, the cell and the remap.
+        """
+        hi, lo = map(operator.index, h)
+        if (hi | lo) >> 64:  # negative, or wider than 64 bits
+            raise OverflowError("master hash halves must lie in [0, 2**64)")
+        h = (hi, lo)
+        b = bucket_of(h, self.meta.num_buckets)
+        t1, t2 = self._thresholds
+        fn_index = self.stores[2 if lo < t1 else 4 if lo < t2 else 8].query(h)
+        value = int(self._starts[b]) + cell_of(
+            h, int(self.meta.seeds[b]), fn_index, int(self._sizes[b])
+        )
+        if value >= self._limit:
+            return int(self._remap_values[value - self._limit])
+        return value
 
     def evaluate_many(self, keys: Sequence[bytes]) -> np.ndarray:
         hi, lo = master_hash_many(keys, self.config.global_seed)

@@ -7,29 +7,32 @@ slot ``s`` in ``[0, num_slots - 64]`` plus a 64-bit coefficient pattern
 whose first bit is always set, so the pivot search never leaves the
 band.  Both derive from the store seed's
 :func:`~sichash.hashing.row_keys` by the same ``mix64`` and
-``fold_hash`` in :func:`fetch` and :func:`_rows_many`.  Solving the
-system in start order keeps elimination local and nearly linear: each
-row is XORed into the stored row at its current pivot until it finds a
-free pivot, becomes zero (dependent) or proves the system inconsistent.
-Back-substitution then runs from the last slot down, carrying the
-solution bits of the next 64 slots as one sliding 64-bit word, so a
-pivot's bit is one AND and parity.  :func:`_solve` derives the rows,
-puts them in stable start order with one packed sort (:func:`_start_order`)
-and hands them to the native kernel (``_native.c``, loaded as
-:data:`sichash._native.lib`), which eliminates and then back-substitutes
-all r planes in a single pass over the slots, one sliding word per
-plane.  When that library is None, :func:`_solve_python`
-runs the same elimination in Python, one back-substitution pass per
-plane; it is also the reference the tests compare the kernel against.
-Both give the same pivots and so the same planes;
-:func:`~sichash.succinct._pack_bits` packs the bits at the end.  Queries
-for keys outside the construction set return an arbitrary (but
+``fold_hash`` in :meth:`RetrievalStore.query` and :func:`_rows_many`.
+Solving the system in start order keeps elimination local and nearly
+linear: each row is XORed into the stored row at its current pivot
+until it finds a free pivot, becomes zero (dependent) or proves the
+system inconsistent.  Back-substitution then runs from the last slot
+down, carrying the solution bits of the next 64 slots as one sliding
+64-bit word, so a pivot's bit is one AND and parity.  :func:`_solve`
+derives the rows, puts them in stable start order with one packed sort
+(:func:`_start_order`) and hands them to the native kernel
+(``_native.c``, loaded as :data:`sichash._native.lib`), which eliminates
+and then back-substitutes all r planes in a single pass over the slots,
+one sliding word per plane.  When that library is None,
+:func:`_solve_python` runs the same elimination in Python, one
+back-substitution pass per plane; it is also the reference the tests
+compare the kernel against.  Both give the same pivots and so the same
+planes; :func:`~sichash.succinct._pack_bits` packs the bits at the end.
+Queries for keys outside the construction set return an arbitrary (but
 deterministic) r-bit value, never an error.
 
 The solution is stored as ``r`` separate bit planes; a query is one
-64-bit window fetch and popcount per plane.  Slot count is
-``max(64, ceil(num_keys * (1 + EPSILON)))``: every store, an empty one
-too, has at least one band, so the payload stays within
+64-bit window fetch and popcount per plane.  :meth:`RetrievalStore.query`
+reads the window's two words of each plane as Python ints,
+:meth:`~RetrievalStore.query_many` reads them in numpy, and the native
+query plan of :mod:`sichash.phf` reads the same word arrays.  Slot count
+is ``max(64, ceil(num_keys * (1 + EPSILON)))``: every store, an empty
+one too, has at least one band, so the payload stays within
 ``r * num_keys * (1 + EPSILON) + O(1)`` bits.  The slack
 :data:`EPSILON` is a constant of this band-64 ribbon: below about 0.08
 its systems fail or need seed retries.
@@ -41,7 +44,7 @@ u32 band (always 64) | u64 num_keys | r x word array``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,24 +80,6 @@ def _rows_many(
     return starts, coeffs
 
 
-def fetch(plan: tuple, hi: int, folded: int) -> int:
-    """Scalar query from a store's :attr:`RetrievalStore.plan`.
-
-    ``hi`` is the key's high half and ``folded`` its :func:`fold_hash`
-    word; the row derivation matches :func:`_rows_many`.
-    """
-    ks, kc, span, planes = plan
-    start = (mix64(hi ^ ks) * span) >> 64
-    coeff = mix64(folded ^ kc) | 1
-    at, off = (start >> 6) << 3, start & 63  # byte offset of the first word
-    out = 0
-    for k, plane in enumerate(planes):
-        # the coefficient clears the bits above the 64-bit window
-        window = int.from_bytes(plane[at : at + 16], "little") >> off
-        out |= ((window & coeff).bit_count() & 1) << k
-    return out
-
-
 @dataclass
 class RetrievalStore(Codec):
     """Solved retrieval structure; immutable and thread-safe for reads."""
@@ -104,14 +89,6 @@ class RetrievalStore(Codec):
     seed: int
     num_keys: int
     planes: list[np.ndarray]  # r word arrays, each padded with one extra word
-    #: scalar query constants, derived from the fields above: the row keys,
-    #: start span and planes as little-endian bytes
-    plan: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ks, kc = row_keys(self.seed)
-        planes = tuple(np.asarray(p, dtype="<u8").tobytes() for p in self.planes)
-        self.plan = (ks, kc, self.num_slots - BAND_WIDTH + 1, planes)
 
     @classmethod
     def build(
@@ -157,7 +134,16 @@ class RetrievalStore(Codec):
 
     def query(self, h: MasterHash) -> int:
         """Stored value for a construction key; arbitrary value otherwise."""
-        return fetch(self.plan, h[0], fold_hash(h))
+        ks, kc = row_keys(self.seed)
+        start = (mix64(h[0] ^ ks) * (self.num_slots - BAND_WIDTH + 1)) >> 64
+        coeff = mix64(fold_hash(h) ^ kc) | 1
+        w, off = start >> 6, start & 63
+        out = 0
+        for k, plane in enumerate(self.planes):
+            # the coefficient clears the bits above the 64-bit window
+            window = (int(plane[w]) | int(plane[w + 1]) << 64) >> off
+            out |= ((window & coeff).bit_count() & 1) << k
+        return out
 
     def query_many(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`query`."""

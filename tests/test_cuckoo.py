@@ -395,10 +395,10 @@ class TestPlacementArguments:
                     cells=np.empty(3, dtype=np.int64),
                     counters=np.empty(2, dtype=np.int64))
 
-    def _place(self, budget=100, **changes):
+    def _place(self, budget=100, seed=0, constants=QUERY_CONSTANTS, **changes):
         a = {**self._arrays(), **changes}
-        return _native.lib.rattle_place(a["hi"], a["lo"], a["mask"], 0, budget, a["cells"],
-                                        a["counters"], **QUERY_CONSTANTS)
+        return _native.lib.rattle_place(a["hi"], a["lo"], a["mask"], seed, budget, a["cells"],
+                                        a["counters"], **constants)
 
     def test_valid_arrays_place(self):
         cells = np.empty(3, dtype=np.int64)
@@ -440,6 +440,18 @@ class TestPlacementArguments:
     def test_negative_budget(self):
         with pytest.raises(ValueError, match="budget must be >= 0"):
             self._place(budget=-1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits(self, seed):
+        # a wrapping parse would place -1 as 2**64 - 1 and 2**64 + 5 as 5
+        with pytest.raises(OverflowError):
+            self._place(seed=seed)
+        with pytest.raises(OverflowError):
+            self._place(constants={**QUERY_CONSTANTS, "golden": seed})
+
+    def test_seed_at_the_64_bit_edges(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert self._place(seed=seed) >= 0
 
     def test_constants_are_keyword_only(self):
         a = self._arrays()

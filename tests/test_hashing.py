@@ -206,6 +206,12 @@ class TestBatchHashArguments:
         with pytest.raises(TypeError):
             _native.lib.blake2b128_batch([b"a"], 0, hi, bytes(8))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits(self, seed):
+        hi = np.empty(1, dtype=np.uint64)
+        with pytest.raises(OverflowError):
+            _native.lib.blake2b128_batch([b"a"], seed, hi, hi.copy())
+
 
 needs_cc = pytest.mark.skipif(shutil.which(_native._CC[0]) is None, reason="no C compiler")
 

@@ -23,6 +23,7 @@ from sichash.hashing import (
     class_of_many,
     class_thresholds,
     master_hash_many,
+    row_keys,
 )
 from sichash.phf import (
     BucketMetaArray,
@@ -49,7 +50,7 @@ def phf_20k(keys_20k):
     return build(keys_20k, PhfConfig(alpha=0.9, beta=2.0, x=0.5, global_seed=5))
 
 
-#: the native query kernel, then the Python plan (its reference)
+#: the native query kernel, then the Python path (evaluate_hash and numpy)
 LIBRARIES = pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "python"])
 native = pytest.mark.skipif(_native.lib is None, reason="native library not loaded")
 
@@ -64,7 +65,7 @@ def _library(lib):
 
 def _values_on_each_path(phf, keys) -> list[list[int]]:
     """Scalar and batch values of the keys, on the kernel and on the
-    Python plan, each as a list."""
+    Python path, each as a list."""
     out = []
     for lib in (_native.lib, None):
         with _library(lib):
@@ -474,7 +475,7 @@ class TestScalarPlan:
         if config.beta in (1.0, 3.0):
             assert sum(s.num_keys == 0 for s in built.stores.values()) == 2
         keys = keys_20k + [b"not a key %d" % i for i in range(2000)]
-        with _library(None):  # the Python plan is the reference
+        with _library(None):  # the Python path is the reference
             want = built.evaluate_many(keys).tolist()
         for phf in (built, loaded):
             scalar, batch, python_scalar, python_batch = _values_on_each_path(phf, keys)
@@ -483,7 +484,7 @@ class TestScalarPlan:
 
 
 class TestNativeQuery:
-    """The query kernel against the Python plan, which runs when
+    """The query kernel against the Python path, which runs when
     ``_native.lib`` is None."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -514,6 +515,25 @@ class TestNativeQuery:
                 assert got.dtype == np.uint64
                 assert got.tolist() == scalar
 
+    def test_numpy_scalar_halves(self, phf_20k):
+        rng = np.random.default_rng(9)
+        hi, lo = rng.integers(0, 2**64, size=(2, 200), dtype=np.uint64)
+        hi[:2], lo[2:4] = 2**64 - 1, 2**64 - 1
+        want = phf_20k.evaluate_hashes(hi, lo).tolist()
+        for lib in (_native.lib, None):
+            with _library(lib):
+                assert [phf_20k.evaluate_hash((a, b)) for a, b in zip(hi, lo)] == want
+                assert phf_20k.evaluate_hashes(hi, lo).tolist() == want
+
+    @LIBRARIES
+    @pytest.mark.parametrize("pair", [(2**64, 0), (-1, 0), (0, 2**64)])
+    def test_halves_outside_64_bits(self, phf_20k, lib, pair):
+        with _library(lib):
+            with pytest.raises(OverflowError):
+                phf_20k.evaluate_hash(pair)
+            with pytest.raises(OverflowError):
+                phf_20k.evaluate_hashes([pair[0]], [pair[1]])
+
     @LIBRARIES
     def test_evaluate_hashes_rejects_unequal_lengths(self, phf_20k, lib):
         hi = np.zeros(3, dtype=np.uint64)
@@ -538,7 +558,7 @@ class TestNativeQuery:
     @LIBRARIES
     @pytest.mark.parametrize("form", KEY_FORMS.values(), ids=KEY_FORMS)
     def test_key_forms_agree_with_hashlib(self, phf_20k, lib, form):
-        with _library(None):  # hashlib and the Python plan: the reference
+        with _library(None):  # hashlib and the Python path: the reference
             want = phf_20k.evaluate_many(FORM_KEYS).tolist()
         keys = [form(k) for k in FORM_KEYS]
         with _library(lib):
@@ -591,7 +611,9 @@ class TestNativeQuery:
 
 def _plan_args(phf: SicHashPhf) -> list:
     """The positional arguments of ``lib.Plan`` for a function."""
-    stores = tuple((*s.plan[:2], s.num_slots, *s.planes) for s in map(phf.stores.get, (2, 4, 8)))
+    stores = tuple(
+        (*row_keys(s.seed), s.num_slots, *s.planes) for s in map(phf.stores.get, (2, 4, 8))
+    )
     return [phf.config.global_seed, *phf._thresholds, phf._limit, phf._starts, phf._sizes,
             phf.meta.seeds, phf._remap_values, stores]
 
@@ -636,6 +658,18 @@ class TestPlanArguments:
             self._plan(phf_20k, stores=tuple(stores))
         with pytest.raises(ValueError, match="need three stores"):
             self._plan(phf_20k, stores=tuple(stores[:2]))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_integers_outside_64_bits(self, phf_20k, seed):
+        # a wrapping parse would read -1 as 2**64 - 1 and 2**64 + 5 as 5
+        with pytest.raises(OverflowError):
+            self._plan(phf_20k, seed=seed)
+        with pytest.raises(OverflowError):
+            self._plan(phf_20k, t1=seed)
+        stores = list(_plan_args(phf_20k)[-1])
+        stores[0] = (seed, *stores[0][1:])
+        with pytest.raises(OverflowError):
+            self._plan(phf_20k, stores=tuple(stores))
 
     def test_bucket_past_the_value_range(self, phf_20k):
         sizes = phf_20k._sizes.copy()
@@ -862,7 +896,7 @@ def test_mutated_blob_rejected_or_total(name, data):
         phf = SicHashPhf.from_bytes(_reseal(bytes(body)))
     except DeserializationError:
         return
-    # scalar and batch, on the kernel and on the Python plan
+    # scalar and batch, on the kernel and on the Python path
     got, *others = _values_on_each_path(phf, FUZZ_PROBES)
     assert all(type(v) is int and 0 <= v < phf.output_range for v in got)
     assert all(other == got for other in others)

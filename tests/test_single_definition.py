@@ -6,7 +6,8 @@ words.  A second copy elsewhere in ``src/sichash`` could drift from the
 first and make scalar and batch paths disagree.  No kernel in
 ``_native.c`` holds a derivation constant: the query plan and the cuckoo
 placement get them from ``hashing.py`` as keyword arguments, and the
-retrieval solve takes its rows derived in Python.
+retrieval solve takes its rows derived in Python.  And every module reads
+each name it imports.
 """
 
 import ast
@@ -108,4 +109,31 @@ def test_one_bit_packer():
                 is_packbits and (path.name, owner[node]) != ("succinct.py", "_pack_bits")
             ):
                 found.append(f"{path.name}:{node.lineno} in {owner[node] or 'module'}")
+    assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that a module's top-level imports bind and its code never
+    reads; ``__future__`` imports bind none."""
+    tree = _tree(path.name)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    # a name kept only for a tool outside the package (say, one that patches
+    # it) is dead code to every reader of the module; __init__.py re-exports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            found += _unused_imports(path)
     assert found == []
