@@ -81,9 +81,9 @@ def keyed_blake2b(seed: int):
 
     Hash a key with ``h = state.copy(); h.update(key); h.digest()``:
     copying the state is cheaper than keying a fresh one and gives the
-    same digest.
+    same digest.  A seed outside ``[0, 2**64)`` raises :class:`OverflowError`.
     """
-    return hashlib.blake2b(digest_size=16, key=(seed & MASK64).to_bytes(8, "little"))
+    return hashlib.blake2b(digest_size=16, key=seed.to_bytes(8, "little"))
 
 
 def master_hash(key: bytes, seed: int) -> MasterHash:
@@ -109,7 +109,7 @@ def master_hash_many(
         return _master_hash_many_hashlib(keys, seed)
     hi = np.empty(len(keys), dtype=np.uint64)
     lo = np.empty(len(keys), dtype=np.uint64)
-    lib.blake2b128_batch(keys, seed & MASK64, hi, lo)
+    lib.blake2b128_batch(keys, seed, hi, lo)
     return hi, lo
 
 

@@ -66,7 +66,7 @@ from .hashing import (
     master_hash_many,
     row_keys,
 )
-from .retrieval import BAND_WIDTH, EPSILON, RetrievalStore
+from .retrieval import EPSILON, RetrievalStore
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
 _MAGIC = b"SICPHF02"
@@ -282,12 +282,6 @@ class SicHashPhf:
             raise ValueError("metadata encoding differs from compressed_metadata")
         if config.minimal != (remap is not None):
             raise ValueError("a minimal function needs a remap, a plain one has none")
-        for s in stores.values():
-            # what RetrievalStore.read checks, for stores assembled by hand:
-            # the query reads window words up to num_slots // 64
-            nwords = s.num_slots // 64 + 2
-            if s.num_slots < BAND_WIDTH or [np.shape(p) for p in s.planes] != [(nwords,)] * s.r:
-                raise ValueError(f"retrieval store needs {s.r} planes of {nwords} words")
         self.config = config
         self.meta = meta
         self.stores = stores  # keyed by degree: 2, 4, 8
@@ -576,7 +570,8 @@ def _build_plain(
         t0 = t1
         store_stats[r] = {
             "seed": store.seed,
-            "seed_retries": store.seed - config.global_seed,
+            # the attempt count: seeds wrap modulo 2**64
+            "seed_retries": (store.seed - config.global_seed) & MASK64,
             "epsilon": EPSILON,
         }
 

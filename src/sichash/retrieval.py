@@ -82,13 +82,28 @@ def _rows_many(
 
 @dataclass
 class RetrievalStore(Codec):
-    """Solved retrieval structure; immutable and thread-safe for reads."""
+    """Solved retrieval structure; immutable and thread-safe for reads.
+
+    The constructor checks the shape a query reads, window words up to
+    ``num_slots // 64 + 1`` of each plane, for a loaded store and one
+    assembled by hand alike.
+    """
 
     r: int
     num_slots: int
     seed: int
     num_keys: int
     planes: list[np.ndarray]  # r word arrays, each padded with one extra word
+
+    def __post_init__(self) -> None:
+        if self.r not in (1, 2, 3):
+            raise ValueError(f"retrieval store: r={self.r} not in 1..3")
+        nwords = self.num_slots // 64 + 2
+        shapes = [np.shape(p) for p in self.planes]
+        if self.num_slots < BAND_WIDTH or shapes != [(nwords,)] * self.r:
+            raise ValueError(
+                f"retrieval store needs a band of slots and {self.r} planes of {nwords} words"
+            )
 
     @classmethod
     def build(
@@ -104,11 +119,14 @@ class RetrievalStore(Codec):
         ``hashes`` is a ``(hi, lo)`` tuple of uint64 arrays; anything else
         raises :class:`TypeError`.  All hashes must be distinct and all
         values below ``2**r``.
-        Construction tries up to :data:`MAX_SEED_RETRIES` consecutive seeds
-        while the system is unsolvable.
+        Construction tries up to :data:`MAX_SEED_RETRIES` consecutive seeds,
+        modulo ``2**64``, while the system is unsolvable; ``base_seed``
+        must lie in ``[0, 2**64)``.
         """
         if r not in (1, 2, 3):
             raise ValueError("r must be 1, 2, or 3")
+        if not 0 <= base_seed <= MASK64:
+            raise ValueError("base_seed must lie in [0, 2**64)")
         if not (isinstance(hashes, tuple) and len(hashes) == 2):
             raise TypeError("hashes must be a (hi, lo) tuple of uint64 arrays")
         hi, lo = (np.asarray(a, dtype=np.uint64) for a in hashes)
@@ -121,7 +139,7 @@ class RetrievalStore(Codec):
         check_distinct(hi, lo)
         num_slots = max(BAND_WIDTH, math.ceil(n * (1.0 + EPSILON)))
         for attempt in range(MAX_SEED_RETRIES):
-            seed = base_seed + attempt
+            seed = (base_seed + attempt) & MASK64
             planes = _solve(hi, lo, values, r, seed, num_slots)
             if planes is not None:
                 return cls(r, num_slots, seed, n, planes)
@@ -178,18 +196,9 @@ class RetrievalStore(Codec):
         seed = r.u64()
         band_width = r.u32()
         num_keys = r.u64()
-        if rbits not in (1, 2, 3):
-            raise DeserializationError(f"retrieval store: r={rbits} not in 1..3")
         if band_width != BAND_WIDTH:
             raise DeserializationError(f"retrieval store: band width {band_width} is not 64")
-        if num_slots < BAND_WIDTH:
-            raise DeserializationError("retrieval store: fewer slots than one band")
         planes = [r.words() for _ in range(rbits)]
-        nwords = num_slots // 64 + 2
-        if any(len(p) != nwords for p in planes):
-            raise DeserializationError(
-                f"retrieval store: plane length differs from {nwords} words"
-            )
         return cls(rbits, num_slots, seed, num_keys, planes)
 
 

@@ -1,10 +1,11 @@
-"""Succinct sequence structures: bit vector with select1, Elias-Fano
-coded monotone sequences, and Golomb-Rice coded integer sequences.
+"""Succinct sequence structures: bit vector, Elias-Fano coded monotone
+sequences, and Golomb-Rice coded integer sequences.
 
-All structures are immutable after construction.  ``bits()`` is the
-payload: 64 bits for each word a structure holds, headers excluded.  The
-serialized size is ``8 * len(to_bytes())``, the payload plus a fixed
-header, in these versioned little-endian blobs:
+All structures are immutable after construction.  Each is encoded once,
+checked when it is loaded and decoded whole with ``to_array``; none
+keeps a random-access index.  The serialized size is
+``8 * len(to_bytes())``: 64 bits for each word a structure holds plus a
+fixed header, in these versioned little-endian blobs:
 
 ``BitVector``      ``SHBV0001 | u64 length_bits | u64 nwords | words``
 ``PackedIntArray`` ``SHPA0001 | u64 n | u8 width | u64 nwords | words``
@@ -36,12 +37,8 @@ _GR_MAGIC = b"SHGR0001"
 
 
 class BitVector(Codec):
-    """Static bit vector with select1.
-
-    It holds only its words, bit length and popcount; select1 finds the
-    word by binary search over the words' cumulative popcount, so there
-    is no index to build on construction or load.
-    """
+    """Static bit vector: its words, bit length and popcount, with no
+    index to build on construction or load."""
 
     def __init__(self, words: np.ndarray, length: int):
         words = np.asarray(words, dtype=np.uint64)
@@ -74,24 +71,11 @@ class BitVector(Codec):
     def words(self) -> np.ndarray:
         return self._words
 
-    def select1(self, i: int) -> int:
-        """Position of the i-th 1-bit (0-indexed rank)."""
-        if i < 0 or i >= self._popcount:
-            raise ValueError("rank exceeds popcount")
-        cum = np.cumsum(np.bitwise_count(self._words), dtype=np.int64)
-        w = int(np.searchsorted(cum, i, side="right"))  # first word past rank i
-        before = int(cum[w - 1]) if w else 0
-        return (w << 6) + _select_in_word(int(self._words[w]), i - before)
-
     def all_positions(self) -> np.ndarray:
         """Positions of all 1-bits, ascending (vectorized bulk decode)."""
         nbits = len(self._words) * 64
         bits = np.unpackbits(self._words.view(np.uint8), bitorder="little", count=nbits)
         return np.flatnonzero(bits).astype(np.int64)
-
-    def bits(self) -> int:
-        """Exact payload size in bits."""
-        return len(self._words) * 64
 
     def write(self, w: Writer) -> None:
         w.magic(_BV_MAGIC)
@@ -113,13 +97,6 @@ def _pack_bits(bits: np.ndarray, nwords: int) -> np.ndarray:
     out = np.zeros(8 * nwords, dtype=np.uint8)
     out[: len(packed)] = packed
     return out.view("<u8").astype(np.uint64, copy=False)
-
-
-def _select_in_word(word: int, k: int) -> int:
-    """Offset of the k-th set bit inside a 64-bit word (k < popcount)."""
-    for _ in range(k):
-        word &= word - 1  # clear the lowest set bit
-    return (word & -word).bit_length() - 1
 
 
 class PackedIntArray(Codec):
@@ -175,9 +152,6 @@ class PackedIntArray(Codec):
             out &= np.uint64((1 << self._width) - 1)
         return out
 
-    def bits(self) -> int:
-        return len(self._words) * 64
-
     def write(self, w: Writer) -> None:
         w.magic(_PA_MAGIC)
         w.u64(self.n)
@@ -201,8 +175,8 @@ class EliasFanoSeq(Codec):
 
     The value ``v_i`` splits into ``lower_width`` low bits, stored
     verbatim, and a high part stored as a 1-bit at position
-    ``i + (v_i >> lower_width)`` of the upper bit vector.  Access is one
-    select1 plus one packed-array fetch.  Total payload stays within
+    ``i + (v_i >> lower_width)`` of the upper bit vector, so the i-th
+    1-bit's position minus i is the high part.  Total payload stays within
     ``2n + n*ceil(log2(universe/n))`` bits plus word padding.
     """
 
@@ -236,19 +210,16 @@ class EliasFanoSeq(Codec):
         return self.n
 
     def access(self, i: int) -> int:
+        """Element i, from a whole decode: linear in the sequence's size."""
         if not 0 <= i < self.n:
             raise IndexError("index out of bounds")
-        high = self.upper.select1(i) - i
-        return (high << self.lower_width) | self.lower[i]
+        return int(self.to_array()[i])
 
     def to_array(self) -> np.ndarray:
         highs = self.upper.all_positions() - np.arange(self.n, dtype=np.int64)
         return (highs.astype(np.uint64) << np.uint64(self.lower_width)) | (
             self.lower.to_array()
         )
-
-    def bits(self) -> int:
-        return self.upper.bits() + self.lower.bits()
 
     def write(self, w: Writer) -> None:
         w.magic(_EF_MAGIC)
@@ -272,8 +243,11 @@ class EliasFanoSeq(Codec):
             raise DeserializationError("Elias-Fano: lower_width does not fit universe and n")
         last = 0
         if n:
-            # the last value's high part is the top 1-bit's position minus n-1
-            last = ((upper.select1(n - 1) - (n - 1)) << width) | lower[n - 1]
+            # the popcount is n, so the top 1-bit is the n-th; its position
+            # minus n-1 is the last value's high part
+            w = int(np.flatnonzero(upper.words)[-1])
+            top = (w << 6) + int(upper.words[w]).bit_length() - 1
+            last = ((top - (n - 1)) << width) | lower[n - 1]
         if last != universe:
             raise DeserializationError("Elias-Fano: universe differs from the last value")
         return cls(upper, lower, n, universe, width)
@@ -322,23 +296,12 @@ class GolombRiceSeq(Codec):
     def __len__(self) -> int:
         return self.n
 
-    def access(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError("index out of bounds")
-        end = self.unary.select1(i)
-        prev_end = self.unary.select1(i - 1) if i else -1
-        q = end - prev_end - 1
-        return (q << self.k_log) | self.remainders[i]
-
     def to_array(self) -> np.ndarray:
         ends = self.unary.all_positions()
         q = np.diff(np.concatenate([[-1], ends])) - 1
         return (q.astype(np.uint64) << np.uint64(self.k_log)) | (
             self.remainders.to_array()
         )
-
-    def bits(self) -> int:
-        return self.unary.bits() + self.remainders.bits()
 
     def write(self, w: Writer) -> None:
         w.magic(_GR_MAGIC)

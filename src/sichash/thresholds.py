@@ -70,10 +70,6 @@ class ThresholdSolution:
     q: float
     f_value: float
 
-    @property
-    def boundary(self) -> bool:
-        return self.lam_star is None
-
 
 def g_A(p_val, mix: ClassMix):
     """Size-biased survival mixture; maps [0, 1] into [0, 1].

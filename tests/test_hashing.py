@@ -103,6 +103,18 @@ def _assert_same(got, want):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("lib", ["loaded", None])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seed_outside_64_bits_raises(monkeypatch, lib, seed):
+    # no seed wraps onto another: -1 is not 2**64 - 1
+    if lib is None:
+        monkeypatch.setattr(_native, "lib", None)
+    with pytest.raises(OverflowError):
+        master_hash(b"a", seed)
+    with pytest.raises(OverflowError):
+        master_hash_many([b"a"], seed)
+
+
 @native
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_kernel_matches_hashlib_at_block_boundaries(seed):

@@ -841,13 +841,11 @@ class TestLoadChecks:
         ids=["truncated-planes", "plane-missing", "2d-planes", "fewer-slots-than-a-band"],
     )
     def test_constructor_checks_store_planes(self, fields):
-        # RetrievalStore.read checks these; a store assembled by hand is
-        # checked here, before any query can read past its planes
-        phf = _small()
-        stores = dict(phf.stores)
-        stores[8] = dataclasses.replace(stores[8], **fields(stores[8]))
+        # a store assembled by hand is checked as it is made, so no
+        # function can hold one whose queries read past its planes
+        store = _small().stores[8]
         with pytest.raises(ValueError, match="planes"):
-            SicHashPhf(phf.config, phf.meta, stores)
+            dataclasses.replace(store, **fields(store))
 
     @pytest.mark.parametrize("minimal", [True, False], ids=["minimal-none", "plain-some"])
     def test_remap_presence_must_match_mode(self, minimal):

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import itertools
 import math
 import struct
@@ -146,7 +146,11 @@ def _planes(store, words):
 
 
 def _replaced(store, **fields):
-    return dataclasses.replace(store, **fields).to_bytes()
+    """Blob of a store with fields set after construction, which refuses
+    a bad shape."""
+    bad = copy.copy(store)
+    vars(bad).update(fields)
+    return bad.to_bytes()
 
 
 def _band(store, width):
@@ -185,7 +189,8 @@ def test_bad_header_fields_rejected(mutate):
 
 def test_bad_store_rejected_inside_phf():
     phf = build(generate_keys(2000, seed=3), PhfConfig(alpha=0.9))
-    phf.stores[2] = dataclasses.replace(phf.stores[2], r=0, planes=[])
+    phf.stores[2] = copy.copy(phf.stores[2])
+    vars(phf.stores[2]).update(r=0, planes=[])
     with pytest.raises(DeserializationError):
         SicHashPhf.from_bytes(phf.to_bytes())
 
@@ -435,6 +440,23 @@ def test_build_takes_the_same_seed_on_both_paths(monkeypatch):
         assert store.to_bytes() == _python_path(RetrievalStore.build, *args, **kw).to_bytes()
         retried += store.seed > base_seed
     assert retried
+
+
+def test_seed_retry_wraps_past_2_to_the_64():
+    # the r2 store of this function fails its base seed 2**64 - 1 once
+    keys = generate_keys(150, 311)
+    phf = build(keys, PhfConfig(alpha=0.9, global_seed=2**64 - 1))
+    assert phf.stores[4].seed == 0
+    assert phf.build_stats.stores[2]["seed_retries"] == 1
+    back = SicHashPhf.from_bytes(phf.to_bytes())
+    assert back.stores[4].seed == 0
+    assert np.array_equal(back.evaluate_many(keys), phf.evaluate_many(keys))
+
+
+@pytest.mark.parametrize("base_seed", [-1, 2**64])
+def test_base_seed_outside_64_bits_rejected(base_seed):
+    with pytest.raises(ValueError, match="base_seed"):
+        RetrievalStore.build(([1], [2]), [1], 1, base_seed=base_seed)
 
 
 def test_build_fails_the_same_way_on_both_paths(monkeypatch):

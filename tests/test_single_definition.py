@@ -137,3 +137,38 @@ def test_every_import_is_used():
         if path.name != "__init__.py":
             found += _unused_imports(path)
     assert found == []
+
+
+ROOT = SRC.parent.parent
+
+
+def _names_read(paths) -> set[str]:
+    """Every ``Name``, ``Attribute`` and string constant in the files: how a
+    definition is called, patched by name or exported in ``__all__``."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+def test_every_definition_is_named():
+    # a function, method, property or class that nothing in the package,
+    # its scripts or the benchmark names is a branch nothing calls; tests
+    # do not count, since a test of dead code keeps it alive by itself
+    users = [*SRC.glob("*.py"), *(ROOT / "scripts").rglob("*.py"),
+             *(ROOT / "perfbench").rglob("*.py")]
+    named = _names_read(p for p in users if not p.name.startswith("test_"))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in named:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []

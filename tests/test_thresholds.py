@@ -76,12 +76,12 @@ class TestSolveThreshold:
     def test_binary_mix_anchor(self):
         sol = solve_threshold(ClassMix.of(1.0, 0.0))
         assert sol.c_star == pytest.approx(0.500, abs=1e-3)
-        assert sol.boundary
+        assert sol.lam_star is None
 
     def test_quaternary_mix_anchor(self):
         sol = solve_threshold(ClassMix.of(0.0, 1.0))
         assert sol.c_star == pytest.approx(0.9768, abs=5e-4)
-        assert not sol.boundary
+        assert sol.lam_star is not None
 
     def test_octonary_mix_sane(self):
         sol = solve_threshold(ClassMix.of(0.0, 0.0))
