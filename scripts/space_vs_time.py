@@ -38,7 +38,7 @@ def main() -> int:
                 phf.evaluate(key)
             query_s = time.perf_counter() - t0
             print(
-                f"{alpha},{config.beta},{x},{phf.bits_per_object():.4f},"
+                f"{alpha},{config.beta},{x},{phf.space_breakdown().per_object:.4f},"
                 f"{args.n / build_s / 1e6:.3f},{len(sample) / query_s / 1e6:.3f}"
             )
             sys.stdout.flush()

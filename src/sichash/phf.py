@@ -216,8 +216,9 @@ class BuildStats:
     :attr:`SicHashPhf.build_stats`; never serialized.  ``stages`` holds
     wall seconds per stage: ``hash`` (master hashing, :func:`build` only),
     ``partition`` (distinctness check and bucket/class split),
-    ``cuckoo`` (every bucket's placement and self-check),
-    ``retrieval_r1`` .. ``retrieval_r3`` and, in minimal mode, ``remap``.
+    ``cuckoo`` (every bucket's placement), ``retrieval_r1`` .. ``retrieval_r3``,
+    ``verify`` (the batch query and check of every key) and, in minimal
+    mode, ``remap``.
     """
 
     stages: dict[str, float]
@@ -408,9 +409,6 @@ class SicHashPhf:
             n=self.n,
         )
 
-    def bits_per_object(self) -> float:
-        return self.space_breakdown().per_object
-
     # -- serialization ----------------------------------------------------
 
     def to_bytes(self) -> bytes:
@@ -466,6 +464,24 @@ class SicHashPhf:
             raise DeserializationError(f"invalid blob: {exc}") from exc
 
 
+def injectivity_failure(values: np.ndarray, limit: int) -> str | None:
+    """Why ``values`` are not distinct values in ``[0, limit)``, or None.
+    With n values and ``limit == n`` they then form a permutation.
+    One sort decides, whatever ``limit``; the ``argsort`` that names the
+    colliding keys runs only on failure."""
+    bad = np.flatnonzero(values >= limit)
+    if len(bad):
+        i = int(bad[0])
+        return f"key {i} maps to {int(values[i])} >= {limit}"
+    ordered = np.sort(values)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    order = np.argsort(values, kind="stable")
+    dup = np.flatnonzero(values[order][1:] == values[order][:-1])
+    i, j = int(order[dup[0]]), int(order[dup[0] + 1])
+    return f"keys {i} and {j} collide at value {int(values[i])}"
+
+
 def build(
     keys: Sequence[bytes],
     config: PhfConfig,
@@ -474,9 +490,7 @@ def build(
 ) -> SicHashPhf:
     """Build a perfect hash function over a non-empty set of distinct keys.
 
-    Raises :class:`ValueError` for an empty or repeated key set (from
-    :func:`build_from_hashes`) and :class:`ConstructionError` when a bucket
-    cannot be placed at this load factor.
+    Raises as :func:`build_from_hashes` does.
     """
     t0 = time.perf_counter()
     hi, lo = master_hash_many(keys, config.global_seed)
@@ -495,17 +509,27 @@ def build_from_hashes(
 ) -> SicHashPhf:
     """Build from precomputed master hashes, in either mode.
 
-    A minimal function is assembled plain first; the values its batch
-    query path gives the keys then choose the remap.
+    The function is assembled plain and queried once over every key, as
+    users query it; a minimal function's remap is chosen from those values.
+    Raises :class:`ValueError` for an empty or repeated key set, and
+    :class:`ConstructionError` when a bucket cannot be placed at this load
+    factor or the values are not distinct values below ``m_total``.
     """
     # a function of its own, so that the plain assembly's per-key arrays are
-    # freed before the remap's batch query (held, they cost ~20 MB of peak
-    # RSS in repeated 1e6-key minimal builds)
+    # freed before the batch query (held, they cost ~20 MB of peak RSS in
+    # repeated 1e6-key minimal builds)
     phf = _build_plain(hi, lo, config, max_bucket_seeds)
+    stages = phf.build_stats.stages
+    t0 = time.perf_counter()
+    values = phf.evaluate_hashes(hi, lo)
+    failure = injectivity_failure(values, phf.output_range)
+    if failure:
+        raise ConstructionError(f"internal error: built function is not perfect: {failure}")
+    t1 = time.perf_counter()
+    stages["verify"] = t1 - t0
     if config.minimal:
-        t0 = time.perf_counter()
-        phf = _attach_remap(phf, phf.evaluate_hashes(hi, lo))
-        phf.build_stats.stages["remap"] = time.perf_counter() - t0
+        phf = _attach_remap(phf, values)
+        stages["remap"] = time.perf_counter() - t1
     return phf
 
 
@@ -586,8 +610,8 @@ def _build_plain(
 
 
 def _attach_remap(phf: SicHashPhf, values: np.ndarray) -> SicHashPhf:
-    """The minimal function (range [0, n)) of a plain one, given the value
-    of every key.
+    """The minimal function (range [0, n)) of a plain one, given the
+    distinct value below m_total of every key.
 
     Values at or above n are re-mapped onto the unused values below n
     by rank; the mapping array has one slot per value in [n, m_total)
@@ -595,15 +619,11 @@ def _attach_remap(phf: SicHashPhf, values: np.ndarray) -> SicHashPhf:
     to keep the sequence monotone).
     """
     n, m = phf.n, phf.m_total
-    if m < n:
-        raise ValueError("output range smaller than key count")
     values = values.astype(np.int64)
     hit = np.zeros(n, dtype=bool)
     hit[values[values < n]] = True
     holes = np.flatnonzero(~hit).astype(np.int64)
     high = np.sort(values[values >= n]) - n
-    if len(high) != len(holes):
-        raise ConstructionError("internal error: hole/overflow count mismatch")
     slots = np.full(m - n, -1, dtype=np.int64)
     slots[high] = holes
     slots = np.maximum.accumulate(slots)

@@ -135,7 +135,7 @@ def test_criterion_06_space_accounting(million_keys):
         + int((degrees == 4).sum()) * 2
         + int((degrees == 8).sum()) * 3
     ) / n
-    total = phf.bits_per_object()
+    total = phf.space_breakdown().per_object
     bound = 1.80 * (1 + EPSILON) + 0.05
     ok = perfect and abs(info - 1.80) <= 0.01 and total <= bound
     _report(

@@ -56,6 +56,7 @@ class TestBuildVerifyBench:
         assert set(report["breakdown"]) == {"retrieval", "metadata", "remap", "total"}
         assert list(report["stages"]) == [
             "hash", "partition", "cuckoo", "retrieval_r1", "retrieval_r2", "retrieval_r3",
+            "verify",
         ]
         retries = report["retries"]
         assert set(retries) == {"displacements", "bucket_seeds", "retrieval"}
@@ -90,6 +91,17 @@ class TestBuildVerifyBench:
         capsys.readouterr()
         assert main(["verify", "--phf", str(out), "--keys", str(other)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_verify_rejects_an_empty_key_file(self, tmp_path, key_file, capsys):
+        out = tmp_path / "f.phf"
+        main(["build", "--keys", str(key_file), "--alpha", "0.9", "--out", str(out)])
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        capsys.readouterr()
+        assert main(["verify", "--phf", str(out), "--keys", str(empty)]) == 1
+        captured = capsys.readouterr()
+        assert "no keys" in captured.err
+        assert "PASS" not in captured.out
 
     def test_verify_fails_on_corrupted_blob(self, tmp_path, key_file, capsys):
         out = tmp_path / "f.phf"

@@ -7,6 +7,7 @@ import json
 import pickle
 import struct
 import sys
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sichash import _native
+from sichash import _native, retrieval
+from sichash import phf as phf_module
 from sichash.cli import generate_keys
 from sichash.cuckoo import BucketInput, build_bucket
 from sichash.errors import ConstructionError, DeserializationError
@@ -33,6 +35,7 @@ from sichash.phf import (
     build,
     build_from_hashes,
     class_fractions,
+    injectivity_failure,
 )
 from sichash.retrieval import EPSILON, RetrievalStore
 from sichash.succinct import EliasFanoSeq
@@ -214,7 +217,9 @@ class TestBuild:
         assert a.to_bytes() != b.to_bytes()
 
 
-_STAGES = ["hash", "partition", "cuckoo", "retrieval_r1", "retrieval_r2", "retrieval_r3"]
+_STAGES = [
+    "hash", "partition", "cuckoo", "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
+]
 
 
 class TestBuildStats:
@@ -267,6 +272,68 @@ class TestBuildStats:
 
     def test_not_serialized(self, phf_20k):
         assert SicHashPhf.from_bytes(phf_20k.to_bytes()).build_stats is None
+
+
+class TestBuildCheck:
+    """A build queries its finished function over every key and raises
+    unless the values are distinct and in range."""
+
+    @LIBRARIES
+    @pytest.mark.parametrize("minimal", [False, True], ids=["plain", "minimal"])
+    def test_zeroed_r1_store_is_caught(self, keys_20k, monkeypatch, lib, minimal):
+        solve = retrieval._solve
+
+        def zeroed(hi, lo, values, r, seed, num_slots):
+            planes = solve(hi, lo, values, r, seed, num_slots)
+            if r == 1 and planes is not None:
+                planes = [np.zeros_like(p) for p in planes]
+            return planes
+
+        monkeypatch.setattr(_native, "lib", lib)
+        monkeypatch.setattr(retrieval, "_solve", zeroed)
+        with pytest.raises(ConstructionError, match="not perfect"):
+            build(keys_20k[:3000], PhfConfig(alpha=0.9, minimal=minimal))
+
+    @LIBRARIES
+    @pytest.mark.parametrize("minimal", [False, True], ids=["plain", "minimal"])
+    def test_zeroed_placement_is_caught(self, keys_20k, monkeypatch, lib, minimal):
+        place = phf_module.build_bucket
+
+        def zeroed(inp, **kwargs):
+            result = place(inp, **kwargs)
+            return dataclasses.replace(
+                result, assignments=np.zeros_like(result.assignments)
+            )
+
+        monkeypatch.setattr(_native, "lib", lib)
+        monkeypatch.setattr(phf_module, "build_bucket", zeroed)
+        with pytest.raises(ConstructionError, match="not perfect"):
+            build(keys_20k[:3000], PhfConfig(alpha=0.9, minimal=minimal))
+
+
+class TestInjectivityFailure:
+    def test_permutation_passes(self):
+        values = np.random.default_rng(1).permutation(1000).astype(np.uint64)
+        assert injectivity_failure(values, 1000) is None
+
+    def test_value_at_limit_names_its_key(self):
+        values = np.array([0, 2, 5, 1], dtype=np.uint64)
+        assert injectivity_failure(values, 5) == "key 2 maps to 5 >= 5"
+
+    def test_collision_names_the_lower_pair(self):
+        values = np.array([4, 7, 0, 7, 7], dtype=np.uint64)
+        assert injectivity_failure(values, 8) == "keys 1 and 3 collide at value 7"
+
+    def test_top_of_the_64_bit_range(self):
+        top = 2**64 - 1
+        values = np.array([top - 1, top - 3, 5, top - 2], dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            assert injectivity_failure(values, top) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # nothing sized by the range
 
 
 class TestSerialization:
@@ -411,7 +478,6 @@ class TestSpaceAccounting:
     def test_breakdown_sums(self, phf_20k):
         b = phf_20k.space_breakdown()
         assert b.total_bits == b.retrieval_bits + b.metadata_bits + b.remap_bits
-        assert phf_20k.bits_per_object() == pytest.approx(b.per_object)
 
     def test_metadata_under_budget_at_scale(self, keys_100k):
         phf = build(keys_100k, PhfConfig(alpha=0.9))
