@@ -1,8 +1,8 @@
 /* The package's native kernels, built as one CPython extension module and
  * loaded by _native.py as sichash._native.lib:
  *
- *   blake2b128_batch(keys, seed, hi, lo)
- *       keyed BLAKE2b-128 over a sequence of bytes-like keys
+ *   master_hash_batch(keys, a, b, hi, lo, *, m1, m2)
+ *       the master hash of each of a sequence of bytes-like keys
  *   ribbon_solve(starts, coeffs, values, num_slots, r, bits)
  *       a retrieval store's banded elimination and back-substitution
  *   rattle_place(hi, lo, mask, seed, budget, cells, counters, *, ...)
@@ -22,12 +22,20 @@
  * release the GIL around their loops, once they hold their buffers; the
  * scalar query keeps it.
  *
- * No kernel holds a derivation constant: the plan and the placement take
- * the multipliers of hashing.py as keyword arguments (QUERY_CONSTANTS)
- * into one struct, and derive cells with the one inline derivation below;
- * the solve takes its rows derived and sorted in Python.  Each kernel has
- * a pure-Python reference that runs when the library is None and that the
- * tests compare it against.
+ * The master hash is hashing.master_hash: the key's little-endian 8-byte
+ * words, its tail zero-padded, update two 64-bit lanes by one 64x64->128
+ * multiply-fold per 16-byte block, the length is mixed in after the last
+ * block, and mix64 finalizes both halves.  Its one inline copy, hash_key,
+ * serves both master_hash_batch and plan.query.
+ *
+ * No kernel holds a derivation constant: the batch hash, the plan and the
+ * placement take the multipliers of hashing.py as keyword arguments
+ * (QUERY_CONSTANTS for the plan and the placement) into one struct, and
+ * hash keys and derive cells with the one inline hash and derivation
+ * below.  The hash's lanes come from the seed in Python
+ * (hashing.seed_lanes), and the solve takes its rows derived and sorted in
+ * Python.  Each kernel has a pure-Python reference that runs when the
+ * library is None and that the tests compare it against.
  *
  * Build: cc -O3 -shared -fPIC -I<Python include dir> -o _native.so _native.c
  */
@@ -69,150 +77,106 @@ static int u64_arg(PyObject *obj, void *out)
 }
 
 /* ------------------------------------------------------------------------
- * Keyed BLAKE2b-128 over a batch of keys, as specified in RFC 7693.
+ * The master hash and the cell derivation of hashing.py, shared by the
+ * batch hash, the placement and the query.
  *
- * Every key is hashed under the same 8-byte BLAKE2 key, the little-endian
- * global seed, into a 16-byte digest; its two little-endian 64-bit halves
- * are written to hi[i] and lo[i].  The digests equal those of Python's
- * hashlib.blake2b(digest_size=16, key=seed.to_bytes(8, "little")).
- *
- * The key block is compressed once per batch (once per plan for the query
- * kernel below), so a key of up to 128 bytes costs one compression.
- * Message words and digest halves are copied as they lie in memory: the
- * caller runs this on little-endian hosts only.
+ * The multipliers come from hashing.py, as keyword arguments of
+ * master_hash_batch, rattle_place and Plan (QUERY_CONSTANTS), so that this
+ * file holds none of them.
  */
 
-static const uint64_t IV[8] = {
-    0x6A09E667F3BCC908ULL, 0xBB67AE8584CAA73BULL,
-    0x3C6EF372FE94F82BULL, 0xA54FF53A5F1D36F1ULL,
-    0x510E527FADE682D1ULL, 0x9B05688C2B3E6C1FULL,
-    0x1F83D9ABFB41BD6BULL, 0x5BE0CD19137E2179ULL,
-};
+typedef struct {
+    uint64_t m1, m2, golden, fold, cell_salt;
+} derivation;
 
-#define ROTR(x, n) (((x) >> (n)) | ((x) << (64 - (n))))
-
-/* the mixing function G of RFC 7693, section 3.1 */
-#define G(a, b, c, d, x, y)                                                   \
-    do {                                                                      \
-        v[a] += v[b] + (x);                                                   \
-        v[d] = ROTR(v[d] ^ v[a], 32);                                         \
-        v[c] += v[d];                                                         \
-        v[b] = ROTR(v[b] ^ v[c], 24);                                         \
-        v[a] += v[b] + (y);                                                   \
-        v[d] = ROTR(v[d] ^ v[a], 16);                                         \
-        v[c] += v[d];                                                         \
-        v[b] = ROTR(v[b] ^ v[c], 63);                                         \
-    } while (0)
-
-/* one round, given its row of the message schedule SIGMA as constants */
-#define ROUND(s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13,   \
-              s14, s15)                                                       \
-    do {                                                                      \
-        G(0, 4, 8, 12, m[s0], m[s1]);                                         \
-        G(1, 5, 9, 13, m[s2], m[s3]);                                         \
-        G(2, 6, 10, 14, m[s4], m[s5]);                                        \
-        G(3, 7, 11, 15, m[s6], m[s7]);                                        \
-        G(0, 5, 10, 15, m[s8], m[s9]);                                        \
-        G(1, 6, 11, 12, m[s10], m[s11]);                                      \
-        G(2, 7, 8, 13, m[s12], m[s13]);                                       \
-        G(3, 4, 9, 14, m[s14], m[s15]);                                       \
-    } while (0)
-
-/* the compression function F of RFC 7693, section 3.2; the byte counter t
- * never reaches 2**64 here, so its high word is 0 */
-static void compress(uint64_t h[8], const uint8_t *block, uint64_t t, int last)
+static inline uint64_t mulhi(uint64_t a, uint64_t b)
 {
-    uint64_t m[16], v[16];
-    memcpy(m, block, sizeof m);
-    for (int i = 0; i < 8; i++) {
-        v[i] = h[i];
-        v[i + 8] = IV[i];
-    }
-    v[12] ^= t;
-    if (last)
-        v[14] = ~v[14];
-    ROUND(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    ROUND(14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3);
-    ROUND(11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4);
-    ROUND(7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8);
-    ROUND(9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13);
-    ROUND(2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9);
-    ROUND(12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11);
-    ROUND(13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10);
-    ROUND(6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5);
-    ROUND(10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0);
-    ROUND(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    ROUND(14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3);
-    for (int i = 0; i < 8; i++)
-        h[i] ^= v[i] ^ v[i + 8];
+    return (uint64_t)(((unsigned __int128)a * b) >> 64);
 }
 
-/* The state after the key block of a seed, and the state that is the
- * digest of the empty key, for which the key block is the last block. */
-static void key_states(uint64_t seed, uint64_t keyed[8], uint64_t empty[8])
+/* hashing.mix64 */
+static inline uint64_t mix(const derivation *d, uint64_t x)
 {
-    uint8_t block[128] = {0};
-    /* parameter block: digest length 16, key length 8, fanout and depth 1 */
-    memcpy(keyed, IV, 8 * sizeof *keyed);
-    keyed[0] ^= 0x01010000ULL ^ (8 << 8) ^ 16;
-    memcpy(empty, keyed, 8 * sizeof *empty);
-    memcpy(block, &seed, sizeof seed);
-    compress(keyed, block, 128, 0);
-    compress(empty, block, 128, 1);
+    x = (x ^ (x >> 30)) * d->m1;
+    x = (x ^ (x >> 27)) * d->m2;
+    return x ^ (x >> 31);
 }
 
-/* the digest halves of the len bytes at p, given a seed's key_states */
-static inline void hash_key(const uint64_t keyed[8], const uint64_t empty[8],
-                            const uint8_t *p, uint64_t len, uint64_t *hi,
-                            uint64_t *lo)
+/* one 16-byte block of hashing._hash_bytes: the lanes xored with the
+ * block's words are multiplied to 128 bits, and the product's halves are
+ * folded back into them */
+static inline void hash_block(uint64_t *a, uint64_t *b, const uint64_t w[2])
 {
-    if (len == 0) {
-        *hi = empty[0];
-        *lo = empty[1];
-        return;
-    }
-    uint8_t block[128] = {0};
-    uint64_t h[8], t = 128;
-    memcpy(h, keyed, sizeof h);
-    for (; len > 128; p += 128, len -= 128) {
-        t += 128;
-        compress(h, p, t, 0);
-    }
-    memcpy(block, p, len);
-    compress(h, block, t + len, 1);
-    *hi = h[0];
-    *lo = h[1];
+    uint64_t x = *a ^ w[0], y = *b ^ w[1];
+    unsigned __int128 prod = (unsigned __int128)x * y;
+    *a = (uint64_t)(prod >> 64) + x;
+    *b = (uint64_t)prod ^ (y << 32 | y >> 32);
 }
 
-/* A key's bytes as hashlib reads them: any C-contiguous buffer of at most
- * one dimension, so str, int and None raise TypeError and a strided
- * memoryview BufferError. */
+/* hashing._hash_bytes: the master hash halves of the len bytes at p, from
+ * the seed's lanes a and b (hashing.seed_lanes).  Words are copied as they
+ * lie in memory: the caller runs this on little-endian hosts only. */
+static inline void hash_key(const derivation *d, uint64_t a, uint64_t b, const uint8_t *p,
+                            uint64_t len, uint64_t *hi, uint64_t *lo)
+{
+    uint64_t w[2], left = len;
+    for (; left >= 16; p += 16, left -= 16) {
+        memcpy(w, p, 16);
+        hash_block(&a, &b, w);
+    }
+    if (left) { /* the tail, zero-padded */
+        if (len >= 16) { /* the key's last 16 bytes, shifted past those hashed */
+            unsigned __int128 v;
+            memcpy(&v, p + left - 16, 16);
+            v >>= 8 * (16 - left);
+            w[0] = (uint64_t)v;
+            w[1] = (uint64_t)(v >> 64);
+        } else {
+            w[0] = w[1] = 0;
+            memcpy(w, p, left);
+        }
+        hash_block(&a, &b, w);
+    }
+    b = (b ^ len) + a;
+    a ^= b << 32 | b >> 32;
+    *hi = mix(d, a);
+    *lo = mix(d, b);
+}
+
+/* A key's bytes, as hashing._key_bytes reads them: any C-contiguous buffer
+ * of at most one dimension.  str, int and None raise TypeError, and any
+ * other buffer BufferError. */
 static int get_key(PyObject *key, Py_buffer *view)
 {
-    if (PyObject_GetBuffer(key, view, PyBUF_SIMPLE) < 0)
+    if (PyObject_GetBuffer(key, view, PyBUF_FULL_RO) < 0)
         return -1;
-    if (view->ndim > 1) {
+    if (view->ndim > 1 || !PyBuffer_IsContiguous(view, 'C')) {
         PyBuffer_Release(view);
-        PyErr_SetString(PyExc_BufferError, "Buffer must be single dimension");
+        PyErr_SetString(PyExc_BufferError,
+                        "a key must be a C-contiguous buffer of at most one dimension");
         return -1;
     }
     return 0;
 }
 
-/* keys per block of blake2b128_batch: a block's buffers are taken with
+/* keys per block of master_hash_batch: a block's buffers are taken with
  * the GIL held, then hashed without it */
 #define KEY_BLOCK 256
 
-/* blake2b128_batch(keys, seed, hi, lo): the digest halves of key i into
- * hi[i] and lo[i], two uint64 arrays of len(keys) words.  keys is any
- * iterable of bytes-like objects; it is read once, into a list unless it
- * is a list or tuple. */
-static PyObject *blake2b128_batch(PyObject *self, PyObject *args)
+/* master_hash_batch(keys, a, b, hi, lo, *, m1, m2): the master hash
+ * halves of key i under the seed's lanes a and b into hi[i] and lo[i], two
+ * uint64 arrays of len(keys) words.  keys is any iterable of bytes-like
+ * objects; it is read once, into a list unless it is a list or tuple. */
+static PyObject *master_hash_batch(PyObject *self, PyObject *args, PyObject *kwds)
 {
+    static char *kwlist[] = {"keys", "a", "b", "hi", "lo", "m1", "m2", NULL};
     PyObject *keys, *seq, *result = NULL;
-    uint64_t seed;
+    uint64_t a, b;
+    derivation d = {0};
     Py_buffer hi, lo, views[KEY_BLOCK];
-    if (!PyArg_ParseTuple(args, "OO&w*w*:blake2b128_batch", &keys, u64_arg, &seed, &hi, &lo))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO&O&w*w*$O&O&:master_hash_batch", kwlist,
+                                     &keys, u64_arg, &a, u64_arg, &b, &hi, &lo, u64_arg,
+                                     &d.m1, u64_arg, &d.m2))
         return NULL;
     seq = PySequence_Fast(keys, "keys must be an iterable of bytes-like objects");
     if (!seq)
@@ -220,8 +184,7 @@ static PyObject *blake2b128_batch(PyObject *self, PyObject *args)
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
     if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0)
         goto done;
-    uint64_t keyed[8], empty[8], *h = hi.buf, *l = lo.buf;
-    key_states(seed, keyed, empty);
+    uint64_t *h = hi.buf, *l = lo.buf;
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
         Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK, held = 0;
         /* a key's buffer protocol may run code that resizes a list */
@@ -231,8 +194,8 @@ static PyObject *blake2b128_batch(PyObject *self, PyObject *args)
         if (held == m) {
             Py_BEGIN_ALLOW_THREADS
             for (Py_ssize_t j = 0; j < m; j++)
-                hash_key(keyed, empty, views[j].buf, (uint64_t)views[j].len,
-                         &h[at + j], &l[at + j]);
+                hash_key(&d, a, b, views[j].buf, (uint64_t)views[j].len, &h[at + j],
+                         &l[at + j]);
             Py_END_ALLOW_THREADS
         }
         while (held)
@@ -365,30 +328,6 @@ done:
     PyBuffer_Release(&values);
     PyBuffer_Release(&bits);
     return result;
-}
-
-/* ------------------------------------------------------------------------
- * The cell derivation of hashing.py, shared by the placement and the query.
- *
- * The multipliers come from hashing.QUERY_CONSTANTS, as keyword arguments
- * of rattle_place and Plan, so that this file holds none of them.
- */
-
-typedef struct {
-    uint64_t m1, m2, golden, fold, cell_salt;
-} derivation;
-
-static inline uint64_t mulhi(uint64_t a, uint64_t b)
-{
-    return (uint64_t)(((unsigned __int128)a * b) >> 64);
-}
-
-/* hashing.mix64 */
-static inline uint64_t mix(const derivation *d, uint64_t x)
-{
-    x = (x ^ (x >> 30)) * d->m1;
-    x = (x ^ (x >> 27)) * d->m2;
-    return x ^ (x >> 31);
 }
 
 /* hashing.fold_hash */
@@ -555,7 +494,7 @@ done:
  */
 
 typedef struct {
-    uint64_t keyed[8], empty[8]; /* key_states of the global seed */
+    uint64_t a, b; /* the master hash's lanes under the global seed */
     derivation d;
     uint64_t t1, t2, num_buckets, limit;
     const uint64_t *starts, *sizes, *seeds, *remap;
@@ -599,7 +538,7 @@ static void plan_dealloc(Plan *self)
 
 static PyObject *plan_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"seed", "t1", "t2", "limit", "starts", "sizes", "seeds",
+    static char *kwlist[] = {"a", "b", "t1", "t2", "limit", "starts", "sizes", "seeds",
                              "remap", "stores", "m1", "m2", "golden", "fold",
                              "cell_salt", NULL};
     /* store c is (start key, coefficient key, num_slots, *planes) */
@@ -609,10 +548,9 @@ static PyObject *plan_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     sichash_plan *p = &self->p;
     Py_buffer *v = self->views;
-    uint64_t seed;
     PyObject *stores, *seq = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&O&y*y*y*y*O$O&O&O&O&O&:Plan", kwlist,
-                                     u64_arg, &seed, u64_arg, &p->t1, u64_arg, &p->t2, u64_arg,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&O&O&y*y*y*y*O$O&O&O&O&O&:Plan", kwlist,
+                                     u64_arg, &p->a, u64_arg, &p->b, u64_arg, &p->t1, u64_arg, &p->t2, u64_arg,
                                      &p->limit, &v[0], &v[1], &v[2], &v[3], &stores, u64_arg,
                                      &p->d.m1, u64_arg, &p->d.m2, u64_arg, &p->d.golden,
                                      u64_arg, &p->d.fold, u64_arg, &p->d.cell_salt))
@@ -665,7 +603,6 @@ static PyObject *plan_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         }
     }
     Py_DECREF(seq);
-    key_states(seed, p->keyed, p->empty);
     return (PyObject *)self;
 fail:
     Py_XDECREF(seq);
@@ -676,18 +613,19 @@ fail:
 /* plan.query(key): the value of one bytes-like key */
 static PyObject *plan_query(Plan *self, PyObject *key)
 {
+    const sichash_plan *p = &self->p;
     uint64_t hi, lo;
     if (PyBytes_CheckExact(key)) {
-        hash_key(self->p.keyed, self->p.empty, (const uint8_t *)PyBytes_AS_STRING(key),
+        hash_key(&p->d, p->a, p->b, (const uint8_t *)PyBytes_AS_STRING(key),
                  (uint64_t)PyBytes_GET_SIZE(key), &hi, &lo);
     } else {
         Py_buffer view;
         if (get_key(key, &view) < 0)
             return NULL;
-        hash_key(self->p.keyed, self->p.empty, view.buf, (uint64_t)view.len, &hi, &lo);
+        hash_key(&p->d, p->a, p->b, view.buf, (uint64_t)view.len, &hi, &lo);
         PyBuffer_Release(&view);
     }
-    return PyLong_FromUnsignedLongLong(value_of(&self->p, hi, lo));
+    return PyLong_FromUnsignedLongLong(value_of(p, hi, lo));
 }
 
 /* plan.query_hashes(hi, lo, out): out[i] is the value of master hash
@@ -729,7 +667,7 @@ static PyTypeObject PlanType = {
     .tp_basicsize = sizeof(Plan),
     .tp_dealloc = (destructor)plan_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Plan(seed, t1, t2, limit, starts, sizes, seeds, remap, stores, *, m1, m2, "
+    .tp_doc = "Plan(a, b, t1, t2, limit, starts, sizes, seeds, remap, stores, *, m1, m2, "
               "golden, fold, cell_salt): a function's packed query plan",
     .tp_methods = plan_methods,
     .tp_new = plan_new,
@@ -740,8 +678,9 @@ static PyTypeObject PlanType = {
  */
 
 static PyMethodDef methods[] = {
-    {"blake2b128_batch", blake2b128_batch, METH_VARARGS,
-     "blake2b128_batch(keys, seed, hi, lo): keyed BLAKE2b-128 of each key"},
+    {"master_hash_batch", (PyCFunction)(void (*)(void))master_hash_batch,
+     METH_VARARGS | METH_KEYWORDS,
+     "master_hash_batch(keys, a, b, hi, lo, *, m1, m2): the master hash of each key"},
     {"ribbon_solve", ribbon_solve, METH_VARARGS,
      "ribbon_solve(starts, coeffs, values, num_slots, r, bits): solve a ribbon"},
     {"rattle_place", (PyCFunction)(void (*)(void))rattle_place, METH_VARARGS | METH_KEYWORDS,

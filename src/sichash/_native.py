@@ -2,16 +2,19 @@
 from ``_native.c``.
 
 It holds four kernels, each called with Python objects: the batch
-BLAKE2b of :func:`~sichash.hashing.master_hash_many`, the retrieval solve
-of :func:`~sichash.retrieval._solve`, the cell derivation and
+master hash of :func:`~sichash.hashing.master_hash_many`, the retrieval
+solve of :func:`~sichash.retrieval._solve`, the cell derivation and
 rattle-kicking placement of :func:`~sichash.cuckoo.build_bucket`, and the
 scalar and batch query of :class:`~sichash.phf.SicHashPhf`, which runs
 from a ``lib.Plan``.  Each entry point checks the item sizes and lengths
 of the arrays it is given.  Each caller reads :data:`lib` when it is
 called and runs its pure-Python reference when :data:`lib` is None, so
 setting it to None switches every kernel off at once.  No kernel holds a
-derivation constant: the plan and the placement take them from
-:data:`sichash.hashing.QUERY_CONSTANTS` and share one C cell derivation.
+derivation constant: the batch hash and the plan share one C copy of
+the master hash and take the seed's lanes from
+:func:`sichash.hashing.seed_lanes`, and the plan and the placement take
+the cell constants from :data:`sichash.hashing.QUERY_CONSTANTS` and share
+one C cell derivation.
 """
 
 from __future__ import annotations

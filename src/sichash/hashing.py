@@ -8,13 +8,22 @@ key bytes a single time and agree bit for bit.  This module owns every
 derivation constant: the per-function cell keys (:func:`cell_key`) and
 the retrieval row keys (:func:`row_keys`) are defined here once.
 
-:func:`master_hash_many` hashes with the batch BLAKE2b kernel of the
-package's native extension module, :data:`sichash._native.lib`, and
-falls back to its :mod:`hashlib` reference loop when that is None.  No
-kernel holds a derivation constant: the query plan and the cuckoo
-placement get them from this module (:data:`QUERY_CONSTANTS`) and derive
-cells with one C copy of :func:`cell_of`, and the retrieval solve takes
-its rows from Python.
+The master hash is defined here, not ported: the key is read as
+little-endian 8-byte words, its tail zero-padded, and each 16-byte block
+updates two 64-bit lanes with one 64x64->128-bit multiply whose halves
+are folded back into them.  The lanes start from the global seed
+(:func:`seed_lanes`); the key's length is mixed in after the last block,
+and :func:`mix64` finalizes both halves.  It needs no cryptographic
+property: keys are not adversarial, and a caller can change the seed.
+:func:`master_hash` is the pure-Python reference.
+:func:`master_hash_many` runs the batch kernel of the package's native
+extension module, :data:`sichash._native.lib`, and the reference loop
+when that is None.  No kernel holds a derivation constant: the batch hash
+and the query plan take the seed's lanes from :func:`seed_lanes` and
+mix64's multipliers as keywords, the query plan and the cuckoo placement
+get the cell constants from this module (:data:`QUERY_CONSTANTS`) and
+derive cells with one C copy of :func:`cell_of`, and the retrieval solve
+takes its rows from Python.
 
 Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
 instead of a modulo; the bias is at most ``m / 2**64``.
@@ -27,9 +36,10 @@ uint64 and wraps), and a hash as a (hi, lo) pair of either.  The
 
 from __future__ import annotations
 
-import hashlib
+import operator
 import struct
-from typing import Iterable, NamedTuple, Sequence
+from array import array
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +61,9 @@ _CELL_SALT = 0xD1B54A32D192ED03
 _ROW_MULT = 0xC2B2AE3D27D4EB4F
 _START_SALT = 0xA24BAED4963EE407
 _COEFF_SALT = 0x9FB21C651E98DF25
+# the master hash's two lanes start from mix64 of the seed under these salts
+_LANE_A = 0xD29ED28196C194BF
+_LANE_B = 0xB92F5E7CF6C8D93B
 
 #: the constants of a scalar query and of a bucket's cells, by keyword of
 #: the native query plan and placement: mix64's multipliers, cell_key's
@@ -76,21 +89,44 @@ def mix64(x):
     return x ^ (x >> 31)
 
 
-def keyed_blake2b(seed: int):
-    """BLAKE2b-128 state keyed by the 64-bit global seed, before any input.
+def seed_lanes(seed: int) -> tuple[int, int]:
+    """The master hash's two lanes before any key block, from the 64-bit
+    global seed; a seed outside ``[0, 2**64)`` raises :class:`OverflowError`."""
+    seed = operator.index(seed)
+    if seed < 0 or seed > MASK64:
+        raise OverflowError("seed must lie in [0, 2**64)")
+    return mix64(seed ^ _LANE_A), mix64(seed ^ _LANE_B)
 
-    Hash a key with ``h = state.copy(); h.update(key); h.digest()``:
-    copying the state is cheaper than keying a fresh one and gives the
-    same digest.  A seed outside ``[0, 2**64)`` raises :class:`OverflowError`.
-    """
-    return hashlib.blake2b(digest_size=16, key=seed.to_bytes(8, "little"))
+
+def _key_bytes(key) -> bytes:
+    """A key's bytes: any C-contiguous buffer of at most one dimension, as
+    the native kernels read it; str, int and None raise TypeError."""
+    if type(key) is bytes:
+        return key
+    with memoryview(key) as view:
+        if view.ndim > 1 or not view.c_contiguous:
+            raise BufferError("a key must be a C-contiguous buffer of at most one dimension")
+        return view.tobytes()
+
+
+def _hash_bytes(data: bytes, a: int, b: int) -> MasterHash:
+    """The master hash of a key's bytes from the seed's lanes (a, b)."""
+    n = len(data)
+    words = struct.unpack(f"<{(n + 15) // 16 * 2}Q", data + bytes(-n % 16))
+    for i in range(0, len(words), 2):
+        x = a ^ words[i]
+        y = b ^ words[i + 1]
+        p = x * y
+        a = ((p >> 64) + x) & MASK64
+        b = (p ^ (y << 32) ^ (y >> 32)) & MASK64  # lo(p) ^ rotl(y, 32)
+    b = ((b ^ n) + a) & MASK64
+    a ^= ((b << 32) | (b >> 32)) & MASK64
+    return MasterHash(mix64(a), mix64(b))
 
 
 def master_hash(key: bytes, seed: int) -> MasterHash:
-    """Hash a key into 128 bits, keyed by the 64-bit global seed."""
-    h = keyed_blake2b(seed)
-    h.update(key)
-    return MasterHash._make(struct.unpack("<QQ", h.digest()))
+    """Hash a bytes-like key into 128 bits under the 64-bit global seed."""
+    return _hash_bytes(_key_bytes(key), *seed_lanes(seed))
 
 
 def master_hash_many(
@@ -99,38 +135,31 @@ def master_hash_many(
     """Vectorized :func:`master_hash`; returns (hi, lo) uint64 arrays.
 
     Any iterable of bytes-like keys is accepted; it is read once.  The
-    native kernel reads each key's buffer as :mod:`hashlib` does, so both
-    paths give the same digests and raise the same errors.
+    native kernel reads each key's buffer as :func:`master_hash` does, so
+    both paths give the same hashes and raise the same errors.
     """
     if not isinstance(keys, (list, tuple)):
         keys = list(keys)
+    a, b = seed_lanes(seed)
     lib = _native.lib
     if lib is None:
-        return _master_hash_many_hashlib(keys, seed)
+        # hashes are appended to one array: a MasterHash per key for all
+        # keys at once would hold ~100 MB at 1e6 keys
+        flat = array("Q")
+        for key in keys:
+            flat.extend(_hash_bytes(_key_bytes(key), a, b))
+        pairs = np.frombuffer(flat, dtype=np.uint64).reshape(-1, 2)
+        return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
     hi = np.empty(len(keys), dtype=np.uint64)
     lo = np.empty(len(keys), dtype=np.uint64)
-    lib.blake2b128_batch(keys, seed, hi, lo)
+    lib.master_hash_batch(keys, a, b, hi, lo, m1=_M1, m2=_M2)
     return hi, lo
-
-
-def _master_hash_many_hashlib(keys: Sequence, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) of each key by the hashlib loop: the reference path."""
-    copy = keyed_blake2b(seed).copy
-    # digests are appended to one buffer: a bytes object per key for all
-    # keys at once would hold ~60 MB at 1e6 keys
-    digests = bytearray()
-    for key in keys:
-        h = copy()
-        h.update(key)
-        digests += h.digest()
-    flat = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
-    return np.ascontiguousarray(flat[:, 0]), np.ascontiguousarray(flat[:, 1])
 
 
 def hash_backend() -> str:
     """Which path :func:`master_hash_many` takes: "native" when the native
-    library loaded, "hashlib" otherwise."""
-    return "hashlib" if _native.lib is None else "native"
+    library loaded, "python" otherwise."""
+    return "python" if _native.lib is None else "native"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ values below n ("holes") through an Elias-Fano coded array of length
 
 Top-level blob layout (little-endian, crc32 trailer):
 
-    SICPHF02 | u8 flags (1 = minimal) | f64 alpha,beta,x |
+    SICPHF03 | u8 flags (1 = minimal) | f64 alpha,beta,x |
     u64 bucket_size,global_seed | meta blob | r1,r2,r3 store blobs |
     [remap blob iff minimal] | u32 crc32
 
@@ -65,11 +65,12 @@ from .hashing import (
     master_hash,
     master_hash_many,
     row_keys,
+    seed_lanes,
 )
 from .retrieval import EPSILON, RetrievalStore
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
-_MAGIC = b"SICPHF02"
+_MAGIC = b"SICPHF03"
 
 _R_BY_DEGREE = {d: r for r, d in enumerate(CLASS_DEGREES, 1)}
 
@@ -244,10 +245,11 @@ class SicHashPhf:
 
     The constructor checks that the parts fit together, decodes the
     minimal-mode remap and derives the per-bucket start and size arrays.
-    When the native module is loaded it packs those arrays, the
-    thresholds, the bucket seeds and each store's row keys and planes
-    into a ``_native.lib.Plan``, whose methods answer :meth:`evaluate` on
-    any bytes-like key and :meth:`evaluate_hashes` in one call each.
+    When the native module is loaded it packs those arrays, the master
+    hash's seed lanes, the thresholds, the bucket seeds and each store's
+    row keys and planes into a ``_native.lib.Plan``, whose methods answer
+    :meth:`evaluate` on any bytes-like key and :meth:`evaluate_hashes` in
+    one call each.
     Otherwise :meth:`evaluate` composes :func:`~sichash.hashing.master_hash`
     and :meth:`evaluate_hash`, and :meth:`evaluate_hashes` runs the same
     derivation in numpy; both read the same arrays as the native plan,
@@ -313,7 +315,7 @@ class SicHashPhf:
 
         stores = [self.stores[d] for d in CLASS_DEGREES]
         return lib.Plan(
-            self.config.global_seed,
+            *seed_lanes(self.config.global_seed),
             *self._thresholds,
             self._limit,
             self._starts,

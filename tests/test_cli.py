@@ -63,7 +63,7 @@ class TestBuildVerifyBench:
         assert sum(retries["bucket_seeds"].values()) == 1  # one 5000-key bucket
         assert set(retries["retrieval"]) == {"r1", "r2", "r3"}
         assert set(retries["retrieval"]["r2"]) == {"seed", "seed_retries", "epsilon"}
-        assert report["hash_backend"] == hash_backend() in ("native", "hashlib")
+        assert report["hash_backend"] == hash_backend() in ("native", "python")
 
         assert main(["verify", "--phf", str(out), "--keys", str(key_file)]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -151,13 +151,13 @@ class TestBuildVerifyBench:
         assert main(["bench", "--phf", str(out), "--keys", str(empty)]) == 1
         assert "no keys" in capsys.readouterr().err
 
-    def test_build_without_native_kernel_reports_hashlib(
+    def test_build_without_native_kernel_reports_python(
         self, tmp_path, key_file, capsys, monkeypatch
     ):
         monkeypatch.setattr(_native, "lib", None)
         out = tmp_path / "f.phf"
         assert main(["build", "--keys", str(key_file), "--alpha", "0.9", "--out", str(out)]) == 0
-        assert json.loads(capsys.readouterr().out)["hash_backend"] == "hashlib"
+        assert json.loads(capsys.readouterr().out)["hash_backend"] == "python"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_build_seed_outside_64_bits_is_an_error(self, tmp_path, key_file, capsys, seed):

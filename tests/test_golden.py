@@ -22,44 +22,44 @@ GOLDEN_KEY_SEED = 2024
 GOLDEN = [
     (
         PhfConfig(alpha=0.90),
-        "f2878a170b9e12c5b8782c765fe824456e8c6aca13853fd37805fbfda09ce5de",
-        "c75e6ed21e12449ecb1a09c4669bad72c3accd8efa831ffbe5a516e3e3bfeb20",
+        "45e940359ae04a2bc8e6776c4ccf2477c466378ea19491bb1cc7be16d9a98ece",
+        "7e898209c77532bee68654ba417160980d1737a4adebfb2154c6513e734e6957",
     ),
     (
         PhfConfig(alpha=0.97, minimal=True, compressed_metadata=True),
-        "7d7423a8ee04d1b9a163a72771a511949eb729ca0292696face279dd7a710133",
-        "31aa6bb53952f821d85ce443de4defeb56ea12f6e5c717f1defd4637fcae43f3",
+        "722cdee05d157df90a476d31ef082767648d6278a85cec29d4df2717f6c3e5d8",
+        "9eb598251ed288eb62df74198550f356dbf3d1c3013772151d942c13947a2b45",
     ),
     (
         PhfConfig(alpha=0.90, x=0.66),
-        "9bd990fb3e1bbe3a1e42314999b2a773cfa6ed877d11550deb7e4865322b45c1",
-        "9155b3e690a5e1b8b8d6f94032b5ab7e54edf8ef14f243fdbf49381ef45e4cc3",
+        "70218e2aecc9216cf0d4c3805666b9f60c22567e6d3376e5f35a5f4052525f08",
+        "8b96b6a20fb0e52ef1a6204db93b2926630ca391358c91a21a30623b1de5848f",
     ),
 ]
 
 # sha256 of each blob section, in the order of GOLDEN
 SECTIONS = [
     {
-        "header": "73b565cf856427cde6dda57edfdcfb620a0600986ca01bfece8c0488b0357463",
-        "metadata": "c703ba4dc14e6ca2f1177d074758ac2e7aed0a1ab10a3f919896a991316dbfe5",
-        "r1": "139d78933bc55c9031774f32c7309c7fd98bb1bd4951567011fbdd3d7e7e5115",
-        "r2": "b621fec7c78bdf59848a5a73cf1cf020bf920c83ee4fa9e00af88a73a6511cee",
-        "r3": "e539c24f1b4c5e1c01e9c4ebe48fdc0dd3cf71ae4095b8c7acff79261284c95d",
+        "header": "2814198ef53c9169f2a131b6259c39351d5001771e7baaa105feafe311765662",
+        "metadata": "2db28c9b8cccf99a7382d21533fc659be9e3186c6670537628b77291eedf7991",
+        "r1": "710b0732e74c4fca2c38eafdbbc4db131118c2d2057dfa843c4155f21cd8269b",
+        "r2": "e6503c4d4599ec9d1584de8672b252fa22e8936e6281292c7526bd6b47175e4d",
+        "r3": "e54cea581f259a93eb7ae3fbcc3a1d7f42ca8502d24b9a3a68195f29793e410b",
     },
     {
-        "header": "dbe00e787e96fd3c86ba003b203bc703879fcffad9c0a6485a8804a3098f96c0",
-        "metadata": "c36a315ae872e2bfb0eb27e9e039dad3a54dbcef7be69dffaa1c2d46c7c28a5b",
-        "r1": "caad9fb1b3939676b38833d4521e510e777afe6993ade7b371a9e2293e37e191",
-        "r2": "c8f89457f5dc005f8c2cdce26d50a15330e21634942398c0f795e5d4ad0947f3",
-        "r3": "1baed2e15a29cc8e717f92c0fd524ee200c9a60ece363ef94c9301bc3272d0f6",
-        "remap": "d119c60aa4e5793c201b4a4e84c13a6ade195356fd8af73d5f449c6854fc295e",
+        "header": "2d87ceb7c8defd95354eaac0c49524e7a2b088a39a37bd284384a926c5272979",
+        "metadata": "73870b39d2d4f0508332f514fd2b63fbc3f5548d87fee93727716e258d88c6a2",
+        "r1": "3d55005c94a7539d6d66a8881de1b7f74bd3e431629ba58d0a84c960ec7c4114",
+        "r2": "d01a4f4d8cce7fcf3e290be9de03c073060d8c4ab475a3d81656675984589c1d",
+        "r3": "a065da001717a8e0237288402c81adbfa9caa2e3af7dde1ecff8e9631d2798f2",
+        "remap": "e9aa3c50721c2a3616533c3aa475f5ff81151e1eb7996a925c0a256765f42387",
     },
     {
-        "header": "1f8edbbb8eaf798476e330d0e872fd412b01db47dfbb3f0d6438d625de8097b1",
-        "metadata": "c703ba4dc14e6ca2f1177d074758ac2e7aed0a1ab10a3f919896a991316dbfe5",
-        "r1": "84a64663caec4a03f24486515fa0703de517d85ebd98be55716e40fa0847039c",
-        "r2": "d7879c73b6181201d0eececf24ebbdc107289844597b25b06e12969f91607cd3",
-        "r3": "3b511ebf46e1ee8c196982dd940aa2e807fa9c3ffb52bc35f79b09b8d9ff4fd3",
+        "header": "faef8111eeb267220c85a36a8bf60fbab5d47af20f82577b0e35dff4e12a9b07",
+        "metadata": "2db28c9b8cccf99a7382d21533fc659be9e3186c6670537628b77291eedf7991",
+        "r1": "35f93234536ad9530d21c14a33cb9a3d0a9c64cdab53f4b38b54a2d3ffc6599f",
+        "r2": "a169364022a0a19702872c66432f601b522f8d8770f882dbdec654e404dc3924",
+        "r3": "3c4172ffcb16b3c2eab9d02b5dca52497aad154eb8451075f3ddab5ef70e9423",
     },
 ]
 

@@ -19,6 +19,7 @@ from sichash.hashing import (
     cell_key,
     cell_of,
     cell_of_many,
+    check_distinct,
     class_of_many,
     class_thresholds,
     fold_hash,
@@ -83,16 +84,101 @@ def test_master_hash_many_across_chunks():
 
 
 # ---------------------------------------------------------------------------
-# the native kernel against the hashlib loop, its reference
+# quality: the build and the queries take the master hash for a random
+# function of the key, so distinct keys must not collide, buckets and
+# classes must come out uniform, and every key bit must reach every
+# output bit
+
+
+def _split(blob: bytes, width: int) -> list[bytes]:
+    """``blob`` cut into keys of ``width`` bytes."""
+    return [blob[i : i + width] for i in range(0, len(blob), width)]
+
+
+def _counters(count: int) -> list[bytes]:
+    """The 8-byte little-endian counters 0 .. count - 1."""
+    return _split(np.arange(count, dtype="<u8").tobytes(), 8)
+
+
+def _assert_no_collision(keys_in_chunks, seed=0):
+    his, los = zip(*(master_hash_many(keys, seed) for keys in keys_in_chunks))
+    check_distinct(np.concatenate(his), np.concatenate(los))  # raises on a collision
+
+
+def test_no_collision_among_two_million_random_keys():
+    # lengths 8 to 40, so that two keys are equal with probability < 2**-60;
+    # hashed in chunks, so that no more than 250k keys are held at once
+    def chunk(seed):
+        rng = np.random.default_rng(seed)
+        ends = np.cumsum(rng.integers(8, 41, 250_000))
+        blob = rng.integers(0, 256, int(ends[-1]), dtype=np.uint8).tobytes()
+        return [blob[a:z] for a, z in zip((ends - ends[0]).tolist(), ends.tolist())]
+
+    _assert_no_collision(chunk(seed) for seed in range(8))
+
+
+@pytest.mark.parametrize("kind", ["counters", "shared-prefix", "trailing-zeros"])
+def test_no_collision_among_structured_keys(kind):
+    if kind == "counters":
+        keys = _counters(1_000_000)
+    elif kind == "shared-prefix":
+        prefix = np.random.default_rng(1).integers(0, 256, 100, dtype=np.uint8).tobytes()
+        keys = [prefix + k for k in _counters(200_000)]
+    else:
+        # keys that differ only by 0 to 40 trailing zero bytes: distinct
+        # bases that end in a non-zero byte, and the all-zero keys
+        bases = {bytes(k).rstrip(b"\0") for k in _split(np.random.default_rng(2).integers(
+            0, 256, 5000 * 12, dtype=np.uint8).tobytes(), 12)} - {b""}
+        keys = [base + bytes(j) for base in bases for j in range(41)]
+        keys += [bytes(j) for j in range(301)]
+    assert len(set(keys)) == len(keys)
+    _assert_no_collision([keys])
+
+
+@pytest.mark.parametrize("kind", ["generated", "counters"])
+def test_buckets_and_classes_uniform(million_keys, kind):
+    keys = million_keys if kind == "generated" else _counters(1_000_000)
+    hi, lo = master_hash_many(keys, 0)
+    counts = np.bincount(bucket_of_many(hi, 1000).astype(np.int64), minlength=1000)
+    expected = len(keys) / 1000
+    assert float(((counts - expected) ** 2 / expected).sum()) < chi2.ppf(1 - 1e-4, df=999)
+    degs = class_of_many(lo, *class_thresholds(0.3, 0.5))
+    for deg, p in ((2, 0.3), (4, 0.5), (8, 0.2)):
+        frac = (degs == deg).sum() / len(keys)
+        assert abs(frac - p) <= 4 * np.sqrt(p * (1 - p) / len(keys))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("length", [16, 40])
+def test_one_bit_flips_flip_each_output_bit_half_the_time(length, seed):
+    trials = 50_000
+    rng = np.random.default_rng(length)
+    keys = rng.integers(0, 256, (trials, length), dtype=np.uint8)
+    bit = rng.integers(0, 8 * length, trials)
+    flipped = keys.copy()
+    flipped[np.arange(trials), bit // 8] ^= (1 << (bit % 8)).astype(np.uint8)
+    a = master_hash_many(_split(keys.tobytes(), length), seed)
+    b = master_hash_many(_split(flipped.tobytes(), length), seed)
+    diff = np.unpackbits(np.stack([a[0] ^ b[0], a[1] ^ b[1]], axis=1).view(np.uint8), axis=1)
+    # each of the 128 output bits, over all trials
+    assert np.all(np.abs(diff.mean(axis=0) - 0.5) <= 0.02)
+    # each input bit, over the ~156 trials that flip it and all output bits
+    per_input = np.bincount(bit, weights=diff.sum(axis=1)) / (128 * np.bincount(bit))
+    assert np.all(np.abs(per_input - 0.5) <= 0.02)
+
+
+# ---------------------------------------------------------------------------
+# the native kernel against the pure-Python loop, its reference
 
 native = pytest.mark.skipif(_native.lib is None, reason="native kernel not loaded")
 
-#: around the 128-byte block boundaries, plus the empty and a long key
-KEY_LENGTHS = (0, 1, 127, 128, 129, 255, 256, 257, 10_000)
+#: around the 8-byte word and 16-byte block boundaries, plus the empty and
+#: a long key
+KEY_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 10_000)
 
 
 def _reference(keys, seed):
-    """master_hash_many by the hashlib loop alone."""
+    """master_hash_many by the pure-Python loop alone."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "lib", None)
         return master_hash_many(keys, seed)
@@ -117,17 +203,18 @@ def test_seed_outside_64_bits_raises(monkeypatch, lib, seed):
 
 @native
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-def test_kernel_matches_hashlib_at_block_boundaries(seed):
+def test_kernel_matches_python_at_every_length(seed):
     rng = np.random.default_rng(seed % 997)
-    keys = [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in KEY_LENGTHS]
-    keys += [bytes(n) for n in KEY_LENGTHS]
+    lengths = [*range(301), 10_000]
+    keys = [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in lengths]
+    keys += [bytes(n) for n in lengths]
     _assert_same(master_hash_many(keys, seed), _reference(keys, seed))
-    for key in keys[: len(KEY_LENGTHS)]:  # each key alone, the empty one too
+    for key in keys[:: len(lengths) // 3]:  # a few keys alone, the empty one too
         _assert_same(master_hash_many([key], seed), _reference([key], seed))
 
 
 @native
-def test_kernel_matches_hashlib_on_every_input_form():
+def test_kernel_matches_python_on_every_input_form():
     keys = [b"key %d" % i + bytes(i % 300) for i in range(256 * KEY_BLOCK + 7)]
     want = _reference(keys, 5)
     _assert_same(master_hash_many(keys, 5), want)
@@ -141,7 +228,7 @@ def test_kernel_matches_hashlib_on_every_input_form():
 
 
 #: the two paths of master_hash_many and of a function's queries
-PATHS = pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "hashlib"])
+PATHS = pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "python"])
 #: bytes-like forms of a key; the wide memoryview's len() is not its byte count
 KEY_FORMS = {
     "bytes": bytes,
@@ -151,13 +238,17 @@ KEY_FORMS = {
 }
 #: keys whose lengths are multiples of 4, so each has every form
 FORM_KEYS = [bytes(i % 256 for i in range(n)) for n in (0, 4, 128, 132, 256, 1000)]
-#: what hashlib refuses to hash, with the error it raises
+#: what both paths refuse to hash, with the error they raise: a key is a
+#: C-contiguous buffer of at most one dimension
 BAD_KEYS = pytest.mark.parametrize("bad, error", [
     (memoryview(bytes(16))[::2], BufferError),  # not contiguous
     ("a key", TypeError),
     (12345, TypeError),
     (None, TypeError),
-], ids=["strided-memoryview", "str", "int", "None"])
+    (np.zeros(16, dtype=np.uint8)[::2], BufferError),
+    (memoryview(bytes(16)).cast("B", (4, 4)), BufferError),
+    (np.zeros((4, 4), dtype=np.uint8), BufferError),
+], ids=["strided-memoryview", "str", "int", "None", "strided-array", "2d-memoryview", "2d-array"])
 
 
 @PATHS
@@ -171,7 +262,7 @@ def test_master_hash_many_key_forms(monkeypatch, lib, form):
 
 @PATHS
 @BAD_KEYS
-def test_master_hash_many_rejects_what_hashlib_rejects(monkeypatch, lib, bad, error):
+def test_master_hash_many_rejects_bad_keys(monkeypatch, lib, bad, error):
     monkeypatch.setattr(_native, "lib", lib)
     with pytest.raises(error):
         master_hash_many([b"a key"] * (KEY_BLOCK + 3) + [bad], 3)
@@ -188,15 +279,19 @@ def test_master_hash_many_of_no_keys(monkeypatch, lib):
 @pytest.mark.parametrize("config, blob_sha, values_sha", golden.GOLDEN,
                          ids=["plain-a90", "minimal-compressed-a97", "plain-x066"])
 def test_pure_python_fallback_keeps_golden_outputs(monkeypatch, config, blob_sha, values_sha):
-    # the native library switched off: the hashlib loop, the Python
+    # the native library switched off: the Python hash loop, the Python
     # retrieval solve and the Python placement loop
     monkeypatch.setattr(_native, "lib", None)
-    assert hashing.hash_backend() == "hashlib"
+    assert hashing.hash_backend() == "python"
     keys = generate_keys(20_000, seed=golden.GOLDEN_KEY_SEED)
     golden.test_outputs_pinned(keys, config, blob_sha, values_sha)
 
 
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+
+
+#: mix64's multipliers, by keyword of the native batch hash
+MIX = dict(m1=hashing._M1, m2=hashing._M2)
 
 
 @native
@@ -206,23 +301,25 @@ class TestBatchHashArguments:
     def test_wrong_dtype(self):
         hi = np.empty(2, dtype=np.uint64)
         with pytest.raises(TypeError, match="hi: need items of 8 bytes"):
-            _native.lib.blake2b128_batch([b"a", b"b"], 0, hi.view(np.uint32), hi)
+            _native.lib.master_hash_batch([b"a", b"b"], 0, 0, hi.view(np.uint32), hi, **MIX)
 
     def test_short_output(self):
         hi = np.empty(2, dtype=np.uint64)
         with pytest.raises(ValueError, match="lo: need 2 items, got 1"):
-            _native.lib.blake2b128_batch([b"a", b"b"], 0, hi, hi[:1].copy())
+            _native.lib.master_hash_batch([b"a", b"b"], 0, 0, hi, hi[:1].copy(), **MIX)
 
     def test_read_only_output(self):
         hi = np.empty(1, dtype=np.uint64)
         with pytest.raises(TypeError):
-            _native.lib.blake2b128_batch([b"a"], 0, hi, bytes(8))
+            _native.lib.master_hash_batch([b"a"], 0, 0, hi, bytes(8), **MIX)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits(self, seed):
+        # the seed's lanes, and mix64's multipliers, are 64-bit words too
         hi = np.empty(1, dtype=np.uint64)
-        with pytest.raises(OverflowError):
-            _native.lib.blake2b128_batch([b"a"], seed, hi, hi.copy())
+        for args, mix in (((seed, 0), MIX), ((0, seed), MIX), ((0, 0), {**MIX, "m2": seed})):
+            with pytest.raises(OverflowError):
+                _native.lib.master_hash_batch([b"a"], *args, hi, hi.copy(), **mix)
 
 
 needs_cc = pytest.mark.skipif(shutil.which(_native._CC[0]) is None, reason="no C compiler")
