@@ -1,4 +1,5 @@
 import array
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -238,17 +239,22 @@ KEY_FORMS = {
 }
 #: keys whose lengths are multiples of 4, so each has every form
 FORM_KEYS = [bytes(i % 256 for i in range(n)) for n in (0, 4, 128, 132, 256, 1000)]
-#: what both paths refuse to hash, with the error they raise: a key is a
-#: C-contiguous buffer of at most one dimension
+#: what hashlib refuses to hash, with the error it raises; both paths
+#: refuse it alike
 BAD_KEYS = pytest.mark.parametrize("bad, error", [
     (memoryview(bytes(16))[::2], BufferError),  # not contiguous
     ("a key", TypeError),
     (12345, TypeError),
     (None, TypeError),
-    (np.zeros(16, dtype=np.uint8)[::2], BufferError),
-    (memoryview(bytes(16)).cast("B", (4, 4)), BufferError),
-    (np.zeros((4, 4), dtype=np.uint8), BufferError),
-], ids=["strided-memoryview", "str", "int", "None", "strided-array", "2d-memoryview", "2d-array"])
+], ids=["strided-memoryview", "str", "int", "None"])
+#: buffers that are not flat, which both paths refuse with a BufferError:
+#: a key is a C-contiguous buffer of at most one dimension (hashlib takes
+#: the 2-d ones, and refuses the strided array with a ValueError)
+NOT_FLAT_KEYS = pytest.mark.parametrize("bad", [
+    np.zeros(16, dtype=np.uint8)[::2],
+    memoryview(bytes(16)).cast("B", (4, 4)),
+    np.zeros((4, 4), dtype=np.uint8),
+], ids=["strided-array", "2d-memoryview", "2d-array"])
 
 
 @PATHS
@@ -262,9 +268,19 @@ def test_master_hash_many_key_forms(monkeypatch, lib, form):
 
 @PATHS
 @BAD_KEYS
-def test_master_hash_many_rejects_bad_keys(monkeypatch, lib, bad, error):
+def test_master_hash_many_rejects_what_hashlib_rejects(monkeypatch, lib, bad, error):
+    with pytest.raises(error):
+        hashlib.blake2b(bad)
     monkeypatch.setattr(_native, "lib", lib)
     with pytest.raises(error):
+        master_hash_many([b"a key"] * (KEY_BLOCK + 3) + [bad], 3)
+
+
+@PATHS
+@NOT_FLAT_KEYS
+def test_master_hash_many_rejects_keys_not_flat(monkeypatch, lib, bad):
+    monkeypatch.setattr(_native, "lib", lib)
+    with pytest.raises(BufferError):
         master_hash_many([b"a key"] * (KEY_BLOCK + 3) + [bad], 3)
 
 

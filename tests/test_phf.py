@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import functools
 import gc
+import hashlib
 import json
 import pickle
 import struct
@@ -41,7 +42,7 @@ from sichash.phf import (
 from sichash.retrieval import EPSILON, RetrievalStore
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
-from tests.test_hashing import BAD_KEYS, FORM_KEYS, KEY_FORMS, KEY_LENGTHS
+from tests.test_hashing import BAD_KEYS, FORM_KEYS, KEY_FORMS, KEY_LENGTHS, NOT_FLAT_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -633,10 +634,14 @@ class TestNativeQuery:
 
     @LIBRARIES
     @pytest.mark.parametrize("form", KEY_FORMS.values(), ids=KEY_FORMS)
-    def test_key_forms_agree_with_the_reference(self, phf_20k, lib, form):
+    def test_key_forms_agree_with_hashlib(self, phf_20k, lib, form):
+        # a key is read as hashlib reads it: the bytes of its buffer,
+        # whatever its item size
         with _library(None):  # the Python hash and query: the reference
             want = phf_20k.evaluate_many(FORM_KEYS).tolist()
         keys = [form(k) for k in FORM_KEYS]
+        assert [hashlib.blake2b(k).digest() for k in keys] == [
+            hashlib.blake2b(k).digest() for k in FORM_KEYS]
         with _library(lib):
             assert [phf_20k.evaluate(k) for k in keys] == want
             assert phf_20k.evaluate_many(keys).tolist() == want
@@ -644,11 +649,22 @@ class TestNativeQuery:
 
     @LIBRARIES
     @BAD_KEYS
-    def test_rejects_bad_keys(self, phf_20k, lib, bad, error):
+    def test_rejects_what_hashlib_rejects(self, phf_20k, lib, bad, error):
+        with pytest.raises(error):
+            hashlib.blake2b(bad)
         with _library(lib):
             with pytest.raises(error):
                 phf_20k.evaluate(bad)
             with pytest.raises(error):
+                phf_20k.evaluate_many([b"a key", bad])
+
+    @LIBRARIES
+    @NOT_FLAT_KEYS
+    def test_rejects_keys_not_flat(self, phf_20k, lib, bad):
+        with _library(lib):
+            with pytest.raises(BufferError):
+                phf_20k.evaluate(bad)
+            with pytest.raises(BufferError):
                 phf_20k.evaluate_many([b"a key", bad])
 
     @native
