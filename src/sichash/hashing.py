@@ -253,11 +253,10 @@ def bucket_of_many(hi: np.ndarray, num_buckets: int) -> np.ndarray:
 
 
 def class_of_many(lo: np.ndarray, t1: int, t2: int) -> np.ndarray:
-    """Degrees (2/4/8) for an array of low halves, given thresholds."""
-    deg = np.full(len(lo), 8, dtype=np.uint8)
-    deg[lo < np.uint64(t2)] = 4
-    deg[lo < np.uint64(t1)] = 2
-    return deg
+    """Degrees (2/4/8, uint8) for an array of low halves, given thresholds
+    ``t1 <= t2`` as :func:`class_thresholds` returns them."""
+    # the class index is the number of thresholds at or below lo
+    return np.uint8(2) << ((lo >= np.uint64(t1)).astype(np.uint8) + (lo >= np.uint64(t2)))
 
 
 def cell_of_many(hi: np.ndarray, lo: np.ndarray, bucket_seed, fn_index, m) -> np.ndarray:

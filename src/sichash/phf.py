@@ -217,9 +217,10 @@ class BuildStats:
     :attr:`SicHashPhf.build_stats`; never serialized.  ``stages`` holds
     wall seconds per stage: ``hash`` (master hashing, :func:`build` only),
     ``partition`` (distinctness check and bucket/class split),
-    ``cuckoo`` (every bucket's placement), ``retrieval_r1`` .. ``retrieval_r3``,
-    ``verify`` (the batch query and check of every key) and, in minimal
-    mode, ``remap``.
+    ``cuckoo`` (every bucket's placement), ``split`` (the placed keys'
+    rows sorted into one run per class), ``retrieval_r1`` .. ``retrieval_r3``
+    (each store's build only), ``verify`` (the batch query and check of
+    every key) and, in minimal mode, ``remap``.
     """
 
     stages: dict[str, float]
@@ -545,11 +546,11 @@ def _build_plain(
     check_distinct(hi, lo)
 
     num_buckets = max(1, round(n / config.bucket_size))
-    buckets = bucket_of_many(hi, num_buckets).astype(np.int64)
     degrees = class_of_many(lo, *class_thresholds(*config.fractions[:2]))
-
-    # a stable sort of the narrowest dtype is a radix sort: same order, faster
-    order = np.argsort(buckets.astype(np.min_scalar_type(num_buckets - 1)), kind="stable")
+    # one narrowest-dtype array serves the sort and the bincount; its stable
+    # sort is a radix sort: same order, faster
+    buckets = bucket_of_many(hi, num_buckets).astype(np.min_scalar_type(num_buckets - 1))
+    order = np.argsort(buckets, kind="stable")
     hi_s, lo_s, deg_s = hi[order], lo[order], degrees[order]
     counts = np.bincount(buckets, minlength=num_buckets)
     bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -581,13 +582,22 @@ def _build_plain(
     t0 = time.perf_counter()
     stages["cuckoo"] = t0 - t1
 
+    # a stable (radix) sort by degree keeps each class in bucket order, so
+    # each store gets the rows a mask would select, in the same order
+    by_class = np.argsort(deg_s, kind="stable")
+    hi_s, lo_s, fn_values = hi_s[by_class], lo_s[by_class], fn_values[by_class]
+    ends = np.cumsum(np.bincount(deg_s, minlength=CLASS_DEGREES[-1] + 1)).tolist()
+    t1 = time.perf_counter()
+    stages["split"] = t1 - t0
+    t0 = t1
+
     stores: dict[int, RetrievalStore] = {}
     store_stats: dict[int, dict] = {}
     for degree, r in _R_BY_DEGREE.items():
-        mask = deg_s == degree
+        a, z = ends[degree - 1], ends[degree]
         store = stores[degree] = RetrievalStore.build(
-            (hi_s[mask], lo_s[mask]),
-            fn_values[mask],
+            (hi_s[a:z], lo_s[a:z]),
+            fn_values[a:z],
             r,
             base_seed=config.global_seed,
         )

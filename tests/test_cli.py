@@ -55,8 +55,8 @@ class TestBuildVerifyBench:
         assert report["bits_per_object"] > 0
         assert set(report["breakdown"]) == {"retrieval", "metadata", "remap", "total"}
         assert list(report["stages"]) == [
-            "hash", "partition", "cuckoo", "retrieval_r1", "retrieval_r2", "retrieval_r3",
-            "verify",
+            "hash", "partition", "cuckoo", "split",
+            "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
         ]
         retries = report["retries"]
         assert set(retries) == {"displacements", "bucket_seeds", "retrieval"}

@@ -487,7 +487,33 @@ class TestBucketOf:
         assert int(b.max()) < 7
 
 
+def _class_of_three_pass(lo, t1, t2):
+    """class_of_many's earlier body, the reference: a fill and two masked writes."""
+    deg = np.full(len(lo), 8, dtype=np.uint8)
+    deg[lo < np.uint64(t2)] = 4
+    deg[lo < np.uint64(t1)] = 2
+    return deg
+
+
 class TestClassOf:
+    # (0.5, 0) gives t1 == t2 mid-range, (0, 0) at 0 and (1, 0) at 2**64 - 1
+    @pytest.mark.parametrize("p1, p2", [(0.3, 0.5), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.5, 0.0)])
+    def test_matches_three_pass_form_at_boundaries(self, p1, p2):
+        t1, t2 = class_thresholds(p1, p2)
+        edges = [0, t1 - 1, t1, t2 - 1, t2, 2**64 - 1]
+        lo = np.array([v for v in edges if 0 <= v < 2**64], dtype=np.uint64)
+        degs = class_of_many(lo, t1, t2)
+        assert degs.dtype == np.uint8
+        assert np.array_equal(degs, _class_of_three_pass(lo, t1, t2))
+
+    @given(st.lists(U64, min_size=1, max_size=50), U64, U64)
+    def test_matches_three_pass_form_property(self, lo, a, b):
+        t1, t2 = min(a, b), max(a, b)
+        lo = np.array(lo, dtype=np.uint64)
+        degs = class_of_many(lo, t1, t2)
+        assert degs.dtype == np.uint8
+        assert np.array_equal(degs, _class_of_three_pass(lo, t1, t2))
+
     def test_all_c4(self, uniform_hashes):
         _, lo = uniform_hashes
         t1, t2 = class_thresholds(0.0, 1.0)

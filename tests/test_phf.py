@@ -23,6 +23,7 @@ from sichash.cuckoo import BucketInput, build_bucket
 from sichash.errors import ConstructionError, DeserializationError
 from sichash.hashing import (
     QUERY_CONSTANTS,
+    bucket_of_many,
     class_of_many,
     class_thresholds,
     master_hash_many,
@@ -222,7 +223,8 @@ class TestBuild:
 
 
 _STAGES = [
-    "hash", "partition", "cuckoo", "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
+    "hash", "partition", "cuckoo", "split",
+    "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
 ]
 
 
@@ -276,6 +278,45 @@ class TestBuildStats:
 
     def test_not_serialized(self, phf_20k):
         assert SicHashPhf.from_bytes(phf_20k.to_bytes()).build_stats is None
+
+
+@pytest.mark.parametrize("minimal", [False, True], ids=["plain", "minimal"])
+def test_each_store_is_built_from_its_masked_rows(keys_20k, monkeypatch, minimal):
+    """The class split hands each store the rows, and their values, that a
+    mask of its degree selects from the bucket-ordered keys, in that order;
+    tests/test_golden.py pins the blobs built from them."""
+    received = {}
+    solve = RetrievalStore.build.__func__
+
+    def spy(cls, hashes, values, r, **kwargs):
+        received[r] = (*hashes, values)
+        return solve(cls, hashes, values, r, **kwargs)
+
+    monkeypatch.setattr(RetrievalStore, "build", classmethod(spy))
+    config = PhfConfig(alpha=0.9, minimal=minimal, global_seed=5)
+    phf = build(keys_20k, config)
+    hi, lo = master_hash_many(keys_20k, config.global_seed)
+    buckets = bucket_of_many(hi, phf.meta.num_buckets).astype(np.int64)
+    order = np.argsort(buckets, kind="stable")
+    hi, lo = hi[order], lo[order]
+    degrees = class_of_many(lo, *class_thresholds(*config.fractions[:2]))
+    bounds = np.searchsorted(buckets[order], np.arange(phf.meta.num_buckets + 1)).tolist()
+    sizes = np.diff(phf.meta.offsets).tolist()
+    placed = [
+        build_bucket(BucketInput(hi[a:z], lo[a:z], degrees[a:z], m))
+        for a, z, m in zip(bounds, bounds[1:], sizes)
+    ]
+    assert [p.seed for p in placed] == phf.meta.seeds.tolist()
+    fn_values = np.concatenate([p.assignments for p in placed])
+    for degree, store in phf.stores.items():
+        mask = degrees == degree
+        rows = (hi[mask], lo[mask], fn_values[mask])
+        assert all(np.array_equal(x, y) for x, y in zip(received[store.r], rows))
+        want = RetrievalStore.build(rows[:2], rows[2], store.r, base_seed=config.global_seed)
+        assert (store.seed, store.num_slots, store.num_keys) == (
+            want.seed, want.num_slots, want.num_keys
+        )
+        assert all(np.array_equal(p, q) for p, q in zip(store.planes, want.planes))
 
 
 class TestBuildCheck:
