@@ -18,10 +18,11 @@ flat array.  An entry keeps the index of its first cell and
 ``rattle_place`` (``_native.c``) per bucket seed takes the bucket's hash
 halves and masks, derives the cells as :func:`cell_of_many` does, with
 the constants of :data:`~sichash.hashing.QUERY_CONSTANTS`, and runs the
-kicking loop.  When :data:`sichash._native.lib` is None, the cells are
-derived by :func:`cell_of_many` in one vectorized pass per bucket seed
-and :meth:`RattleTable.insert` runs the same loop in Python, as fallback
-and as the reference the tests compare the kernel against.
+kicking loop.  When :data:`sichash._native.lib` is None, each bucket seed
+gets a :class:`RattleTable` whose :meth:`~RattleTable.add_entry` derives
+the cells from folds computed once per bucket, and
+:meth:`RattleTable.insert` runs the same loop in Python, as fallback and
+as the reference the tests compare the kernel against.
 :func:`incremental_load_experiment` inserts one entry at a time and
 always uses :class:`RattleTable`.  No placement is checked on its own:
 :func:`sichash.phf.build_from_hashes` checks the finished function.
@@ -43,6 +44,7 @@ from .hashing import (
     cell_at,
     cell_key,
     cell_of_many,
+    class_of,
     class_thresholds,
     fold_hash,
 )
@@ -104,20 +106,13 @@ class RattleTable:
     stop the experiment.
     """
 
-    def __init__(
-        self,
-        m: int,
-        seed: int,
-        flat: Optional[list[int]] = None,
-        first: Optional[list[int]] = None,
-        mask: Optional[list[int]] = None,
-    ):
+    def __init__(self, m: int, seed: int):
         self.m = m
         self.cells = [-1] * m  # entry index occupying each cell
-        self.flat = [] if flat is None else flat
-        self.first = [] if first is None else first
-        self.mask = [] if mask is None else mask
-        self.counters = [0] * len(self.first)
+        self.flat: list[int] = []
+        self.first: list[int] = []
+        self.mask: list[int] = []
+        self.counters: list[int] = []
         self.displacements = 0
         self._keys = [cell_key(seed, t) for t in range(8)]
 
@@ -192,19 +187,15 @@ def build_bucket(
     mask = inp.degrees - np.uint8(1)
     lib = _native.lib
     if lib is None:
-        # one (entry, fn_index) pair per candidate cell, entries in order
-        ends = np.cumsum(inp.degrees, dtype=np.int64)
-        first = ends - inp.degrees
-        entry = np.repeat(np.arange(n), inp.degrees)
-        fn_index = np.arange(int(ends[-1])) - first[entry]
-        hi, lo = inp.hi[entry], inp.lo[entry]
+        entries = list(zip(fold_hash((inp.hi, inp.lo)).tolist(), inp.degrees.tolist()))
     else:
         cells = np.empty(inp.m, dtype=np.int64)
         counters = np.empty(n, dtype=np.int64)
     for seed in range(max_seeds):
         if lib is None:
-            flat = cell_of_many(hi, lo, seed, fn_index, inp.m)
-            table = RattleTable(inp.m, seed, flat.tolist(), first.tolist(), mask.tolist())
+            table = RattleTable(inp.m, seed)
+            for folded, degree in entries:
+                table.add_entry(folded, degree)
             placed = all(table.insert(i, budget) for i in range(n))
             counters, displacements = table.counters, table.displacements
         else:
@@ -261,8 +252,7 @@ def incremental_load_experiment(
         while placed < m:
             hi = rng.getrandbits(64)
             lo = rng.getrandbits(64)
-            degree = 2 if lo < t1 else (4 if lo < t2 else 8)
-            idx = table.add_entry(fold_hash((hi, lo)), degree)
+            idx = table.add_entry(fold_hash((hi, lo)), class_of(lo, t1, t2))
             if not table.insert(idx, table.displacements + insert_budget):
                 break
             placed += 1

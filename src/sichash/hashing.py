@@ -25,13 +25,13 @@ get the cell constants from this module (:data:`QUERY_CONSTANTS`) and
 derive cells with one C copy of :func:`cell_of`, and the retrieval solve
 takes its rows from Python.
 
-Hash-to-range mapping uses fixed-point multiplication ``(h * m) >> 64``
-instead of a modulo; the bias is at most ``m / 2**64``.
+Hash-to-range mapping is :func:`umulhi`, the fixed-point multiplication
+``(h * m) >> 64`` instead of a modulo; the bias is at most ``m / 2**64``.
 
-:func:`mix64`, :func:`fold_hash` and :func:`cell_key` serve both paths:
-they take Python ints or uint64 arrays (numpy casts the int constants to
-uint64 and wraps), and a hash as a (hi, lo) pair of either.  The
-``*_many`` functions build on them plus :func:`umulhi`.
+:func:`mix64`, :func:`fold_hash`, :func:`cell_key`, :func:`cell_at` and
+:func:`umulhi` serve both paths: they take Python ints or uint64 arrays
+(numpy casts the int constants to uint64 and wraps), and a hash as a
+(hi, lo) pair of either.  The ``*_many`` functions build on them.
 """
 
 from __future__ import annotations
@@ -166,9 +166,30 @@ def hash_backend() -> str:
 # derivation: bucket / class / cell
 
 
+def umulhi(a, b):
+    """High 64 bits of the 64x64 product: ``(a * b) >> 64`` of two ints,
+    elementwise otherwise."""
+    if isinstance(a, int) and isinstance(b, int):
+        return (a * b) >> 64
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    ah = a >> np.uint64(32)
+    al = a & np.uint64(MASK32)
+    if b.size and int(b.max()) <= MASK32:
+        # b < 2**32 (every table and slot count in practice): neither
+        # partial product nor their sum can wrap
+        return (ah * b + ((al * b) >> np.uint64(32))) >> np.uint64(32)
+    bh = b >> np.uint64(32)
+    bl = b & np.uint64(MASK32)
+    t = al * bl
+    mid1 = ah * bl + (t >> np.uint64(32))
+    mid2 = al * bh + (mid1 & np.uint64(MASK32))
+    return ah * bh + (mid1 >> np.uint64(32)) + (mid2 >> np.uint64(32))
+
+
 def bucket_of(h: MasterHash, num_buckets: int) -> int:
     """Bucket index in [0, num_buckets), uniform, from the high half."""
-    return (h[0] * num_buckets) >> 64
+    return umulhi(h[0], num_buckets)
 
 
 def class_thresholds(p1: float, p2: float) -> tuple[int, int]:
@@ -181,6 +202,13 @@ def class_thresholds(p1: float, p2: float) -> tuple[int, int]:
     t1 = min(int(p1 * 2.0**64), MASK64)
     t2 = min(int((p1 + p2) * 2.0**64), MASK64)
     return t1, max(t1, t2)
+
+
+def class_of(lo: int, t1: int, t2: int) -> int:
+    """Degree (2, 4 or 8) of a low half, given thresholds ``t1 <= t2`` as
+    :func:`class_thresholds` returns them."""
+    # the class index is the number of thresholds at or below lo
+    return 2 << ((lo >= t1) + (lo >= t2))
 
 
 def cell_key(bucket_seed, fn_index):
@@ -196,7 +224,7 @@ def fold_hash(h):
 
 def cell_at(folded: int, key: int, m: int) -> int:
     """Cell in [0, m) of a :func:`fold_hash` word under one :func:`cell_key`."""
-    return (mix64(folded ^ key) * m) >> 64
+    return umulhi(mix64(folded ^ key), m)
 
 
 def cell_of(h: MasterHash, bucket_seed: int, fn_index: int, m: int) -> int:
@@ -212,25 +240,7 @@ def row_keys(seed: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# numpy batch derivation (the functions above, plus umulhi for ``* m >> 64``)
-
-
-def umulhi(a: np.ndarray, b) -> np.ndarray:
-    """High 64 bits of the 64x64 product, elementwise."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    ah = a >> np.uint64(32)
-    al = a & np.uint64(MASK32)
-    if b.size and int(b.max()) <= MASK32:
-        # b < 2**32 (every table and slot count in practice): neither
-        # partial product nor their sum can wrap
-        return (ah * b + ((al * b) >> np.uint64(32))) >> np.uint64(32)
-    bh = b >> np.uint64(32)
-    bl = b & np.uint64(MASK32)
-    t = al * bl
-    mid1 = ah * bl + (t >> np.uint64(32))
-    mid2 = al * bh + (mid1 & np.uint64(MASK32))
-    return ah * bh + (mid1 >> np.uint64(32)) + (mid2 >> np.uint64(32))
+# numpy batch derivation (the functions above, on arrays)
 
 
 def check_distinct(hi: np.ndarray, lo: np.ndarray) -> None:
@@ -264,4 +274,4 @@ def cell_of_many(hi: np.ndarray, lo: np.ndarray, bucket_seed, fn_index, m) -> np
     # 1-d minimum: 0-d uint64 arithmetic raises overflow warnings
     seed = np.atleast_1d(np.asarray(bucket_seed, dtype=np.uint64))
     fidx = np.atleast_1d(np.asarray(fn_index, dtype=np.uint64))
-    return umulhi(mix64(fold_hash((hi, lo)) ^ cell_key(seed, fidx)), m)
+    return cell_at(fold_hash((hi, lo)), cell_key(seed, fidx), m)

@@ -60,6 +60,7 @@ from .hashing import (
     cell_of,
     cell_of_many,
     check_distinct,
+    class_of,
     class_of_many,
     class_thresholds,
     master_hash,
@@ -356,8 +357,7 @@ class SicHashPhf:
             raise OverflowError("master hash halves must lie in [0, 2**64)")
         h = (hi, lo)
         b = bucket_of(h, self.meta.num_buckets)
-        t1, t2 = self._thresholds
-        fn_index = self.stores[2 if lo < t1 else 4 if lo < t2 else 8].query(h)
+        fn_index = self.stores[class_of(lo, *self._thresholds)].query(h)
         value = int(self._starts[b]) + cell_of(
             h, int(self.meta.seeds[b]), fn_index, int(self._sizes[b])
         )

@@ -6,8 +6,8 @@ arrays.  Each key is assigned one linear equation over GF(2): a start
 slot ``s`` in ``[0, num_slots - 64]`` plus a 64-bit coefficient pattern
 whose first bit is always set, so the pivot search never leaves the
 band.  Both derive from the store seed's
-:func:`~sichash.hashing.row_keys` by the same ``mix64`` and
-``fold_hash`` in :meth:`RetrievalStore.query` and :func:`_rows_many`.
+:func:`~sichash.hashing.row_keys` in :func:`_rows_many`, for the solve
+and for both query paths.
 Solving the system in start order keeps elimination local and nearly
 linear: each row is XORed into the stored row at its current pivot
 until it finds a free pivot, becomes zero (dependent) or proves the
@@ -69,14 +69,14 @@ BAND_WIDTH = 64  # bits per row coefficient: one machine word
 MAX_SEED_RETRIES = 16
 
 
-def _rows_many(
-    hi: np.ndarray, lo: np.ndarray, seed: int, num_slots: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _rows_many(hi, lo, seed: int, num_slots: int):
+    """Row starts and coefficients of uint64 arrays of halves, or the one
+    row of two int halves."""
     ks, kc = row_keys(seed)
-    starts = umulhi(mix64(hi ^ ks), np.uint64(num_slots - BAND_WIDTH + 1))
+    starts = umulhi(mix64(hi ^ ks), num_slots - BAND_WIDTH + 1)
     # the coefficient folds in both halves: keys sharing one half must
     # still receive distinct equations
-    coeffs = mix64(fold_hash((hi, lo)) ^ kc) | np.uint64(1)
+    coeffs = mix64(fold_hash((hi, lo)) ^ kc) | 1
     return starts, coeffs
 
 
@@ -152,9 +152,7 @@ class RetrievalStore(Codec):
 
     def query(self, h: MasterHash) -> int:
         """Stored value for a construction key; arbitrary value otherwise."""
-        ks, kc = row_keys(self.seed)
-        start = (mix64(h[0] ^ ks) * (self.num_slots - BAND_WIDTH + 1)) >> 64
-        coeff = mix64(fold_hash(h) ^ kc) | 1
+        start, coeff = _rows_many(*h, self.seed, self.num_slots)
         w, off = start >> 6, start & 63
         out = 0
         for k, plane in enumerate(self.planes):

@@ -1,9 +1,11 @@
-"""Each derivation constant and the bit packer live in one place.
+"""Each derivation constant, the bit packer and the range map live in
+one place.
 
 ``hashing.py`` owns every multiplier and salt of the hash derivations,
-and ``succinct._pack_bits`` is the only code that packs bits into
-words.  A second copy elsewhere in ``src/sichash`` could drift from the
-first and make scalar and batch paths disagree.  No kernel in
+``succinct._pack_bits`` is the only code that packs bits into words and
+``hashing.umulhi`` the only code that maps a hash onto a range.  A
+second copy elsewhere in ``src/sichash`` could drift from the first and
+make scalar and batch paths disagree.  No kernel in
 ``_native.c`` holds a derivation constant: the query plan and the cuckoo
 placement get them from ``hashing.py`` as keyword arguments, and the
 retrieval solve takes its rows derived in Python.  And every module reads
@@ -172,4 +174,35 @@ def test_every_definition_is_named():
                 dunder = node.name.startswith("__") and node.name.endswith("__")
                 if not dunder and node.name not in named:
                     found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
+
+
+def _range_maps(tree: ast.Module) -> list[ast.BinOp]:
+    """Every ``(a * b) >> 64``: a multiply's high word, written inline."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.RShift)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Mult)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 64
+    ]
+
+
+def test_range_map_scan():
+    tree = ast.parse("a = (x * m) >> 64\nb = (x * m) >> 32\nc = x >> 64\n")
+    assert [node.lineno for node in _range_maps(tree)] == [1]
+
+
+def test_one_range_map():
+    # the hash-to-range map is hashing.umulhi, for ints and arrays alike
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path.name)
+        owner = _enclosing_functions(tree)
+        for node in _range_maps(tree):
+            if (path.name, owner[node]) != ("hashing.py", "umulhi"):
+                found.append(f"{path.name}:{node.lineno} in {owner[node] or 'module'}")
     assert found == []
