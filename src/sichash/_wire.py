@@ -25,9 +25,6 @@ class Writer:
     def u8(self, v: int) -> None:
         self._parts.append(struct.pack("<B", v))
 
-    def u32(self, v: int) -> None:
-        self._parts.append(struct.pack("<I", v))
-
     def u64(self, v: int) -> None:
         self._parts.append(struct.pack("<Q", v))
 
@@ -69,9 +66,6 @@ class Reader:
 
     def u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
 
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]

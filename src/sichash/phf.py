@@ -23,12 +23,14 @@ values below n ("holes") through an Elias-Fano coded array of length
 
 Top-level blob layout (little-endian, crc32 trailer):
 
-    SICPHF03 | u8 flags (1 = minimal) | f64 alpha,beta,x |
+    SICPHF04 | u8 flags (1 = minimal) | f64 alpha,beta,x |
     u64 bucket_size,global_seed | meta blob | r1,r2,r3 store blobs |
     [remap blob iff minimal] | u32 crc32
 
 Each fact is stored once: n is the stores' key count, m_total the
-metadata's last offset and the metadata encoding its own tag byte.
+metadata's last offset and the metadata encoding its own tag byte; the
+sections store theirs once too (:mod:`sichash.succinct`,
+:mod:`sichash.retrieval`).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .hashing import (
 from .retrieval import EPSILON, RetrievalStore
 from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 
-_MAGIC = b"SICPHF03"
+_MAGIC = b"SICPHF04"
 
 _R_BY_DEGREE = {d: r for r, d in enumerate(CLASS_DEGREES, 1)}
 

@@ -37,8 +37,9 @@ one too, has at least one band, so the payload stays within
 :data:`EPSILON` is a constant of this band-64 ribbon: below about 0.08
 its systems fail or need seed retries.
 
-Serialization: ``SHRS0001 | u8 r | u64 num_slots | u64 seed |
-u32 band (always 64) | u64 num_keys | r x word array``.
+Serialization: ``SHRS0002 | u8 r | u64 num_slots | u64 seed |
+u64 num_keys | r x word array``; the band width is always 64 and is not
+stored.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import _native
 from ._wire import Codec, Reader, Writer
-from .errors import ConstructionError, DeserializationError
+from .errors import ConstructionError
 from .hashing import (
     MASK64,
     MasterHash,
@@ -62,7 +63,7 @@ from .hashing import (
 )
 from .succinct import _pack_bits
 
-_MAGIC = b"SHRS0001"
+_MAGIC = b"SHRS0002"
 
 EPSILON = 0.10  # slot slack of every store
 BAND_WIDTH = 64  # bits per row coefficient: one machine word
@@ -181,7 +182,6 @@ class RetrievalStore(Codec):
         w.u8(self.r)
         w.u64(self.num_slots)
         w.u64(self.seed)
-        w.u32(BAND_WIDTH)
         w.u64(self.num_keys)
         for plane in self.planes:
             w.words(plane)
@@ -192,10 +192,7 @@ class RetrievalStore(Codec):
         rbits = r.u8()
         num_slots = r.u64()
         seed = r.u64()
-        band_width = r.u32()
         num_keys = r.u64()
-        if band_width != BAND_WIDTH:
-            raise DeserializationError(f"retrieval store: band width {band_width} is not 64")
         planes = [r.words() for _ in range(rbits)]
         return cls(rbits, num_slots, seed, num_keys, planes)
 

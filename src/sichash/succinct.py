@@ -9,13 +9,15 @@ fixed header, in these versioned little-endian blobs:
 
 ``BitVector``      ``SHBV0001 | u64 length_bits | u64 nwords | words``
 ``PackedIntArray`` ``SHPA0001 | u64 n | u8 width | u64 nwords | words``
-``EliasFanoSeq``   ``SHEF0001 | u64 n | u64 universe | u8 lower_width |
-                   upper BitVector | lower PackedIntArray``
-``GolombRiceSeq``  ``SHGR0001 | u64 n | u8 k_log | unary BitVector |
-                   remainder PackedIntArray``
+``EliasFanoSeq``   ``SHEF0002 | upper BitVector | lower PackedIntArray``
+``GolombRiceSeq``  ``SHGR0002 | unary BitVector | remainder PackedIntArray``
 
-A codec loaded alone with ``from_bytes`` raises ``DeserializationError``
-for any malformed blob.  Bits are packed LSB-first within little-endian
+Each fact is stored once: a sequence's length is its packed array's
+``n`` and its low width (Elias-Fano) or ``k_log`` (Golomb-Rice) that
+array's width; loading checks that the bit vector holds one 1-bit per
+element.  A codec loaded alone with ``from_bytes`` raises
+``DeserializationError`` for any malformed blob, and any blob it loads
+decodes without error.  Bits are packed LSB-first within little-endian
 64-bit words, i.e. bit ``i`` lives at ``words[i >> 6] >> (i & 63) & 1``.
 :func:`_pack_bits` is the one packer: for bit vectors, packed arrays
 and the retrieval stores' bit planes.
@@ -32,8 +34,8 @@ from .errors import DeserializationError
 
 _BV_MAGIC = b"SHBV0001"
 _PA_MAGIC = b"SHPA0001"
-_EF_MAGIC = b"SHEF0001"
-_GR_MAGIC = b"SHGR0001"
+_EF_MAGIC = b"SHEF0002"
+_GR_MAGIC = b"SHGR0002"
 
 
 class BitVector(Codec):
@@ -127,18 +129,6 @@ class PackedIntArray(Codec):
     def width(self) -> int:
         return self._width
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError("index out of bounds")
-        if self._width == 0:
-            return 0
-        bitpos = i * self._width
-        w0, off = bitpos >> 6, bitpos & 63
-        window = int(self._words[w0]) >> off
-        if off + self._width > 64:
-            window |= int(self._words[w0 + 1]) << (64 - off)
-        return window & ((1 << self._width) - 1)
-
     def to_array(self) -> np.ndarray:
         if self._width == 0:
             return np.zeros(self.n, dtype=np.uint64)
@@ -173,18 +163,16 @@ class PackedIntArray(Codec):
 class EliasFanoSeq(Codec):
     """Monotone non-decreasing integer sequence, Elias-Fano coded.
 
-    The value ``v_i`` splits into ``lower_width`` low bits, stored
-    verbatim, and a high part stored as a 1-bit at position
-    ``i + (v_i >> lower_width)`` of the upper bit vector, so the i-th
+    The value ``v_i`` splits into ``lower.width`` low bits, stored
+    verbatim in ``lower``, and a high part stored as a 1-bit at position
+    ``i + (v_i >> lower.width)`` of the upper bit vector, so the i-th
     1-bit's position minus i is the high part.  Total payload stays within
-    ``2n + n*ceil(log2(universe/n))`` bits plus word padding.
+    ``2n + n*ceil(log2(universe/n))`` bits plus word padding, where
+    ``universe`` is the last value.
     """
 
     upper: BitVector
     lower: PackedIntArray
-    n: int
-    universe: int
-    lower_width: int
 
     @classmethod
     def encode(cls, values) -> "EliasFanoSeq":
@@ -195,71 +183,42 @@ class EliasFanoSeq(Codec):
         if n and np.any(np.diff(values) < 0):
             raise ValueError("sequence not monotone")
         universe = int(values[-1]) if n else 0
-        width = _ef_lower_width(universe, n)
-        highs = (values >> width) if n else values
-        positions = np.arange(n, dtype=np.int64) + highs
-        length = n + (universe >> width) + 1
-        upper = BitVector.from_positions(positions, length)
-        lower = PackedIntArray.pack(
-            values.astype(np.uint64) & np.uint64((1 << width) - 1 if width else 0),
-            width,
-        )
-        return cls(upper, lower, n, universe, width)
+        width = 0  # the smallest with universe >> width <= n
+        while n and (universe >> width) > n:
+            width += 1
+        positions = np.arange(n, dtype=np.int64) + (values >> width)
+        upper = BitVector.from_positions(positions, n + (universe >> width) + 1)
+        lows = values.astype(np.uint64) & np.uint64((1 << width) - 1)
+        return cls(upper, PackedIntArray.pack(lows, width))
 
     def __len__(self) -> int:
-        return self.n
+        return self.lower.n
 
     def access(self, i: int) -> int:
         """Element i, from a whole decode: linear in the sequence's size."""
-        if not 0 <= i < self.n:
+        if not 0 <= i < len(self):
             raise IndexError("index out of bounds")
         return int(self.to_array()[i])
 
     def to_array(self) -> np.ndarray:
-        highs = self.upper.all_positions() - np.arange(self.n, dtype=np.int64)
-        return (highs.astype(np.uint64) << np.uint64(self.lower_width)) | (
+        highs = self.upper.all_positions() - np.arange(len(self), dtype=np.int64)
+        return (highs.astype(np.uint64) << np.uint64(self.lower.width)) | (
             self.lower.to_array()
         )
 
     def write(self, w: Writer) -> None:
         w.magic(_EF_MAGIC)
-        w.u64(self.n)
-        w.u64(self.universe)
-        w.u8(self.lower_width)
         self.upper.write(w)
         self.lower.write(w)
 
     @classmethod
     def read(cls, r: Reader) -> "EliasFanoSeq":
         r.magic(_EF_MAGIC)
-        n = r.u64()
-        universe = r.u64()
-        width = r.u8()
         upper = BitVector.read(r)
         lower = PackedIntArray.read(r)
-        if upper.popcount != n or lower.n != n or lower.width != width:
-            raise DeserializationError("Elias-Fano: parts disagree with n or lower_width")
-        if width != _ef_lower_width(universe, n):
-            raise DeserializationError("Elias-Fano: lower_width does not fit universe and n")
-        last = 0
-        if n:
-            # the popcount is n, so the top 1-bit is the n-th; its position
-            # minus n-1 is the last value's high part
-            w = int(np.flatnonzero(upper.words)[-1])
-            top = (w << 6) + int(upper.words[w]).bit_length() - 1
-            last = ((top - (n - 1)) << width) | lower[n - 1]
-        if last != universe:
-            raise DeserializationError("Elias-Fano: universe differs from the last value")
-        return cls(upper, lower, n, universe, width)
-
-
-def _ef_lower_width(universe: int, n: int) -> int:
-    """Low-bit width :meth:`EliasFanoSeq.encode` picks: the smallest with
-    ``universe >> width <= n`` (0 for an empty sequence)."""
-    width = 0
-    while n and (universe >> width) > n:
-        width += 1
-    return width
+        if upper.popcount != lower.n:
+            raise DeserializationError("Elias-Fano: upper bit count differs from n")
+        return cls(upper, lower)
 
 
 @dataclass
@@ -267,14 +226,13 @@ class GolombRiceSeq(Codec):
     """Non-negative integer sequence, Rice coded with divisor 2**k_log.
 
     Element ``x`` is the quotient ``x >> k_log`` in unary (terminated by
-    a 1-bit) plus ``k_log`` binary remainder bits.  Near-optimal for
-    geometrically distributed data such as retry counters.
+    a 1-bit) plus ``k_log`` binary remainder bits, stored in
+    ``remainders`` at width ``k_log``.  Near-optimal for geometrically
+    distributed data such as retry counters.
     """
 
-    k_log: int
     unary: BitVector
     remainders: PackedIntArray
-    n: int
 
     @classmethod
     def encode(cls, values, k_log: int) -> "GolombRiceSeq":
@@ -291,37 +249,33 @@ class GolombRiceSeq(Codec):
         length = int(ends[-1]) + 1 if n else 0
         unary = BitVector.from_positions(ends, length)
         rem = values & np.uint64((1 << k_log) - 1)
-        return cls(k_log, unary, PackedIntArray.pack(rem, k_log), n)
+        return cls(unary, PackedIntArray.pack(rem, k_log))
 
     def __len__(self) -> int:
-        return self.n
+        return self.remainders.n
 
     def to_array(self) -> np.ndarray:
         ends = self.unary.all_positions()
         q = np.diff(np.concatenate([[-1], ends])) - 1
-        return (q.astype(np.uint64) << np.uint64(self.k_log)) | (
+        return (q.astype(np.uint64) << np.uint64(self.remainders.width)) | (
             self.remainders.to_array()
         )
 
     def write(self, w: Writer) -> None:
         w.magic(_GR_MAGIC)
-        w.u64(self.n)
-        w.u8(self.k_log)
         self.unary.write(w)
         self.remainders.write(w)
 
     @classmethod
     def read(cls, r: Reader) -> "GolombRiceSeq":
         r.magic(_GR_MAGIC)
-        n = r.u64()
-        k_log = r.u8()
-        if k_log > 63:
-            raise DeserializationError(f"Golomb-Rice: k_log={k_log} above 63")
         unary = BitVector.read(r)
         rem = PackedIntArray.read(r)
-        if unary.popcount != n or rem.n != n or rem.width != k_log:
-            raise DeserializationError("Golomb-Rice: parts disagree with n or k_log")
-        return cls(k_log, unary, rem, n)
+        if rem.width > 63:
+            raise DeserializationError(f"Golomb-Rice: k_log={rem.width} above 63")
+        if unary.popcount != rem.n:
+            raise DeserializationError("Golomb-Rice: unary bit count differs from n")
+        return cls(unary, rem)
 
 
 def rice_parameter(values) -> int:

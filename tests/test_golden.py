@@ -22,17 +22,17 @@ GOLDEN_KEY_SEED = 2024
 GOLDEN = [
     (
         PhfConfig(alpha=0.90),
-        "45e940359ae04a2bc8e6776c4ccf2477c466378ea19491bb1cc7be16d9a98ece",
+        "bb431a712714c64c7dec16e7095db61ffa0979cce66dad41ca6968b42b10bb16",
         "7e898209c77532bee68654ba417160980d1737a4adebfb2154c6513e734e6957",
     ),
     (
         PhfConfig(alpha=0.97, minimal=True, compressed_metadata=True),
-        "722cdee05d157df90a476d31ef082767648d6278a85cec29d4df2717f6c3e5d8",
+        "6914727554ae0d5e92b6e5e179cb831d4700add6b3b4e95c0a4bd46828e4cd56",
         "9eb598251ed288eb62df74198550f356dbf3d1c3013772151d942c13947a2b45",
     ),
     (
         PhfConfig(alpha=0.90, x=0.66),
-        "70218e2aecc9216cf0d4c3805666b9f60c22567e6d3376e5f35a5f4052525f08",
+        "86e55587e17010c3ca82d06a9dea3c3eb6c3438ebeaf188daeff63c577847669",
         "8b96b6a20fb0e52ef1a6204db93b2926630ca391358c91a21a30623b1de5848f",
     ),
 ]
@@ -40,26 +40,26 @@ GOLDEN = [
 # sha256 of each blob section, in the order of GOLDEN
 SECTIONS = [
     {
-        "header": "2814198ef53c9169f2a131b6259c39351d5001771e7baaa105feafe311765662",
+        "header": "2a27e5d2bbddb3bd71caf915ba5e978349a45eda194139f956659cac0ae93f03",
         "metadata": "2db28c9b8cccf99a7382d21533fc659be9e3186c6670537628b77291eedf7991",
-        "r1": "710b0732e74c4fca2c38eafdbbc4db131118c2d2057dfa843c4155f21cd8269b",
-        "r2": "e6503c4d4599ec9d1584de8672b252fa22e8936e6281292c7526bd6b47175e4d",
-        "r3": "e54cea581f259a93eb7ae3fbcc3a1d7f42ca8502d24b9a3a68195f29793e410b",
+        "r1": "89411a1f217fa55f3b46d9c613ac17d119c6af141e6f91f624553a7c701ee6fd",
+        "r2": "fbed3e5d96de569d126fa7e67242b94a308ee56c184fe05f7e405cb834f1b935",
+        "r3": "d571d1b82156879c0d5222c169569c321a62c537d0861611b6fdacf551cd1e43",
     },
     {
-        "header": "2d87ceb7c8defd95354eaac0c49524e7a2b088a39a37bd284384a926c5272979",
-        "metadata": "73870b39d2d4f0508332f514fd2b63fbc3f5548d87fee93727716e258d88c6a2",
-        "r1": "3d55005c94a7539d6d66a8881de1b7f74bd3e431629ba58d0a84c960ec7c4114",
-        "r2": "d01a4f4d8cce7fcf3e290be9de03c073060d8c4ab475a3d81656675984589c1d",
-        "r3": "a065da001717a8e0237288402c81adbfa9caa2e3af7dde1ecff8e9631d2798f2",
-        "remap": "e9aa3c50721c2a3616533c3aa475f5ff81151e1eb7996a925c0a256765f42387",
+        "header": "7227491220331fa0ab820899e8528ec97c054562d70c444b87f6f6a61cb2725d",
+        "metadata": "5bb86b2c8a30fe2f4a1ee3354548e2b32d098b7faf8a95354cedd74380dab608",
+        "r1": "6138611fb220809b63bfdcc9d36788198eb581f37395cc0351b3e6a20c91c798",
+        "r2": "c2c00be78b9499778a37e64009d49f8b0e47ac1d5f3fdb883ca5d539d6c3de10",
+        "r3": "36b9ea723c081b293fa4480918baaafcf549cf78cd12aa31da1630e338027cd0",
+        "remap": "5383c828c460550ad9a5b3e159a1fc1b92403db5f78b096155935e70604f505d",
     },
     {
-        "header": "faef8111eeb267220c85a36a8bf60fbab5d47af20f82577b0e35dff4e12a9b07",
+        "header": "6df398d71d9385b19da6eaa6db614193f3fd6118faa1ae6194da6411d2cff29b",
         "metadata": "2db28c9b8cccf99a7382d21533fc659be9e3186c6670537628b77291eedf7991",
-        "r1": "35f93234536ad9530d21c14a33cb9a3d0a9c64cdab53f4b38b54a2d3ffc6599f",
-        "r2": "a169364022a0a19702872c66432f601b522f8d8770f882dbdec654e404dc3924",
-        "r3": "3c4172ffcb16b3c2eab9d02b5dca52497aad154eb8451075f3ddab5ef70e9423",
+        "r1": "8060c520123ebb38142313e80590a93e3961e8fff1aa8af8def6c74d4c4ad97e",
+        "r2": "108328bcf4a90e5280cd240322a448ec395259e0a3a82abc43282b9e5ee42bfa",
+        "r3": "cedcf9aa9c8b79e7cd3e938192202ae2bb3426d75657cdbafcd2a7c9d9f88376",
     },
 ]
 

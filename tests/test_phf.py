@@ -423,6 +423,12 @@ class TestSerialization:
         with pytest.raises(DeserializationError, match="magic"):
             SicHashPhf.from_bytes(_reseal(body))
 
+    def test_third_format_rejected(self, phf_20k):
+        # its sections repeated facts that this layout stores once
+        body = b"SICPHF03" + phf_20k.to_bytes()[8:-4]
+        with pytest.raises(DeserializationError, match="magic"):
+            SicHashPhf.from_bytes(_reseal(body))
+
     def test_container_overhead_constant(self, keys_20k):
         a = build(keys_20k[:2000], PhfConfig(alpha=0.9))
         b = build(keys_20k[:11000], PhfConfig(alpha=0.9))
