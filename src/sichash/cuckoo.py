@@ -109,10 +109,10 @@ class RattleTable:
     def __init__(self, m: int, seed: int):
         self.m = m
         self.cells = [-1] * m  # entry index occupying each cell
-        self.flat: list[int] = []
-        self.first: list[int] = []
-        self.mask: list[int] = []
-        self.counters: list[int] = []
+        self.flat = []
+        self.first = []
+        self.mask = []
+        self.counters = []
         self.displacements = 0
         self._keys = [cell_key(seed, t) for t in range(8)]
 

@@ -238,22 +238,12 @@ class TestEliasFano:
     @pytest.mark.parametrize("field, delta", [("n", 1), ("n", -1)])
     def test_inconsistent_header_rejected(self, field, delta):
         # n is the packed array's: one low part more or fewer than 1-bits
-        values = [0, 5, 5, 9, 100, 4096]
-        seq = EliasFanoSeq.encode(values)
+        seq = EliasFanoSeq.encode([0, 5, 5, 9, 100, 4096])
         lows = seq.lower.to_array()
         lows = np.append(lows, 0) if delta > 0 else lows[:delta]
         bad = dataclasses.replace(seq, lower=PackedIntArray.pack(lows, seq.lower.width))
         with pytest.raises(DeserializationError, match="Elias-Fano"):
             EliasFanoSeq.from_bytes(bad.to_bytes())
-
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_popcount_other_than_n_rejected(self, extra):
-        seq = EliasFanoSeq.encode([0, 5, 5, 9, 100, 4096])
-        positions = seq.upper.all_positions()
-        positions = positions[:-1] if extra < 0 else np.append(positions, positions[-1] + 1)
-        upper = BitVector.from_positions(positions, int(positions[-1]) + 1)
-        with pytest.raises(DeserializationError, match="bit count"):
-            EliasFanoSeq.from_bytes(EliasFanoSeq(upper, seq.lower).to_bytes())
 
     @given(
         st.lists(st.integers(0, 2**63 - 1), min_size=0, max_size=200).map(sorted)
