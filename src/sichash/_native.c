@@ -3,8 +3,9 @@
  *
  *   master_hash_batch(keys, a, b, hi, lo, *, m1, m2)
  *       the master hash of each of a sequence of bytes-like keys
- *   ribbon_solve(starts, coeffs, values, num_slots, r, bits)
- *       a retrieval store's banded elimination and back-substitution
+ *   ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes, *, m1, m2, fold)
+ *       one seed attempt of a retrieval store: its rows derived, sorted by
+ *       start, eliminated and back-substituted into plane words
  *   rattle_place(hi, lo, mask, seed, budget, cells, counters, *, ...)
  *       a cuckoo bucket's candidate cells under one seed and its
  *       rattle-kicking placement
@@ -28,14 +29,15 @@
  * block, and mix64 finalizes both halves.  Its one inline copy, hash_key,
  * serves both master_hash_batch and plan.query.
  *
- * No kernel holds a derivation constant: the batch hash, the plan and the
- * placement take the multipliers of hashing.py as keyword arguments
- * (QUERY_CONSTANTS for the plan and the placement) into one struct, and
- * hash keys and derive cells with the one inline hash and derivation
- * below.  The hash's lanes come from the seed in Python
- * (hashing.seed_lanes), and the solve takes its rows derived and sorted in
- * Python.  Each kernel has a pure-Python reference that runs when the
- * library is None and that the tests compare it against.
+ * No kernel holds a derivation constant: each takes the multipliers of
+ * hashing.py as keyword arguments (QUERY_CONSTANTS, or the ones of them it
+ * uses) into one struct, and hashes keys, derives cells and derives
+ * retrieval rows with the one inline hash, cell and row derivation below,
+ * which the plan shares with the kernel that builds.  The hash's lanes
+ * come from the seed in Python (hashing.seed_lanes), and so do a store's
+ * row keys (hashing.row_keys).  Each kernel has a pure-Python reference
+ * that runs when the library is None and that the tests compare it
+ * against.
  *
  * Build: cc -O3 -shared -fPIC -I<Python include dir> -o _native.so _native.c
  */
@@ -77,12 +79,13 @@ static int u64_arg(PyObject *obj, void *out)
 }
 
 /* ------------------------------------------------------------------------
- * The master hash and the cell derivation of hashing.py, shared by the
- * batch hash, the placement and the query.
+ * The master hash and the cell derivation of hashing.py and the row
+ * derivation of retrieval.py, shared by the batch hash, the store build,
+ * the placement and the query.
  *
  * The multipliers come from hashing.py, as keyword arguments of
- * master_hash_batch, rattle_place and Plan (QUERY_CONSTANTS), so that this
- * file holds none of them.
+ * master_hash_batch, ribbon_build, rattle_place and Plan (QUERY_CONSTANTS),
+ * so that this file holds none of them.
  */
 
 typedef struct {
@@ -141,6 +144,38 @@ static inline void hash_key(const derivation *d, uint64_t a, uint64_t b, const u
     a ^= b << 32 | b >> 32;
     *hi = mix(d, a);
     *lo = mix(d, b);
+}
+
+/* hashing.fold_hash */
+static inline uint64_t fold(const derivation *d, uint64_t hi, uint64_t lo)
+{
+    return lo ^ (hi * d->fold);
+}
+
+/* hashing.cell_key */
+static inline uint64_t cell_key(const derivation *d, uint64_t seed, uint64_t fn)
+{
+    return seed * d->golden + fn * d->m1 + d->cell_salt;
+}
+
+/* hashing.cell_at: a cell in [0, m) */
+static inline uint64_t cell_at(const derivation *d, uint64_t folded, uint64_t key, uint64_t m)
+{
+    return mulhi(mix(d, folded ^ key), m);
+}
+
+/* retrieval._rows_many: a store row's start slot, below span =
+ * num_slots - 63, and its coefficient, whose bit 0 is set, under the store
+ * seed's start and coefficient keys ks and kc (hashing.row_keys) */
+typedef struct {
+    uint64_t start, coeff;
+} row;
+
+static inline row row_of(const derivation *d, uint64_t ks, uint64_t kc, uint64_t span,
+                         uint64_t hi, uint64_t lo)
+{
+    row out = {mulhi(mix(d, hi ^ ks), span), mix(d, fold(d, hi, lo) ^ kc) | 1};
+    return out;
 }
 
 /* A key's bytes, as hashing._key_bytes reads them: any C-contiguous buffer
@@ -217,30 +252,55 @@ done:
 }
 
 /* ------------------------------------------------------------------------
- * Ribbon retrieval solve over GF(2), the loop of retrieval._solve_python
- * for r = 1, 2 or 3 bit planes.
+ * One seed attempt of a ribbon retrieval store over GF(2), for r = 1, 2 or
+ * 3 bit planes: the work of retrieval._solve_python.
  *
- * Row i is the equation "the solution bits of slots starts[i] ..
- * starts[i] + 63, masked by coeffs[i], have parity values[i]"; bit 0 of
- * every coefficient is set and the rows come sorted by start.  Each row
- * is XORed into the stored row at its current pivot until it finds a free
- * pivot or becomes zero.  row_coeff and row_value (num_slots entries,
- * zeroed) receive the stored rows, anchored at their pivot.  Returns -1
- * when a row reduces to 0 = 1, the system being inconsistent.
- *
- * Back-substitution then walks the slots once from the last down, with
- * one 64-bit state per bit plane holding the solution bits of slots
- * p .. p+63 (bit 0 is slot p).  Plane k's bit of slot p is written to
- * bits[k * stride + p], which is zeroed first.  Returns 0.
+ * Row i is the equation "the solution bits of slots start .. start + 63,
+ * masked by coeff, have parity values[i]", with start and coeff from
+ * row_of; every start is below span = num_slots - 63, so a row's 64 slots
+ * all exist.
  */
-static int solve(const uint64_t *starts, const uint64_t *coeffs,
-                 const uint8_t *values, int64_t n, int64_t num_slots, int r,
-                 uint64_t *row_coeff, uint8_t *row_value, uint8_t *bits,
-                 int64_t stride)
+
+/* A stable counting sort of the rows by start: start, coeff and value
+ * receive the rows' starts, coefficients and values in start order.
+ * pos (span entries, zeroed) counts the rows of each start, then holds
+ * the position of the next row to place there.  Rows and starts fit in 32
+ * bits: the caller checks n < 2**32 and span <= 2**32. */
+static void sort_rows(const derivation *d, uint64_t ks, uint64_t kc, uint64_t span,
+                      const uint64_t *hi, const uint64_t *lo, const uint64_t *values,
+                      int64_t n, uint32_t *pos, uint32_t *start, uint64_t *coeff,
+                      uint8_t *value)
 {
+    for (int64_t i = 0; i < n; i++)
+        pos[row_of(d, ks, kc, span, hi[i], lo[i]).start]++;
+    uint32_t at = 0; /* each count becomes the position of its first row */
+    for (uint64_t s = 0; s < span; s++) {
+        uint32_t count = pos[s];
+        pos[s] = at;
+        at += count;
+    }
     for (int64_t i = 0; i < n; i++) {
-        uint64_t s = starts[i], c = coeffs[i];
-        uint8_t v = values[i];
+        row eq = row_of(d, ks, kc, span, hi[i], lo[i]);
+        uint32_t j = pos[eq.start]++;
+        start[j] = (uint32_t)eq.start;
+        coeff[j] = eq.coeff;
+        value[j] = (uint8_t)values[i];
+    }
+}
+
+/* On-the-fly elimination of the n sorted rows: each row is XORed into the
+ * stored row at its current pivot until it finds a free pivot or becomes
+ * zero.  row_coeff and row_value (num_slots entries, zeroed) receive the
+ * stored rows, anchored at their pivot.  Returns the number of rows that
+ * became 0 = 0 (dependent), or -1 as soon as one becomes 0 = 1, the
+ * system being inconsistent. */
+static int64_t eliminate(const uint32_t *start, const uint64_t *coeff, const uint8_t *value,
+                         int64_t n, uint64_t *row_coeff, uint8_t *row_value)
+{
+    int64_t dependent = 0;
+    for (int64_t j = 0; j < n; j++) {
+        uint64_t s = start[j], c = coeff[j];
+        uint8_t v = value[j];
         /* a fresh row has bit 0 set, so it is already anchored at s */
         for (;;) {
             if (!row_coeff[s]) {
@@ -253,99 +313,112 @@ static int solve(const uint64_t *starts, const uint64_t *coeffs,
             if (!c) {
                 if (v)
                     return -1; /* identical equation, different value */
-                break;         /* dependent but consistent: nothing to store */
+                dependent++;   /* consistent: nothing to store */
+                break;
             }
             int tz = __builtin_ctzll(c);
             s += tz;
             c >>= tz;
         }
     }
+    return dependent;
+}
 
+/* Back-substitution in one walk from the last slot down, with one 64-bit
+ * state per plane holding the solution bits of slots p .. p + 63 (bit 0 is
+ * slot p).  A slot without a stored row has coefficient and value 0, so
+ * its bit is 0 without a branch.  At p % 64 == 0 the state is plane word
+ * p / 64, which is stored as it is; the words above the last slot are 0.
+ * Plane k is planes[k * nwords .. (k + 1) * nwords - 1]. */
+static void back_substitute(int r, int64_t num_slots, const uint64_t *row_coeff,
+                            const uint8_t *row_value, uint64_t *planes, int64_t nwords)
+{
+    for (int k = 0; k < r; k++)
+        for (int64_t w = (num_slots - 1) / 64 + 1; w < nwords; w++)
+            planes[k * nwords + w] = 0;
     uint64_t state[3] = {0, 0, 0};
     for (int64_t p = num_slots - 1; p >= 0; p--) {
         uint64_t c = row_coeff[p];
+        uint8_t v = row_value[p];
         for (int k = 0; k < r; k++) {
-            state[k] <<= 1;
-            if (c && (__builtin_parityll(state[k] & c) ^ (row_value[p] >> k)) & 1) {
-                state[k] |= 1;
-                bits[k * stride + p] = 1;
-            }
+            uint64_t s = state[k] << 1;
+            state[k] = s | ((__builtin_parityll(s & c) ^ (v >> k)) & 1);
         }
+        if (!(p & 63))
+            for (int k = 0; k < r; k++)
+                planes[k * nwords + (p >> 6)] = state[k];
     }
-    return 0;
 }
 
-/* ribbon_solve(starts, coeffs, values, num_slots, r, bits): True when the
- * rows solve, with bits (r rows of at least num_slots bytes) holding the
- * solution, False when they are inconsistent.  starts and coeffs hold one
- * uint64 per row and values one uint8; every start is at most
- * num_slots - 64, so that a row's 64 slots all exist. */
-static PyObject *ribbon_solve(PyObject *self, PyObject *args)
+/* ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes, *, m1, m2,
+ * fold): one seed attempt of a store of the keys with master hash halves
+ * hi[i], lo[i] and value values[i] (three uint64 arrays of one length,
+ * each value below 2**r), under the seed's row keys ks and kc.  planes
+ * (uint64, r planes of num_slots // 64 + 2 words, one after the other)
+ * receives the solution.  Returns the number of dependent rows, or -1
+ * when the system is inconsistent; planes then hold no solution. */
+static PyObject *ribbon_build(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    Py_buffer starts, coeffs, values, bits;
+    static char *kwlist[] = {"hi", "lo", "values", "num_slots", "r", "ks", "kc", "planes",
+                             "m1", "m2", "fold", NULL};
+    Py_buffer hi, lo, values, planes;
     Py_ssize_t num_slots;
     int r;
-    if (!PyArg_ParseTuple(args, "y*y*y*niw*:ribbon_solve", &starts, &coeffs, &values,
-                          &num_slots, &r, &bits))
+    uint64_t ks, kc;
+    derivation d = {0};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "y*y*y*niO&O&w*$O&O&O&:ribbon_build", kwlist,
+                                     &hi, &lo, &values, &num_slots, &r, u64_arg, &ks, u64_arg,
+                                     &kc, &planes, u64_arg, &d.m1, u64_arg, &d.m2, u64_arg,
+                                     &d.fold))
         return NULL;
     PyObject *result = NULL;
-    uint64_t *row_coeff = NULL;
-    uint8_t *row_value = NULL;
-    Py_ssize_t n = starts.len / 8, stride = bits.len / (r < 1 ? 1 : r);
+    uint32_t *pos = NULL, *start = NULL;
+    uint64_t *coeff = NULL, *row_coeff = NULL;
+    uint8_t *value = NULL, *row_value = NULL;
+    Py_ssize_t n = hi.len / 8, nwords = num_slots / 64 + 2;
+    uint64_t span = (uint64_t)num_slots - 63;
     if (r < 1 || r > 3 || num_slots < 64) {
         PyErr_SetString(PyExc_ValueError, "need 1 <= r <= 3 and num_slots >= 64");
         goto done;
     }
-    if (check_buffer(&starts, 8, n, "starts") < 0 || check_buffer(&coeffs, 8, n, "coeffs") < 0 ||
-        check_buffer(&values, 1, n, "values") < 0 ||
-        check_buffer(&bits, 1, r * (stride < num_slots ? num_slots : stride), "bits") < 0)
+    if ((uint64_t)n > UINT32_MAX || span > (uint64_t)UINT32_MAX + 1) {
+        PyErr_SetString(PyExc_ValueError, "need n < 2**32 and num_slots <= 2**32 + 63");
         goto done;
-    const uint64_t *s = starts.buf;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (s[i] > (uint64_t)num_slots - 64) {
-            PyErr_SetString(PyExc_ValueError, "starts: a row starts past num_slots - 64");
-            goto done;
-        }
     }
+    if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
+        check_buffer(&values, 8, n, "values") < 0 ||
+        check_buffer(&planes, 8, r * nwords, "planes") < 0)
+        goto done;
+    pos = PyMem_Calloc(span, sizeof *pos);
+    start = PyMem_Malloc(n * sizeof *start);
+    coeff = PyMem_Malloc(n * sizeof *coeff);
+    value = PyMem_Malloc(n);
     row_coeff = PyMem_Calloc(num_slots, sizeof *row_coeff);
     row_value = PyMem_Calloc(num_slots, sizeof *row_value);
-    if (!row_coeff || !row_value) {
+    if (!pos || !start || !coeff || !value || !row_coeff || !row_value) {
         PyErr_NoMemory();
         goto done;
     }
-    int status;
+    int64_t dependent;
     Py_BEGIN_ALLOW_THREADS
-    memset(bits.buf, 0, bits.len);
-    status = solve(s, coeffs.buf, values.buf, n, num_slots, r, row_coeff, row_value,
-                   bits.buf, stride);
+    sort_rows(&d, ks, kc, span, hi.buf, lo.buf, values.buf, n, pos, start, coeff, value);
+    dependent = eliminate(start, coeff, value, n, row_coeff, row_value);
+    if (dependent >= 0)
+        back_substitute(r, num_slots, row_coeff, row_value, planes.buf, nwords);
     Py_END_ALLOW_THREADS
-    result = PyBool_FromLong(status == 0);
+    result = PyLong_FromLongLong(dependent);
 done:
+    PyMem_Free(pos);
+    PyMem_Free(start);
+    PyMem_Free(coeff);
+    PyMem_Free(value);
     PyMem_Free(row_coeff);
     PyMem_Free(row_value);
-    PyBuffer_Release(&starts);
-    PyBuffer_Release(&coeffs);
+    PyBuffer_Release(&hi);
+    PyBuffer_Release(&lo);
     PyBuffer_Release(&values);
-    PyBuffer_Release(&bits);
+    PyBuffer_Release(&planes);
     return result;
-}
-
-/* hashing.fold_hash */
-static inline uint64_t fold(const derivation *d, uint64_t hi, uint64_t lo)
-{
-    return lo ^ (hi * d->fold);
-}
-
-/* hashing.cell_key */
-static inline uint64_t cell_key(const derivation *d, uint64_t seed, uint64_t fn)
-{
-    return seed * d->golden + fn * d->m1 + d->cell_salt;
-}
-
-/* hashing.cell_at: a cell in [0, m) */
-static inline uint64_t cell_at(const derivation *d, uint64_t folded, uint64_t key, uint64_t m)
-{
-    return mulhi(mix(d, folded ^ key), m);
 }
 
 /* ------------------------------------------------------------------------
@@ -476,8 +549,9 @@ done:
 /* ------------------------------------------------------------------------
  * Scalar and batch query, the derivation of SicHashPhf.evaluate_hash: the
  * bucket by multiply-high, the class by the thresholds t1 and t2, the
- * class's retrieval row and r-plane window parity (RetrievalStore.query),
- * the cell key and cell (hashing.cell_key, cell_at), the bucket's offset
+ * class's retrieval row (row_of, as the store was built with) and r-plane
+ * window parity (RetrievalStore.query), the cell key and cell
+ * (hashing.cell_key, cell_at), the bucket's offset
  * and the minimal-mode remap.
  *
  * A Plan is built once, by SicHashPhf's constructor, and holds a buffer
@@ -507,17 +581,15 @@ static inline uint64_t value_of(const sichash_plan *p, uint64_t hi, uint64_t lo)
     const derivation *d = &p->d;
     uint64_t b = mulhi(hi, p->num_buckets);
     int c = lo < p->t1 ? 0 : lo < p->t2 ? 1 : 2;
-    uint64_t folded = fold(d, hi, lo);
-    uint64_t start = mulhi(mix(d, hi ^ p->row_keys[c][0]), p->spans[c]);
-    uint64_t coeff = mix(d, folded ^ p->row_keys[c][1]) | 1;
-    uint64_t w = start >> 6, off = start & 63, fn = 0;
+    row eq = row_of(d, p->row_keys[c][0], p->row_keys[c][1], p->spans[c], hi, lo);
+    uint64_t w = eq.start >> 6, off = eq.start & 63, fn = 0;
     for (int k = 0; k <= c; k++) {
         const uint64_t *plane = p->planes[c][k];
         /* shifting by 63 - off, then 1, drops the next word at off = 0 */
         uint64_t window = (plane[w] >> off) | ((plane[w + 1] << (63 - off)) << 1);
-        fn |= (uint64_t)__builtin_parityll(window & coeff) << k;
+        fn |= (uint64_t)__builtin_parityll(window & eq.coeff) << k;
     }
-    uint64_t value = p->starts[b] + cell_at(d, folded, cell_key(d, p->seeds[b], fn), p->sizes[b]);
+    uint64_t value = p->starts[b] + cell_at(d, fold(d, hi, lo), cell_key(d, p->seeds[b], fn), p->sizes[b]);
     return value >= p->limit ? p->remap[value - p->limit] : value;
 }
 
@@ -681,8 +753,9 @@ static PyMethodDef methods[] = {
     {"master_hash_batch", (PyCFunction)(void (*)(void))master_hash_batch,
      METH_VARARGS | METH_KEYWORDS,
      "master_hash_batch(keys, a, b, hi, lo, *, m1, m2): the master hash of each key"},
-    {"ribbon_solve", ribbon_solve, METH_VARARGS,
-     "ribbon_solve(starts, coeffs, values, num_slots, r, bits): solve a ribbon"},
+    {"ribbon_build", (PyCFunction)(void (*)(void))ribbon_build, METH_VARARGS | METH_KEYWORDS,
+     "ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes, *, m1, m2, fold): one seed "
+     "attempt of a retrieval store, into planes"},
     {"rattle_place", (PyCFunction)(void (*)(void))rattle_place, METH_VARARGS | METH_KEYWORDS,
      "rattle_place(hi, lo, mask, seed, budget, cells, counters, *, m1, m2, golden, fold, "
      "cell_salt): derive a bucket's cells under one seed and place it"},

@@ -19,12 +19,13 @@ flat array.  An entry keeps the index of its first cell and
 halves and masks, derives the cells as :func:`cell_of_many` does, with
 the constants of :data:`~sichash.hashing.QUERY_CONSTANTS`, and runs the
 kicking loop.  When :data:`sichash._native.lib` is None, each bucket seed
-gets a :class:`RattleTable` whose :meth:`~RattleTable.add_entry` derives
-the cells from folds computed once per bucket, and
-:meth:`RattleTable.insert` runs the same loop in Python, as fallback and
-as the reference the tests compare the kernel against.
-:func:`incremental_load_experiment` inserts one entry at a time and
-always uses :class:`RattleTable`.  No placement is checked on its own:
+gets a :class:`RattleTable` whose :meth:`~RattleTable.add_entries` derives
+the cells of the folds, computed once per bucket, under the seed's eight
+cell keys in one numpy pass, and :meth:`RattleTable.insert` runs the
+same loop in Python, as fallback and as the reference the tests compare
+the kernel against.  :func:`incremental_load_experiment` inserts one
+entry at a time, with :meth:`~RattleTable.add_entry`, and always uses
+:class:`RattleTable`.  No placement is checked on its own:
 :func:`sichash.phf.build_from_hashes` checks the finished function.
 """
 
@@ -97,13 +98,13 @@ class PlacementResult:
 class RattleTable:
     """Mutable insertion state for one cuckoo table.
 
-    Candidate cells under ``seed`` live in one flat list: entry ``i``
-    owns ``flat[first[i] : first[i] + mask[i] + 1]``, where ``mask[i]``
-    is its degree minus one, so the cell of hash function ``t`` is
-    ``flat[first[i] + t]``.  ``insert`` only reads these lists and
-    ``add_entry`` appends to them.  After a failed insert the table is
-    left mid-displacement; callers either discard it (seed retry) or
-    stop the experiment.
+    Candidate cells under ``seed`` live in one flat list: the cell of
+    entry ``i``'s hash function ``t`` is ``flat[first[i] + t]``, and
+    ``mask[i]`` is its degree minus one.  ``insert`` only reads these
+    lists; ``add_entry`` appends one entry's cells and ``add_entries``
+    eight cells for each of a bucket's entries.  After a failed insert
+    the table is left mid-displacement; callers either discard it (seed
+    retry) or stop the experiment.
     """
 
     def __init__(self, m: int, seed: int):
@@ -127,6 +128,18 @@ class RattleTable:
         self.mask.append(degree - 1)
         self.counters.append(0)
         return len(self.counters) - 1
+
+    def add_entries(self, folded: np.ndarray, mask: np.ndarray) -> None:
+        """Append entries from arrays of :func:`fold_hash` words and degree
+        masks (degree minus one, of degrees already checked), with the
+        cells of all eight hash functions derived in one numpy pass."""
+        n = len(folded)
+        keys = np.array(self._keys, dtype=np.uint64)
+        cells = cell_at(folded[:, None], keys, self.m)
+        self.first.extend(range(len(self.flat), len(self.flat) + 8 * n, 8))
+        self.flat.extend(cells.ravel().tolist())
+        self.mask.extend(mask.tolist())
+        self.counters.extend([0] * n)
 
     def insert(self, entry: int, budget: int) -> bool:
         """Place ``entry`` by rattle kicking.
@@ -187,15 +200,14 @@ def build_bucket(
     mask = inp.degrees - np.uint8(1)
     lib = _native.lib
     if lib is None:
-        entries = list(zip(fold_hash((inp.hi, inp.lo)).tolist(), inp.degrees.tolist()))
+        folded = fold_hash((inp.hi, inp.lo))
     else:
         cells = np.empty(inp.m, dtype=np.int64)
         counters = np.empty(n, dtype=np.int64)
     for seed in range(max_seeds):
         if lib is None:
             table = RattleTable(inp.m, seed)
-            for folded, degree in entries:
-                table.add_entry(folded, degree)
+            table.add_entries(folded, mask)
             placed = all(table.insert(i, budget) for i in range(n))
             counters, displacements = table.counters, table.displacements
         else:

@@ -20,10 +20,12 @@ property: keys are not adversarial, and a caller can change the seed.
 extension module, :data:`sichash._native.lib`, and the reference loop
 when that is None.  No kernel holds a derivation constant: the batch hash
 and the query plan take the seed's lanes from :func:`seed_lanes` and
-mix64's multipliers as keywords, the query plan and the cuckoo placement
-get the cell constants from this module (:data:`QUERY_CONSTANTS`) and
-derive cells with one C copy of :func:`cell_of`, and the retrieval solve
-takes its rows from Python.
+mix64's multipliers as keywords, the query plan, the cuckoo placement
+and the retrieval build get their constants from this module
+(:data:`QUERY_CONSTANTS`), the plan and the placement derive cells with
+one C copy of :func:`cell_of`, and the plan and the build derive a
+store's rows, under its :func:`row_keys`, with one C copy of
+``retrieval._rows_many``.
 
 Hash-to-range mapping is :func:`umulhi`, the fixed-point multiplication
 ``(h * m) >> 64`` instead of a modulo; the bias is at most ``m / 2**64``.
@@ -65,10 +67,10 @@ _COEFF_SALT = 0x9FB21C651E98DF25
 _LANE_A = 0xD29ED28196C194BF
 _LANE_B = 0xB92F5E7CF6C8D93B
 
-#: the constants of a scalar query and of a bucket's cells, by keyword of
-#: the native query plan and placement: mix64's multipliers, cell_key's
-#: seed spreader and salt, and fold_hash's multiplier (a store's row keys
-#: come from :func:`row_keys`)
+#: the constants of a scalar query, of a bucket's cells and of a store's
+#: rows, by keyword of the native query plan, placement and store build:
+#: mix64's multipliers, cell_key's seed spreader and salt, and fold_hash's
+#: multiplier (a store's row keys come from :func:`row_keys`)
 QUERY_CONSTANTS = dict(m1=_M1, m2=_M2, golden=_GOLDEN, fold=_FOLD, cell_salt=_CELL_SALT)
 
 #: candidate-cell counts for the three key classes

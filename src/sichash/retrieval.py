@@ -6,23 +6,30 @@ arrays.  Each key is assigned one linear equation over GF(2): a start
 slot ``s`` in ``[0, num_slots - 64]`` plus a 64-bit coefficient pattern
 whose first bit is always set, so the pivot search never leaves the
 band.  Both derive from the store seed's
-:func:`~sichash.hashing.row_keys` in :func:`_rows_many`, for the solve
-and for both query paths.
-Solving the system in start order keeps elimination local and nearly
-linear: each row is XORed into the stored row at its current pivot
-until it finds a free pivot, becomes zero (dependent) or proves the
-system inconsistent.  Back-substitution then runs from the last slot
+:func:`~sichash.hashing.row_keys`: in :func:`_rows_many` for the Python
+solve and both query paths, and in one inline C copy for the native
+build and query.
+Solving the system in stable start order keeps elimination local and
+nearly linear: each row is XORed into the stored row at its current
+pivot until it finds a free pivot, becomes zero (dependent) or proves
+the system inconsistent.  Back-substitution then runs from the last slot
 down, carrying the solution bits of the next 64 slots as one sliding
-64-bit word, so a pivot's bit is one AND and parity.  :func:`_solve`
-derives the rows, puts them in stable start order with one packed sort
-(:func:`_start_order`) and hands them to the native kernel
-(``_native.c``, loaded as :data:`sichash._native.lib`), which eliminates
-and then back-substitutes all r planes in a single pass over the slots,
-one sliding word per plane.  When that library is None,
-:func:`_solve_python` runs the same elimination in Python, one
-back-substitution pass per plane; it is also the reference the tests
-compare the kernel against.  Both give the same pivots and so the same
-planes; :func:`~sichash.succinct._pack_bits` packs the bits at the end.
+64-bit word, so a pivot's bit is one AND and parity; at every multiple
+of 64 that word is the plane's word there, and is stored as it is.
+:func:`_solve` runs one seed attempt in one call of the native kernel
+``ribbon_build`` (``_native.c``, loaded as :data:`sichash._native.lib`):
+it derives the rows, puts them in start order with a stable counting
+sort, eliminates them and back-substitutes all r planes in a single pass
+over the slots, one sliding word per plane.  When that library is None,
+:func:`_solve_python` derives the rows with :func:`_rows_many`, orders
+them with a stable ``argsort`` and runs the same elimination in Python,
+one back-substitution pass per plane; it is also the reference the
+tests compare the kernel against.  Both give the same pivots and so the
+same planes, and both count the dependent rows.  A repeated hash always
+leaves one, since its second copy reduces to zero against the first, so
+:meth:`RetrievalStore.build` sorts the hashes to look for repeats
+(:func:`~sichash.hashing.check_distinct`) only after a solve that
+reports a dependent or inconsistent row.
 Queries for keys outside the construction set return an arbitrary (but
 deterministic) r-bit value, never an error.
 
@@ -54,6 +61,7 @@ from ._wire import Codec, Reader, Writer
 from .errors import ConstructionError
 from .hashing import (
     MASK64,
+    QUERY_CONSTANTS,
     MasterHash,
     check_distinct,
     fold_hash,
@@ -61,13 +69,14 @@ from .hashing import (
     row_keys,
     umulhi,
 )
-from .succinct import _pack_bits
 
 _MAGIC = b"SHRS0002"
 
 EPSILON = 0.10  # slot slack of every store
 BAND_WIDTH = 64  # bits per row coefficient: one machine word
 MAX_SEED_RETRIES = 16
+#: the constants of a row, by keyword of the native build
+_ROW_CONSTANTS = {k: QUERY_CONSTANTS[k] for k in ("m1", "m2", "fold")}
 
 
 def _rows_many(hi, lo, seed: int, num_slots: int):
@@ -130,19 +139,22 @@ class RetrievalStore(Codec):
             raise ValueError("base_seed must lie in [0, 2**64)")
         if not (isinstance(hashes, tuple) and len(hashes) == 2):
             raise TypeError("hashes must be a (hi, lo) tuple of uint64 arrays")
-        hi, lo = (np.asarray(a, dtype=np.uint64) for a in hashes)
-        values = np.asarray(values, dtype=np.uint64)
-        if len(values) != len(hi):
+        hi, lo = (np.ascontiguousarray(a, dtype=np.uint64) for a in hashes)
+        values = np.ascontiguousarray(values, dtype=np.uint64)
+        if not len(hi) == len(lo) == len(values):
             raise ValueError("hashes and values must have equal length")
         n = len(hi)
         if n and int(values.max()) >> r:
             raise ValueError("value does not fit in r bits")
-        check_distinct(hi, lo)
         num_slots = max(BAND_WIDTH, math.ceil(n * (1.0 + EPSILON)))
         for attempt in range(MAX_SEED_RETRIES):
             seed = (base_seed + attempt) & MASK64
-            planes = _solve(hi, lo, values, r, seed, num_slots)
-            if planes is not None:
+            dependent, planes = _solve(hi, lo, values, r, seed, num_slots)
+            if dependent:
+                # a repeated hash always leaves one dependent or
+                # inconsistent row: its second copy reduces to zero
+                check_distinct(hi, lo)
+            if dependent >= 0:
                 return cls(r, num_slots, seed, n, planes)
         raise ConstructionError(
             "retrieval construction failed after "
@@ -204,58 +216,45 @@ def _solve(
     r: int,
     seed: int,
     num_slots: int,
-) -> list[np.ndarray] | None:
-    """Banded on-the-fly Gaussian elimination; None when inconsistent.
+) -> tuple[int, list[np.ndarray]]:
+    """One seed attempt: the number of dependent rows, -1 when the system
+    is inconsistent, and the r solution planes, which are only valid when
+    the count is not -1.
 
-    The rows are derived and sorted here; the native kernel solves them
-    when the library loaded, :func:`_solve_python` otherwise, with the
-    same pivots and so the same planes.
+    The native kernel derives, sorts, solves and writes the planes in one
+    call when the library loaded, :func:`_solve_python` otherwise, with
+    the same pivots and so the same planes.
     """
-    starts, coeffs = _rows_many(hi, lo, seed, num_slots)
-    order = _start_order(starts, num_slots)
-    starts, coeffs, values = starts[order], coeffs[order], values[order]
-    nwords = num_slots // 64 + 2
+    planes = np.empty((r, num_slots // 64 + 2), dtype=np.uint64)
     lib = _native.lib
     if lib is None:
-        bits = _solve_python(starts, coeffs, values, r, num_slots)
+        dependent = _solve_python(hi, lo, values, seed, num_slots, planes)
     else:
-        bits = np.empty((r, 64 * nwords), dtype=np.uint8)
-        if not lib.ribbon_solve(starts, coeffs, values.astype(np.uint8), num_slots, r, bits):
-            return None  # inconsistent
-    return None if bits is None else [_pack_bits(b, nwords) for b in bits]
-
-
-def _start_order(starts: np.ndarray, num_slots: int) -> np.ndarray:
-    """The stable sort order of the row starts, each at most
-    ``num_slots - 64``.
-
-    One in-place sort of ``start << b | index``, with ``b`` the bit length
-    of ``n - 1`` (at least 1): the packed words are distinct, and equal
-    starts keep their index order, so the low ``b`` bits of the sorted
-    words are the order a stable argsort gives.  Raises
-    :class:`ConstructionError` when the largest start shifted by ``b``
-    does not fit in 64 bits.
-    """
-    b = max(1, (len(starts) - 1).bit_length())
-    if (num_slots - BAND_WIDTH) >> (64 - b):
-        raise ConstructionError(
-            f"{len(starts)} rows over {num_slots} slots overflow a 64-bit sort key"
+        dependent = lib.ribbon_build(
+            hi, lo, values, num_slots, r, *row_keys(seed), planes, **_ROW_CONSTANTS
         )
-    packed = starts << np.uint64(b)
-    packed |= np.arange(len(starts), dtype=np.uint64)
-    packed.sort()
-    packed &= np.uint64((1 << b) - 1)
-    return packed.view(np.int64)
+    return dependent, list(planes)
 
 
 def _solve_python(
-    starts: np.ndarray, coeffs: np.ndarray, values: np.ndarray, r: int, num_slots: int
-) -> list[np.ndarray] | None:
-    """One solution byte per slot for each plane, or None when the sorted
-    rows are inconsistent: the reference and fallback of the native solve."""
+    hi: np.ndarray,
+    lo: np.ndarray,
+    values: np.ndarray,
+    seed: int,
+    num_slots: int,
+    planes: np.ndarray,
+) -> int:
+    """The number of dependent rows, or -1 when the rows are inconsistent,
+    with the solution written into ``planes``: the reference and fallback
+    of the native kernel."""
+    starts, coeffs = _rows_many(hi, lo, seed, num_slots)
+    order = np.argsort(starts, kind="stable")
     row_coeff = [0] * num_slots  # anchored at pivot: bit 0 is the pivot
     row_value = [0] * num_slots
-    for s, c, v in zip(starts.tolist(), coeffs.tolist(), values.tolist()):
+    dependent = 0
+    for s, c, v in zip(
+        starts[order].tolist(), coeffs[order].tolist(), values[order].tolist()
+    ):
         # a fresh row has bit 0 set, so it is already anchored at ``s``
         while True:
             rc = row_coeff[s]
@@ -267,25 +266,25 @@ def _solve_python(
             v ^= row_value[s]
             if not c:
                 if v:
-                    return None  # inconsistent: identical equation, different value
-                break  # dependent but consistent row: nothing to store
+                    return -1  # inconsistent: identical equation, different value
+                dependent += 1  # consistent: nothing to store
+                break
             tz = (c & -c).bit_length() - 1
             s += tz
             c >>= tz
 
     # Back-substitution, one plane at a time from the last slot down:
     # ``state`` holds the solution bits of slots p .. p+63 (bit 0 is slot
-    # p), so each pivot's parity is one AND and popcount.
-    nwords = num_slots // 64 + 2
-    planes = []
-    for k in range(r):
-        bits = bytearray(64 * nwords)  # one byte per solution bit
+    # p), so each pivot's parity is one AND and popcount, and at a
+    # multiple of 64 it is the plane's word p / 64.
+    planes[:] = 0
+    for k, plane in enumerate(planes):
         state = 0
         for p in range(num_slots - 1, -1, -1):
             state = (state << 1) & MASK64
             c = row_coeff[p]
             if c and ((state & c).bit_count() ^ (row_value[p] >> k)) & 1:
                 state |= 1
-                bits[p] = 1
-        planes.append(np.frombuffer(bits, dtype=np.uint8))
-    return planes
+            if not p & 63:
+                plane[p >> 6] = state
+    return dependent

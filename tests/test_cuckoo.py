@@ -488,6 +488,22 @@ class TestDegreeValidation:
         assert table.mask == [1, 3, 7] and table.first == [0, 2, 6]
         assert len(table.flat) == 14
 
+    @pytest.mark.parametrize("m", [1, 7, 5000])
+    def test_add_entries_derives_the_cells_of_add_entry(self, m):
+        # one row of eight cells per entry, behind the entries already there
+        inp = _random_bucket(np.random.default_rng(m), 300, 0.9, (0.3, 0.4, 0.3))
+        folded = fold_hash((inp.hi, inp.lo))
+        one, many = RattleTable(m, seed=11), RattleTable(m, seed=11)
+        for f, d in zip(folded.tolist(), inp.degrees.tolist()):
+            one.add_entry(f, d)
+        many.add_entry(folded[0].item(), 2)
+        many.add_entries(folded, inp.degrees - np.uint8(1))
+        assert many.first[1:] == list(range(2, 2 + 8 * len(inp), 8))
+        assert many.mask[1:] == one.mask and many.counters == [0] * (len(inp) + 1)
+        for i in range(len(inp)):
+            cells = [many.flat[many.first[i + 1] + t] for t in range(one.mask[i] + 1)]
+            assert cells == one.flat[one.first[i] : one.first[i] + one.mask[i] + 1]
+
 
 class TestRattleInsert:
     def test_first_insert_goes_to_counter_zero_cell(self):

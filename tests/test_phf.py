@@ -329,10 +329,10 @@ class TestBuildCheck:
         solve = retrieval._solve
 
         def zeroed(hi, lo, values, r, seed, num_slots):
-            planes = solve(hi, lo, values, r, seed, num_slots)
-            if r == 1 and planes is not None:
+            status, planes = solve(hi, lo, values, r, seed, num_slots)
+            if r == 1:
                 planes = [np.zeros_like(p) for p in planes]
-            return planes
+            return status, planes
 
         monkeypatch.setattr(_native, "lib", lib)
         monkeypatch.setattr(retrieval, "_solve", zeroed)

@@ -9,15 +9,9 @@ from hypothesis import given, settings, strategies as st
 from sichash.cli import generate_keys
 from sichash import _native, retrieval
 from sichash.errors import ConstructionError, DeserializationError
-from sichash.hashing import MASK64, MasterHash, mix64
+from sichash.hashing import MASK64, QUERY_CONSTANTS, MasterHash, mix64, row_keys
 from sichash.phf import PhfConfig, SicHashPhf, build, build_from_hashes
-from sichash.retrieval import (
-    MAX_SEED_RETRIES,
-    RetrievalStore,
-    _rows_many,
-    _solve,
-    _start_order,
-)
+from sichash.retrieval import MAX_SEED_RETRIES, RetrievalStore, _rows_many, _solve
 
 
 def _random_hashes(rng, n):
@@ -68,9 +62,23 @@ def test_single_pair():
     assert st_.query(MasterHash(11, 22)) == 5
 
 
-def test_duplicate_hash_rejected():
-    with pytest.raises(ValueError, match="duplicate key"):
-        RetrievalStore.build(([1, 1], [2, 2]), [1, 0], r=1)
+def _duplicate_cases():
+    """(r, library, equal values) for every store width, both paths, and
+    values that make the repeated row dependent or inconsistent."""
+    return itertools.product((1, 2, 3), (_native.lib, None), (True, False))
+
+
+def test_duplicate_hash_rejected(monkeypatch):
+    for r, lib, equal in _duplicate_cases():
+        monkeypatch.setattr(_native, "lib", lib)
+        with pytest.raises(ValueError, match="duplicate key"):
+            RetrievalStore.build(([1, 1], [2, 2]), [1, 1 if equal else 0], r=r)
+
+
+@pytest.mark.parametrize("hashes, values", [(([1, 2], [3]), [0, 1]), (([1], [2]), [0, 1])])
+def test_lengths_must_match(hashes, values):
+    with pytest.raises(ValueError, match="equal length"):
+        RetrievalStore.build(hashes, values, r=1)
 
 
 def test_value_out_of_range_rejected():
@@ -224,43 +232,6 @@ def test_keys_sharing_one_half_are_separable():
     assert np.array_equal(store2.query_many(lo, hi).astype(np.uint64), values)
 
 
-# -- the packed sort of the row starts ---------------------------------------
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_start_order_small(n):
-    for starts in itertools.product(range(3), repeat=n):
-        starts = np.array(starts, dtype=np.uint64)
-        assert np.array_equal(_start_order(starts, 66), np.argsort(starts, kind="stable"))
-
-
-def test_start_order_ties():
-    # 10k rows over 200 start slots: ~50 rows share each start
-    starts = np.random.default_rng(81).integers(0, 200, size=10_000).astype(np.uint64)
-    assert np.array_equal(_start_order(starts, 263), np.argsort(starts, kind="stable"))
-
-
-def test_start_order_random_rows():
-    rng = np.random.default_rng(82)
-    for n in (5, 64, 1000, 70_000):
-        num_slots = max(64, math.ceil(n * 1.1))
-        hi, lo = _random_hashes(rng, n)
-        starts, _ = _rows_many(hi, lo, int(rng.integers(0, 100)), num_slots)
-        assert np.array_equal(_start_order(starts, num_slots), np.argsort(starts, kind="stable"))
-
-
-@pytest.mark.parametrize("n, b", [(2, 1), (3, 2), (1000, 10)])
-def test_start_order_overflow(n, b):
-    # starts reach num_slots - 64; shifted left by b they need 64 bits
-    # up to 2**(64 - b) - 1 and overflow from 2**(64 - b)
-    widest = np.uint64(2 ** (64 - b) - 1)
-    starts = np.full(n, widest, dtype=np.uint64)
-    starts[0] = 0
-    assert np.array_equal(_start_order(starts, int(widest) + 64), np.arange(n))
-    with pytest.raises(ConstructionError, match="overflow"):
-        _start_order(starts, int(widest) + 65)
-
-
 # -- solver reference -------------------------------------------------------
 # The elimination and back-substitution as first written: the pivot search
 # shifts before every table lookup, and each pivot reads its solution
@@ -331,11 +302,13 @@ def test_solve_matches_reference():
                 dtype=np.uint64,
             )
         want = _reference_solve(hi, lo, values, r, seed, num_slots)
-        got = _solve(hi, lo, values, r, seed, num_slots)
+        status, got = _solve(hi, lo, values, r, seed, num_slots)
         if want is None:
             unsolvable += 1
-            assert got is None
+            assert status == -1
             continue
+        # each repeat of a row reduces to zero against its first copy
+        assert status >= n - len(set(rows))
         dependent += len(set(rows)) < n
         assert len(got) == r
         for g, w in zip(got, want):
@@ -361,66 +334,115 @@ def _python_path(fn, *args, **kwargs):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_kernel_matches_python_solve(r, epsilon):
     # n = 0 is the empty one-band store; at epsilon 0 the larger systems
-    # are past the ribbon's threshold and so unsolvable
+    # are past the ribbon's threshold and so unsolvable; repeating the
+    # first k rows' keys and values at the end gives k dependent rows
     rng = np.random.default_rng(100 * r + int(100 * epsilon))
-    unsolvable = 0
-    for n in (0, 1, 63, 64, 65, 500, 3000):
+    unsolvable = dependent = 0
+    for n, k in itertools.product((0, 1, 63, 64, 65, 500, 3000), (0, 4)):
         num_slots = max(64, math.ceil(n * (1 + epsilon)))
         hi, lo = _random_hashes(rng, n)
         values = rng.integers(0, 2**r, size=n, dtype=np.uint64)
+        k = min(k, n // 2)
+        for x in (hi, lo, values):
+            x[n - k :] = x[:k]
         for seed in (0, 1):
-            want = _python_path(_solve, hi, lo, values, r, seed, num_slots)
-            got = _solve(hi, lo, values, r, seed, num_slots)
-            if want is None:
+            want_status, want = _python_path(_solve, hi, lo, values, r, seed, num_slots)
+            status, got = _solve(hi, lo, values, r, seed, num_slots)
+            assert status == want_status
+            if status == -1:
                 unsolvable += 1
-                assert got is None
                 continue
+            assert status >= k
+            dependent += status > 0
             assert len(got) == len(want) == r
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype == np.uint64
                 assert np.array_equal(g, w)
+    assert dependent
     if epsilon == 0:
         assert unsolvable
 
 
 @native
+def test_kernel_matches_python_on_a_functions_stores(monkeypatch):
+    # the three stores of a 100k-key function, rebuilt from the rows and
+    # values each received, on the Python path
+    received = {}
+    store_build = RetrievalStore.build.__func__
+
+    def spy(cls, hashes, values, r, **kwargs):
+        received[r] = (hashes, values, kwargs)
+        return store_build(cls, hashes, values, r, **kwargs)
+
+    monkeypatch.setattr(RetrievalStore, "build", classmethod(spy))
+    phf = build(generate_keys(100_000, seed=9), PhfConfig(alpha=0.9))
+    monkeypatch.undo()
+    assert sorted(received) == [1, 2, 3]
+    for store in phf.stores.values():
+        hashes, values, kwargs = received[store.r]
+        want = _python_path(RetrievalStore.build, hashes, values, store.r, **kwargs)
+        assert (store.seed, store.num_slots, store.num_keys) == (
+            want.seed, want.num_slots, want.num_keys
+        )
+        assert all(np.array_equal(p, q) for p, q in zip(store.planes, want.planes))
+
+
+@native
 class TestSolveArguments:
-    """The solve kernel checks its arrays, and every row start, before it
+    """The build kernel checks its arrays, r and the slot count before it
     runs."""
 
     @staticmethod
-    def _solve(starts=None, coeffs=None, values=None, num_slots=64, r=1, bits=None):
-        starts = np.zeros(2, dtype=np.uint64) if starts is None else starts
-        coeffs = np.array([1, 3], dtype=np.uint64) if coeffs is None else coeffs
-        values = np.array([1, 0], dtype=np.uint8) if values is None else values
-        bits = np.empty((r, 64), dtype=np.uint8) if bits is None else bits
-        return _native.lib.ribbon_solve(starts, coeffs, values, num_slots, r, bits)
+    def _build(hi=None, lo=None, values=None, num_slots=64, r=1, planes=None):
+        hi = np.array([5, 5], dtype=np.uint64) if hi is None else hi
+        lo = np.array([7, 8], dtype=np.uint64) if lo is None else lo
+        values = np.array([1, 0], dtype=np.uint64) if values is None else values
+        planes = np.empty((r, num_slots // 64 + 2), dtype=np.uint64) if planes is None else planes
+        c = QUERY_CONSTANTS
+        return _native.lib.ribbon_build(
+            hi, lo, values, num_slots, r, *row_keys(0), planes, m1=c["m1"], m2=c["m2"],
+            fold=c["fold"],
+        )
 
     def test_valid_rows_solve(self):
-        assert self._solve() is True
-        # the same equation with another value is inconsistent
-        assert self._solve(coeffs=np.ones(2, dtype=np.uint64)) is False
+        assert self._build() == 0
+        # the same equation with another value is inconsistent, and with
+        # the same value dependent
+        assert self._build(lo=np.array([7, 7], dtype=np.uint64)) == -1
+        ones = np.ones(2, dtype=np.uint64)
+        assert self._build(lo=np.array([7, 7], dtype=np.uint64), values=ones) == 1
 
     def test_wrong_dtype(self):
-        with pytest.raises(TypeError, match="starts: need items of 8 bytes"):
-            self._solve(starts=np.zeros(2, dtype=np.uint32))
-        with pytest.raises(TypeError, match="values: need items of 1 bytes"):
-            self._solve(values=np.ones(2, dtype=np.uint64))
+        with pytest.raises(TypeError, match="hi: need items of 8 bytes"):
+            self._build(hi=np.zeros(2, dtype=np.uint32))
+        with pytest.raises(TypeError, match="values: need items of 8 bytes"):
+            self._build(values=np.ones(2, dtype=np.uint8))
+        with pytest.raises(TypeError, match="planes: need items of 8 bytes"):
+            self._build(planes=np.empty(24, dtype=np.uint8))
 
     def test_short_output(self):
-        with pytest.raises(ValueError, match="bits: need 128 items, got 127"):
-            self._solve(r=2, bits=np.empty(127, dtype=np.uint8))
-        with pytest.raises(ValueError, match="coeffs: need 2 items, got 1"):
-            self._solve(coeffs=np.ones(1, dtype=np.uint64))
-
-    def test_row_start_out_of_range(self):
-        with pytest.raises(ValueError, match="a row starts past num_slots - 64"):
-            self._solve(starts=np.array([0, 1], dtype=np.uint64))
+        with pytest.raises(ValueError, match="planes: need 6 items, got 5"):
+            self._build(r=2, planes=np.empty(5, dtype=np.uint64))
+        with pytest.raises(ValueError, match="planes: need 6 items, got 3"):
+            self._build(r=2, planes=np.empty((1, 3), dtype=np.uint64))
+        with pytest.raises(ValueError, match="lo: need 2 items, got 1"):
+            self._build(lo=np.ones(1, dtype=np.uint64))
+        with pytest.raises(ValueError, match="values: need 2 items, got 3"):
+            self._build(values=np.ones(3, dtype=np.uint64))
 
     @pytest.mark.parametrize("r, num_slots", [(0, 64), (4, 64), (1, 63)])
     def test_bad_shape(self, r, num_slots):
         with pytest.raises(ValueError, match="need 1 <= r <= 3"):
-            self._solve(r=r, num_slots=num_slots, bits=np.empty((1, 64), dtype=np.uint8))
+            self._build(r=r, num_slots=num_slots, planes=np.empty((1, 3), dtype=np.uint64))
+
+    def test_starts_beyond_32_bits(self):
+        # the counting sort keeps row positions and starts in 32 bits; the
+        # largest slot count it takes goes on to the planes' length check
+        planes = np.empty((1, 3), dtype=np.uint64)
+        with pytest.raises(ValueError, match=r"num_slots <= 2\*\*32 \+ 63"):
+            self._build(num_slots=2**32 + 64, planes=planes)
+        with pytest.raises(ValueError, match="planes: need"):
+            self._build(num_slots=2**32 + 63, planes=planes)
 
 
 def test_build_takes_the_same_seed_on_both_paths(monkeypatch):
@@ -486,11 +508,36 @@ def test_store_accepts_shared_high_halves():
     assert np.array_equal(store.query_many(hi, lo).astype(np.uint64), values)
 
 
-def test_store_rejects_equal_pair_behind_shared_high_halves():
+def test_store_rejects_equal_pair_behind_shared_high_halves(monkeypatch):
     hi, lo = _shared_high_halves(2000)
     lo[1001] = lo[1000]
+    for r, lib, equal in _duplicate_cases():
+        monkeypatch.setattr(_native, "lib", lib)
+        values = np.random.default_rng(r).integers(0, 2**r, size=2000, dtype=np.uint64)
+        values[1001] = values[1000] if equal else values[1000] ^ 1
+        with pytest.raises(ValueError, match="duplicate keys"):
+            RetrievalStore.build((hi, lo), values, r=r)
+
+
+@pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "python"])
+def test_distinctness_checked_only_after_a_dependent_row(monkeypatch, lib):
+    # a clean solve skips the sort of check_distinct; a repeated row runs it
+    calls = []
+    check = retrieval.check_distinct
+
+    def spy(hi, lo):
+        calls.append(len(hi))
+        check(hi, lo)
+
+    monkeypatch.setattr(retrieval, "check_distinct", spy)
+    monkeypatch.setattr(_native, "lib", lib)
+    hi, lo = _random_hashes(np.random.default_rng(63), 5000)
+    values = np.random.default_rng(64).integers(0, 4, size=5000, dtype=np.uint64)
+    store = RetrievalStore.build((hi, lo), values, r=2)
+    assert calls == [] and store.seed == 0
     with pytest.raises(ValueError, match="duplicate keys"):
-        RetrievalStore.build((hi, lo), np.zeros(2000, dtype=np.uint64), r=1)
+        RetrievalStore.build((np.append(hi, hi[0]), np.append(lo, lo[0])), [*values, 0], r=2)
+    assert calls == [5001]
 
 
 def test_build_from_hashes_accepts_shared_high_halves():

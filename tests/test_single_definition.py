@@ -6,10 +6,9 @@ one place.
 ``hashing.umulhi`` the only code that maps a hash onto a range.  A
 second copy elsewhere in ``src/sichash`` could drift from the first and
 make scalar and batch paths disagree.  No kernel in
-``_native.c`` holds a derivation constant: the query plan and the cuckoo
-placement get them from ``hashing.py`` as keyword arguments, and the
-retrieval solve takes its rows derived in Python.  And every module reads
-each name it imports.
+``_native.c`` holds a derivation constant: the query plan, the cuckoo
+placement and the retrieval build get them from ``hashing.py`` as keyword
+arguments.  And every module reads each name it imports.
 """
 
 import ast
