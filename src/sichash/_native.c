@@ -425,26 +425,26 @@ done:
  * Rattle-kicking placement of one cuckoo bucket under one seed, the loop of
  * cuckoo.RattleTable.insert run over entries 0 .. n-1 in order.
  *
- * Entry i's candidate cells are flat[first[i] .. first[i] + mask[i]], each
- * in [0, m), and mask[i] is its degree minus one (1, 3 or 7), so the probe
- * of counter c is flat[first[i] + (c & mask[i])].  cells holds m entries
- * set to -1 (empty) and counters n zeros.  An occupant is evicted only
- * when its counter is below the prober's; an evicted entry re-probes with
- * its counter plus one, and on a tie the prober advances its own counter.
+ * Entry i's candidate cells, each in [0, m), are the row rows[8i .. 8i+7]:
+ * rows[8i + t] is the cell of hash function t & (degree - 1).  Every degree
+ * (2, 4 or 8) divides 8, so the probe of counter c, the cell of c mod
+ * degree, is rows[8i + (c & 7)].  cells holds m entries set to -1 (empty)
+ * and counters n zeros.  An occupant is evicted only when its counter is
+ * below the prober's; an evicted entry re-probes with its counter plus one,
+ * and on a tie the prober advances its own counter.
  * Each eviction or tie is one displacement, counted across the whole
  * bucket.  Returns the displacement total once every entry is placed, or
  * -1 as soon as it exceeds budget; counters then hold their values at that
  * point, as the Python loop leaves them.
  */
-static int64_t place(const int64_t *flat, const int64_t *first,
-                     const uint8_t *mask, int64_t n, int64_t budget,
-                     int64_t *cells, int64_t *counters)
+static int64_t place(const int64_t *rows, int64_t n, int64_t budget, int64_t *cells,
+                     int64_t *counters)
 {
     int64_t steps = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t cur = i, c = 0; /* entry i has not been probed yet */
         for (;;) {
-            int64_t cell = flat[first[cur] + (c & mask[cur])];
+            int64_t cell = rows[8 * cur + (c & 7)];
             int64_t occ = cells[cell];
             if (occ < 0) {
                 cells[cell] = cur;
@@ -474,8 +474,9 @@ static int64_t place(const int64_t *flat, const int64_t *first,
  * hash halves hi[i], lo[i] (uint64) and degree mask[i] + 1 (uint8) under
  * a bucket seed, in a table of m = len(cells) cells.  Entry i's cell for
  * hash function t is cell_at(fold(hi, lo), cell_key(seed, t), m), as
- * hashing.cell_of_many derives it; so every cell is below m.  cells
- * (int64, m entries) and counters (int64, n) are filled here. */
+ * hashing.cell_of_many derives it; so every cell is below m.  Only its
+ * mask[i] + 1 distinct cells are derived, then copied to fill its row (see
+ * place).  cells (int64, m entries) and counters (int64, n) are filled. */
 static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"hi", "lo", "mask", "seed", "budget", "cells", "counters",
@@ -490,8 +491,8 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
                                      &d.golden, u64_arg, &d.fold, u64_arg, &d.cell_salt))
         return NULL;
     PyObject *result = NULL;
-    int64_t *scratch = NULL;
-    Py_ssize_t n = hi.len / 8, m = cells.len / 8, total = 0;
+    int64_t *rows = NULL;
+    Py_ssize_t n = hi.len / 8, m = cells.len / 8;
     if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
         check_buffer(&mask, 1, n, "mask") < 0 || check_buffer(&cells, 8, m, "cells") < 0 ||
         check_buffer(&counters, 8, n, "counters") < 0)
@@ -502,7 +503,6 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
             PyErr_SetString(PyExc_ValueError, "mask: a degree mask other than 1, 3 or 7");
             goto done;
         }
-        total += mk[i] + 1;
     }
     if (n && !m) {
         PyErr_SetString(PyExc_ValueError, "cells: no cell for the entries");
@@ -512,32 +512,34 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "budget must be >= 0");
         goto done;
     }
-    /* first (n entries), then flat (total) */
-    scratch = PyMem_Malloc((n + total) * sizeof *scratch);
-    if (!scratch) {
+    /* one row of eight cells per entry; the size check keeps 8n rows from
+     * wrapping the allocation size */
+    if ((size_t)n > SIZE_MAX / (8 * sizeof *rows) ||
+        !(rows = PyMem_Malloc((size_t)n * 8 * sizeof *rows))) {
         PyErr_NoMemory();
         goto done;
     }
-    int64_t steps, *first = scratch, *flat = scratch + n, *c = cells.buf, *k = counters.buf;
+    int64_t steps, *c = cells.buf, *k = counters.buf;
     const uint64_t *h = hi.buf, *l = lo.buf;
     Py_BEGIN_ALLOW_THREADS
     uint64_t keys[8];
     for (int t = 0; t < 8; t++)
         keys[t] = cell_key(&d, seed, t);
-    for (Py_ssize_t i = 0, at = 0; i < n; i++) {
+    for (Py_ssize_t i = 0; i < n; i++) {
         uint64_t folded = fold(&d, h[i], l[i]);
-        first[i] = at;
-        for (int t = 0; t <= mk[i]; t++)
-            flat[at++] = (int64_t)cell_at(&d, folded, keys[t], (uint64_t)m);
+        int64_t *row = rows + 8 * i;
+        for (int t = 0; t < 8; t++)
+            row[t] = t <= mk[i] ? (int64_t)cell_at(&d, folded, keys[t], (uint64_t)m)
+                                : row[t & mk[i]];
     }
     for (Py_ssize_t j = 0; j < m; j++)
         c[j] = -1;
     memset(k, 0, counters.len);
-    steps = place(flat, first, mk, n, budget, c, k);
+    steps = place(rows, n, budget, c, k);
     Py_END_ALLOW_THREADS
     result = PyLong_FromLongLong(steps);
 done:
-    PyMem_Free(scratch);
+    PyMem_Free(rows);
     PyBuffer_Release(&hi);
     PyBuffer_Release(&lo);
     PyBuffer_Release(&mask);

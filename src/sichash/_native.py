@@ -50,8 +50,7 @@ def _load_kernel(cache: Path):
     The cached file is named after the source's SHA-256, the platform and
     the interpreter's extension suffix, so another interpreter never
     loads this one's build.  A fresh compile deletes the files that older
-    sources left in ``cache`` for the same platform and suffix, and the
-    ctypes libraries of earlier versions.
+    sources left in ``cache`` for the same platform and suffix.
     """
     if sys.byteorder != "little":
         return None
@@ -73,13 +72,10 @@ def _load_kernel(cache: Path):
                 os.replace(tmp, lib)
             finally:
                 tmp.unlink(missing_ok=True)
-            # ``_blake2b`` is the library's name from before it held the solve
-            for pattern in (f"_native-*-{platform}{suffix}", f"_native-*-{platform}.so",
-                            f"_blake2b-*-{platform}.so"):
-                for old in cache.glob(pattern):
-                    if old != lib:
-                        with contextlib.suppress(OSError):
-                            old.unlink()
+            for old in cache.glob(f"_native-*-{platform}{suffix}"):
+                if old != lib:
+                    with contextlib.suppress(OSError):
+                        old.unlink()
         # the suffix selects importlib's ExtensionFileLoader
         spec = importlib.util.spec_from_file_location(_NAME, lib)
         module = importlib.util.module_from_spec(spec)

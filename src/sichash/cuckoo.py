@@ -10,23 +10,23 @@ an evicted object re-enters with its counter incremented by one.
 Construction of a whole bucket is retried with seeds 0, 1, 2, ... until
 all entries place within the displacement budget.
 
-Each entry's candidate cells are derived once per (entry, seed) into one
-flat array.  An entry keeps the index of its first cell and
-``degree - 1`` as a mask; degrees are powers of two, so a probe is
-``flat[first + (counter & mask)]`` and the final assignments are
-``counters & mask`` in numpy.  One call of the native kernel
+Each entry's candidate cells are derived once per (entry, seed) into a
+row of eight: ``row[t]`` is the cell of hash function
+``t & (degree - 1)``.  Every degree divides 8, so ``row[counter & 7]`` is
+the cell of ``counter mod degree``, and the final assignments are
+``counters & (degree - 1)`` in numpy.  One call of the native kernel
 ``rattle_place`` (``_native.c``) per bucket seed takes the bucket's hash
-halves and masks, derives the cells as :func:`cell_of_many` does, with
-the constants of :data:`~sichash.hashing.QUERY_CONSTANTS`, and runs the
-kicking loop.  When :data:`sichash._native.lib` is None, each bucket seed
-gets a :class:`RattleTable` whose :meth:`~RattleTable.add_entries` derives
-the cells of the folds, computed once per bucket, under the seed's eight
-cell keys in one numpy pass, and :meth:`RattleTable.insert` runs the
-same loop in Python, as fallback and as the reference the tests compare
-the kernel against.  :func:`incremental_load_experiment` inserts one
-entry at a time, with :meth:`~RattleTable.add_entry`, and always uses
-:class:`RattleTable`.  No placement is checked on its own:
-:func:`sichash.phf.build_from_hashes` checks the finished function.
+halves and degree masks, derives the rows as :func:`cell_of_many` does,
+with the constants of :data:`~sichash.hashing.QUERY_CONSTANTS`, and runs
+the kicking loop.  When :data:`sichash._native.lib` is None, each bucket
+seed gets a :class:`RattleTable` whose :meth:`~RattleTable.add_entries`
+derives the rows of the folds, computed once per bucket, in one numpy
+pass, and :meth:`RattleTable.insert` runs the same loop in Python, as
+fallback and as the reference the tests compare the kernel against.
+:func:`incremental_load_experiment` inserts one entry at a time, with
+:meth:`~RattleTable.add_entry`, and always uses :class:`RattleTable`.  No
+placement is checked on its own: :func:`sichash.phf.build_from_hashes`
+checks the finished function.
 """
 
 from __future__ import annotations
@@ -98,21 +98,18 @@ class PlacementResult:
 class RattleTable:
     """Mutable insertion state for one cuckoo table.
 
-    Candidate cells under ``seed`` live in one flat list: the cell of
-    entry ``i``'s hash function ``t`` is ``flat[first[i] + t]``, and
-    ``mask[i]`` is its degree minus one.  ``insert`` only reads these
-    lists; ``add_entry`` appends one entry's cells and ``add_entries``
-    eight cells for each of a bucket's entries.  After a failed insert
-    the table is left mid-displacement; callers either discard it (seed
-    retry) or stop the experiment.
+    Candidate cells under ``seed`` live in one flat list, entry ``i``'s
+    row of eight at ``rows[8 * i : 8 * i + 8]``.  ``insert`` only reads
+    this list; ``add_entry`` appends one entry's row and ``add_entries``
+    the rows of a bucket's entries.  After a failed insert the table is
+    left mid-displacement; callers either discard it (seed retry) or
+    stop the experiment.
     """
 
     def __init__(self, m: int, seed: int):
         self.m = m
         self.cells = [-1] * m  # entry index occupying each cell
-        self.flat = []
-        self.first = []
-        self.mask = []
+        self.rows = []
         self.counters = []
         self.displacements = 0
         self._keys = [cell_key(seed, t) for t in range(8)]
@@ -123,23 +120,17 @@ class RattleTable:
         if degree not in CLASS_DEGREES:
             raise ValueError(f"degree must be one of {CLASS_DEGREES}")
         m = self.m
-        self.first.append(len(self.flat))
-        self.flat.extend([cell_at(folded, k, m) for k in self._keys[:degree]])
-        self.mask.append(degree - 1)
+        self.rows.extend([cell_at(folded, k, m) for k in self._keys[:degree]] * (8 // degree))
         self.counters.append(0)
         return len(self.counters) - 1
 
     def add_entries(self, folded: np.ndarray, mask: np.ndarray) -> None:
         """Append entries from arrays of :func:`fold_hash` words and degree
-        masks (degree minus one, of degrees already checked), with the
-        cells of all eight hash functions derived in one numpy pass."""
-        n = len(folded)
-        keys = np.array(self._keys, dtype=np.uint64)
-        cells = cell_at(folded[:, None], keys, self.m)
-        self.first.extend(range(len(self.flat), len(self.flat) + 8 * n, 8))
-        self.flat.extend(cells.ravel().tolist())
-        self.mask.extend(mask.tolist())
-        self.counters.extend([0] * n)
+        masks (degree minus one, of degrees already checked), with their
+        rows derived in one numpy pass."""
+        keys = np.array(self._keys, dtype=np.uint64)[np.arange(8) & mask[:, None]]
+        self.rows.extend(cell_at(folded[:, None], keys, self.m).ravel().tolist())
+        self.counters.extend([0] * len(folded))
 
     def insert(self, entry: int, budget: int) -> bool:
         """Place ``entry`` by rattle kicking.
@@ -148,14 +139,13 @@ class RattleTable:
         once it is exceeded (counters keep their mid-flight values).
         """
         table = self.cells
-        flat, first, mask = self.flat, self.first, self.mask
+        rows = self.rows
         counters = self.counters
         steps = self.displacements
         cur = entry
         c = counters[cur]
         while True:
-            # degrees are powers of two, so ``c & mask`` is ``c mod degree``
-            cell = flat[first[cur] + (c & mask[cur])]
+            cell = rows[cur << 3 | c & 7]
             occ = table[cell]
             if occ < 0:
                 table[cell] = cur

@@ -150,7 +150,7 @@ class BucketMetaArray(Codec):
             raise ValueError("offsets must have one more entry than seeds")
         if len(self.offsets) and int(self.offsets[0]) != 0:
             raise ValueError("offsets must start at 0")
-        if np.any(np.diff(self.offsets.astype(np.int64)) < 0):
+        if np.any(self.offsets[1:] < self.offsets[:-1]):
             raise ValueError("offsets must be non-decreasing")
 
     @property

@@ -465,8 +465,9 @@ class TestPlacementArguments:
 
 
 class TestDegreeValidation:
-    # probes select ``counter & (degree - 1)``, which is the counter mod
-    # degree only for the power-of-two class degrees
+    # a probe reads ``row[counter & 7]`` of a row that repeats the entry's
+    # cells, which is the cell of the counter mod degree only for the class
+    # degrees, which divide 8
 
     @pytest.mark.parametrize("degree", [0, 1, 3, 5, 16, 258])
     def test_bucket_input_rejects_other_degrees(self, degree):
@@ -478,19 +479,19 @@ class TestDegreeValidation:
         table = RattleTable(10, seed=0)
         with pytest.raises(ValueError, match="degree"):
             table.add_entry(fold_hash(MasterHash(1, 2)), degree)
-        assert table.counters == [] and table.flat == []
+        assert table.counters == [] and table.rows == []
 
     def test_class_degrees_accepted(self):
         inp = BucketInput([1, 2, 3], [4, 5, 6], [2, 4, 8], 3)
         assert inp.degrees.tolist() == [2, 4, 8]
         table = RattleTable(10, seed=0)
         assert [table.add_entry(fold_hash(MasterHash(1, d)), d) for d in (2, 4, 8)] == [0, 1, 2]
-        assert table.mask == [1, 3, 7] and table.first == [0, 2, 6]
-        assert len(table.flat) == 14
+        # one row of eight cells per entry, whatever its degree
+        assert len(table.rows) == 24 and table.counters == [0, 0, 0]
 
     @pytest.mark.parametrize("m", [1, 7, 5000])
     def test_add_entries_derives_the_cells_of_add_entry(self, m):
-        # one row of eight cells per entry, behind the entries already there
+        # rows are appended behind the entries already there
         inp = _random_bucket(np.random.default_rng(m), 300, 0.9, (0.3, 0.4, 0.3))
         folded = fold_hash((inp.hi, inp.lo))
         one, many = RattleTable(m, seed=11), RattleTable(m, seed=11)
@@ -498,11 +499,26 @@ class TestDegreeValidation:
             one.add_entry(f, d)
         many.add_entry(folded[0].item(), 2)
         many.add_entries(folded, inp.degrees - np.uint8(1))
-        assert many.first[1:] == list(range(2, 2 + 8 * len(inp), 8))
-        assert many.mask[1:] == one.mask and many.counters == [0] * (len(inp) + 1)
-        for i in range(len(inp)):
-            cells = [many.flat[many.first[i + 1] + t] for t in range(one.mask[i] + 1)]
-            assert cells == one.flat[one.first[i] : one.first[i] + one.mask[i] + 1]
+        assert many.rows[8:] == one.rows and many.counters == [0] * (len(inp) + 1)
+
+    @pytest.mark.parametrize("m", [1, 7, 5000])
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_row_repeats_the_cells_of_its_degree(self, m, bulk):
+        # row[t] is the cell of hash function t mod degree, so the probe
+        # row[c & 7] is the cell of c mod degree
+        rng = np.random.default_rng(m)
+        hi = rng.integers(0, 2**64, size=30, dtype=np.uint64)
+        lo = rng.integers(0, 2**64, size=30, dtype=np.uint64)
+        degrees = np.resize(np.array([2, 4, 8], dtype=np.uint8), 30)
+        table = RattleTable(m, seed=5)
+        if bulk:
+            table.add_entries(fold_hash((hi, lo)), degrees - np.uint8(1))
+        else:
+            for h, l, d in zip(hi.tolist(), lo.tolist(), degrees.tolist()):
+                table.add_entry(fold_hash((h, l)), d)
+        for i, (h, l, d) in enumerate(zip(hi.tolist(), lo.tolist(), degrees.tolist())):
+            want = [cell_of(MasterHash(h, l), 5, t & (d - 1), m) for t in range(8)]
+            assert table.rows[8 * i : 8 * i + 8] == want
 
 
 class TestRattleInsert:

@@ -346,9 +346,14 @@ class TestLoadKernel:
     def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
         fn = _native._load_kernel(tmp_path)
         assert fn is not None
-        # named for this interpreter's extension ABI
+        # named for the source's digest and this interpreter's extension ABI
+        digest = hashlib.sha256(_native._SOURCE.read_bytes()).hexdigest()
         (cached,) = tmp_path.iterdir()
-        assert cached.name.endswith(f"-{sysconfig.get_platform()}{EXT_SUFFIX}")
+        assert cached.name == f"_native-{digest}-{sysconfig.get_platform()}{EXT_SUFFIX}"
+        # a second call loads the cached file and runs nothing
+        runs = []
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: runs.append(a))
+        assert _native._load_kernel(tmp_path) is not None and runs == []
         # the cached library loads without the compiler or Python.h
         monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"),))
         monkeypatch.setattr(_native, "_INCLUDE", tmp_path / "no-include")
@@ -403,9 +408,8 @@ class TestLoadKernel:
     @needs_cc
     def test_removes_stale_libraries(self, tmp_path):
         platform = sysconfig.get_platform()
-        # an older source's module, and the ctypes libraries of earlier versions
-        stale = [f"_native-{'0' * 64}-{platform}{EXT_SUFFIX}", f"_native-{'4' * 64}-{platform}.so",
-                 f"_blake2b-{'1' * 64}-{platform}.so"]
+        # an older source's module
+        stale = [f"_native-{'0' * 64}-{platform}{EXT_SUFFIX}"]
         # another interpreter's build is kept, as are other platforms' files
         kept = [f"_native-{'2' * 64}-{platform}{EXT_SUFFIX}.123.tmp", "other.so",
                 f"_native-{'3' * 64}-another-platform{EXT_SUFFIX}",

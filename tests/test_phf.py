@@ -41,6 +41,7 @@ from sichash.phf import (
     injectivity_failure,
 )
 from sichash.retrieval import EPSILON, RetrievalStore
+from sichash._wire import Writer
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
 from tests.test_hashing import BAD_KEYS, FORM_KEYS, KEY_FORMS, KEY_LENGTHS, NOT_FLAT_KEYS
@@ -548,12 +549,23 @@ class TestSpaceAccounting:
         assert 2.0 <= per_obj <= 2.0 * (1 + EPSILON) + 0.05
 
 
+#: offsets that fall from 2**64 - 1 to 5, and whose int64 differences do not
+WRAPPED_OFFSETS = [0, 2**62, 2**63, 3 * 2**62, 2**64 - 1, 5, 2000]
+
+
 class TestBucketMetaArray:
     def test_validation(self):
         with pytest.raises(ValueError):
             BucketMetaArray(np.array([1]), np.array([0, 5, 3]))
         with pytest.raises(ValueError):
             BucketMetaArray(np.array([1]), np.array([1, 5]))
+
+    def test_offsets_compared_without_wrapping(self):
+        # an int64 difference wraps above 2**63, and took these for sorted
+        with pytest.raises(ValueError, match="non-decreasing"):
+            BucketMetaArray(np.zeros(6), np.array(WRAPPED_OFFSETS, dtype=np.uint64))
+        meta = BucketMetaArray(np.zeros(1), np.array([0, 2**63 + 1], dtype=np.uint64))
+        assert meta.m_total == 2**63 + 1
 
     def test_plain_roundtrip(self):
         meta = BucketMetaArray(np.array([0, 3, 1]), np.array([0, 10, 25, 30]))
@@ -900,6 +912,19 @@ class TestLoadChecks:
             phf.remap = EliasFanoSeq.encode([])
         with pytest.raises(DeserializationError, match="m_total"):
             SicHashPhf.from_bytes(phf.to_bytes())
+
+    @LIBRARIES
+    def test_decreasing_offsets_rejected(self, lib):
+        # the Python path loaded these offsets and its queries raised IndexError
+        header, (_, *stores) = _split(_small())
+        w = Writer()
+        w.u8(0)  # plain metadata
+        w.words(np.zeros(len(WRAPPED_OFFSETS) - 1))
+        w.words(np.array(WRAPPED_OFFSETS, dtype=np.uint64))
+        meta = w.getvalue()
+        body = header + len(meta).to_bytes(8, "little") + meta + b"".join(stores)
+        with _library(lib), pytest.raises(DeserializationError, match="non-decreasing"):
+            SicHashPhf.from_bytes(_reseal(body))
 
     def test_more_keys_than_cells_rejected(self):
         phf = _small()
