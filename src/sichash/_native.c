@@ -6,6 +6,8 @@
  *   ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes, *, m1, m2, fold)
  *       one seed attempt of a retrieval store: its rows derived, sorted by
  *       start, eliminated and back-substituted into plane words
+ *   partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos)
+ *       a build's master hashes counting-sorted by bucket, and by class
  *   rattle_place(hi, lo, mask, seed, budget, cells, counters, *, ...)
  *       a cuckoo bucket's candidate cells under one seed and its
  *       rattle-kicking placement
@@ -35,9 +37,9 @@
  * retrieval rows with the one inline hash, cell and row derivation below,
  * which the plan shares with the kernel that builds.  The hash's lanes
  * come from the seed in Python (hashing.seed_lanes), and so do a store's
- * row keys (hashing.row_keys).  Each kernel has a pure-Python reference
- * that runs when the library is None and that the tests compare it
- * against.
+ * row keys (hashing.row_keys).  Each kernel has a pure-Python or numpy
+ * reference that runs when the library is None and that the tests compare
+ * it against.
  *
  * Build: cc -O3 -shared -fPIC -I<Python include dir> -o _native.so _native.c
  */
@@ -422,49 +424,163 @@ done:
 }
 
 /* ------------------------------------------------------------------------
+ * The build's partition of the master hashes by bucket and by class, the
+ * work of phf._partition's numpy path.
+ */
+
+/* partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c,
+ * class_pos): the n master hashes (hi[i], lo[i]) in bucket order and in
+ * class order.  Entry i's bucket is mulhi(hi[i], num_buckets), as
+ * hashing.bucket_of_many derives it, with num_buckets = len(counts) >= 1;
+ * its class index is (lo >= t1) + (lo >= t2) and its degree 2 << class, as
+ * hashing.class_of_many derives them.
+ *   - hi_b, lo_b (uint64) and deg_b (uint8) receive the entries in bucket
+ *     order, stable: by bucket, then input order (a counting sort);
+ *     counts (int64) receives each bucket's entry count.
+ *   - hi_c and lo_c (uint64) receive them in class order, stable: by class,
+ *     then bucket order; class_pos (int64) receives the class-order
+ *     position of each bucket-order entry.
+ * Returns the three class counts as a tuple. */
+static PyObject *partition(PyObject *self, PyObject *args)
+{
+    Py_buffer hi, lo, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos;
+    uint64_t t1, t2;
+    if (!PyArg_ParseTuple(args, "y*y*O&O&w*w*w*w*w*w*w*:partition", &hi, &lo, u64_arg, &t1,
+                          u64_arg, &t2, &hi_b, &lo_b, &deg_b, &counts, &hi_c, &lo_c,
+                          &class_pos))
+        return NULL;
+    PyObject *result = NULL;
+    Py_ssize_t n = hi.len / 8, nb = counts.len / 8;
+    if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
+        check_buffer(&hi_b, 8, n, "hi_b") < 0 || check_buffer(&lo_b, 8, n, "lo_b") < 0 ||
+        check_buffer(&deg_b, 1, n, "deg_b") < 0 || check_buffer(&counts, 8, nb, "counts") < 0 ||
+        check_buffer(&hi_c, 8, n, "hi_c") < 0 || check_buffer(&lo_c, 8, n, "lo_c") < 0 ||
+        check_buffer(&class_pos, 8, n, "class_pos") < 0)
+        goto done;
+    if (nb < 1) {
+        PyErr_SetString(PyExc_ValueError, "counts: need at least one bucket");
+        goto done;
+    }
+    const uint64_t *h = hi.buf, *l = lo.buf;
+    uint64_t *hb = hi_b.buf, *lb = lo_b.buf, *hc = hi_c.buf, *lc = lo_c.buf;
+    uint8_t *db = deg_b.buf;
+    int64_t *at = counts.buf, *cp = class_pos.buf, classes[3] = {0, 0, 0};
+    Py_BEGIN_ALLOW_THREADS
+    memset(at, 0, counts.len);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        at[mulhi(h[i], (uint64_t)nb)]++;
+        classes[(l[i] >= t1) + (l[i] >= t2)]++;
+    }
+    /* each count becomes its bucket's first position, and is advanced past
+     * each entry placed there, to its bucket's end */
+    int64_t sum = 0;
+    for (Py_ssize_t b = 0; b < nb; b++) {
+        int64_t count = at[b];
+        at[b] = sum;
+        sum += count;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int64_t j = at[mulhi(h[i], (uint64_t)nb)]++;
+        hb[j] = h[i];
+        lb[j] = l[i];
+        db[j] = (uint8_t)(2 << ((l[i] >= t1) + (l[i] >= t2)));
+    }
+    for (Py_ssize_t b = nb - 1; b > 0; b--) /* the ends back into counts */
+        at[b] -= at[b - 1];
+    int64_t next[3] = {0, classes[0], classes[0] + classes[1]};
+    for (Py_ssize_t j = 0; j < n; j++) {
+        int64_t k = next[(lb[j] >= t1) + (lb[j] >= t2)]++;
+        hc[k] = hb[j];
+        lc[k] = lb[j];
+        cp[j] = k;
+    }
+    Py_END_ALLOW_THREADS
+    result = Py_BuildValue("(LLL)", (long long)classes[0], (long long)classes[1],
+                           (long long)classes[2]);
+done:
+    PyBuffer_Release(&hi);
+    PyBuffer_Release(&lo);
+    PyBuffer_Release(&hi_b);
+    PyBuffer_Release(&lo_b);
+    PyBuffer_Release(&deg_b);
+    PyBuffer_Release(&counts);
+    PyBuffer_Release(&hi_c);
+    PyBuffer_Release(&lo_c);
+    PyBuffer_Release(&class_pos);
+    return result;
+}
+
+/* ------------------------------------------------------------------------
  * Rattle-kicking placement of one cuckoo bucket under one seed, the loop of
  * cuckoo.RattleTable.insert run over entries 0 .. n-1 in order.
  *
  * Entry i's candidate cells, each in [0, m), are the row rows[8i .. 8i+7]:
  * rows[8i + t] is the cell of hash function t & (degree - 1).  Every degree
  * (2, 4 or 8) divides 8, so the probe of counter c, the cell of c mod
- * degree, is rows[8i + (c & 7)].  cells holds m entries set to -1 (empty)
- * and counters n zeros.  An occupant is evicted only when its counter is
- * below the prober's; an evicted entry re-probes with its counter plus one,
- * and on a tie the prober advances its own counter.
+ * degree, is rows[8i + (c & 7)].  An occupant is evicted only when its
+ * counter is below the prober's; an evicted entry re-probes with its
+ * counter plus one, and on a tie the prober advances its own counter.
  * Each eviction or tie is one displacement, counted across the whole
- * bucket.  Returns the displacement total once every entry is placed, or
- * -1 as soon as it exceeds budget; counters then hold their values at that
- * point, as the Python loop leaves them.
+ * bucket.
+ *
+ * A probe is one load of its cell's slot.  The slot holds the occupant, its
+ * counter (which changes only while an entry is out of the table) and the
+ * cell it probes next once evicted, which is looked up in its row as it is
+ * placed, while that row is still in cache.  So the loop's chain of
+ * dependent loads is one slot per displacement.  Entries and cells are
+ * below 2**32.  On exit the slots are unpacked into cells (m occupants, -1
+ * for empty) and counters (n counters: an entry's slot counter, the
+ * prober's own if the budget ran out, and 0 for the entries not reached),
+ * as RattleTable leaves them.  Returns the displacement total once every
+ * entry is placed, or -1 as soon as it exceeds budget.
  */
-static int64_t place(const int64_t *rows, int64_t n, int64_t budget, int64_t *cells,
-                     int64_t *counters)
+typedef struct {
+    uint32_t occ, next; /* the occupant, and the cell it probes once evicted */
+    int64_t counter;    /* the occupant's counter, -1 when the cell is empty */
+} slot;
+
+static int64_t place(const uint32_t *rows, int64_t n, int64_t m, int64_t budget, slot *slots,
+                     int64_t *cells, int64_t *counters)
 {
-    int64_t steps = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t cur = i, c = 0; /* entry i has not been probed yet */
+    int64_t steps = 0, c = 0;
+    uint32_t cur = 0;
+    int failed = 0;
+    for (int64_t j = 0; j < m; j++)
+        slots[j] = (slot){0, 0, -1};
+    for (int64_t i = 0; i < n && !failed; i++) {
+        cur = (uint32_t)i; /* entry i has not been probed yet */
+        c = 0;
+        uint32_t cell = rows[8 * i];
         for (;;) {
-            int64_t cell = rows[8 * cur + (c & 7)];
-            int64_t occ = cells[cell];
-            if (occ < 0) {
-                cells[cell] = cur;
-                counters[cur] = c;
-                break;
-            }
-            int64_t oc = counters[occ];
-            if (oc < c) {
-                cells[cell] = cur;
-                counters[cur] = c;
-                cur = occ;
-                c = oc + 1;
+            slot *s = &slots[cell];
+            slot was = *s;
+            if (was.counter < c) { /* an empty cell, or a lower counter */
+                *s = (slot){cur, rows[8 * (int64_t)cur + ((c + 1) & 7)], c};
+                if (was.counter < 0)
+                    break;
+                cur = was.occ;
+                c = was.counter + 1;
+                cell = was.next;
             } else {
                 c++;
+                cell = rows[8 * (int64_t)cur + (c & 7)];
             }
             if (++steps > budget) {
-                counters[cur] = c;
-                return -1;
+                failed = 1;
+                break;
             }
         }
+    }
+    memset(counters, 0, n * sizeof *counters);
+    for (int64_t j = 0; j < m; j++) {
+        slot s = slots[j];
+        cells[j] = s.counter < 0 ? -1 : (int64_t)s.occ;
+        if (s.counter >= 0)
+            counters[s.occ] = s.counter;
+    }
+    if (failed) {
+        counters[cur] = c;
+        return -1;
     }
     return steps;
 }
@@ -472,11 +588,13 @@ static int64_t place(const int64_t *rows, int64_t n, int64_t budget, int64_t *ce
 /* rattle_place(hi, lo, mask, seed, budget, cells, counters, *, m1, m2,
  * golden, fold, cell_salt): place's result for the entries with master
  * hash halves hi[i], lo[i] (uint64) and degree mask[i] + 1 (uint8) under
- * a bucket seed, in a table of m = len(cells) cells.  Entry i's cell for
- * hash function t is cell_at(fold(hi, lo), cell_key(seed, t), m), as
- * hashing.cell_of_many derives it; so every cell is below m.  Only its
- * mask[i] + 1 distinct cells are derived, then copied to fill its row (see
- * place).  cells (int64, m entries) and counters (int64, n) are filled. */
+ * a bucket seed, in a table of m = len(cells) cells; n and m must be
+ * below 2**32, which is checked before anything is allocated.  Entry i's
+ * cell for hash function t is cell_at(fold(hi, lo), cell_key(seed, t), m),
+ * as hashing.cell_of_many derives it; so every cell is below m and fits a
+ * uint32 row.  Only its mask[i] + 1 distinct cells are derived, then
+ * copied to fill its row (see place).  cells (int64, m entries) and
+ * counters (int64, n) are filled. */
 static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"hi", "lo", "mask", "seed", "budget", "cells", "counters",
@@ -491,7 +609,8 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
                                      &d.golden, u64_arg, &d.fold, u64_arg, &d.cell_salt))
         return NULL;
     PyObject *result = NULL;
-    int64_t *rows = NULL;
+    uint32_t *rows = NULL;
+    slot *slots = NULL;
     Py_ssize_t n = hi.len / 8, m = cells.len / 8;
     if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
         check_buffer(&mask, 1, n, "mask") < 0 || check_buffer(&cells, 8, m, "cells") < 0 ||
@@ -508,6 +627,10 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "cells: no cell for the entries");
         goto done;
     }
+    if ((uint64_t)n > UINT32_MAX || (uint64_t)m > UINT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "need fewer than 2**32 entries and cells");
+        goto done;
+    }
     if (budget < 0) {
         PyErr_SetString(PyExc_ValueError, "budget must be >= 0");
         goto done;
@@ -515,11 +638,12 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
     /* one row of eight cells per entry; the size check keeps 8n rows from
      * wrapping the allocation size */
     if ((size_t)n > SIZE_MAX / (8 * sizeof *rows) ||
-        !(rows = PyMem_Malloc((size_t)n * 8 * sizeof *rows))) {
+        !(rows = PyMem_Malloc((size_t)n * 8 * sizeof *rows)) ||
+        !(slots = PyMem_Malloc((size_t)m * sizeof *slots))) {
         PyErr_NoMemory();
         goto done;
     }
-    int64_t steps, *c = cells.buf, *k = counters.buf;
+    int64_t steps;
     const uint64_t *h = hi.buf, *l = lo.buf;
     Py_BEGIN_ALLOW_THREADS
     uint64_t keys[8];
@@ -527,19 +651,17 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
         keys[t] = cell_key(&d, seed, t);
     for (Py_ssize_t i = 0; i < n; i++) {
         uint64_t folded = fold(&d, h[i], l[i]);
-        int64_t *row = rows + 8 * i;
+        uint32_t *row = rows + 8 * i;
         for (int t = 0; t < 8; t++)
-            row[t] = t <= mk[i] ? (int64_t)cell_at(&d, folded, keys[t], (uint64_t)m)
+            row[t] = t <= mk[i] ? (uint32_t)cell_at(&d, folded, keys[t], (uint64_t)m)
                                 : row[t & mk[i]];
     }
-    for (Py_ssize_t j = 0; j < m; j++)
-        c[j] = -1;
-    memset(k, 0, counters.len);
-    steps = place(rows, n, budget, c, k);
+    steps = place(rows, n, m, budget, slots, cells.buf, counters.buf);
     Py_END_ALLOW_THREADS
     result = PyLong_FromLongLong(steps);
 done:
     PyMem_Free(rows);
+    PyMem_Free(slots);
     PyBuffer_Release(&hi);
     PyBuffer_Release(&lo);
     PyBuffer_Release(&mask);
@@ -761,6 +883,9 @@ static PyMethodDef methods[] = {
     {"rattle_place", (PyCFunction)(void (*)(void))rattle_place, METH_VARARGS | METH_KEYWORDS,
      "rattle_place(hi, lo, mask, seed, budget, cells, counters, *, m1, m2, golden, fold, "
      "cell_salt): derive a bucket's cells under one seed and place it"},
+    {"partition", partition, METH_VARARGS,
+     "partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos): the "
+     "master hashes in bucket order and in class order; returns the class counts"},
     {NULL, NULL, 0, NULL},
 };
 

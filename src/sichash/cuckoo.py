@@ -8,7 +8,10 @@ strictly lower than the inserting object's counter (on a tie the
 inserter increments its counter and probes its next cell instead), and
 an evicted object re-enters with its counter incremented by one.
 Construction of a whole bucket is retried with seeds 0, 1, 2, ... until
-all entries place within the displacement budget.
+all entries place within the displacement budget.  Copies of one hash
+share their cells under every seed, and three of degree 2 never place,
+so after the first failed seed the bucket's hashes are checked for
+repeats, once (:func:`~sichash.hashing.check_distinct`).
 
 Each entry's candidate cells are derived once per (entry, seed) into a
 row of eight: ``row[t]`` is the cell of hash function
@@ -45,6 +48,7 @@ from .hashing import (
     cell_at,
     cell_key,
     cell_of_many,
+    check_distinct,
     class_of,
     class_thresholds,
     fold_hash,
@@ -210,6 +214,10 @@ def build_bucket(
         if placed:
             assignments = (np.asarray(counters) & mask).astype(np.uint8)
             return PlacementResult(seed, assignments, displacements)
+        if seed == 0:
+            # copies of a hash share their cells under every seed, so three
+            # of degree 2 never place: look for them once, not per seed
+            check_distinct(inp.hi, inp.lo)
     raise ConstructionError(
         f"bucket unconstructible: no seed below {max_seeds} places "
         f"{n} entries into {inp.m} cells"

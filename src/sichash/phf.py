@@ -40,7 +40,7 @@ import operator
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from .hashing import (
     bucket_of_many,
     cell_of,
     cell_of_many,
-    check_distinct,
     class_of,
     class_of_many,
     class_thresholds,
@@ -219,9 +218,9 @@ class BuildStats:
     Attached by :func:`build` and :func:`build_from_hashes` as
     :attr:`SicHashPhf.build_stats`; never serialized.  ``stages`` holds
     wall seconds per stage: ``hash`` (master hashing, :func:`build` only),
-    ``partition`` (distinctness check and bucket/class split),
-    ``cuckoo`` (every bucket's placement), ``split`` (the placed keys'
-    rows sorted into one run per class), ``retrieval_r1`` .. ``retrieval_r3``
+    ``partition`` (the keys put in bucket order and in class order),
+    ``cuckoo`` (every bucket's placement), ``split`` (the placements
+    scattered into class order), ``retrieval_r1`` .. ``retrieval_r3``
     (each store's build only), ``verify`` (the batch query and check of
     every key) and, in minimal mode, ``remap``.
     """
@@ -519,6 +518,8 @@ def build_from_hashes(
     Raises :class:`ValueError` for an empty or repeated key set, and
     :class:`ConstructionError` when a bucket cannot be placed at this load
     factor or the values are not distinct values below ``m_total``.
+    Repeats are looked for only where they show: after a bucket's first
+    failed seed, and after a retrieval solve with a dependent row.
     """
     # a function of its own, so that the plain assembly's per-key arrays are
     # freed before the batch query (held, they cost ~20 MB of peak RSS in
@@ -538,6 +539,65 @@ def build_from_hashes(
     return phf
 
 
+class _Partition(NamedTuple):
+    """The build's master hashes in bucket order and in class order."""
+
+    #: hi, lo and degree in bucket order: by bucket, then input order
+    hi: np.ndarray
+    lo: np.ndarray
+    degrees: np.ndarray
+    #: bucket b holds entries bounds[b] .. bounds[b + 1] - 1
+    bounds: list[int]
+    #: hi and lo in class order: by degree, then bucket order
+    class_hi: np.ndarray
+    class_lo: np.ndarray
+    #: the store of r holds class-order entries class_bounds[r - 1] ..
+    #: class_bounds[r] - 1
+    class_bounds: list[int]
+    #: the class-order position of each bucket-order entry
+    class_pos: np.ndarray
+
+
+def _partition(hi: np.ndarray, lo: np.ndarray, num_buckets: int, t1: int, t2: int) -> _Partition:
+    """Both orders of the master hashes, by bucket (:func:`bucket_of_many`)
+    and by class (:func:`class_of_many` under thresholds ``t1 <= t2``).
+
+    One call of the native kernel ``partition`` counting-sorts them; when
+    :data:`sichash._native.lib` is None, two stable numpy sorts give the
+    same arrays, as fallback and as the reference the tests compare the
+    kernel against.
+    """
+    hi, lo = (np.ascontiguousarray(a, dtype=np.uint64) for a in (hi, lo))
+    n = len(hi)
+    lib = _native.lib
+    if lib is not None:
+        hi_b, lo_b, hi_c, lo_c = (np.empty(n, dtype=np.uint64) for _ in range(4))
+        degrees = np.empty(n, dtype=np.uint8)
+        counts = np.empty(num_buckets, dtype=np.int64)
+        class_pos = np.empty(n, dtype=np.int64)
+        class_counts = lib.partition(
+            hi, lo, t1, t2, hi_b, lo_b, degrees, counts, hi_c, lo_c, class_pos
+        )
+    else:
+        degrees = class_of_many(lo, t1, t2)
+        # one narrowest-dtype array serves the sort and the bincount; its
+        # stable sort is a radix sort: same order, faster
+        buckets = bucket_of_many(hi, num_buckets).astype(np.min_scalar_type(num_buckets - 1))
+        order = np.argsort(buckets, kind="stable")
+        hi_b, lo_b, degrees = hi[order], lo[order], degrees[order]
+        counts = np.bincount(buckets, minlength=num_buckets)
+        # a stable (radix) sort by degree keeps each class in bucket order
+        by_class = np.argsort(degrees, kind="stable")
+        hi_c, lo_c = hi_b[by_class], lo_b[by_class]
+        class_pos = np.empty(n, dtype=np.int64)
+        class_pos[by_class] = np.arange(n)
+        class_counts = np.bincount(degrees, minlength=CLASS_DEGREES[-1] + 1)[list(CLASS_DEGREES)]
+    return _Partition(
+        hi_b, lo_b, degrees, [0, *np.cumsum(counts).tolist()],
+        hi_c, lo_c, [0, *np.cumsum(class_counts).tolist()], class_pos,
+    )
+
+
 def _build_plain(
     hi: np.ndarray, lo: np.ndarray, config: PhfConfig, max_bucket_seeds: int
 ) -> SicHashPhf:
@@ -545,17 +605,8 @@ def _build_plain(
     if n < 1:
         raise ValueError("key set must be non-empty")
     t0 = time.perf_counter()
-    check_distinct(hi, lo)
-
     num_buckets = max(1, round(n / config.bucket_size))
-    degrees = class_of_many(lo, *class_thresholds(*config.fractions[:2]))
-    # one narrowest-dtype array serves the sort and the bincount; its stable
-    # sort is a radix sort: same order, faster
-    buckets = bucket_of_many(hi, num_buckets).astype(np.min_scalar_type(num_buckets - 1))
-    order = np.argsort(buckets, kind="stable")
-    hi_s, lo_s, deg_s = hi[order], lo[order], degrees[order]
-    counts = np.bincount(buckets, minlength=num_buckets)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
+    part = _partition(hi, lo, num_buckets, *class_thresholds(*config.fractions[:2]))
 
     seeds = np.zeros(num_buckets, dtype=np.uint64)
     offsets = np.zeros(num_buckets + 1, dtype=np.uint64)
@@ -566,10 +617,10 @@ def _build_plain(
     t1 = time.perf_counter()
     stages = {"partition": t1 - t0}
     for b in range(num_buckets):
-        a, z = int(bounds[b]), int(bounds[b + 1])
+        a, z = part.bounds[b], part.bounds[b + 1]
         n_b = z - a
         m_b = max(n_b, round(n_b / alpha)) if n_b else 0
-        inp = BucketInput(hi_s[a:z], lo_s[a:z], deg_s[a:z], m_b)
+        inp = BucketInput(part.hi[a:z], part.lo[a:z], part.degrees[a:z], m_b)
         try:
             result = build_bucket(inp, max_seeds=max_bucket_seeds)
         except ConstructionError as exc:
@@ -584,11 +635,8 @@ def _build_plain(
     t0 = time.perf_counter()
     stages["cuckoo"] = t0 - t1
 
-    # a stable (radix) sort by degree keeps each class in bucket order, so
-    # each store gets the rows a mask would select, in the same order
-    by_class = np.argsort(deg_s, kind="stable")
-    hi_s, lo_s, fn_values = hi_s[by_class], lo_s[by_class], fn_values[by_class]
-    ends = np.cumsum(np.bincount(deg_s, minlength=CLASS_DEGREES[-1] + 1)).tolist()
+    class_fn = np.empty(n, dtype=np.uint8)
+    class_fn[part.class_pos] = fn_values
     t1 = time.perf_counter()
     stages["split"] = t1 - t0
     t0 = t1
@@ -596,10 +644,10 @@ def _build_plain(
     stores: dict[int, RetrievalStore] = {}
     store_stats: dict[int, dict] = {}
     for degree, r in _R_BY_DEGREE.items():
-        a, z = ends[degree - 1], ends[degree]
+        a, z = part.class_bounds[r - 1], part.class_bounds[r]
         store = stores[degree] = RetrievalStore.build(
-            (hi_s[a:z], lo_s[a:z]),
-            fn_values[a:z],
+            (part.class_hi[a:z], part.class_lo[a:z]),
+            class_fn[a:z],
             r,
             base_seed=config.global_seed,
         )

@@ -124,6 +124,17 @@ class TestBuildVerifyBench:
         assert rc == 1
         assert "alpha too aggressive" in capsys.readouterr().err
 
+    def test_build_rejects_a_repeated_key(self, tmp_path, key_file, capsys):
+        keys = tmp_path / "repeated.txt"
+        lines = read_keys(str(key_file))
+        keys.write_bytes(b"\n".join(lines + [lines[17]] * 2) + b"\n")
+        assert len(read_keys(str(keys))) == len(lines) + 2
+        rc = main(["build", "--keys", str(keys), "--alpha", "0.9", "--out", str(tmp_path / "x.phf")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "duplicate keys" in err
+        assert not (tmp_path / "x.phf").exists()
+
     def test_bench_reports_throughput(self, tmp_path, key_file, capsys):
         out = tmp_path / "f.phf"
         main(["build", "--keys", str(key_file), "--alpha", "0.9", "--out", str(out)])

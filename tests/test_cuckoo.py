@@ -1,10 +1,11 @@
 import itertools
+import mmap
 import random
 
 import numpy as np
 import pytest
 
-from sichash import _native
+from sichash import _native, cuckoo
 from sichash.cli import OVERLOAD_CONFIGS
 from sichash.cuckoo import (
     BucketInput,
@@ -382,6 +383,31 @@ def test_kernel_derives_cells_as_cell_of_many():
     assert np.array_equal(occupied, want)
 
 
+@pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "python"])
+def test_distinctness_checked_once_after_the_first_failed_seed(monkeypatch, lib):
+    calls = []
+    check = cuckoo.check_distinct
+
+    def spy(hi, lo):
+        calls.append(len(hi))
+        check(hi, lo)
+
+    monkeypatch.setattr(cuckoo, "check_distinct", spy)
+    monkeypatch.setattr(_native, "lib", lib)
+    inp = _random_bucket(np.random.default_rng(18), 300, 0.9, (0.3, 0.4, 0.3))
+    assert build_bucket(inp).seed == 0 and calls == []
+    # twelve entries in twelve cells, of which seeds 0, 1 and 2 place none
+    inp = _random_bucket(np.random.default_rng(35), 12, 1.0, (0.3, 0.4, 0.3))
+    assert build_bucket(inp).seed == 3
+    assert calls == [12]
+    # a key three times over, of degree 2, fails every seed: the check
+    # after the first one names it
+    tripled = BucketInput([5, 5, 5, 6], [7, 7, 7, 8], [2, 2, 2, 4], 6)
+    with pytest.raises(ValueError, match="duplicate keys"):
+        build_bucket(tripled)
+    assert calls == [12, 4]
+
+
 @native
 class TestPlacementArguments:
     """The placement kernel checks its arrays and values before it runs."""
@@ -436,6 +462,18 @@ class TestPlacementArguments:
     def test_entries_without_cells(self):
         with pytest.raises(ValueError, match="cells: no cell"):
             self._place(cells=np.empty(0, dtype=np.int64))
+
+    def test_cells_beyond_32_bits(self, tmp_path):
+        # 2**32 cells overflow a uint32 row; a sparse file maps them
+        # without memory, and the check comes before any allocation
+        path = tmp_path / "cells"
+        with open(path, "wb") as f:
+            f.truncate(8 << 32)
+        with open(path, "r+b") as f, mmap.mmap(f.fileno(), 0) as mapped:
+            cells = np.frombuffer(mapped, dtype=np.int64)
+            with pytest.raises(ValueError, match=r"fewer than 2\*\*32 entries and cells"):
+                self._place(cells=cells)
+            del cells
 
     def test_negative_budget(self):
         with pytest.raises(ValueError, match="budget must be >= 0"):

@@ -8,6 +8,7 @@ import json
 import pickle
 import struct
 import sys
+import time
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sichash import _native, retrieval
+from sichash import _native, cuckoo, retrieval
 from sichash import phf as phf_module
 from sichash.cli import generate_keys
 from sichash.cuckoo import BucketInput, build_bucket
@@ -318,6 +319,141 @@ def test_each_store_is_built_from_its_masked_rows(keys_20k, monkeypatch, minimal
             want.seed, want.num_slots, want.num_keys
         )
         assert all(np.array_equal(p, q) for p, q in zip(store.planes, want.planes))
+
+
+def _partition_on_each_path(hi, lo, num_buckets, t1, t2):
+    """:func:`phf._partition` by the kernel and by numpy."""
+    got = phf_module._partition(hi, lo, num_buckets, t1, t2)
+    with _library(None):
+        want = phf_module._partition(hi, lo, num_buckets, t1, t2)
+    return got, want
+
+
+def _assert_same_partition(got, want):
+    for name, a, b in zip(want._fields, got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def _partition_cases():
+    rng = np.random.default_rng(70)
+    hi = rng.integers(0, 2**64, size=5000, dtype=np.uint64)
+    lo = rng.integers(0, 2**64, size=5000, dtype=np.uint64)
+    t1, t2 = class_thresholds(0.3, 0.4)
+    edges = np.array([0, 1, t1 - 1, t1, t1 + 1, t2 - 1, t2, t2 + 1, 2**64 - 1], dtype=np.uint64)
+    top = np.full(len(edges), 2**64 - 1, dtype=np.uint64)
+    return {
+        "random": (hi, lo, 7, t1, t2),
+        "one bucket": (hi, lo, 1, t1, t2),
+        "more buckets than keys": (hi[:40], lo[:40], 100, t1, t2),
+        "all of class 8": (hi, lo, 9, 0, 0),
+        "all of class 2": (hi, lo, 9, 2**64 - 1, 2**64 - 1),
+        "lo at the thresholds": (np.concatenate([top, hi[:9]]), np.tile(edges, 2), 3, t1, t2),
+        "one key": (hi[:1], lo[:1], 1, t1, t2),
+    }
+
+
+@native
+class TestPartition:
+    """The partition kernel gives the arrays of the numpy path."""
+
+    @pytest.mark.parametrize("case", list(_partition_cases()))
+    def test_kernel_matches_numpy(self, case):
+        hi, lo, num_buckets, t1, t2 = _partition_cases()[case]
+        got, want = _partition_on_each_path(hi, lo, num_buckets, t1, t2)
+        _assert_same_partition(got, want)
+        assert want.bounds[-1] == want.class_bounds[-1] == len(hi)
+        assert np.array_equal(want.class_hi[want.class_pos], want.hi)
+
+    def test_classes_stay_in_bucket_order(self):
+        hi, lo, num_buckets, t1, t2 = _partition_cases()["random"]
+        part, _ = _partition_on_each_path(hi, lo, num_buckets, t1, t2)
+        for r, degree in enumerate((2, 4, 8), 1):
+            a, z = part.class_bounds[r - 1], part.class_bounds[r]
+            mask = part.degrees == degree
+            assert np.array_equal(part.class_hi[a:z], part.hi[mask])
+            assert np.array_equal(part.class_lo[a:z], part.lo[mask])
+
+    @staticmethod
+    def _arrays(n=3, num_buckets=2):
+        return dict(hi=np.arange(n, dtype=np.uint64), lo=np.arange(n, dtype=np.uint64),
+                    hi_b=np.empty(n, dtype=np.uint64), lo_b=np.empty(n, dtype=np.uint64),
+                    deg_b=np.empty(n, dtype=np.uint8), counts=np.empty(num_buckets, dtype=np.int64),
+                    hi_c=np.empty(n, dtype=np.uint64), lo_c=np.empty(n, dtype=np.uint64),
+                    class_pos=np.empty(n, dtype=np.int64))
+
+    def _partition(self, t1=0, t2=0, **changes):
+        a = {**self._arrays(), **changes}
+        return _native.lib.partition(a["hi"], a["lo"], t1, t2, a["hi_b"], a["lo_b"], a["deg_b"],
+                                     a["counts"], a["hi_c"], a["lo_c"], a["class_pos"])
+
+    def test_valid_arrays(self):
+        assert self._partition(t1=1, t2=2) == (1, 1, 1)
+
+    def test_wrong_item_size(self):
+        for name, dtype, size in (("hi", np.uint32, 8), ("lo", np.int16, 8),
+                                  ("hi_b", np.uint8, 8), ("deg_b", np.int64, 1),
+                                  ("counts", np.int32, 8), ("class_pos", np.uint32, 8)):
+            wrong = self._arrays()[name].astype(dtype)
+            with pytest.raises(TypeError, match=f"{name}: need items of {size} bytes"):
+                self._partition(**{name: wrong})
+
+    def test_length_mismatch(self):
+        for name in ("lo", "hi_b", "lo_b", "deg_b", "hi_c", "lo_c", "class_pos"):
+            with pytest.raises(ValueError, match=f"{name}: need 3 items, got 2"):
+                self._partition(**{name: self._arrays()[name][:2]})
+
+    def test_no_bucket(self):
+        with pytest.raises(ValueError, match="counts: need at least one bucket"):
+            self._partition(counts=np.empty(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("t", [-1, 2**64])
+    def test_threshold_outside_64_bits(self, t):
+        with pytest.raises(OverflowError):
+            self._partition(t1=t)
+
+    def test_read_only_output(self):
+        frozen = np.empty(3, dtype=np.uint64)
+        frozen.flags.writeable = False
+        with pytest.raises((BufferError, TypeError)):
+            self._partition(hi_c=frozen)
+
+
+def _tripled(degree: int, config: PhfConfig, n: int = 1000):
+    """Master hashes of n random keys, then twice more one of the given
+    degree under the config's class fractions."""
+    rng = np.random.default_rng(degree)
+    hi = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    lo = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    degrees = class_of_many(lo, *class_thresholds(*config.fractions[:2]))
+    i = int(np.flatnonzero(degrees == degree)[0])
+    return np.append(hi, [hi[i]] * 2), np.append(lo, [lo[i]] * 2)
+
+
+@LIBRARIES
+@pytest.mark.parametrize("degree", [2, 4, 8])
+def test_tripled_key_rejected_quickly(lib, degree):
+    # three copies of a degree-2 key fit no seed's cells: the check after
+    # the first failed seed spares the other 65 535
+    config = PhfConfig(alpha=0.9)
+    hi, lo = _tripled(degree, config)
+    with _library(lib):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="duplicate keys"):
+            build_from_hashes(hi, lo, config)
+        assert time.perf_counter() - t0 < 1.0
+
+
+@native
+def test_clean_build_never_checks_distinctness(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cuckoo, "check_distinct", lambda hi, lo: calls.append(len(hi)))
+    monkeypatch.setattr(retrieval, "check_distinct", lambda hi, lo: calls.append(len(hi)))
+    assert "check_distinct" not in vars(phf_module)
+    keys = generate_keys(100_000, seed=71)
+    build(keys, PhfConfig(alpha=0.9))
+    assert calls == []
 
 
 class TestBuildCheck:
