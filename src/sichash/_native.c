@@ -22,14 +22,16 @@
  * out of bounds.  Integer arguments of 64 bits (seeds, thresholds, keys and
  * multipliers) go through u64_arg, which raises OverflowError outside
  * [0, 2**64) where the K format would wrap them.  The batch kernels
- * release the GIL around their loops, once they hold their buffers; the
- * scalar query keeps it.
+ * release the GIL around their loops, once they hold their buffers and
+ * keys; the scalar query keeps it.
  *
  * The master hash is hashing.master_hash: the key's little-endian 8-byte
  * words, its tail zero-padded, update two 64-bit lanes by one 64x64->128
  * multiply-fold per 16-byte block, the length is mixed in after the last
  * block, and mix64 finalizes both halves.  Its one inline copy, hash_key,
- * serves both master_hash_batch and plan.query.
+ * serves both master_hash_batch and plan.query, and both read a key with
+ * read_key: an exact bytes object by pointer and length, any other key
+ * through the buffer protocol.
  *
  * No kernel holds a derivation constant: each takes the multipliers of
  * hashing.py as keyword arguments (QUERY_CONSTANTS, or the ones of them it
@@ -196,9 +198,36 @@ static int get_key(PyObject *key, Py_buffer *view)
     return 0;
 }
 
-/* keys per block of master_hash_batch: a block's buffers are taken with
- * the GIL held, then hashed without it */
+/* How plan.query and master_hash_batch read a key: an exact bytes object
+ * in place, by pointer and length, and any other key through get_key into
+ * *view.  Returns 1 for exact bytes, 0 when *view holds the key's buffer
+ * (the caller releases it) and -1 with an exception set. */
+static inline int read_key(PyObject *key, Py_buffer *view, const uint8_t **p, uint64_t *len)
+{
+    if (PyBytes_CheckExact(key)) {
+        *p = (const uint8_t *)PyBytes_AS_STRING(key);
+        *len = (uint64_t)PyBytes_GET_SIZE(key);
+        return 1;
+    }
+    if (get_key(key, view) < 0)
+        return -1;
+    *p = view->buf;
+    *len = (uint64_t)view->len;
+    return 0;
+}
+
+/* keys per block of master_hash_batch: a block's exact bytes keys are held
+ * with the GIL, then hashed without it */
 #define KEY_BLOCK 256
+
+/* a key of a block: an exact bytes object and a strong reference to it,
+ * which keeps its bytes alive while the block is hashed without the GIL;
+ * obj is NULL for any other key, which is hashed at once */
+typedef struct {
+    const uint8_t *p;
+    uint64_t len;
+    PyObject *obj;
+} block_key;
 
 /* master_hash_batch(keys, a, b, hi, lo, *, m1, m2): the master hash
  * halves of key i under the seed's lanes a and b into hi[i] and lo[i], two
@@ -210,7 +239,8 @@ static PyObject *master_hash_batch(PyObject *self, PyObject *args, PyObject *kwd
     PyObject *keys, *seq, *result = NULL;
     uint64_t a, b;
     derivation d = {0};
-    Py_buffer hi, lo, views[KEY_BLOCK];
+    Py_buffer hi, lo, view;
+    block_key block[KEY_BLOCK];
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO&O&w*w*$O&O&:master_hash_batch", kwlist,
                                      &keys, u64_arg, &a, u64_arg, &b, &hi, &lo, u64_arg,
                                      &d.m1, u64_arg, &d.m2))
@@ -225,18 +255,31 @@ static PyObject *master_hash_batch(PyObject *self, PyObject *args, PyObject *kwd
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
         Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK, held = 0;
         /* a key's buffer protocol may run code that resizes a list */
-        while (held < m && PySequence_Fast_GET_SIZE(seq) == n &&
-               get_key(PySequence_Fast_GET_ITEM(seq, at + held), &views[held]) == 0)
+        while (held < m && PySequence_Fast_GET_SIZE(seq) == n) {
+            PyObject *key = PySequence_Fast_GET_ITEM(seq, at + held);
+            block_key *k = &block[held];
+            int exact = read_key(key, &view, &k->p, &k->len);
+            if (exact < 0)
+                break;
+            if (exact) {
+                Py_INCREF(key);
+                k->obj = key;
+            } else {
+                hash_key(&d, a, b, k->p, k->len, &h[at + held], &l[at + held]);
+                PyBuffer_Release(&view);
+                k->obj = NULL;
+            }
             held++;
+        }
         if (held == m) {
             Py_BEGIN_ALLOW_THREADS
             for (Py_ssize_t j = 0; j < m; j++)
-                hash_key(&d, a, b, views[j].buf, (uint64_t)views[j].len, &h[at + j],
-                         &l[at + j]);
+                if (block[j].obj)
+                    hash_key(&d, a, b, block[j].p, block[j].len, &h[at + j], &l[at + j]);
             Py_END_ALLOW_THREADS
         }
         while (held)
-            PyBuffer_Release(&views[--held]);
+            Py_XDECREF(block[--held].obj);
         if (PyErr_Occurred())
             goto done;
         if (PySequence_Fast_GET_SIZE(seq) != n) {
@@ -810,17 +853,15 @@ fail:
 static PyObject *plan_query(Plan *self, PyObject *key)
 {
     const sichash_plan *p = &self->p;
-    uint64_t hi, lo;
-    if (PyBytes_CheckExact(key)) {
-        hash_key(&p->d, p->a, p->b, (const uint8_t *)PyBytes_AS_STRING(key),
-                 (uint64_t)PyBytes_GET_SIZE(key), &hi, &lo);
-    } else {
-        Py_buffer view;
-        if (get_key(key, &view) < 0)
-            return NULL;
-        hash_key(&p->d, p->a, p->b, view.buf, (uint64_t)view.len, &hi, &lo);
+    uint64_t hi, lo, len;
+    const uint8_t *bytes;
+    Py_buffer view;
+    int exact = read_key(key, &view, &bytes, &len);
+    if (exact < 0)
+        return NULL;
+    hash_key(&p->d, p->a, p->b, bytes, len, &hi, &lo);
+    if (!exact)
         PyBuffer_Release(&view);
-    }
     return PyLong_FromUnsignedLongLong(value_of(p, hi, lo));
 }
 

@@ -137,7 +137,8 @@ def master_hash_many(
     """Vectorized :func:`master_hash`; returns (hi, lo) uint64 arrays.
 
     Any iterable of bytes-like keys is accepted; it is read once.  The
-    native kernel reads each key's buffer as :func:`master_hash` does, so
+    native kernel reads each key as :func:`master_hash` does, an exact
+    ``bytes`` object in place and any other key through its buffer, so
     both paths give the same hashes and raise the same errors.
     """
     if not isinstance(keys, (list, tuple)):

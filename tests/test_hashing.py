@@ -1,9 +1,11 @@
 import array
 import hashlib
+import random
 import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 
 import numpy as np
 import pytest
@@ -66,7 +68,7 @@ def test_master_hash_scalar_matches_batch(key, seed):
     assert (h.hi, h.lo) == (int(hi[0]), int(lo[0]))
 
 
-#: keys per block of the native batch hash, which takes a block's buffers
+#: keys per block of the native batch hash, which holds a block's keys
 #: and then hashes the block without the GIL
 KEY_BLOCK = 256
 
@@ -82,6 +84,22 @@ def test_master_hash_many_across_chunks():
     assert np.array_equal(hi, hi2) and np.array_equal(lo, lo2)
     empty_hi, empty_lo = master_hash_many([], 17)
     assert len(empty_hi) == len(empty_lo) == 0 and empty_hi.dtype == np.uint64
+
+
+class BytesKey(bytes):
+    """A bytes subclass: a key that is bytes but not exact bytes, so the
+    kernel reads it through its buffer and not by pointer."""
+
+
+@pytest.mark.parametrize("form", [BytesKey, bytearray, memoryview],
+                         ids=["bytes-subclass", "bytearray", "memoryview"])
+def test_master_hash_many_mixes_key_forms_in_a_block(form):
+    # exact bytes keys with another form at each end of a block
+    keys = [b"key %d" % i + bytes(i % 40) for i in range(3 * KEY_BLOCK + 5)]
+    for i in (0, KEY_BLOCK - 1, KEY_BLOCK, len(keys) - 1):
+        keys[i] = form(keys[i])
+    hi, lo = master_hash_many(keys, 11)
+    assert [master_hash(k, 11) for k in keys] == list(zip(hi.tolist(), lo.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +244,46 @@ def test_kernel_matches_python_on_every_input_form():
     # len() of a memoryview of 4-byte items is not its byte count
     wide = [memoryview(array.array("I", range(i))) for i in range(40)]
     _assert_same(master_hash_many(wide, 5), _reference([bytes(w) for w in wide], 5))
+
+
+@native
+def test_keys_replaced_while_hashed():
+    # a block of keys is hashed without the GIL; the kernel holds each key
+    # of the block, so a key that another thread replaces meanwhile is
+    # still read whole, and its hash is of the old key or of the new one
+    count = 20_000
+
+    def key(i, tag):  # a fresh object on each call
+        return b"%s key %d" % (tag, i)
+
+    keys = [key(i, b"old") for i in range(count)]
+    old = _reference(keys, 7)
+    new = _reference([key(i, b"new") for i in range(count)], 7)
+    done = threading.Event()
+
+    def replace(seed):
+        rng = random.Random(seed)
+        while not done.is_set():
+            i = rng.randrange(count)
+            keys[i] = key(i, rng.choice((b"old", b"new")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    replacers = [threading.Thread(target=replace, args=(seed,)) for seed in (3, 4)]
+    for replacer in replacers:
+        replacer.start()
+    try:
+        for _ in range(300):
+            hi, lo = master_hash_many(keys, 7)
+            is_old = (hi == old[0]) & (lo == old[1])
+            is_new = (hi == new[0]) & (lo == new[1])
+            assert np.all(is_old | is_new)
+    finally:
+        done.set()
+        for replacer in replacers:
+            replacer.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(replacer.is_alive() for replacer in replacers)
 
 
 #: the two paths of master_hash_many and of a function's queries

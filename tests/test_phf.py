@@ -45,7 +45,9 @@ from sichash.retrieval import EPSILON, RetrievalStore
 from sichash._wire import Writer
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
-from tests.test_hashing import BAD_KEYS, FORM_KEYS, KEY_FORMS, KEY_LENGTHS, NOT_FLAT_KEYS
+from tests.test_hashing import (
+    BAD_KEYS, FORM_KEYS, KEY_FORMS, KEY_LENGTHS, NOT_FLAT_KEYS, BytesKey,
+)
 
 
 @pytest.fixture(scope="module")
@@ -841,6 +843,17 @@ class TestNativeQuery:
             assert [phf_20k.evaluate(k) for k in keys] == want
             assert phf_20k.evaluate_many(keys).tolist() == want
             assert phf_20k.evaluate_many(form(k) for k in FORM_KEYS).tolist() == want
+
+    @LIBRARIES
+    def test_bytes_subclass_keys(self, keys_20k, phf_20k, lib):
+        # bytes, but not exact bytes: the kernel reads them through their
+        # buffer, not by pointer
+        keys = keys_20k[:600] + [b"stranger %d" % i for i in range(100)]
+        with _library(None):
+            want = phf_20k.evaluate_many(keys).tolist()
+        with _library(lib):
+            assert [phf_20k.evaluate(BytesKey(k)) for k in keys] == want
+            assert phf_20k.evaluate_many([BytesKey(k) for k in keys]).tolist() == want
 
     @LIBRARIES
     @BAD_KEYS
