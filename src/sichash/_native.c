@@ -14,6 +14,8 @@
  *   Plan(...), plan.query(key), plan.query_hashes(hi, lo, out)
  *       a function's packed query plan, and its value of one key or of a
  *       batch of master hashes
+ *   ef_decode(upper, lower, width, out)
+ *       the values of an Elias-Fano coded sequence, decoded whole
  *
  * Array arguments are C-contiguous buffers, such as numpy arrays.  Each
  * entry point checks their item sizes and lengths, and every value it uses
@@ -911,6 +913,84 @@ static PyTypeObject PlanType = {
 };
 
 /* ------------------------------------------------------------------------
+ * The whole decode of an Elias-Fano sequence, the work of
+ * succinct.EliasFanoSeq.to_array's numpy path: the upper bit vector is
+ * walked a word at a time, each 1-bit found with ctz.
+ */
+
+/* ef_decode(upper, lower, width, out): out[i] = ((p_i - i) << width) | low_i,
+ * where p_i is the position of the i-th 1-bit of the upper words and low_i
+ * the i-th width-bit field of the lower words (PackedIntArray's layout),
+ * for the n = len(out) entries; three uint64 arrays.  width is in 0 .. 64;
+ * at 64 the high part shifts out to 0, as numpy's << 64 does.  lower needs
+ * n * width / 64 + 1 words, or none at width 0; a field is read from the
+ * word after its first only when it reaches into it, so no read passes its
+ * last bit.  The upper words must hold exactly n 1-bits, counting those past
+ * the bit vector's length in its last word, as BitVector.all_positions
+ * does; any other count raises ValueError, and out is never written past
+ * its n entries. */
+static PyObject *ef_decode(PyObject *self, PyObject *args)
+{
+    Py_buffer upper, lower, out;
+    int width;
+    if (!PyArg_ParseTuple(args, "y*y*iw*:ef_decode", &upper, &lower, &width, &out))
+        return NULL;
+    PyObject *result = NULL;
+    Py_ssize_t nu = upper.len / 8, nl = lower.len / 8, n = out.len / 8;
+    if (check_buffer(&upper, 8, nu, "upper") < 0 || check_buffer(&lower, 8, nl, "lower") < 0 ||
+        check_buffer(&out, 8, n, "out") < 0)
+        goto done;
+    if (width < 0 || width > 64) {
+        PyErr_SetString(PyExc_ValueError, "width must be in [0, 64]");
+        goto done;
+    }
+    /* n * width / 64 + 1 <= n + 1 words, and out holds n * 8 bytes */
+    Py_ssize_t need = width ? (Py_ssize_t)((uint64_t)n * (uint64_t)width / 64) + 1 : 0;
+    if (nl < need) {
+        PyErr_Format(PyExc_ValueError, "lower: need %zd words, got %zd", need, nl);
+        goto done;
+    }
+    const uint64_t *up = upper.buf, *lw = lower.buf;
+    uint64_t *o = out.buf;
+    uint64_t mask = width == 64 ? ~(uint64_t)0 : ((uint64_t)1 << width) - 1;
+    uint64_t i = 0, bit = 0; /* entry i's field starts at lower bit i * width */
+    int extra = 0;           /* a 1-bit found past the n-th */
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t k = 0; k < nu && !extra; k++) {
+        for (uint64_t x = up[k]; x; x &= x - 1) {
+            if (i == (uint64_t)n) {
+                extra = 1;
+                break;
+            }
+            uint64_t p = (uint64_t)k * 64 + (uint64_t)__builtin_ctzll(x);
+            uint64_t low = 0;
+            if (width) {
+                uint64_t w = bit >> 6, off = bit & 63;
+                low = lw[w] >> off;
+                if (off + (uint64_t)width > 64) /* off > 0 here */
+                    low |= lw[w + 1] << (64 - off);
+                low &= mask;
+                bit += (uint64_t)width;
+            }
+            o[i] = (width == 64 ? 0 : (p - i) << width) | low;
+            i++;
+        }
+    }
+    Py_END_ALLOW_THREADS
+    if (extra || i != (uint64_t)n) {
+        PyErr_Format(PyExc_ValueError, "upper: need exactly %zd 1-bits", n);
+        goto done;
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    PyBuffer_Release(&upper);
+    PyBuffer_Release(&lower);
+    PyBuffer_Release(&out);
+    return result;
+}
+
+/* ------------------------------------------------------------------------
  * The module.
  */
 
@@ -927,6 +1007,8 @@ static PyMethodDef methods[] = {
     {"partition", partition, METH_VARARGS,
      "partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos): the "
      "master hashes in bucket order and in class order; returns the class counts"},
+    {"ef_decode", ef_decode, METH_VARARGS,
+     "ef_decode(upper, lower, width, out): an Elias-Fano sequence's values, into out"},
     {NULL, NULL, 0, NULL},
 };
 

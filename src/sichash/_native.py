@@ -1,18 +1,20 @@
 """The package's native kernels, one CPython extension module compiled
 from ``_native.c``.
 
-It holds five kernels, each called with Python objects: the batch
+It holds six kernels, each called with Python objects: the batch
 master hash of :func:`~sichash.hashing.master_hash_many`, the retrieval
 store attempt of :func:`~sichash.retrieval._solve` (rows derived, sorted
 by start, eliminated and written as plane words in one call), the
 counting sort of a build's master hashes by bucket and by class of
 :func:`~sichash.phf._partition`, the cell derivation and rattle-kicking
-placement of :func:`~sichash.cuckoo.build_bucket`, and the scalar and
-batch query of :class:`~sichash.phf.SicHashPhf`, which runs from a
-``lib.Plan``.  Each entry point checks the item sizes and lengths of the
-arrays it is given.  Each caller reads :data:`lib` when it is called and
-runs its pure-Python or numpy reference when :data:`lib` is None, so
-setting it to None switches every kernel off at once.  No kernel holds a
+placement of :func:`~sichash.cuckoo.build_bucket`, the scalar and batch
+query of :class:`~sichash.phf.SicHashPhf`, which runs from a
+``lib.Plan``, and the Elias-Fano decode of
+:meth:`~sichash.succinct.EliasFanoSeq.to_array`.  Each entry point
+checks the item sizes and lengths of the arrays it is given.  Each
+caller reads :data:`lib` when it is called and runs its pure-Python or
+numpy reference when :data:`lib` is None, so setting it to None switches
+every kernel off at once.  No kernel holds a
 derivation constant: the batch hash and the plan share one C copy of the
 master hash and take the seed's lanes from
 :func:`sichash.hashing.seed_lanes`; the plan, the placement and the store

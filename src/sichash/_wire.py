@@ -45,11 +45,15 @@ class Writer:
 
 
 class Reader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
+    """Reads a blob through a byte ``memoryview``: :meth:`blob` returns a
+    view of its section, not a copy, and only :meth:`words` copies, so
+    every array it returns owns its memory and none aliases ``data``."""
+
+    def __init__(self, data) -> None:
+        self._data = memoryview(data).cast("B")
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int) -> memoryview:
         end = self._pos + n
         if end > len(self._data):
             raise DeserializationError("truncated blob")
@@ -58,7 +62,7 @@ class Reader:
         return out
 
     def magic(self, tag: bytes) -> None:
-        got = self._take(8)
+        got = bytes(self._take(8))
         if got != tag:
             raise DeserializationError(
                 f"bad magic: expected {tag!r}, found {got!r}"
@@ -78,7 +82,7 @@ class Reader:
         raw = self._take(8 * n)
         return np.frombuffer(raw, dtype="<u8").copy()
 
-    def blob(self) -> bytes:
+    def blob(self) -> memoryview:
         n = self.u64()
         return self._take(n)
 

@@ -441,9 +441,13 @@ class SicHashPhf:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SicHashPhf":
-        if len(data) < 12:
+        """Load a blob from any bytes-like object.  The checksum and the
+        sections are read through views of ``data``; only the word arrays
+        are copied, so the function keeps no reference to ``data``."""
+        view = memoryview(data).cast("B")
+        if len(view) < 12:
             raise DeserializationError("truncated blob")
-        payload, crc = data[:-4], data[-4:]
+        payload, crc = view[:-4], view[-4:]
         if zlib.crc32(payload) != int.from_bytes(crc, "little"):
             raise DeserializationError("checksum mismatch")
         r = Reader(payload)
@@ -528,13 +532,19 @@ def build_from_hashes(
     stages = phf.build_stats.stages
     t0 = time.perf_counter()
     values = phf.evaluate_hashes(hi, lo)
-    failure = injectivity_failure(values, phf.output_range)
-    if failure:
+    # the values' occupancy map: perfect when all are below the limit and
+    # the map holds one mark per key; injectivity_failure names the keys
+    limit = phf.output_range
+    seen = np.zeros(limit, dtype=bool)
+    if int(values.max()) < limit:
+        seen[values] = True
+    if np.count_nonzero(seen) != len(values):
+        failure = injectivity_failure(values, limit)
         raise ConstructionError(f"internal error: built function is not perfect: {failure}")
     t1 = time.perf_counter()
     stages["verify"] = t1 - t0
     if config.minimal:
-        phf = _attach_remap(phf, values)
+        phf = _attach_remap(phf, seen)
         stages["remap"] = time.perf_counter() - t1
     return phf
 
@@ -671,9 +681,10 @@ def _build_plain(
     return phf
 
 
-def _attach_remap(phf: SicHashPhf, values: np.ndarray) -> SicHashPhf:
+def _attach_remap(phf: SicHashPhf, seen: np.ndarray) -> SicHashPhf:
     """The minimal function (range [0, n)) of a plain one, given the
-    distinct value below m_total of every key.
+    occupancy map of its values on the keys: ``m_total`` bools, n of them
+    set, one at each key's distinct value.
 
     Values at or above n are re-mapped onto the unused values below n
     by rank; the mapping array has one slot per value in [n, m_total)
@@ -681,11 +692,8 @@ def _attach_remap(phf: SicHashPhf, values: np.ndarray) -> SicHashPhf:
     to keep the sequence monotone).
     """
     n, m = phf.n, phf.m_total
-    values = values.astype(np.int64)
-    hit = np.zeros(n, dtype=bool)
-    hit[values[values < n]] = True
-    holes = np.flatnonzero(~hit).astype(np.int64)
-    high = np.sort(values[values >= n]) - n
+    holes = np.flatnonzero(~seen[:n])
+    high = np.flatnonzero(seen[n:])  # ascending, as the holes are
     slots = np.full(m - n, -1, dtype=np.int64)
     slots[high] = holes
     slots = np.maximum.accumulate(slots)

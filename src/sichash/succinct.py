@@ -3,7 +3,11 @@ sequences, and Golomb-Rice coded integer sequences.
 
 All structures are immutable after construction.  Each is encoded once,
 checked when it is loaded and decoded whole with ``to_array``; none
-keeps a random-access index.  The serialized size is
+keeps a random-access index.  ``EliasFanoSeq.to_array`` is one call of
+the native kernel ``ef_decode``, which walks the upper bit vector a word
+at a time; when :data:`sichash._native.lib` is None it runs its numpy
+decode, the fallback and the reference the tests compare the kernel
+against.  The serialized size is
 ``8 * len(to_bytes())``: 64 bits for each word a structure holds plus a
 fixed header, in these versioned little-endian blobs:
 
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from ._wire import Codec, Reader, Writer
 from .errors import DeserializationError
 
@@ -77,7 +82,7 @@ class BitVector(Codec):
         """Positions of all 1-bits, ascending (vectorized bulk decode)."""
         nbits = len(self._words) * 64
         bits = np.unpackbits(self._words.view(np.uint8), bitorder="little", count=nbits)
-        return np.flatnonzero(bits).astype(np.int64)
+        return np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
 
     def write(self, w: Writer) -> None:
         w.magic(_BV_MAGIC)
@@ -128,6 +133,10 @@ class PackedIntArray(Codec):
     @property
     def width(self) -> int:
         return self._width
+
+    @property
+    def words(self) -> np.ndarray:
+        return self._words
 
     def to_array(self) -> np.ndarray:
         if self._width == 0:
@@ -201,6 +210,14 @@ class EliasFanoSeq(Codec):
         return int(self.to_array()[i])
 
     def to_array(self) -> np.ndarray:
+        """The whole sequence as uint64, by ``ef_decode`` or by the numpy
+        decode below when :data:`sichash._native.lib` is None."""
+        lib = _native.lib
+        if lib is not None:
+            out = np.empty(len(self), dtype=np.uint64)
+            words = (np.ascontiguousarray(c.words) for c in (self.upper, self.lower))
+            lib.ef_decode(*words, self.lower.width, out)
+            return out
         highs = self.upper.all_positions() - np.arange(len(self), dtype=np.int64)
         return (highs.astype(np.uint64) << np.uint64(self.lower.width)) | (
             self.lower.to_array()

@@ -547,8 +547,38 @@ class TestSerialization:
 
         body = bytes(blob[:-4])
         fixed = body + zlib.crc32(body).to_bytes(4, "little")
-        with pytest.raises(DeserializationError, match="magic"):
+        with pytest.raises(DeserializationError, match=r"found b'NOTSICPH'"):
             SicHashPhf.from_bytes(fixed)
+
+    @LIBRARIES
+    def test_load_copies_from_a_bytearray(self, keys_20k, lib):
+        # the loaded function keeps no view of the buffer: overwriting and
+        # resizing it changes no value
+        mphf = build(keys_20k, PhfConfig(alpha=0.95, minimal=True, compressed_metadata=True))
+        want = mphf.evaluate_many(keys_20k)
+        buf = bytearray(mphf.to_bytes())
+        with _library(lib):
+            loaded = SicHashPhf.from_bytes(buf)
+            buf[:] = bytes(len(buf))
+            buf.clear()  # raises BufferError while a view is exported
+            assert np.array_equal(loaded.evaluate_many(keys_20k), want)
+            assert [loaded.evaluate(k) for k in keys_20k[:500]] == want[:500].tolist()
+
+    @pytest.mark.parametrize("minimal", [False, True], ids=["plain", "minimal"])
+    def test_loaded_arrays_equal_on_each_path(self, keys_20k, minimal):
+        config = PhfConfig(alpha=0.95, minimal=minimal, compressed_metadata=minimal)
+        blob = build(keys_20k, config).to_bytes()
+        loads = []
+        for lib in (_native.lib, None):
+            with _library(lib):
+                loads.append(SicHashPhf.from_bytes(blob))
+        kernel, python = loads
+        assert np.array_equal(kernel._remap_values, python._remap_values)
+        assert np.array_equal(kernel.meta.seeds, python.meta.seeds)
+        assert np.array_equal(kernel.meta.offsets, python.meta.offsets)
+        for got in (kernel, python):
+            assert got._remap_values.dtype == got.meta.offsets.dtype == np.uint64
+            assert got.to_bytes() == blob
 
     def test_first_format_rejected(self, phf_20k):
         body = b"SICPHF01" + phf_20k.to_bytes()[8:-4]
@@ -630,7 +660,9 @@ class TestMinimal:
         assert np.array_equal(values, np.arange(len(keys_20k), dtype=values.dtype))
         # the same blob as remapping a plain build by its values on the keys
         plain = build(keys_20k, PhfConfig(alpha=0.95))
-        remapped = _attach_remap(plain, plain.evaluate_many(keys_20k))
+        seen = np.zeros(plain.m_total, dtype=bool)
+        seen[plain.evaluate_many(keys_20k)] = True
+        remapped = _attach_remap(plain, seen)
         assert remapped.to_bytes() == direct.to_bytes()
 
     def test_from_hashes_minimal_matches_build(self, keys_20k):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sichash import _native
 from sichash._wire import Reader
 from sichash.cli import generate_keys
 from sichash.errors import DeserializationError
@@ -251,6 +252,98 @@ class TestEliasFano:
     def test_every_encoding_loads(self, values):
         seq = EliasFanoSeq.from_bytes(EliasFanoSeq.encode(values).to_bytes())
         assert seq.to_array().tolist() == values
+
+
+def _decode_each_path(seq):
+    """``seq.to_array()`` on the kernel, then on the numpy path; each the
+    array, or the type of the exception it raised."""
+    out = []
+    for lib in (_native.lib, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "lib", lib)
+            try:
+                out.append(seq.to_array())
+            except Exception as exc:  # noqa: BLE001 - compared between paths
+                out.append(type(exc))
+    return out
+
+
+def _random_parts(rng, nwords, density, width):
+    """An Elias-Fano sequence of ``nwords`` random upper words, with 1-bits
+    past the bit length in the last word too, and one random
+    ``width``-bit low part per 1-bit."""
+    bits = (rng.random(64 * nwords) < density).astype(np.uint8)
+    length = int(rng.integers(64 * nwords - 63, 64 * nwords + 1)) if nwords else 0
+    upper = BitVector(BitVector.from_bits(bits).words, length)
+    lows = rng.integers(0, 2**width, size=upper.popcount, dtype=np.uint64)
+    return EliasFanoSeq(upper, PackedIntArray.pack(lows, width))
+
+
+@pytest.mark.skipif(_native.lib is None, reason="native library not loaded")
+class TestEliasFanoKernel:
+    """``ef_decode`` against the numpy decode, which runs when
+    ``_native.lib`` is None."""
+
+    @pytest.mark.parametrize("width", range(65))
+    def test_random_sequences(self, width):
+        rng = np.random.default_rng(width)
+        for nwords in (0, 1, 2, 3, 16):
+            for density in (0.0, 0.1, 0.5, 1.0):
+                seq = _random_parts(rng, nwords, density, width)
+                kernel, numpy_path = _decode_each_path(seq)
+                assert kernel.dtype == np.uint64
+                assert np.array_equal(kernel, numpy_path)
+
+    @pytest.mark.parametrize("values", [[], [0], [2**63 - 1], [5, 5, 2**40]])
+    def test_encoded_sequences(self, values):
+        kernel, numpy_path = _decode_each_path(EliasFanoSeq.encode(values))
+        assert kernel.tolist() == numpy_path.tolist() == values
+
+    def test_ones_past_the_bit_length(self):
+        # bits 3 and 60 lie past the 3-bit length, in the one word
+        upper = BitVector(np.array([0b101 | 1 << 60], dtype=np.uint64), 3)
+        seq = EliasFanoSeq(upper, PackedIntArray.pack(np.array([1, 2, 3], np.uint64), 2))
+        kernel, numpy_path = _decode_each_path(seq)
+        assert kernel.tolist() == numpy_path.tolist() == [1, (1 << 2) | 2, (58 << 2) | 3]
+
+    def test_width_64_blob_with_high_parts(self):
+        # encode never picks width 64 with high parts, but a blob may hold them
+        upper = BitVector.from_positions(np.array([0, 5, 9, 70]), 71)
+        lows = np.array([1, 2**64 - 1, 0, 2**63], dtype=np.uint64)
+        blob = EliasFanoSeq(upper, PackedIntArray.pack(lows, 64)).to_bytes()
+        # the high parts shift out, as numpy's << 64 does
+        kernel, numpy_path = _decode_each_path(EliasFanoSeq.from_bytes(blob))
+        assert kernel.tolist() == numpy_path.tolist() == lows.tolist()
+
+    def test_popcount_differing_from_n(self):
+        seq = EliasFanoSeq.encode([0, 5, 9])
+        for lows in ([1, 2], [1, 2, 3, 0]):
+            bad = EliasFanoSeq(seq.upper, PackedIntArray.pack(np.array(lows, np.uint64), 2))
+            kernel, numpy_path = _decode_each_path(bad)
+            assert kernel is numpy_path is ValueError
+
+    def test_argument_checks(self):
+        seq = EliasFanoSeq.encode(np.arange(0, 3000, 7))
+        upper, lower, width = seq.upper.words, seq.lower.words, seq.lower.width
+        n = len(seq)
+        ef_decode = _native.lib.ef_decode
+        with pytest.raises(ValueError, match="lower"):
+            ef_decode(upper, lower[: n * width // 64], width, np.empty(n, np.uint64))
+        with pytest.raises(ValueError, match="width"):
+            ef_decode(upper, lower, 65, np.empty(n, np.uint64))
+        with pytest.raises(ValueError, match="width"):
+            ef_decode(upper, lower, -1, np.empty(n, np.uint64))
+        with pytest.raises(TypeError):
+            ef_decode(upper, lower, width, np.empty(n, np.uint32))
+        # a short out: the kernel stops at its end and raises
+        big = np.full(n, 12345, dtype=np.uint64)
+        with pytest.raises(ValueError, match="1-bits"):
+            ef_decode(upper, lower, width, big[: n - 1])
+        assert big[n - 1] == 12345
+        # the shortest lower it accepts, n * width / 64 + 1 words
+        out = np.empty(n, np.uint64)
+        ef_decode(upper, lower[: n * width // 64 + 1], width, out)
+        assert np.array_equal(out, seq.to_array())
 
 
 class TestGolombRice:
