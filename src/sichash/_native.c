@@ -11,11 +11,19 @@
  *   rattle_place(hi, lo, mask, seed, budget, cells, counters, *, ...)
  *       a cuckoo bucket's candidate cells under one seed and its
  *       rattle-kicking placement
- *   Plan(...), plan.query(key), plan.query_hashes(hi, lo, out)
- *       a function's packed query plan, and its value of one key or of a
- *       batch of master hashes
+ *   Plan(...), plan.query(key), plan.query_hashes(hi, lo, out),
+ *   plan.query_keys(keys, out)
+ *       a function's packed query plan, and its value of one key, of a
+ *       batch of master hashes or of a batch of keys, each block of keys
+ *       hashed and answered in one section without the GIL
  *   ef_decode(upper, lower, width, out)
  *       the values of an Elias-Fano coded sequence, decoded whole
+ *   crc32_fold(data)
+ *       the CRC-32 of a blob's 16-byte blocks, as zlib.crc32 gives it:
+ *       64-byte blocks folded by carry-less multiplies on x86-64 CPUs that
+ *       have PCLMULQDQ and SSE4.1, which __builtin_cpu_supports detects
+ *       when the module is initialized; zlib.crc32 finishes the tail, and
+ *       takes every input under 64 bytes and on every other CPU and host
  *
  * Array arguments are C-contiguous buffers, such as numpy arrays.  Each
  * entry point checks their item sizes and lengths, and every value it uses
@@ -33,7 +41,8 @@
  * block, and mix64 finalizes both halves.  Its one inline copy, hash_key,
  * serves both master_hash_batch and plan.query, and both read a key with
  * read_key: an exact bytes object by pointer and length, any other key
- * through the buffer protocol.
+ * through the buffer protocol.  master_hash_batch and plan.query_keys
+ * share one block gather, gather_block.
  *
  * No kernel holds a derivation constant: each takes the multipliers of
  * hashing.py as keyword arguments (QUERY_CONSTANTS, or the ones of them it
@@ -41,11 +50,13 @@
  * retrieval rows with the one inline hash, cell and row derivation below,
  * which the plan shares with the kernel that builds.  The hash's lanes
  * come from the seed in Python (hashing.seed_lanes), and so do a store's
- * row keys (hashing.row_keys).  Each kernel has a pure-Python or numpy
- * reference that runs when the library is None and that the tests compare
- * it against.
+ * row keys (hashing.row_keys).  Each kernel has a pure-Python, numpy or
+ * zlib reference that runs when the library is None and that the tests
+ * compare it against.
  *
  * Build: cc -O3 -shared -fPIC -I<Python include dir> -o _native.so _native.c
+ * (no -march flag: only crc_fold is compiled for PCLMULQDQ, and it runs
+ * only where the CPU has it)
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -200,7 +211,7 @@ static int get_key(PyObject *key, Py_buffer *view)
     return 0;
 }
 
-/* How plan.query and master_hash_batch read a key: an exact bytes object
+/* How plan.query and gather_block read a key: an exact bytes object
  * in place, by pointer and length, and any other key through get_key into
  * *view.  Returns 1 for exact bytes, 0 when *view holds the key's buffer
  * (the caller releases it) and -1 with an exception set. */
@@ -218,8 +229,8 @@ static inline int read_key(PyObject *key, Py_buffer *view, const uint8_t **p, ui
     return 0;
 }
 
-/* keys per block of master_hash_batch: a block's exact bytes keys are held
- * with the GIL, then hashed without it */
+/* keys per block of master_hash_batch and plan.query_keys: a block's exact
+ * bytes keys are held with the GIL, then hashed without it */
 #define KEY_BLOCK 256
 
 /* a key of a block: an exact bytes object and a strong reference to it,
@@ -231,6 +242,54 @@ typedef struct {
     PyObject *obj;
 } block_key;
 
+/* The gather of master_hash_batch and plan.query_keys, with the GIL: keys
+ * seq[at .. at + m) of a sequence of n keys into block.  An exact bytes key
+ * is held, to be hashed once the GIL is released; any other key is hashed
+ * at once, under the lanes a and b, into hi[j] and lo[j].  Returns the
+ * number of keys read, m unless a key raised or the sequence changed size
+ * (a key's buffer protocol may run code that resizes a list); the caller
+ * releases block[0 .. returned). */
+static Py_ssize_t gather_block(PyObject *seq, Py_ssize_t n, Py_ssize_t at, Py_ssize_t m,
+                               const derivation *d, uint64_t a, uint64_t b, block_key *block,
+                               uint64_t *hi, uint64_t *lo)
+{
+    Py_ssize_t held = 0;
+    Py_buffer view;
+    while (held < m && PySequence_Fast_GET_SIZE(seq) == n) {
+        Py_ssize_t i = at + held;
+        block_key *k = &block[held];
+        int exact = read_key(PySequence_Fast_GET_ITEM(seq, i), &view, &k->p, &k->len);
+        if (exact < 0)
+            break;
+        if (exact) {
+            k->obj = PySequence_Fast_GET_ITEM(seq, i);
+            Py_INCREF(k->obj);
+        } else {
+            hash_key(d, a, b, k->p, k->len, &hi[held], &lo[held]);
+            PyBuffer_Release(&view);
+            k->obj = NULL;
+        }
+        held++;
+    }
+    return held;
+}
+
+/* Releases the first held keys of a block, then checks that the sequence
+ * kept its n keys; returns -1 with an exception set when a key raised or
+ * it did not. */
+static int release_block(PyObject *seq, Py_ssize_t n, block_key *block, Py_ssize_t held)
+{
+    while (held)
+        Py_XDECREF(block[--held].obj);
+    if (PyErr_Occurred())
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != n) {
+        PyErr_SetString(PyExc_RuntimeError, "keys changed size while being hashed");
+        return -1;
+    }
+    return 0;
+}
+
 /* master_hash_batch(keys, a, b, hi, lo, *, m1, m2): the master hash
  * halves of key i under the seed's lanes a and b into hi[i] and lo[i], two
  * uint64 arrays of len(keys) words.  keys is any iterable of bytes-like
@@ -241,7 +300,7 @@ static PyObject *master_hash_batch(PyObject *self, PyObject *args, PyObject *kwd
     PyObject *keys, *seq, *result = NULL;
     uint64_t a, b;
     derivation d = {0};
-    Py_buffer hi, lo, view;
+    Py_buffer hi, lo;
     block_key block[KEY_BLOCK];
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO&O&w*w*$O&O&:master_hash_batch", kwlist,
                                      &keys, u64_arg, &a, u64_arg, &b, &hi, &lo, u64_arg,
@@ -253,41 +312,19 @@ static PyObject *master_hash_batch(PyObject *self, PyObject *args, PyObject *kwd
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
     if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0)
         goto done;
-    uint64_t *h = hi.buf, *l = lo.buf;
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
-        Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK, held = 0;
-        /* a key's buffer protocol may run code that resizes a list */
-        while (held < m && PySequence_Fast_GET_SIZE(seq) == n) {
-            PyObject *key = PySequence_Fast_GET_ITEM(seq, at + held);
-            block_key *k = &block[held];
-            int exact = read_key(key, &view, &k->p, &k->len);
-            if (exact < 0)
-                break;
-            if (exact) {
-                Py_INCREF(key);
-                k->obj = key;
-            } else {
-                hash_key(&d, a, b, k->p, k->len, &h[at + held], &l[at + held]);
-                PyBuffer_Release(&view);
-                k->obj = NULL;
-            }
-            held++;
-        }
+        Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK;
+        uint64_t *h = (uint64_t *)hi.buf + at, *l = (uint64_t *)lo.buf + at;
+        Py_ssize_t held = gather_block(seq, n, at, m, &d, a, b, block, h, l);
         if (held == m) {
             Py_BEGIN_ALLOW_THREADS
             for (Py_ssize_t j = 0; j < m; j++)
                 if (block[j].obj)
-                    hash_key(&d, a, b, block[j].p, block[j].len, &h[at + j], &l[at + j]);
+                    hash_key(&d, a, b, block[j].p, block[j].len, &h[j], &l[j]);
             Py_END_ALLOW_THREADS
         }
-        while (held)
-            Py_XDECREF(block[--held].obj);
-        if (PyErr_Occurred())
+        if (release_block(seq, n, block, held) < 0)
             goto done;
-        if (PySequence_Fast_GET_SIZE(seq) != n) {
-            PyErr_SetString(PyExc_RuntimeError, "keys changed size while being hashed");
-            goto done;
-        }
     }
     result = Py_None;
     Py_INCREF(result);
@@ -893,10 +930,57 @@ static PyObject *plan_query_hashes(Plan *self, PyObject *args)
     return result;
 }
 
+/* plan.query_keys(keys, out): out[i] is the value of keys[i], for an
+ * iterable of bytes-like keys, read once as master_hash_batch reads it, and
+ * a uint64 array of one word per key.  Each
+ * block of keys is gathered as master_hash_batch gathers it, then hashed
+ * and answered in one section without the GIL, the whole block hashed
+ * before any key of it is answered. */
+static PyObject *plan_query_keys(Plan *self, PyObject *args)
+{
+    const sichash_plan *p = &self->p;
+    PyObject *keys, *seq, *result = NULL;
+    Py_buffer out;
+    block_key block[KEY_BLOCK];
+    uint64_t hi[KEY_BLOCK], lo[KEY_BLOCK];
+    if (!PyArg_ParseTuple(args, "Ow*:query_keys", &keys, &out))
+        return NULL;
+    seq = PySequence_Fast(keys, "keys must be an iterable of bytes-like objects");
+    if (!seq)
+        goto done;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    if (check_buffer(&out, 8, n, "out") < 0)
+        goto done;
+    for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
+        Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK;
+        Py_ssize_t held = gather_block(seq, n, at, m, &p->d, p->a, p->b, block, hi, lo);
+        if (held == m) {
+            uint64_t *o = (uint64_t *)out.buf + at;
+            Py_BEGIN_ALLOW_THREADS
+            for (Py_ssize_t j = 0; j < m; j++)
+                if (block[j].obj)
+                    hash_key(&p->d, p->a, p->b, block[j].p, block[j].len, &hi[j], &lo[j]);
+            for (Py_ssize_t j = 0; j < m; j++)
+                o[j] = value_of(p, hi[j], lo[j]);
+            Py_END_ALLOW_THREADS
+        }
+        if (release_block(seq, n, block, held) < 0)
+            goto done;
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    Py_XDECREF(seq);
+    PyBuffer_Release(&out);
+    return result;
+}
+
 static PyMethodDef plan_methods[] = {
     {"query", (PyCFunction)plan_query, METH_O, "query(key): the value of one bytes-like key"},
     {"query_hashes", (PyCFunction)plan_query_hashes, METH_VARARGS,
      "query_hashes(hi, lo, out): the values of master hashes, into out"},
+    {"query_keys", (PyCFunction)plan_query_keys, METH_VARARGS,
+     "query_keys(keys, out): the values of bytes-like keys, into out"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -991,6 +1075,95 @@ done:
 }
 
 /* ------------------------------------------------------------------------
+ * The CRC-32 of a blob's trailer, equal to zlib.crc32: the reflected
+ * polynomial 0xEDB88320, initial value and final xor 0xFFFFFFFF.
+ *
+ * On x86-64 CPUs with PCLMULQDQ, crc_fold folds 64-byte blocks with
+ * carry-less multiplies, as in Gopal et al., "Fast CRC Computation for
+ * Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), whose
+ * bit-reflected constants it uses.  It is compiled for those instructions
+ * alone, by a target attribute, and crc32_fold calls it only where
+ * __builtin_cpu_supports finds them, so the module needs no -march flag.
+ * zlib.crc32 takes what it leaves: inputs under 64 bytes, the tail past the
+ * last 16-byte fold, and every input on other CPUs and hosts.
+ */
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+/* whether the CPU has PCLMULQDQ and SSE4.1, set by the module's init */
+static int crc_clmul;
+
+/* the lane x carried forward by the distance that the constants k stand
+ * for, xored into the lane next */
+__attribute__((target("pclmul"))) static inline __m128i clmul_fold(__m128i x, __m128i k,
+                                                                   __m128i next)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         next);
+}
+
+/* the state c advanced over the n bytes at p, n >= 64 and a multiple of 16:
+ * four lanes of 128 bits fold 64 bytes per step, then fold into one lane,
+ * which takes the remaining 16-byte blocks; that lane is reduced to 64 bits
+ * and, by Barrett reduction, to the 32-bit state */
+__attribute__((target("pclmul,sse4.1"))) static uint32_t crc_fold(uint32_t c, const uint8_t *p,
+                                                                    size_t n)
+{
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4); /* 512 bits on */
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0); /* 128 bits on */
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641); /* mu and P */
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+    __m128i x[4];
+    for (int i = 0; i < 4; i++)
+        x[i] = _mm_loadu_si128((const __m128i *)(p + 16 * i));
+    x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128((int)c));
+    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64)
+        for (int i = 0; i < 4; i++)
+            x[i] = clmul_fold(x[i], k1k2, _mm_loadu_si128((const __m128i *)(p + 16 * i)));
+    __m128i y = x[0];
+    for (int i = 1; i < 4; i++)
+        y = clmul_fold(y, k3k4, x[i]);
+    for (; n >= 16; p += 16, n -= 16)
+        y = clmul_fold(y, k3k4, _mm_loadu_si128((const __m128i *)p));
+    /* 128 bits to 64 */
+    y = _mm_xor_si128(_mm_srli_si128(y, 8), _mm_clmulepi64_si128(y, k3k4, 0x10));
+    y = _mm_xor_si128(_mm_srli_si128(y, 4),
+                      _mm_clmulepi64_si128(_mm_and_si128(y, low32), k5, 0x00));
+    /* Barrett reduction to 32 bits */
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(y, low32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return (uint32_t)_mm_extract_epi32(_mm_xor_si128(y, t), 1);
+}
+#endif
+
+/* crc32_fold(data): (folded, crc), crc the CRC-32 of data[:folded] as
+ * zlib.crc32 gives it, for zlib.crc32(data[folded:], crc) to finish.
+ * folded is len(data) rounded down to 16 bytes where crc_fold runs: on a
+ * CPU that has it and for 64 bytes or more.  Elsewhere it is 0 and crc 0,
+ * and zlib takes the whole input. */
+static PyObject *crc32_fold(PyObject *self, PyObject *arg)
+{
+    Py_buffer data;
+    if (PyObject_GetBuffer(arg, &data, PyBUF_SIMPLE) < 0)
+        return NULL;
+    size_t folded = 0;
+    uint32_t crc = 0;
+#if defined(__x86_64__)
+    if (data.len >= 64 && crc_clmul) {
+        folded = (size_t)data.len & ~(size_t)15;
+        Py_BEGIN_ALLOW_THREADS
+        crc = crc_fold(0xFFFFFFFF, data.buf, folded) ^ 0xFFFFFFFF;
+        Py_END_ALLOW_THREADS
+    }
+#endif
+    PyBuffer_Release(&data);
+    return Py_BuildValue("nk", (Py_ssize_t)folded, (unsigned long)crc);
+}
+
+/* ------------------------------------------------------------------------
  * The module.
  */
 
@@ -1009,6 +1182,8 @@ static PyMethodDef methods[] = {
      "master hashes in bucket order and in class order; returns the class counts"},
     {"ef_decode", ef_decode, METH_VARARGS,
      "ef_decode(upper, lower, width, out): an Elias-Fano sequence's values, into out"},
+    {"crc32_fold", crc32_fold, METH_O,
+     "crc32_fold(data): (folded, crc), the CRC-32 of data[:folded] as zlib.crc32 gives it"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1018,6 +1193,10 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit_lib(void)
 {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    crc_clmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#endif
     if (PyType_Ready(&PlanType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&module);

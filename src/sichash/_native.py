@@ -1,7 +1,7 @@
 """The package's native kernels, one CPython extension module compiled
 from ``_native.c``.
 
-It holds six kernels, each called with Python objects: the batch
+It holds seven kernels, each called with Python objects: the batch
 master hash of :func:`~sichash.hashing.master_hash_many`, the retrieval
 store attempt of :func:`~sichash.retrieval._solve` (rows derived, sorted
 by start, eliminated and written as plane words in one call), the
@@ -9,12 +9,20 @@ counting sort of a build's master hashes by bucket and by class of
 :func:`~sichash.phf._partition`, the cell derivation and rattle-kicking
 placement of :func:`~sichash.cuckoo.build_bucket`, the scalar and batch
 query of :class:`~sichash.phf.SicHashPhf`, which runs from a
-``lib.Plan``, and the Elias-Fano decode of
-:meth:`~sichash.succinct.EliasFanoSeq.to_array`.  Each entry point
+``lib.Plan``, the Elias-Fano decode of
+:meth:`~sichash.succinct.EliasFanoSeq.to_array`, and the CRC-32 of a
+function's blob, :func:`sichash._wire.crc32`.  ``plan.query_keys``, which
+answers :meth:`~sichash.phf.SicHashPhf.evaluate_many`, hashes and answers
+each block of keys in one call, with the block gather of the batch hash.
+``crc32_fold`` folds 64-byte blocks with carry-less multiplies where the
+module's init finds PCLMULQDQ and SSE4.1 (``__builtin_cpu_supports`` on
+x86-64), and :func:`zlib.crc32` finishes the last 15 bytes or fewer; on
+every other CPU and host, and for inputs under 64 bytes, zlib takes the
+whole input.  Each entry point
 checks the item sizes and lengths of the arrays it is given.  Each
-caller reads :data:`lib` when it is called and runs its pure-Python or
-numpy reference when :data:`lib` is None, so setting it to None switches
-every kernel off at once.  No kernel holds a
+caller reads :data:`lib` when it is called and runs its pure-Python,
+numpy or zlib reference when :data:`lib` is None, so setting it to None
+switches every kernel off at once.  No kernel holds a
 derivation constant: the batch hash and the plan share one C copy of the
 master hash and take the seed's lanes from
 :func:`sichash.hashing.seed_lanes`; the plan, the placement and the store
@@ -40,7 +48,8 @@ _SOURCE = Path(__file__).with_name("_native.c")
 #: where ``Python.h`` is; without it nothing is compiled
 _INCLUDE = Path(sysconfig.get_paths()["include"])
 #: compiler command; the flags avoid -march=native so a cached library
-#: also runs on another CPU of the same platform
+#: also runs on another CPU of the same platform (the CRC's PCLMULQDQ fold
+#: is chosen at run time)
 _CC = (*shlex.split(sysconfig.get_config_var("CC") or "cc"), "-O3", "-shared", "-fPIC")
 #: the extension module's name; its init function is ``PyInit_lib``
 _NAME = "sichash._native.lib"

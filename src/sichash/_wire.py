@@ -2,16 +2,30 @@
 
 All multi-byte integers are little-endian.  Structures start with an
 8-byte magic that doubles as a format version; bumping the last digit
-invalidates old blobs.
+invalidates old blobs.  :func:`crc32` computes the checksum that ends a
+function's blob.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 
+from . import _native
 from .errors import DeserializationError
+
+
+def crc32(data) -> int:
+    """The CRC-32 of a bytes-like object, equal to :func:`zlib.crc32`: the
+    native kernel folds what it can of it and zlib finishes the rest, or
+    takes it all when :data:`sichash._native.lib` is None."""
+    lib = _native.lib
+    if lib is None:
+        return zlib.crc32(data)
+    folded, crc = lib.crc32_fold(data)
+    return zlib.crc32(memoryview(data).cast("B")[folded:], crc)
 
 
 class Writer:

@@ -38,14 +38,13 @@ from __future__ import annotations
 import dataclasses
 import operator
 import time
-import zlib
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _native
-from ._wire import Codec, Reader, Writer
+from ._wire import Codec, Reader, Writer, crc32
 from .cuckoo import (
     DEFAULT_MAX_BUCKET_SEEDS,
     BucketInput,
@@ -251,11 +250,13 @@ class SicHashPhf:
     When the native module is loaded it packs those arrays, the master
     hash's seed lanes, the thresholds, the bucket seeds and each store's
     row keys and planes into a ``_native.lib.Plan``, whose methods answer
-    :meth:`evaluate` on any bytes-like key and :meth:`evaluate_hashes` in
-    one call each.
+    :meth:`evaluate` on any bytes-like key, :meth:`evaluate_many` and
+    :meth:`evaluate_hashes` in one call each.
     Otherwise :meth:`evaluate` composes :func:`~sichash.hashing.master_hash`
-    and :meth:`evaluate_hash`, and :meth:`evaluate_hashes` runs the same
-    derivation in numpy; both read the same arrays as the native plan,
+    and :meth:`evaluate_hash`, :meth:`evaluate_hashes` runs the same
+    derivation in numpy and :meth:`evaluate_many` hashes the keys with
+    :func:`~sichash.hashing.master_hash_many` for it; all read the same
+    arrays as the native plan,
     and :meth:`evaluate_hash` is the reference the others are tested
     against.
     Nothing is written after that, so any number of threads may query one
@@ -366,7 +367,17 @@ class SicHashPhf:
             return int(self._remap_values[value - self._limit])
         return value
 
-    def evaluate_many(self, keys: Sequence[bytes]) -> np.ndarray:
+    def evaluate_many(self, keys: Iterable[bytes]) -> np.ndarray:
+        """Values of an iterable of bytes-like keys, read once.  The native
+        plan hashes and answers them in one call; the Python path is
+        :func:`~sichash.hashing.master_hash_many` then
+        :meth:`evaluate_hashes`."""
+        if self._query is not None and _native.lib is not None:
+            if not isinstance(keys, (list, tuple)):
+                keys = list(keys)
+            values = np.empty(len(keys), dtype=np.uint64)
+            self._query.query_keys(keys, values)
+            return values
         hi, lo = master_hash_many(keys, self.config.global_seed)
         return self.evaluate_hashes(hi, lo)
 
@@ -431,7 +442,7 @@ class SicHashPhf:
         if cfg.minimal:
             w.blob(remap)
         payload = w.getvalue()
-        return payload + zlib.crc32(payload).to_bytes(4, "little")
+        return payload + crc32(payload).to_bytes(4, "little")
 
     def __reduce__(self):
         """Pickle and copy through the blob: an unpickled or copied function
@@ -448,7 +459,7 @@ class SicHashPhf:
         if len(view) < 12:
             raise DeserializationError("truncated blob")
         payload, crc = view[:-4], view[-4:]
-        if zlib.crc32(payload) != int.from_bytes(crc, "little"):
+        if crc32(payload) != int.from_bytes(crc, "little"):
             raise DeserializationError("checksum mismatch")
         r = Reader(payload)
         r.magic(_MAGIC)

@@ -6,8 +6,10 @@ import gc
 import hashlib
 import json
 import pickle
+import random
 import struct
 import sys
+import threading
 import time
 import tracemalloc
 import zlib
@@ -27,6 +29,7 @@ from sichash.hashing import (
     bucket_of_many,
     class_of_many,
     class_thresholds,
+    master_hash,
     master_hash_many,
     row_keys,
     seed_lanes,
@@ -46,7 +49,7 @@ from sichash._wire import Writer
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
 from tests.test_hashing import (
-    BAD_KEYS, FORM_KEYS, KEY_FORMS, KEY_LENGTHS, NOT_FLAT_KEYS, BytesKey,
+    BAD_KEYS, FORM_KEYS, KEY_BLOCK, KEY_FORMS, KEY_LENGTHS, NOT_FLAT_KEYS, BytesKey,
 )
 
 
@@ -580,6 +583,23 @@ class TestSerialization:
             assert got._remap_values.dtype == got.meta.offsets.dtype == np.uint64
             assert got.to_bytes() == blob
 
+    @LIBRARIES
+    def test_flipped_bit_rejected(self, phf_20k, lib):
+        # the first and last payload bytes, each side of a 64-byte fold
+        # boundary, at the start and in the middle, and each trailer byte
+        blob = phf_20k.to_bytes()
+        payload = len(blob) - 4
+        middle = payload // 2 // 64 * 64
+        spots = [0, 63, 64, middle - 1, middle, payload - 1, *range(payload, len(blob))]
+        with _library(lib):
+            for at in spots:
+                for bit in (0x01, 0x80):
+                    bad = bytearray(blob)
+                    bad[at] ^= bit
+                    with pytest.raises(DeserializationError, match="checksum"):
+                        SicHashPhf.from_bytes(bad)
+            assert SicHashPhf.from_bytes(blob).to_bytes() == blob
+
     def test_first_format_rejected(self, phf_20k):
         body = b"SICPHF01" + phf_20k.to_bytes()[8:-4]
         with pytest.raises(DeserializationError, match="magic"):
@@ -939,6 +959,97 @@ class TestNativeQuery:
             finally:
                 sys.setswitchinterval(interval)
         assert all(np.array_equal(got, want) for got in results)
+
+
+class TestEvaluateMany:
+    """``evaluate_many``: one ``plan.query_keys`` call on the native path,
+    ``master_hash_many`` and ``evaluate_hashes`` on the Python path."""
+
+    @LIBRARIES
+    def test_inputs_agree_with_the_scalar_reference(self, keys_20k, phf_20k, lib):
+        rng = np.random.default_rng(14)
+        keys = keys_20k[:1500] + [b"stranger %d" % i for i in range(500)]
+        shuffled = [keys[i] for i in rng.permutation(len(keys))]
+        repeated = [keys[i] for i in rng.integers(0, 40, 1000)]  # 40 objects, reused
+        with _library(None):  # the scalar Python path is the reference
+            seed = phf_20k.config.global_seed
+            want = [phf_20k.evaluate_hash(master_hash(k, seed)) for k in shuffled]
+            want_repeated = [phf_20k.evaluate_hash(master_hash(k, seed)) for k in repeated]
+        mixed = [f(k) for f, k in zip([bytes, bytearray, memoryview] * len(shuffled), shuffled)]
+        inputs = {
+            "shuffled": (shuffled, want),
+            "repeated": (repeated, want_repeated),
+            "tuple": (tuple(shuffled), want),
+            "bytearray": ([bytearray(k) for k in shuffled], want),
+            "memoryview": ([memoryview(k) for k in shuffled], want),
+            "bytes-subclass": ([BytesKey(k) for k in shuffled], want),
+            "mixed": (mixed, want),
+            "empty": ([], []),
+        }
+        with _library(lib):
+            for name, (ks, expected) in inputs.items():
+                got = phf_20k.evaluate_many(ks)
+                assert got.dtype == np.uint64 and got.tolist() == expected, name
+            assert phf_20k.evaluate_many(k for k in shuffled).tolist() == want
+            assert phf_20k.evaluate_many(iter([])).tolist() == []
+
+    @LIBRARIES
+    @BAD_KEYS
+    def test_bad_key_in_a_later_block(self, phf_20k, lib, bad, error):
+        keys = [b"a key %d" % i for i in range(KEY_BLOCK + 3)] + [bad]
+        with _library(lib), pytest.raises(error):
+            phf_20k.evaluate_many(keys)
+
+    @LIBRARIES
+    @NOT_FLAT_KEYS
+    def test_key_not_flat_in_a_later_block(self, phf_20k, lib, bad):
+        keys = [b"a key %d" % i for i in range(KEY_BLOCK + 3)] + [bad]
+        with _library(lib), pytest.raises(BufferError):
+            phf_20k.evaluate_many(keys)
+
+    @native
+    def test_native_path_hashes_in_the_plan(self, keys_20k, phf_20k, monkeypatch):
+        want = phf_20k.evaluate_hashes(*master_hash_many(keys_20k, 5))
+        monkeypatch.setattr(phf_module, "master_hash_many", None)
+        assert np.array_equal(phf_20k.evaluate_many(keys_20k), want)
+
+    @LIBRARIES
+    def test_keys_replaced_while_answered(self, phf_20k, lib):
+        # a key that another thread replaces meanwhile gives the old key's
+        # value or the new one's, as the batch hash does
+        count = 20_000
+
+        def key(i, tag):  # a fresh object on each call
+            return b"%s key %d" % (tag, i)
+
+        keys = [key(i, b"old") for i in range(count)]
+        old = phf_20k.evaluate_many(keys)
+        new = phf_20k.evaluate_many([key(i, b"new") for i in range(count)])
+        assert np.count_nonzero(old != new) > count // 2
+        done = threading.Event()
+
+        def replace(seed):
+            rng = random.Random(seed)
+            while not done.is_set():
+                i = rng.randrange(count)
+                keys[i] = key(i, rng.choice((b"old", b"new")))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        replacers = [threading.Thread(target=replace, args=(seed,)) for seed in (5, 6)]
+        for replacer in replacers:
+            replacer.start()
+        try:
+            with _library(lib):
+                for _ in range(100 if lib is not None else 3):
+                    got = phf_20k.evaluate_many(keys)
+                    assert np.all((got == old) | (got == new))
+        finally:
+            done.set()
+            for replacer in replacers:
+                replacer.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(replacer.is_alive() for replacer in replacers)
 
 
 def _plan_args(phf: SicHashPhf) -> list:
