@@ -1,17 +1,18 @@
 /* The package's native kernels, built as one CPython extension module and
  * loaded by _native.py as sichash._native.lib:
  *
- *   master_hash_batch(keys, a, b, hi, lo, *, m1, m2)
+ *   master_hash_batch(keys, a, b, hi, lo)
  *       the master hash of each of a sequence of bytes-like keys
- *   ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes, *, m1, m2, fold)
+ *   ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes)
  *       one seed attempt of a retrieval store: its rows derived, sorted by
  *       start, eliminated and back-substituted into plane words
  *   partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos)
  *       a build's master hashes counting-sorted by bucket, and by class
- *   rattle_place(hi, lo, mask, seed, budget, cells, counters, *, ...)
+ *   rattle_place(hi, lo, mask, seed, budget, cells, counters)
  *       a cuckoo bucket's candidate cells under one seed and its
  *       rattle-kicking placement
- *   Plan(...), plan.query(key), plan.query_hashes(hi, lo, out),
+ *   Plan(a, b, t1, t2, limit, starts, sizes, seeds, remap, stores),
+ *   plan.query(key), plan.query_hashes(hi, lo, out),
  *   plan.query_keys(keys, out)
  *       a function's packed query plan, and its value of one key, of a
  *       batch of master hashes or of a batch of keys, each block of keys
@@ -29,9 +30,10 @@
  * entry point checks their item sizes and lengths, and every value it uses
  * as an index, before it reads them, and raises TypeError (item size) or
  * ValueError (length, value); so a wrong argument never reads or writes
- * out of bounds.  Integer arguments of 64 bits (seeds, thresholds, keys and
- * multipliers) go through u64_arg, which raises OverflowError outside
- * [0, 2**64) where the K format would wrap them.  The batch kernels
+ * out of bounds.  Every argument is positional, and a keyword argument
+ * raises TypeError.  Integer arguments of 64 bits (seeds, thresholds and
+ * keys) go through u64_arg, which raises OverflowError outside [0, 2**64)
+ * where the K format would wrap them.  The batch kernels
  * release the GIL around their loops, once they hold their buffers and
  * keys; the scalar query keeps it.
  *
@@ -44,19 +46,19 @@
  * through the buffer protocol.  master_hash_batch and plan.query_keys
  * share one block gather, gather_block.
  *
- * No kernel holds a derivation constant: each takes the multipliers of
- * hashing.py as keyword arguments (QUERY_CONSTANTS, or the ones of them it
- * uses) into one struct, and hashes keys, derives cells and derives
- * retrieval rows with the one inline hash, cell and row derivation below,
- * which the plan shares with the kernel that builds.  The hash's lanes
- * come from the seed in Python (hashing.seed_lanes), and so do a store's
- * row keys (hashing.row_keys).  Each kernel has a pure-Python, numpy or
- * zlib reference that runs when the library is None and that the tests
- * compare it against.
+ * This file holds no derivation constant: _native.py compiles it with each
+ * entry of hashing.QUERY_CONSTANTS as a macro, SICHASH_<NAME>, and every
+ * kernel hashes keys, derives cells and derives retrieval rows with the one
+ * inline hash, cell and row derivation below, which the plan shares with
+ * the kernel that builds.  The hash's lanes come from the seed in Python
+ * (hashing.seed_lanes), and so do a store's row keys (hashing.row_keys).
+ * Each kernel has a pure-Python, numpy or zlib reference that runs when the
+ * library is None and that the tests compare it against.
  *
- * Build: cc -O3 -shared -fPIC -I<Python include dir> -o _native.so _native.c
- * (no -march flag: only crc_fold is compiled for PCLMULQDQ, and it runs
- * only where the CPU has it)
+ * Build: cc -O3 -shared -fPIC -DSICHASH_<NAME>=<value>ULL ... -I<Python
+ * include dir> -o _native.so _native.c, as _native._command gives it (no
+ * -march flag: only crc_fold is compiled for PCLMULQDQ, and it runs only
+ * where the CPU has it)
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -100,14 +102,14 @@ static int u64_arg(PyObject *obj, void *out)
  * derivation of retrieval.py, shared by the batch hash, the store build,
  * the placement and the query.
  *
- * The multipliers come from hashing.py, as keyword arguments of
- * master_hash_batch, ribbon_build, rattle_place and Plan (QUERY_CONSTANTS),
- * so that this file holds none of them.
+ * The multipliers and the salt are hashing.py's, defined by the compile
+ * command, so that this file holds none of them.
  */
 
-typedef struct {
-    uint64_t m1, m2, golden, fold, cell_salt;
-} derivation;
+#if !defined(SICHASH_M1) || !defined(SICHASH_M2) || !defined(SICHASH_GOLDEN) || \
+    !defined(SICHASH_FOLD) || !defined(SICHASH_CELL_SALT)
+#error "compile with hashing.QUERY_CONSTANTS as -DSICHASH_<NAME>=<value>ULL, as _native.py does"
+#endif
 
 static inline uint64_t mulhi(uint64_t a, uint64_t b)
 {
@@ -115,10 +117,10 @@ static inline uint64_t mulhi(uint64_t a, uint64_t b)
 }
 
 /* hashing.mix64 */
-static inline uint64_t mix(const derivation *d, uint64_t x)
+static inline uint64_t mix(uint64_t x)
 {
-    x = (x ^ (x >> 30)) * d->m1;
-    x = (x ^ (x >> 27)) * d->m2;
+    x = (x ^ (x >> 30)) * SICHASH_M1;
+    x = (x ^ (x >> 27)) * SICHASH_M2;
     return x ^ (x >> 31);
 }
 
@@ -136,8 +138,8 @@ static inline void hash_block(uint64_t *a, uint64_t *b, const uint64_t w[2])
 /* hashing._hash_bytes: the master hash halves of the len bytes at p, from
  * the seed's lanes a and b (hashing.seed_lanes).  Words are copied as they
  * lie in memory: the caller runs this on little-endian hosts only. */
-static inline void hash_key(const derivation *d, uint64_t a, uint64_t b, const uint8_t *p,
-                            uint64_t len, uint64_t *hi, uint64_t *lo)
+static inline void hash_key(uint64_t a, uint64_t b, const uint8_t *p, uint64_t len,
+                            uint64_t *hi, uint64_t *lo)
 {
     uint64_t w[2], left = len;
     for (; left >= 16; p += 16, left -= 16) {
@@ -159,26 +161,26 @@ static inline void hash_key(const derivation *d, uint64_t a, uint64_t b, const u
     }
     b = (b ^ len) + a;
     a ^= b << 32 | b >> 32;
-    *hi = mix(d, a);
-    *lo = mix(d, b);
+    *hi = mix(a);
+    *lo = mix(b);
 }
 
 /* hashing.fold_hash */
-static inline uint64_t fold(const derivation *d, uint64_t hi, uint64_t lo)
+static inline uint64_t fold(uint64_t hi, uint64_t lo)
 {
-    return lo ^ (hi * d->fold);
+    return lo ^ (hi * SICHASH_FOLD);
 }
 
 /* hashing.cell_key */
-static inline uint64_t cell_key(const derivation *d, uint64_t seed, uint64_t fn)
+static inline uint64_t cell_key(uint64_t seed, uint64_t fn)
 {
-    return seed * d->golden + fn * d->m1 + d->cell_salt;
+    return seed * SICHASH_GOLDEN + fn * SICHASH_M1 + SICHASH_CELL_SALT;
 }
 
 /* hashing.cell_at: a cell in [0, m) */
-static inline uint64_t cell_at(const derivation *d, uint64_t folded, uint64_t key, uint64_t m)
+static inline uint64_t cell_at(uint64_t folded, uint64_t key, uint64_t m)
 {
-    return mulhi(mix(d, folded ^ key), m);
+    return mulhi(mix(folded ^ key), m);
 }
 
 /* retrieval._rows_many: a store row's start slot, below span =
@@ -188,18 +190,25 @@ typedef struct {
     uint64_t start, coeff;
 } row;
 
-static inline row row_of(const derivation *d, uint64_t ks, uint64_t kc, uint64_t span,
-                         uint64_t hi, uint64_t lo)
+static inline row row_of(uint64_t ks, uint64_t kc, uint64_t span, uint64_t hi, uint64_t lo)
 {
-    row out = {mulhi(mix(d, hi ^ ks), span), mix(d, fold(d, hi, lo) ^ kc) | 1};
+    row out = {mulhi(mix(hi ^ ks), span), mix(fold(hi, lo) ^ kc) | 1};
     return out;
 }
 
-/* A key's bytes, as hashing._key_bytes reads them: any C-contiguous buffer
- * of at most one dimension.  str, int and None raise TypeError, and any
- * other buffer BufferError. */
-static int get_key(PyObject *key, Py_buffer *view)
+/* How plan.query and gather_block read a key, as hashing._key_bytes reads
+ * it: an exact bytes object in place, by pointer and length, and any other
+ * key into *view, which must be a C-contiguous buffer of at most one
+ * dimension (str, int and None raise TypeError, and any other buffer
+ * BufferError).  Returns 1 for exact bytes, 0 when *view holds the key's
+ * buffer (the caller releases it) and -1 with an exception set. */
+static inline int read_key(PyObject *key, Py_buffer *view, const uint8_t **p, uint64_t *len)
 {
+    if (PyBytes_CheckExact(key)) {
+        *p = (const uint8_t *)PyBytes_AS_STRING(key);
+        *len = (uint64_t)PyBytes_GET_SIZE(key);
+        return 1;
+    }
     if (PyObject_GetBuffer(key, view, PyBUF_FULL_RO) < 0)
         return -1;
     if (view->ndim > 1 || !PyBuffer_IsContiguous(view, 'C')) {
@@ -208,22 +217,6 @@ static int get_key(PyObject *key, Py_buffer *view)
                         "a key must be a C-contiguous buffer of at most one dimension");
         return -1;
     }
-    return 0;
-}
-
-/* How plan.query and gather_block read a key: an exact bytes object
- * in place, by pointer and length, and any other key through get_key into
- * *view.  Returns 1 for exact bytes, 0 when *view holds the key's buffer
- * (the caller releases it) and -1 with an exception set. */
-static inline int read_key(PyObject *key, Py_buffer *view, const uint8_t **p, uint64_t *len)
-{
-    if (PyBytes_CheckExact(key)) {
-        *p = (const uint8_t *)PyBytes_AS_STRING(key);
-        *len = (uint64_t)PyBytes_GET_SIZE(key);
-        return 1;
-    }
-    if (get_key(key, view) < 0)
-        return -1;
     *p = view->buf;
     *len = (uint64_t)view->len;
     return 0;
@@ -250,8 +243,8 @@ typedef struct {
  * (a key's buffer protocol may run code that resizes a list); the caller
  * releases block[0 .. returned). */
 static Py_ssize_t gather_block(PyObject *seq, Py_ssize_t n, Py_ssize_t at, Py_ssize_t m,
-                               const derivation *d, uint64_t a, uint64_t b, block_key *block,
-                               uint64_t *hi, uint64_t *lo)
+                               uint64_t a, uint64_t b, block_key *block, uint64_t *hi,
+                               uint64_t *lo)
 {
     Py_ssize_t held = 0;
     Py_buffer view;
@@ -265,7 +258,7 @@ static Py_ssize_t gather_block(PyObject *seq, Py_ssize_t n, Py_ssize_t at, Py_ss
             k->obj = PySequence_Fast_GET_ITEM(seq, i);
             Py_INCREF(k->obj);
         } else {
-            hash_key(d, a, b, k->p, k->len, &hi[held], &lo[held]);
+            hash_key(a, b, k->p, k->len, &hi[held], &lo[held]);
             PyBuffer_Release(&view);
             k->obj = NULL;
         }
@@ -290,21 +283,18 @@ static int release_block(PyObject *seq, Py_ssize_t n, block_key *block, Py_ssize
     return 0;
 }
 
-/* master_hash_batch(keys, a, b, hi, lo, *, m1, m2): the master hash
- * halves of key i under the seed's lanes a and b into hi[i] and lo[i], two
- * uint64 arrays of len(keys) words.  keys is any iterable of bytes-like
- * objects; it is read once, into a list unless it is a list or tuple. */
-static PyObject *master_hash_batch(PyObject *self, PyObject *args, PyObject *kwds)
+/* master_hash_batch(keys, a, b, hi, lo): the master hash halves of key i
+ * under the seed's lanes a and b into hi[i] and lo[i], two uint64 arrays of
+ * len(keys) words.  keys is any iterable of bytes-like objects; it is read
+ * once, into a list unless it is a list or tuple. */
+static PyObject *master_hash_batch(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"keys", "a", "b", "hi", "lo", "m1", "m2", NULL};
     PyObject *keys, *seq, *result = NULL;
     uint64_t a, b;
-    derivation d = {0};
     Py_buffer hi, lo;
     block_key block[KEY_BLOCK];
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO&O&w*w*$O&O&:master_hash_batch", kwlist,
-                                     &keys, u64_arg, &a, u64_arg, &b, &hi, &lo, u64_arg,
-                                     &d.m1, u64_arg, &d.m2))
+    if (!PyArg_ParseTuple(args, "OO&O&w*w*:master_hash_batch", &keys, u64_arg, &a, u64_arg, &b,
+                          &hi, &lo))
         return NULL;
     seq = PySequence_Fast(keys, "keys must be an iterable of bytes-like objects");
     if (!seq)
@@ -315,12 +305,12 @@ static PyObject *master_hash_batch(PyObject *self, PyObject *args, PyObject *kwd
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
         Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK;
         uint64_t *h = (uint64_t *)hi.buf + at, *l = (uint64_t *)lo.buf + at;
-        Py_ssize_t held = gather_block(seq, n, at, m, &d, a, b, block, h, l);
+        Py_ssize_t held = gather_block(seq, n, at, m, a, b, block, h, l);
         if (held == m) {
             Py_BEGIN_ALLOW_THREADS
             for (Py_ssize_t j = 0; j < m; j++)
                 if (block[j].obj)
-                    hash_key(&d, a, b, block[j].p, block[j].len, &h[j], &l[j]);
+                    hash_key(a, b, block[j].p, block[j].len, &h[j], &l[j]);
             Py_END_ALLOW_THREADS
         }
         if (release_block(seq, n, block, held) < 0)
@@ -350,13 +340,12 @@ done:
  * pos (span entries, zeroed) counts the rows of each start, then holds
  * the position of the next row to place there.  Rows and starts fit in 32
  * bits: the caller checks n < 2**32 and span <= 2**32. */
-static void sort_rows(const derivation *d, uint64_t ks, uint64_t kc, uint64_t span,
-                      const uint64_t *hi, const uint64_t *lo, const uint64_t *values,
-                      int64_t n, uint32_t *pos, uint32_t *start, uint64_t *coeff,
-                      uint8_t *value)
+static void sort_rows(uint64_t ks, uint64_t kc, uint64_t span, const uint64_t *hi,
+                      const uint64_t *lo, const uint64_t *values, int64_t n, uint32_t *pos,
+                      uint32_t *start, uint64_t *coeff, uint8_t *value)
 {
     for (int64_t i = 0; i < n; i++)
-        pos[row_of(d, ks, kc, span, hi[i], lo[i]).start]++;
+        pos[row_of(ks, kc, span, hi[i], lo[i]).start]++;
     uint32_t at = 0; /* each count becomes the position of its first row */
     for (uint64_t s = 0; s < span; s++) {
         uint32_t count = pos[s];
@@ -364,7 +353,7 @@ static void sort_rows(const derivation *d, uint64_t ks, uint64_t kc, uint64_t sp
         at += count;
     }
     for (int64_t i = 0; i < n; i++) {
-        row eq = row_of(d, ks, kc, span, hi[i], lo[i]);
+        row eq = row_of(ks, kc, span, hi[i], lo[i]);
         uint32_t j = pos[eq.start]++;
         start[j] = (uint32_t)eq.start;
         coeff[j] = eq.coeff;
@@ -434,26 +423,21 @@ static void back_substitute(int r, int64_t num_slots, const uint64_t *row_coeff,
     }
 }
 
-/* ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes, *, m1, m2,
- * fold): one seed attempt of a store of the keys with master hash halves
- * hi[i], lo[i] and value values[i] (three uint64 arrays of one length,
- * each value below 2**r), under the seed's row keys ks and kc.  planes
+/* ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes): one seed
+ * attempt of a store of the keys with master hash halves hi[i], lo[i] and
+ * value values[i] (three uint64 arrays of one length, each value below
+ * 2**r), under the seed's row keys ks and kc.  planes
  * (uint64, r planes of num_slots // 64 + 2 words, one after the other)
  * receives the solution.  Returns the number of dependent rows, or -1
  * when the system is inconsistent; planes then hold no solution. */
-static PyObject *ribbon_build(PyObject *self, PyObject *args, PyObject *kwds)
+static PyObject *ribbon_build(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"hi", "lo", "values", "num_slots", "r", "ks", "kc", "planes",
-                             "m1", "m2", "fold", NULL};
     Py_buffer hi, lo, values, planes;
     Py_ssize_t num_slots;
     int r;
     uint64_t ks, kc;
-    derivation d = {0};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "y*y*y*niO&O&w*$O&O&O&:ribbon_build", kwlist,
-                                     &hi, &lo, &values, &num_slots, &r, u64_arg, &ks, u64_arg,
-                                     &kc, &planes, u64_arg, &d.m1, u64_arg, &d.m2, u64_arg,
-                                     &d.fold))
+    if (!PyArg_ParseTuple(args, "y*y*y*niO&O&w*:ribbon_build", &hi, &lo, &values, &num_slots, &r,
+                          u64_arg, &ks, u64_arg, &kc, &planes))
         return NULL;
     PyObject *result = NULL;
     uint32_t *pos = NULL, *start = NULL;
@@ -485,7 +469,7 @@ static PyObject *ribbon_build(PyObject *self, PyObject *args, PyObject *kwds)
     }
     int64_t dependent;
     Py_BEGIN_ALLOW_THREADS
-    sort_rows(&d, ks, kc, span, hi.buf, lo.buf, values.buf, n, pos, start, coeff, value);
+    sort_rows(ks, kc, span, hi.buf, lo.buf, values.buf, n, pos, start, coeff, value);
     dependent = eliminate(start, coeff, value, n, row_coeff, row_value);
     if (dependent >= 0)
         back_substitute(r, num_slots, row_coeff, row_value, planes.buf, nwords);
@@ -667,28 +651,23 @@ static int64_t place(const uint32_t *rows, int64_t n, int64_t m, int64_t budget,
     return steps;
 }
 
-/* rattle_place(hi, lo, mask, seed, budget, cells, counters, *, m1, m2,
- * golden, fold, cell_salt): place's result for the entries with master
- * hash halves hi[i], lo[i] (uint64) and degree mask[i] + 1 (uint8) under
- * a bucket seed, in a table of m = len(cells) cells; n and m must be
- * below 2**32, which is checked before anything is allocated.  Entry i's
+/* rattle_place(hi, lo, mask, seed, budget, cells, counters): place's
+ * result for the entries with master hash halves hi[i], lo[i] (uint64) and
+ * degree mask[i] + 1 (uint8) under a bucket seed, in a table of m =
+ * len(cells) cells; n and m must be below 2**32, which is checked before
+ * anything is allocated.  Entry i's
  * cell for hash function t is cell_at(fold(hi, lo), cell_key(seed, t), m),
  * as hashing.cell_of_many derives it; so every cell is below m and fits a
  * uint32 row.  Only its mask[i] + 1 distinct cells are derived, then
  * copied to fill its row (see place).  cells (int64, m entries) and
  * counters (int64, n) are filled. */
-static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
+static PyObject *rattle_place(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"hi", "lo", "mask", "seed", "budget", "cells", "counters",
-                             "m1", "m2", "golden", "fold", "cell_salt", NULL};
     Py_buffer hi, lo, mask, cells, counters;
     uint64_t seed;
     long long budget;
-    derivation d;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "y*y*y*O&Lw*w*$O&O&O&O&O&:rattle_place",
-                                     kwlist, &hi, &lo, &mask, u64_arg, &seed, &budget, &cells,
-                                     &counters, u64_arg, &d.m1, u64_arg, &d.m2, u64_arg,
-                                     &d.golden, u64_arg, &d.fold, u64_arg, &d.cell_salt))
+    if (!PyArg_ParseTuple(args, "y*y*y*O&Lw*w*:rattle_place", &hi, &lo, &mask, u64_arg, &seed,
+                          &budget, &cells, &counters))
         return NULL;
     PyObject *result = NULL;
     uint32_t *rows = NULL;
@@ -730,13 +709,13 @@ static PyObject *rattle_place(PyObject *self, PyObject *args, PyObject *kwds)
     Py_BEGIN_ALLOW_THREADS
     uint64_t keys[8];
     for (int t = 0; t < 8; t++)
-        keys[t] = cell_key(&d, seed, t);
+        keys[t] = cell_key(seed, t);
     for (Py_ssize_t i = 0; i < n; i++) {
-        uint64_t folded = fold(&d, h[i], l[i]);
-        uint32_t *row = rows + 8 * i;
+        uint64_t folded = fold(h[i], l[i]);
+        uint32_t *entry = rows + 8 * i;
         for (int t = 0; t < 8; t++)
-            row[t] = t <= mk[i] ? (uint32_t)cell_at(&d, folded, keys[t], (uint64_t)m)
-                                : row[t & mk[i]];
+            entry[t] = t <= mk[i] ? (uint32_t)cell_at(folded, keys[t], (uint64_t)m)
+                                  : entry[t & mk[i]];
     }
     steps = place(rows, n, m, budget, slots, cells.buf, counters.buf);
     Py_END_ALLOW_THREADS
@@ -775,7 +754,6 @@ done:
 
 typedef struct {
     uint64_t a, b; /* the master hash's lanes under the global seed */
-    derivation d;
     uint64_t t1, t2, num_buckets, limit;
     const uint64_t *starts, *sizes, *seeds, *remap;
     uint64_t row_keys[3][2], spans[3]; /* store c's start and coefficient keys */
@@ -784,10 +762,9 @@ typedef struct {
 
 static inline uint64_t value_of(const sichash_plan *p, uint64_t hi, uint64_t lo)
 {
-    const derivation *d = &p->d;
     uint64_t b = mulhi(hi, p->num_buckets);
     int c = lo < p->t1 ? 0 : lo < p->t2 ? 1 : 2;
-    row eq = row_of(d, p->row_keys[c][0], p->row_keys[c][1], p->spans[c], hi, lo);
+    row eq = row_of(p->row_keys[c][0], p->row_keys[c][1], p->spans[c], hi, lo);
     uint64_t w = eq.start >> 6, off = eq.start & 63, fn = 0;
     for (int k = 0; k <= c; k++) {
         const uint64_t *plane = p->planes[c][k];
@@ -795,7 +772,7 @@ static inline uint64_t value_of(const sichash_plan *p, uint64_t hi, uint64_t lo)
         uint64_t window = (plane[w] >> off) | ((plane[w + 1] << (63 - off)) << 1);
         fn |= (uint64_t)__builtin_parityll(window & eq.coeff) << k;
     }
-    uint64_t value = p->starts[b] + cell_at(d, fold(d, hi, lo), cell_key(d, p->seeds[b], fn), p->sizes[b]);
+    uint64_t value = p->starts[b] + cell_at(fold(hi, lo), cell_key(p->seeds[b], fn), p->sizes[b]);
     return value >= p->limit ? p->remap[value - p->limit] : value;
 }
 
@@ -816,22 +793,21 @@ static void plan_dealloc(Plan *self)
 
 static PyObject *plan_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"a", "b", "t1", "t2", "limit", "starts", "sizes", "seeds",
-                             "remap", "stores", "m1", "m2", "golden", "fold",
-                             "cell_salt", NULL};
     /* store c is (start key, coefficient key, num_slots, *planes) */
     static const char *store_formats[3] = {"O&O&ny*", "O&O&ny*y*", "O&O&ny*y*y*"};
+    if (kwds && PyDict_GET_SIZE(kwds)) {
+        PyErr_SetString(PyExc_TypeError, "Plan() takes no keyword arguments");
+        return NULL;
+    }
     Plan *self = (Plan *)type->tp_alloc(type, 0);
     if (!self)
         return NULL;
     sichash_plan *p = &self->p;
     Py_buffer *v = self->views;
     PyObject *stores, *seq = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&O&O&O&O&y*y*y*y*O$O&O&O&O&O&:Plan", kwlist,
-                                     u64_arg, &p->a, u64_arg, &p->b, u64_arg, &p->t1, u64_arg, &p->t2, u64_arg,
-                                     &p->limit, &v[0], &v[1], &v[2], &v[3], &stores, u64_arg,
-                                     &p->d.m1, u64_arg, &p->d.m2, u64_arg, &p->d.golden,
-                                     u64_arg, &p->d.fold, u64_arg, &p->d.cell_salt))
+    if (!PyArg_ParseTuple(args, "O&O&O&O&O&y*y*y*y*O:Plan", u64_arg, &p->a, u64_arg, &p->b,
+                          u64_arg, &p->t1, u64_arg, &p->t2, u64_arg, &p->limit, &v[0], &v[1],
+                          &v[2], &v[3], &stores))
         goto fail;
     self->held = 4;
     Py_ssize_t nb = v[0].len / 8, nremap = v[3].len / 8;
@@ -898,7 +874,7 @@ static PyObject *plan_query(Plan *self, PyObject *key)
     int exact = read_key(key, &view, &bytes, &len);
     if (exact < 0)
         return NULL;
-    hash_key(&p->d, p->a, p->b, bytes, len, &hi, &lo);
+    hash_key(p->a, p->b, bytes, len, &hi, &lo);
     if (!exact)
         PyBuffer_Release(&view);
     return PyLong_FromUnsignedLongLong(value_of(p, hi, lo));
@@ -953,13 +929,13 @@ static PyObject *plan_query_keys(Plan *self, PyObject *args)
         goto done;
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
         Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK;
-        Py_ssize_t held = gather_block(seq, n, at, m, &p->d, p->a, p->b, block, hi, lo);
+        Py_ssize_t held = gather_block(seq, n, at, m, p->a, p->b, block, hi, lo);
         if (held == m) {
             uint64_t *o = (uint64_t *)out.buf + at;
             Py_BEGIN_ALLOW_THREADS
             for (Py_ssize_t j = 0; j < m; j++)
                 if (block[j].obj)
-                    hash_key(&p->d, p->a, p->b, block[j].p, block[j].len, &hi[j], &lo[j]);
+                    hash_key(p->a, p->b, block[j].p, block[j].len, &hi[j], &lo[j]);
             for (Py_ssize_t j = 0; j < m; j++)
                 o[j] = value_of(p, hi[j], lo[j]);
             Py_END_ALLOW_THREADS
@@ -990,8 +966,8 @@ static PyTypeObject PlanType = {
     .tp_basicsize = sizeof(Plan),
     .tp_dealloc = (destructor)plan_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Plan(a, b, t1, t2, limit, starts, sizes, seeds, remap, stores, *, m1, m2, "
-              "golden, fold, cell_salt): a function's packed query plan",
+    .tp_doc = "Plan(a, b, t1, t2, limit, starts, sizes, seeds, remap, stores): a function's "
+              "packed query plan",
     .tp_methods = plan_methods,
     .tp_new = plan_new,
 };
@@ -1168,15 +1144,14 @@ static PyObject *crc32_fold(PyObject *self, PyObject *arg)
  */
 
 static PyMethodDef methods[] = {
-    {"master_hash_batch", (PyCFunction)(void (*)(void))master_hash_batch,
-     METH_VARARGS | METH_KEYWORDS,
-     "master_hash_batch(keys, a, b, hi, lo, *, m1, m2): the master hash of each key"},
-    {"ribbon_build", (PyCFunction)(void (*)(void))ribbon_build, METH_VARARGS | METH_KEYWORDS,
-     "ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes, *, m1, m2, fold): one seed "
-     "attempt of a retrieval store, into planes"},
-    {"rattle_place", (PyCFunction)(void (*)(void))rattle_place, METH_VARARGS | METH_KEYWORDS,
-     "rattle_place(hi, lo, mask, seed, budget, cells, counters, *, m1, m2, golden, fold, "
-     "cell_salt): derive a bucket's cells under one seed and place it"},
+    {"master_hash_batch", master_hash_batch, METH_VARARGS,
+     "master_hash_batch(keys, a, b, hi, lo): the master hash of each key"},
+    {"ribbon_build", ribbon_build, METH_VARARGS,
+     "ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes): one seed attempt of a "
+     "retrieval store, into planes"},
+    {"rattle_place", rattle_place, METH_VARARGS,
+     "rattle_place(hi, lo, mask, seed, budget, cells, counters): derive a bucket's cells under "
+     "one seed and place it"},
     {"partition", partition, METH_VARARGS,
      "partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos): the "
      "master hashes in bucket order and in class order; returns the class counts"},

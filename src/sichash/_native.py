@@ -18,17 +18,18 @@ each block of keys in one call, with the block gather of the batch hash.
 module's init finds PCLMULQDQ and SSE4.1 (``__builtin_cpu_supports`` on
 x86-64), and :func:`zlib.crc32` finishes the last 15 bytes or fewer; on
 every other CPU and host, and for inputs under 64 bytes, zlib takes the
-whole input.  Each entry point
-checks the item sizes and lengths of the arrays it is given.  Each
-caller reads :data:`lib` when it is called and runs its pure-Python,
-numpy or zlib reference when :data:`lib` is None, so setting it to None
-switches every kernel off at once.  No kernel holds a
-derivation constant: the batch hash and the plan share one C copy of the
-master hash and take the seed's lanes from
-:func:`sichash.hashing.seed_lanes`; the plan, the placement and the store
-build take their multipliers from :data:`sichash.hashing.QUERY_CONSTANTS`;
-the plan and the placement share one C cell derivation, and the plan and
-the store build one C row derivation, under the row keys of
+whole input.  Each entry point checks the item sizes and lengths of the
+arrays it is given, and takes every argument by position.  Each caller
+reads :data:`lib` when it is called and runs its pure-Python, numpy or
+zlib reference when :data:`lib` is None, so setting it to None switches
+every kernel off at once.  The C source holds no derivation constant:
+:func:`_command` compiles each entry of
+:data:`sichash.hashing.QUERY_CONSTANTS` into it as a macro,
+``SICHASH_<NAME>``, so every kernel takes only its data.  The batch hash
+and the plan share one C copy of the master hash and take the seed's
+lanes from :func:`sichash.hashing.seed_lanes`; the plan and the
+placement share one C cell derivation, and the plan and the store build
+one C row derivation, under the row keys of
 :func:`sichash.hashing.row_keys`.
 """
 
@@ -44,6 +45,8 @@ import sys
 import sysconfig
 from pathlib import Path
 
+from .hashing import QUERY_CONSTANTS
+
 _SOURCE = Path(__file__).with_name("_native.c")
 #: where ``Python.h`` is; without it nothing is compiled
 _INCLUDE = Path(sysconfig.get_paths()["include"])
@@ -55,20 +58,30 @@ _CC = (*shlex.split(sysconfig.get_config_var("CC") or "cc"), "-O3", "-shared", "
 _NAME = "sichash._native.lib"
 
 
+def _command(out: Path, *flags: str) -> list[str]:
+    """The command that compiles the source into ``out``: :data:`_CC`, any
+    extra ``flags``, then each entry of :data:`~sichash.hashing.QUERY_CONSTANTS`
+    as ``-DSICHASH_<NAME>=<value>ULL``."""
+    macros = [f"-DSICHASH_{name.upper()}={value:#x}ULL" for name, value in QUERY_CONSTANTS.items()]
+    return [*_CC, *flags, *macros, f"-I{_INCLUDE}", "-o", str(out), str(_SOURCE)]
+
+
 def _load_kernel(cache: Path):
     """The extension module, compiled into ``cache`` if not there yet, or
     None when it cannot be had: a big-endian host, no ``Python.h``, no
     compiler, an unwritable cache or a file that fails to import.
 
-    The cached file is named after the source's SHA-256, the platform and
-    the interpreter's extension suffix, so another interpreter never
+    The cached file is named after the SHA-256 of the source and of the
+    constants' ``-D`` flags, the platform and the interpreter's extension
+    suffix, so another interpreter, or another set of constants, never
     loads this one's build.  A fresh compile deletes the files that older
     sources left in ``cache`` for the same platform and suffix.
     """
     if sys.byteorder != "little":
         return None
     try:
-        digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()
+        macros = [flag for flag in _command(Path()) if flag.startswith("-DSICHASH_")]
+        digest = hashlib.sha256(_SOURCE.read_bytes() + " ".join(macros).encode()).hexdigest()
         platform = sysconfig.get_platform()
         suffix = sysconfig.get_config_var("EXT_SUFFIX")
         lib = cache / f"_native-{digest}-{platform}{suffix}"
@@ -80,8 +93,7 @@ def _load_kernel(cache: Path):
             # rename is atomic, so none loads a half-written file
             tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
             try:
-                subprocess.run([*_CC, f"-I{_INCLUDE}", "-o", str(tmp), str(_SOURCE)],
-                               check=True, capture_output=True, timeout=120)
+                subprocess.run(_command(tmp), check=True, capture_output=True, timeout=120)
                 os.replace(tmp, lib)
             finally:
                 tmp.unlink(missing_ok=True)

@@ -20,16 +20,16 @@ the cell of ``counter mod degree``, and the final assignments are
 ``counters & (degree - 1)`` in numpy.  One call of the native kernel
 ``rattle_place`` (``_native.c``) per bucket seed takes the bucket's hash
 halves and degree masks, derives the rows as :func:`cell_of_many` does,
-with the constants of :data:`~sichash.hashing.QUERY_CONSTANTS`, and runs
-the kicking loop.  When :data:`sichash._native.lib` is None, each bucket
-seed gets a :class:`RattleTable` whose :meth:`~RattleTable.add_entries`
-derives the rows of the folds, computed once per bucket, in one numpy
-pass, and :meth:`RattleTable.insert` runs the same loop in Python, as
-fallback and as the reference the tests compare the kernel against.
-:func:`incremental_load_experiment` inserts one entry at a time, with
-:meth:`~RattleTable.add_entry`, and always uses :class:`RattleTable`.  No
-placement is checked on its own: :func:`sichash.phf.build_from_hashes`
-checks the finished function.
+with the constants of :data:`~sichash.hashing.QUERY_CONSTANTS` compiled
+in, and runs the kicking loop.  When :data:`sichash._native.lib` is
+None, each bucket seed gets a :class:`RattleTable` whose
+:meth:`~RattleTable.add_entries` derives the rows of the folds, computed
+once per bucket, in one numpy pass, and :meth:`RattleTable.insert` runs
+the same loop in Python, as fallback and as the reference the tests
+compare the kernel against.  :func:`incremental_load_experiment` inserts
+one entry at a time, with :meth:`~RattleTable.add_entry`, and always uses
+:class:`RattleTable`.  No placement is checked on its own:
+:func:`sichash.phf.build_from_hashes` checks the finished function.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from . import _native
 from .errors import ConstructionError
 from .hashing import (
     CLASS_DEGREES,
-    QUERY_CONSTANTS,
     cell_at,
     cell_key,
     cell_of_many,
@@ -207,8 +206,7 @@ def build_bucket(
         else:
             # the kernel derives the cells as cell_of_many does
             displacements = lib.rattle_place(
-                inp.hi, inp.lo, mask, seed, min(budget, _MAX_BUDGET), cells, counters,
-                **QUERY_CONSTANTS,
+                inp.hi, inp.lo, mask, seed, min(budget, _MAX_BUDGET), cells, counters
             )
             placed = displacements >= 0
         if placed:

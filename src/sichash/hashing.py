@@ -18,13 +18,12 @@ property: keys are not adversarial, and a caller can change the seed.
 :func:`master_hash` is the pure-Python reference.
 :func:`master_hash_many` runs the batch kernel of the package's native
 extension module, :data:`sichash._native.lib`, and the reference loop
-when that is None.  No kernel holds a derivation constant: the batch hash
-and the query plan take the seed's lanes from :func:`seed_lanes` and
-mix64's multipliers as keywords, the query plan, the cuckoo placement
-and the retrieval build get their constants from this module
-(:data:`QUERY_CONSTANTS`), the plan and the placement derive cells with
-one C copy of :func:`cell_of`, and the plan and the build derive a
-store's rows, under its :func:`row_keys`, with one C copy of
+when that is None.  That module's source holds no derivation constant:
+it is compiled with :data:`QUERY_CONSTANTS` as macros, and the batch hash
+and the query plan take the seed's lanes from :func:`seed_lanes`.  The
+plan and the cuckoo placement derive cells with one C copy of
+:func:`cell_of`, and the plan and the retrieval build derive a store's
+rows, under its :func:`row_keys`, with one C copy of
 ``retrieval._rows_many``.
 
 Hash-to-range mapping is :func:`umulhi`, the fixed-point multiplication
@@ -44,8 +43,6 @@ from array import array
 from typing import Iterable, NamedTuple
 
 import numpy as np
-
-from . import _native
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MASK32 = 0xFFFFFFFF
@@ -67,9 +64,9 @@ _COEFF_SALT = 0x9FB21C651E98DF25
 _LANE_A = 0xD29ED28196C194BF
 _LANE_B = 0xB92F5E7CF6C8D93B
 
-#: the constants of a scalar query, of a bucket's cells and of a store's
-#: rows, by keyword of the native query plan, placement and store build:
-#: mix64's multipliers, cell_key's seed spreader and salt, and fold_hash's
+#: the constants of the native module's master hash, cells and rows, which
+#: ``sichash._native`` compiles in as ``SICHASH_<NAME>`` macros: mix64's
+#: multipliers, cell_key's seed spreader and salt, and fold_hash's
 #: multiplier (a store's row keys come from :func:`row_keys`)
 QUERY_CONSTANTS = dict(m1=_M1, m2=_M2, golden=_GOLDEN, fold=_FOLD, cell_salt=_CELL_SALT)
 
@@ -141,6 +138,9 @@ def master_hash_many(
     ``bytes`` object in place and any other key through its buffer, so
     both paths give the same hashes and raise the same errors.
     """
+    # here, not at the top: _native imports this module's constants
+    from . import _native
+
     if not isinstance(keys, (list, tuple)):
         keys = list(keys)
     a, b = seed_lanes(seed)
@@ -155,13 +155,15 @@ def master_hash_many(
         return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
     hi = np.empty(len(keys), dtype=np.uint64)
     lo = np.empty(len(keys), dtype=np.uint64)
-    lib.master_hash_batch(keys, a, b, hi, lo, m1=_M1, m2=_M2)
+    lib.master_hash_batch(keys, a, b, hi, lo)
     return hi, lo
 
 
 def hash_backend() -> str:
     """Which path :func:`master_hash_many` takes: "native" when the native
     library loaded, "python" otherwise."""
+    from . import _native
+
     return "python" if _native.lib is None else "native"
 
 

@@ -54,7 +54,6 @@ from .errors import ConstructionError, DeserializationError
 from .hashing import (
     CLASS_DEGREES,
     MASK64,
-    QUERY_CONSTANTS,
     MasterHash,
     bucket_of,
     bucket_of_many,
@@ -327,7 +326,6 @@ class SicHashPhf:
             words(self.meta.seeds),
             self._remap_values,
             tuple((*row_keys(s.seed), s.num_slots, *map(words, s.planes)) for s in stores),
-            **QUERY_CONSTANTS,
         )
 
     @property

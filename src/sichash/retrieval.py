@@ -61,7 +61,6 @@ from ._wire import Codec, Reader, Writer
 from .errors import ConstructionError
 from .hashing import (
     MASK64,
-    QUERY_CONSTANTS,
     MasterHash,
     check_distinct,
     fold_hash,
@@ -75,8 +74,6 @@ _MAGIC = b"SHRS0002"
 EPSILON = 0.10  # slot slack of every store
 BAND_WIDTH = 64  # bits per row coefficient: one machine word
 MAX_SEED_RETRIES = 16
-#: the constants of a row, by keyword of the native build
-_ROW_CONSTANTS = {k: QUERY_CONSTANTS[k] for k in ("m1", "m2", "fold")}
 
 
 def _rows_many(hi, lo, seed: int, num_slots: int):
@@ -230,9 +227,7 @@ def _solve(
     if lib is None:
         dependent = _solve_python(hi, lo, values, seed, num_slots, planes)
     else:
-        dependent = lib.ribbon_build(
-            hi, lo, values, num_slots, r, *row_keys(seed), planes, **_ROW_CONSTANTS
-        )
+        dependent = lib.ribbon_build(hi, lo, values, num_slots, r, *row_keys(seed), planes)
     return dependent, list(planes)
 
 

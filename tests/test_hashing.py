@@ -1,11 +1,13 @@
 import array
 import hashlib
+import os
 import random
 import shutil
 import subprocess
 import sys
 import sysconfig
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,10 +366,6 @@ def test_pure_python_fallback_keeps_golden_outputs(monkeypatch, config, blob_sha
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 
 
-#: mix64's multipliers, by keyword of the native batch hash
-MIX = dict(m1=hashing._M1, m2=hashing._M2)
-
-
 @native
 class TestBatchHashArguments:
     """The batch kernel checks its output arrays before it writes them."""
@@ -375,28 +373,37 @@ class TestBatchHashArguments:
     def test_wrong_dtype(self):
         hi = np.empty(2, dtype=np.uint64)
         with pytest.raises(TypeError, match="hi: need items of 8 bytes"):
-            _native.lib.master_hash_batch([b"a", b"b"], 0, 0, hi.view(np.uint32), hi, **MIX)
+            _native.lib.master_hash_batch([b"a", b"b"], 0, 0, hi.view(np.uint32), hi)
 
     def test_short_output(self):
         hi = np.empty(2, dtype=np.uint64)
         with pytest.raises(ValueError, match="lo: need 2 items, got 1"):
-            _native.lib.master_hash_batch([b"a", b"b"], 0, 0, hi, hi[:1].copy(), **MIX)
+            _native.lib.master_hash_batch([b"a", b"b"], 0, 0, hi, hi[:1].copy())
 
     def test_read_only_output(self):
         hi = np.empty(1, dtype=np.uint64)
         with pytest.raises(TypeError):
-            _native.lib.master_hash_batch([b"a"], 0, 0, hi, bytes(8), **MIX)
+            _native.lib.master_hash_batch([b"a"], 0, 0, hi, bytes(8))
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits(self, seed):
-        # the seed's lanes, and mix64's multipliers, are 64-bit words too
+        # the seed's lanes are 64-bit words
         hi = np.empty(1, dtype=np.uint64)
-        for args, mix in (((seed, 0), MIX), ((0, seed), MIX), ((0, 0), {**MIX, "m2": seed})):
+        for args in ((seed, 0), (0, seed)):
             with pytest.raises(OverflowError):
-                _native.lib.master_hash_batch([b"a"], *args, hi, hi.copy(), **mix)
+                _native.lib.master_hash_batch([b"a"], *args, hi, hi.copy())
 
 
 needs_cc = pytest.mark.skipif(shutil.which(_native._CC[0]) is None, reason="no C compiler")
+needs_header = pytest.mark.skipif(not (_native._INCLUDE / "Python.h").is_file(),
+                                  reason="no Python.h")
+
+
+def _macros() -> str:
+    """hashing.QUERY_CONSTANTS as the loader's -D flags, as its cache name
+    hashes them."""
+    return " ".join(f"-DSICHASH_{name.upper()}={value:#x}ULL"
+                    for name, value in hashing.QUERY_CONSTANTS.items())
 
 
 class TestLoadKernel:
@@ -404,8 +411,9 @@ class TestLoadKernel:
     def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
         fn = _native._load_kernel(tmp_path)
         assert fn is not None
-        # named for the source's digest and this interpreter's extension ABI
-        digest = hashlib.sha256(_native._SOURCE.read_bytes()).hexdigest()
+        # named for the digest of the source and the constants' flags, and
+        # for this interpreter's extension ABI
+        digest = hashlib.sha256(_native._SOURCE.read_bytes() + _macros().encode()).hexdigest()
         (cached,) = tmp_path.iterdir()
         assert cached.name == f"_native-{digest}-{sysconfig.get_platform()}{EXT_SUFFIX}"
         # a second call loads the cached file and runs nothing
@@ -421,16 +429,37 @@ class TestLoadKernel:
         _assert_same(master_hash_many(keys, 9), _reference(keys, 9))
 
     @needs_cc
-    @pytest.mark.skipif(not (_native._INCLUDE / "Python.h").is_file(), reason="no Python.h")
+    @needs_header
+    def test_patched_constant_names_another_library(self, tmp_path, monkeypatch):
+        assert _native._load_kernel(tmp_path / "a") is not None
+        constants = hashing.QUERY_CONSTANTS
+        monkeypatch.setattr(_native, "QUERY_CONSTANTS",
+                            {**constants, "cell_salt": constants["cell_salt"] ^ 1})
+        assert _native._load_kernel(tmp_path / "b") is not None
+        (a,), (b,) = (tmp_path / "a").iterdir(), (tmp_path / "b").iterdir()
+        assert a.name != b.name
+
+    @needs_cc
+    @needs_header
     def test_source_compiles_without_warnings(self, tmp_path):
-        # -Wall only: -Wextra flags the unused ``self`` of module functions
-        # and the module definition's unset trailing fields
+        # -Wno-unused-parameter: module functions take an unused ``self``;
+        # -Wno-missing-field-initializers: the module definition leaves its
+        # trailing fields unset
         out = subprocess.run(
-            [*_native._CC, "-Wall", "-Werror", f"-I{_native._INCLUDE}",
-             "-o", str(tmp_path / "lib.so"), str(_native._SOURCE)],
+            _native._command(tmp_path / "lib.so", "-Wall", "-Wextra", "-Wshadow", "-Werror",
+                             "-Wno-unused-parameter", "-Wno-missing-field-initializers"),
             capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 0, out.stderr
+
+    @needs_cc
+    @needs_header
+    def test_source_needs_the_constants(self, tmp_path):
+        # without a constant's macro the source stops with its #error
+        command = [f for f in _native._command(tmp_path / "lib.so")
+                   if not f.startswith("-DSICHASH_FOLD=")]
+        out = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        assert out.returncode != 0 and "#error" in out.stderr
 
     def test_no_compiler(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"),))
@@ -487,6 +516,58 @@ class TestLoadKernel:
         monkeypatch.setattr(sys, "byteorder", "big")
         assert _native._load_kernel(tmp_path) is None
         assert list(tmp_path.iterdir()) == []
+
+
+#: run by test_kernels_run_clean_under_sanitizers with the module built at
+#: argv[1]: each build, load and query path, once on that module and once
+#: on the regular one, which must agree byte for byte
+_SANITIZED_ROUND = """
+import importlib.util, sys
+import numpy as np
+from sichash import _native
+from sichash.cli import generate_keys
+from sichash.hashing import master_hash_many
+from sichash.phf import PhfConfig, SicHashPhf, build
+
+spec = importlib.util.spec_from_file_location(_native._NAME, sys.argv[1])
+sanitized = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(sanitized)
+keys = generate_keys(20_000, seed=5)
+configs = [PhfConfig(alpha=0.9), PhfConfig(alpha=0.97, minimal=True, compressed_metadata=True)]
+for config in configs:
+    outputs = []
+    for lib in (sanitized, _native.lib):
+        _native.lib = lib
+        phf = SicHashPhf.from_bytes(build(keys, config).to_bytes())
+        values = phf.evaluate_many(keys)
+        assert [phf.evaluate(k) for k in keys[:500]] == values[:500].tolist()
+        assert np.array_equal(phf.evaluate_hashes(*master_hash_many(keys, 0)), values)
+        outputs.append((phf.to_bytes(), values.tobytes()))
+    assert outputs[0] == outputs[1]
+print("clean")
+"""
+
+
+@needs_cc
+@needs_header
+def test_kernels_run_clean_under_sanitizers(tmp_path):
+    # the module built with ASan and UBSan, any report fatal, runs a plain
+    # and a minimal build, a reload and every query path in a subprocess
+    found = subprocess.run([_native._CC[0], "-print-file-name=libasan.so"],
+                           capture_output=True, text=True, timeout=60)
+    runtime = found.stdout.strip()
+    if found.returncode or not (os.path.isabs(runtime) and os.path.isfile(runtime)):
+        pytest.skip("no AddressSanitizer runtime")
+    lib = tmp_path / f"_native-sanitized{EXT_SUFFIX}"
+    command = _native._command(lib, "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+    built = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert built.returncode == 0, built.stderr
+    package = Path(hashing.__file__).resolve().parent.parent
+    env = {**os.environ, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": os.pathsep.join([str(package), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _SANITIZED_ROUND, str(lib)], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0 and run.stdout.strip() == "clean", run.stderr[-4000:]
 
 
 @given(U64, U64)

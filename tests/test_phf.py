@@ -25,7 +25,6 @@ from sichash.cli import generate_keys
 from sichash.cuckoo import BucketInput, build_bucket
 from sichash.errors import ConstructionError, DeserializationError
 from sichash.hashing import (
-    QUERY_CONSTANTS,
     bucket_of_many,
     class_of_many,
     class_thresholds,
@@ -1072,7 +1071,7 @@ class TestPlanArguments:
         names = ["a", "b", "t1", "t2", "limit", "starts", "sizes", "seeds", "remap", "stores"]
         for name, value in changes.items():
             args[names.index(name)] = value
-        return _native.lib.Plan(*args, **QUERY_CONSTANTS)
+        return _native.lib.Plan(*args)
 
     def test_valid_arguments_answer_alike(self, keys_20k, phf_20k):
         plan = self._plan(phf_20k)
@@ -1120,6 +1119,29 @@ class TestPlanArguments:
         sizes[-1] += 1
         with pytest.raises(ValueError, match="a bucket's cells reach past"):
             self._plan(phf_20k, sizes=sizes)
+
+
+@native
+@pytest.mark.parametrize("keyword", [{"m1": 1}, {"cell_salt": 0}, {"stores": ()}])
+def test_kernels_take_no_keyword_arguments(phf_20k, keyword):
+    # the derivation constants are compiled in, and every argument is
+    # positional: a keyword, an old constant's or an argument's own name,
+    # is a TypeError, not silently ignored
+    lib = _native.lib
+    words = np.zeros(2, dtype=np.uint64)
+    planes = np.empty((1, 3), dtype=np.uint64)
+    mask = np.ones(2, dtype=np.uint8)
+    cells, counters = np.empty(3, dtype=np.int64), np.empty(2, dtype=np.int64)
+    calls = [
+        (lib.master_hash_batch, ([b"a", b"b"], 0, 0, words, words.copy())),
+        (lib.ribbon_build, (words, words, words, 64, 1, 0, 0, planes)),
+        (lib.rattle_place, (words, words, mask, 0, 100, cells, counters)),
+        (lib.Plan, tuple(_plan_args(phf_20k))),
+    ]
+    for kernel, args in calls:
+        kernel(*args)
+        with pytest.raises(TypeError, match="keyword"):
+            kernel(*args, **keyword)
 
 
 def _reseal(body: bytes) -> bytes:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sichash.cli import generate_keys
 from sichash import _native, retrieval
 from sichash.errors import ConstructionError, DeserializationError
-from sichash.hashing import MASK64, QUERY_CONSTANTS, MasterHash, mix64, row_keys
+from sichash.hashing import MASK64, MasterHash, mix64, row_keys
 from sichash.phf import PhfConfig, SicHashPhf, build, build_from_hashes
 from sichash.retrieval import MAX_SEED_RETRIES, RetrievalStore, _rows_many, _solve
 
@@ -232,6 +232,21 @@ def test_keys_sharing_one_half_are_separable():
     assert np.array_equal(store2.query_many(lo, hi).astype(np.uint64), values)
 
 
+@pytest.mark.xfail(strict=True, raises=ConstructionError,
+                   reason="a row's coefficient derives from fold_hash before the seed")
+@pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "python"])
+def test_hashes_with_one_fold_are_separable(monkeypatch, lib):
+    # (2, 0) and (2**63 - 2, 2**63 - 4) share fold_hash, so in a 64-slot
+    # store, where every row starts at slot 0, they get one equation under
+    # every seed, and two different values fail all of them
+    monkeypatch.setattr(_native, "lib", lib)
+    hi = np.array([2, 2**63 - 2], dtype=np.uint64)
+    lo = np.array([0, 2**63 - 4], dtype=np.uint64)
+    values = np.array([0, 1], dtype=np.uint64)
+    store = RetrievalStore.build((hi, lo), values, r=1)
+    assert np.array_equal(store.query_many(hi, lo).astype(np.uint64), values)
+
+
 # -- solver reference -------------------------------------------------------
 # The elimination and back-substitution as first written: the pivot search
 # shifts before every table lookup, and each pivot reads its solution
@@ -398,11 +413,7 @@ class TestSolveArguments:
         lo = np.array([7, 8], dtype=np.uint64) if lo is None else lo
         values = np.array([1, 0], dtype=np.uint64) if values is None else values
         planes = np.empty((r, num_slots // 64 + 2), dtype=np.uint64) if planes is None else planes
-        c = QUERY_CONSTANTS
-        return _native.lib.ribbon_build(
-            hi, lo, values, num_slots, r, *row_keys(0), planes, m1=c["m1"], m2=c["m2"],
-            fold=c["fold"],
-        )
+        return _native.lib.ribbon_build(hi, lo, values, num_slots, r, *row_keys(0), planes)
 
     def test_valid_rows_solve(self):
         assert self._build() == 0

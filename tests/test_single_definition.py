@@ -5,15 +5,17 @@ one place.
 ``succinct._pack_bits`` is the only code that packs bits into words and
 ``hashing.umulhi`` the only code that maps a hash onto a range.  A
 second copy elsewhere in ``src/sichash`` could drift from the first and
-make scalar and batch paths disagree.  No kernel in
-``_native.c`` holds a derivation constant: the query plan, the cuckoo
-placement and the retrieval build get them from ``hashing.py`` as keyword
-arguments.  And every module reads each name it imports.
+make scalar and batch paths disagree.  ``_native.c`` holds no
+derivation constant: the loader compiles ``hashing.QUERY_CONSTANTS`` into
+it as ``SICHASH_<NAME>`` macros, and the macros it reads are exactly the
+ones the loader defines.  And every module reads each name it imports.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from sichash import _native
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sichash"
 
@@ -91,6 +93,13 @@ def test_derivation_constants_not_in_native_source():
     # the master hash's constants are among those the scan looks for
     assert {"_LANE_A", "_LANE_B"} <= set(constants.values())
     assert sorted(constants[v] for v in literals & constants.keys()) == []
+
+
+def test_native_macros_are_the_loaders():
+    used = set(re.findall(r"\bSICHASH_[A-Z0-9_]+", (SRC / "_native.c").read_text()))
+    defined = {flag[2:].split("=")[0] for flag in _native._command(Path("lib.so"))
+               if flag.startswith("-DSICHASH_")}
+    assert used and used == defined
 
 
 def test_one_bit_packer():
