@@ -504,8 +504,8 @@ done:
  *     order, stable: by bucket, then input order (a counting sort);
  *     counts (int64) receives each bucket's entry count.
  *   - hi_c and lo_c (uint64) receive them in class order, stable: by class,
- *     then bucket order; class_pos (int64) receives the class-order
- *     position of each bucket-order entry.
+ *     then bucket order; class_pos (uint32) receives the class-order
+ *     position of each bucket-order entry, so n must be below 2**32.
  * Returns the three class counts as a tuple. */
 static PyObject *partition(PyObject *self, PyObject *args)
 {
@@ -521,8 +521,12 @@ static PyObject *partition(PyObject *self, PyObject *args)
         check_buffer(&hi_b, 8, n, "hi_b") < 0 || check_buffer(&lo_b, 8, n, "lo_b") < 0 ||
         check_buffer(&deg_b, 1, n, "deg_b") < 0 || check_buffer(&counts, 8, nb, "counts") < 0 ||
         check_buffer(&hi_c, 8, n, "hi_c") < 0 || check_buffer(&lo_c, 8, n, "lo_c") < 0 ||
-        check_buffer(&class_pos, 8, n, "class_pos") < 0)
+        check_buffer(&class_pos, 4, n, "class_pos") < 0)
         goto done;
+    if ((uint64_t)n > UINT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "need n < 2**32");
+        goto done;
+    }
     if (nb < 1) {
         PyErr_SetString(PyExc_ValueError, "counts: need at least one bucket");
         goto done;
@@ -530,7 +534,8 @@ static PyObject *partition(PyObject *self, PyObject *args)
     const uint64_t *h = hi.buf, *l = lo.buf;
     uint64_t *hb = hi_b.buf, *lb = lo_b.buf, *hc = hi_c.buf, *lc = lo_c.buf;
     uint8_t *db = deg_b.buf;
-    int64_t *at = counts.buf, *cp = class_pos.buf, classes[3] = {0, 0, 0};
+    int64_t *at = counts.buf, classes[3] = {0, 0, 0};
+    uint32_t *cp = class_pos.buf;
     Py_BEGIN_ALLOW_THREADS
     memset(at, 0, counts.len);
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -558,7 +563,7 @@ static PyObject *partition(PyObject *self, PyObject *args)
         int64_t k = next[(lb[j] >= t1) + (lb[j] >= t2)]++;
         hc[k] = hb[j];
         lc[k] = lb[j];
-        cp[j] = k;
+        cp[j] = (uint32_t)k;
     }
     Py_END_ALLOW_THREADS
     result = Py_BuildValue("(LLL)", (long long)classes[0], (long long)classes[1],

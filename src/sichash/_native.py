@@ -71,17 +71,20 @@ def _load_kernel(cache: Path):
     None when it cannot be had: a big-endian host, no ``Python.h``, no
     compiler, an unwritable cache or a file that fails to import.
 
-    The cached file is named after the SHA-256 of the source and of the
+    The cached file is named after the SHA-256 of the source, of the
+    compiler flags of :data:`_CC` (not the compiler's path) and of the
     constants' ``-D`` flags, the platform and the interpreter's extension
-    suffix, so another interpreter, or another set of constants, never
-    loads this one's build.  A fresh compile deletes the files that older
-    sources left in ``cache`` for the same platform and suffix.
+    suffix, so another interpreter, other flags or another set of
+    constants never loads this one's build.  A fresh compile deletes the
+    files that older sources left in ``cache`` for the same platform and
+    suffix.
     """
     if sys.byteorder != "little":
         return None
     try:
         macros = [flag for flag in _command(Path()) if flag.startswith("-DSICHASH_")]
-        digest = hashlib.sha256(_SOURCE.read_bytes() + " ".join(macros).encode()).hexdigest()
+        flags = " ".join([*_CC[1:], *macros]).encode()
+        digest = hashlib.sha256(_SOURCE.read_bytes() + flags).hexdigest()
         platform = sysconfig.get_platform()
         suffix = sysconfig.get_config_var("EXT_SUFFIX")
         lib = cache / f"_native-{digest}-{platform}{suffix}"

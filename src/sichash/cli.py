@@ -159,6 +159,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "verified": True,
         "stages": {k: round(v, 6) for k, v in phf.build_stats.stages.items()},
         "retries": phf.build_stats.retries(),
+        "workers": phf.build_stats.workers,
         "hash_backend": hash_backend(),
     }
     print(json.dumps(report))

@@ -36,8 +36,11 @@ sections store theirs once too (:mod:`sichash.succinct`,
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import operator
+import os
 import time
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -73,6 +76,12 @@ from .succinct import EliasFanoSeq, GolombRiceSeq, rice_parameter
 _MAGIC = b"SICPHF04"
 
 _R_BY_DEGREE = {d: r for r, d in enumerate(CLASS_DEGREES, 1)}
+
+#: the CPUs this process may run on: the threads of a build's pool, which
+#: has no more than its larger stage has tasks
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 def class_fractions(beta: float, x: float) -> tuple[float, float, float]:
@@ -218,9 +227,12 @@ class BuildStats:
     wall seconds per stage: ``hash`` (master hashing, :func:`build` only),
     ``partition`` (the keys put in bucket order and in class order),
     ``cuckoo`` (every bucket's placement), ``split`` (the placements
-    scattered into class order), ``retrieval_r1`` .. ``retrieval_r3``
-    (each store's build only), ``verify`` (the batch query and check of
-    every key) and, in minimal mode, ``remap``.
+    scattered into class order), ``retrieval`` (the three stores' builds),
+    ``retrieval_r1`` .. ``retrieval_r3`` (each store's build only),
+    ``verify`` (the batch query and check of every key) and, in minimal
+    mode, ``remap``.  The buckets, and the stores, are built in parallel on
+    ``workers`` threads, so the per-store times overlap: ``retrieval`` is
+    the stage's wall time, not their sum.
     """
 
     stages: dict[str, float]
@@ -231,6 +243,8 @@ class BuildStats:
     #: per retrieval store, keyed by r: its seed, the seeds it skipped
     #: and the slot slack epsilon it was built with
     stores: dict[int, dict]
+    #: threads of the build's pool
+    workers: int
 
     def retries(self) -> dict:
         """Seed retries and displacements as a JSON-ready dict."""
@@ -533,6 +547,9 @@ def build_from_hashes(
     factor or the values are not distinct values below ``m_total``.
     Repeats are looked for only where they show: after a bucket's first
     failed seed, and after a retrieval solve with a dependent row.
+    The buckets, then the three stores, are built on a pool of
+    ``_WORKERS`` threads at most, shut down before this returns or
+    raises; the function and any error are those of a build on one thread.
     """
     # a function of its own, so that the plain assembly's per-key arrays are
     # freed before the batch query (held, they cost ~20 MB of peak RSS in
@@ -573,7 +590,7 @@ class _Partition(NamedTuple):
     #: the store of r holds class-order entries class_bounds[r - 1] ..
     #: class_bounds[r] - 1
     class_bounds: list[int]
-    #: the class-order position of each bucket-order entry
+    #: the class-order position of each bucket-order entry (uint32)
     class_pos: np.ndarray
 
 
@@ -593,7 +610,7 @@ def _partition(hi: np.ndarray, lo: np.ndarray, num_buckets: int, t1: int, t2: in
         hi_b, lo_b, hi_c, lo_c = (np.empty(n, dtype=np.uint64) for _ in range(4))
         degrees = np.empty(n, dtype=np.uint8)
         counts = np.empty(num_buckets, dtype=np.int64)
-        class_pos = np.empty(n, dtype=np.int64)
+        class_pos = np.empty(n, dtype=np.uint32)
         class_counts = lib.partition(
             hi, lo, t1, t2, hi_b, lo_b, degrees, counts, hi_c, lo_c, class_pos
         )
@@ -608,8 +625,8 @@ def _partition(hi: np.ndarray, lo: np.ndarray, num_buckets: int, t1: int, t2: in
         # a stable (radix) sort by degree keeps each class in bucket order
         by_class = np.argsort(degrees, kind="stable")
         hi_c, lo_c = hi_b[by_class], lo_b[by_class]
-        class_pos = np.empty(n, dtype=np.int64)
-        class_pos[by_class] = np.arange(n)
+        class_pos = np.empty(n, dtype=np.uint32)
+        class_pos[by_class] = np.arange(n, dtype=np.uint32)
         class_counts = np.bincount(degrees, minlength=CLASS_DEGREES[-1] + 1)[list(CLASS_DEGREES)]
     return _Partition(
         hi_b, lo_b, degrees, [0, *np.cumsum(counts).tolist()],
@@ -626,53 +643,47 @@ def _build_plain(
     t0 = time.perf_counter()
     num_buckets = max(1, round(n / config.bucket_size))
     part = _partition(hi, lo, num_buckets, *class_thresholds(*config.fractions[:2]))
-
-    seeds = np.zeros(num_buckets, dtype=np.uint64)
-    offsets = np.zeros(num_buckets + 1, dtype=np.uint64)
-    fn_values = np.zeros(n, dtype=np.uint8)
-    alpha = config.alpha
-    total = 0
-    displacements = 0
     t1 = time.perf_counter()
     stages = {"partition": t1 - t0}
-    for b in range(num_buckets):
-        a, z = part.bounds[b], part.bounds[b + 1]
-        n_b = z - a
-        m_b = max(n_b, round(n_b / alpha)) if n_b else 0
-        inp = BucketInput(part.hi[a:z], part.lo[a:z], part.degrees[a:z], m_b)
-        try:
-            result = build_bucket(inp, max_seeds=max_bucket_seeds)
-        except ConstructionError as exc:
-            raise ConstructionError(
-                f"construction failed: alpha too aggressive (bucket {b}: {exc})"
-            ) from exc
-        seeds[b] = result.seed
-        fn_values[a:z] = result.assignments
-        displacements += result.displacements
-        total += m_b
-        offsets[b + 1] = total
-    t0 = time.perf_counter()
-    stages["cuckoo"] = t0 - t1
+    workers = min(_WORKERS, max(num_buckets, len(CLASS_DEGREES)))
+    # pending tasks are cancelled when a stage raises; running ones finish
+    # before the build returns or raises
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="sichash-build")
+    try:
+        fn_values, seeds, offsets, displacements = _place_buckets(
+            pool, part, config.alpha, max_bucket_seeds
+        )
+        t0 = time.perf_counter()
+        stages["cuckoo"] = t0 - t1
 
-    class_fn = np.empty(n, dtype=np.uint8)
-    class_fn[part.class_pos] = fn_values
-    t1 = time.perf_counter()
-    stages["split"] = t1 - t0
-    t0 = t1
+        class_fn = np.empty(n, dtype=np.uint8)
+        class_fn[part.class_pos] = fn_values
+        class_hi, class_lo, class_bounds = part.class_hi, part.class_lo, part.class_bounds
+        del part, fn_values  # the bucket-order arrays, freed before the solves
+        t1 = time.perf_counter()
+        stages["split"] = t1 - t0
 
+        def solve(r):
+            t = time.perf_counter()
+            a, z = class_bounds[r - 1], class_bounds[r]
+            store = RetrievalStore.build(
+                (class_hi[a:z], class_lo[a:z]), class_fn[a:z], r, base_seed=config.global_seed
+            )
+            return store, time.perf_counter() - t
+
+        # submitted largest first, read in r order: the lowest failing r raises
+        rs = _R_BY_DEGREE.values()
+        largest_first = sorted(rs, key=lambda r: class_bounds[r - 1] - class_bounds[r])
+        futures = {r: pool.submit(solve, r) for r in largest_first}
+        solved = {r: futures[r].result() for r in rs}
+    finally:
+        pool.shutdown(cancel_futures=True)
+    stages["retrieval"] = time.perf_counter() - t1
     stores: dict[int, RetrievalStore] = {}
     store_stats: dict[int, dict] = {}
     for degree, r in _R_BY_DEGREE.items():
-        a, z = part.class_bounds[r - 1], part.class_bounds[r]
-        store = stores[degree] = RetrievalStore.build(
-            (part.class_hi[a:z], part.class_lo[a:z]),
-            class_fn[a:z],
-            r,
-            base_seed=config.global_seed,
-        )
-        t1 = time.perf_counter()
-        stages[f"retrieval_r{r}"] = t1 - t0
-        t0 = t1
+        store, stages[f"retrieval_r{r}"] = solved[r]
+        stores[degree] = store
         store_stats[r] = {
             "seed": store.seed,
             # the attempt count: seeds wrap modulo 2**64
@@ -685,9 +696,57 @@ def _build_plain(
     phf = SicHashPhf(cfg_plain, meta, stores)
     used, counts = np.unique(seeds, return_counts=True)
     phf.build_stats = BuildStats(
-        stages, displacements, dict(zip(used.tolist(), counts.tolist())), store_stats
+        stages, displacements, dict(zip(used.tolist(), counts.tolist())), store_stats, workers
     )
     return phf
+
+
+def _place_buckets(
+    pool: ThreadPoolExecutor, part: _Partition, alpha: float, max_bucket_seeds: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every bucket's placement, one :func:`build_bucket` task per bucket on
+    ``pool``: the assignments in bucket order, the seeds, the table
+    offsets and the summed displacements.
+
+    Results are read in bucket order, so the lowest failing bucket's error
+    is raised, as in a loop over the buckets.  A bucket above a failed one
+    does not start.
+    """
+    bounds = part.bounds
+    num_buckets = len(bounds) - 1
+    sizes = [z - a for a, z in zip(bounds, bounds[1:])]
+    tables = [max(n_b, round(n_b / alpha)) if n_b else 0 for n_b in sizes]
+    failed: list[int] = []  # appended to by the tasks, which min() reads whole
+
+    def place(b):
+        if failed and b > min(failed):
+            return None  # never read: a lower bucket's error is raised
+        a, z = bounds[b], bounds[b + 1]
+        inp = BucketInput(part.hi[a:z], part.lo[a:z], part.degrees[a:z], tables[b])
+        try:
+            return build_bucket(inp, max_seeds=max_bucket_seeds)
+        except Exception:
+            failed.append(b)
+            raise
+
+    futures = [pool.submit(place, b) for b in range(num_buckets)]
+    # one wake-up, not one per bucket
+    wait(futures, return_when=FIRST_EXCEPTION)
+    seeds = np.zeros(num_buckets, dtype=np.uint64)
+    fn_values = np.zeros(bounds[-1], dtype=np.uint8)
+    displacements = 0
+    for b, future in enumerate(futures):
+        try:
+            result = future.result()
+        except ConstructionError as exc:
+            raise ConstructionError(
+                f"construction failed: alpha too aggressive (bucket {b}: {exc})"
+            ) from exc
+        seeds[b] = result.seed
+        fn_values[bounds[b] : bounds[b + 1]] = result.assignments
+        displacements += result.displacements
+    offsets = np.array([0, *itertools.accumulate(tables)], dtype=np.uint64)
+    return fn_values, seeds, offsets, displacements
 
 
 def _attach_remap(phf: SicHashPhf, seen: np.ndarray) -> SicHashPhf:

@@ -56,7 +56,7 @@ class TestBuildVerifyBench:
         assert set(report["breakdown"]) == {"retrieval", "metadata", "remap", "total"}
         assert list(report["stages"]) == [
             "hash", "partition", "cuckoo", "split",
-            "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
+            "retrieval", "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
         ]
         retries = report["retries"]
         assert set(retries) == {"displacements", "bucket_seeds", "retrieval"}
@@ -64,6 +64,7 @@ class TestBuildVerifyBench:
         assert set(retries["retrieval"]) == {"r1", "r2", "r3"}
         assert set(retries["retrieval"]["r2"]) == {"seed", "seed_retries", "epsilon"}
         assert report["hash_backend"] == hash_backend() in ("native", "python")
+        assert 1 <= report["workers"] <= 3  # one bucket, three stores
 
         assert main(["verify", "--phf", str(out), "--keys", str(key_file)]) == 0
         assert "PASS" in capsys.readouterr().out

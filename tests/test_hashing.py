@@ -411,17 +411,19 @@ class TestLoadKernel:
     def test_compiles_once_into_the_cache(self, tmp_path, monkeypatch):
         fn = _native._load_kernel(tmp_path)
         assert fn is not None
-        # named for the digest of the source and the constants' flags, and
-        # for this interpreter's extension ABI
-        digest = hashlib.sha256(_native._SOURCE.read_bytes() + _macros().encode()).hexdigest()
+        # named for the digest of the source, the compiler's flags and the
+        # constants' flags, and for this interpreter's extension ABI
+        flags = " ".join([*_native._CC[1:], _macros()]).encode()
+        digest = hashlib.sha256(_native._SOURCE.read_bytes() + flags).hexdigest()
         (cached,) = tmp_path.iterdir()
         assert cached.name == f"_native-{digest}-{sysconfig.get_platform()}{EXT_SUFFIX}"
         # a second call loads the cached file and runs nothing
         runs = []
         monkeypatch.setattr(subprocess, "run", lambda *a, **k: runs.append(a))
         assert _native._load_kernel(tmp_path) is not None and runs == []
-        # the cached library loads without the compiler or Python.h
-        monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"),))
+        # the cached library loads without the compiler or Python.h: the
+        # compiler's path is not in the name
+        monkeypatch.setattr(_native, "_CC", (str(tmp_path / "missing-cc"), *_native._CC[1:]))
         monkeypatch.setattr(_native, "_INCLUDE", tmp_path / "no-include")
         monkeypatch.setattr(_native, "lib", _native._load_kernel(tmp_path))
         assert hashing.hash_backend() == "native"
@@ -435,6 +437,17 @@ class TestLoadKernel:
         constants = hashing.QUERY_CONSTANTS
         monkeypatch.setattr(_native, "QUERY_CONSTANTS",
                             {**constants, "cell_salt": constants["cell_salt"] ^ 1})
+        assert _native._load_kernel(tmp_path / "b") is not None
+        (a,), (b,) = (tmp_path / "a").iterdir(), (tmp_path / "b").iterdir()
+        assert a.name != b.name
+
+    @needs_cc
+    @needs_header
+    def test_patched_compiler_flag_names_another_library(self, tmp_path, monkeypatch):
+        assert _native._load_kernel(tmp_path / "a") is not None
+        flags = ["-O2" if flag == "-O3" else flag for flag in _native._CC]
+        assert flags != list(_native._CC)
+        monkeypatch.setattr(_native, "_CC", tuple(flags))
         assert _native._load_kernel(tmp_path / "b") is not None
         (a,), (b,) = (tmp_path / "a").iterdir(), (tmp_path / "b").iterdir()
         assert a.name != b.name

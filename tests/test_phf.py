@@ -47,6 +47,7 @@ from sichash.retrieval import EPSILON, RetrievalStore
 from sichash._wire import Writer
 from sichash.succinct import EliasFanoSeq
 from sichash.thresholds import ClassMix, solve_threshold
+from tests.test_golden import GOLDEN, GOLDEN_KEY_SEED
 from tests.test_hashing import (
     BAD_KEYS, FORM_KEYS, KEY_BLOCK, KEY_FORMS, KEY_LENGTHS, NOT_FLAT_KEYS, BytesKey,
 )
@@ -230,7 +231,7 @@ class TestBuild:
 
 _STAGES = [
     "hash", "partition", "cuckoo", "split",
-    "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
+    "retrieval", "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
 ]
 
 
@@ -239,6 +240,9 @@ class TestBuildStats:
         stats = phf_20k.build_stats
         assert list(stats.stages) == _STAGES
         assert all(t >= 0 for t in stats.stages.values())
+        # the stores' own times overlap inside the stage's wall time
+        assert stats.stages["retrieval"] >= max(stats.stages[f"retrieval_r{r}"] for r in (1, 2, 3))
+        assert stats.workers == min(phf_module._WORKERS, 4)  # 4 buckets
         seeds = phf_20k.meta.seeds
         assert stats.bucket_seeds == {
             int(k): int(v) for k, v in zip(*np.unique(seeds, return_counts=True))
@@ -385,7 +389,7 @@ class TestPartition:
                     hi_b=np.empty(n, dtype=np.uint64), lo_b=np.empty(n, dtype=np.uint64),
                     deg_b=np.empty(n, dtype=np.uint8), counts=np.empty(num_buckets, dtype=np.int64),
                     hi_c=np.empty(n, dtype=np.uint64), lo_c=np.empty(n, dtype=np.uint64),
-                    class_pos=np.empty(n, dtype=np.int64))
+                    class_pos=np.empty(n, dtype=np.uint32))
 
     def _partition(self, t1=0, t2=0, **changes):
         a = {**self._arrays(), **changes}
@@ -398,7 +402,7 @@ class TestPartition:
     def test_wrong_item_size(self):
         for name, dtype, size in (("hi", np.uint32, 8), ("lo", np.int16, 8),
                                   ("hi_b", np.uint8, 8), ("deg_b", np.int64, 1),
-                                  ("counts", np.int32, 8), ("class_pos", np.uint32, 8)):
+                                  ("counts", np.int32, 8), ("class_pos", np.int64, 4)):
             wrong = self._arrays()[name].astype(dtype)
             with pytest.raises(TypeError, match=f"{name}: need items of {size} bytes"):
                 self._partition(**{name: wrong})
@@ -447,6 +451,110 @@ def test_tripled_key_rejected_quickly(lib, degree):
         with pytest.raises(ValueError, match="duplicate keys"):
             build_from_hashes(hi, lo, config)
         assert time.perf_counter() - t0 < 1.0
+
+
+def _pool_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("sichash-build")]
+
+
+class TestParallelBuild:
+    """The buckets and the stores are built on a pool of
+    ``phf._WORKERS`` threads (capped at the task count); its size changes
+    no output and no error."""
+
+    @LIBRARIES
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("config, blob_sha", [g[:2] for g in GOLDEN],
+                             ids=["plain-a90", "minimal-compressed-a97", "plain-x066"])
+    def test_same_blobs_for_any_worker_count(self, monkeypatch, lib, workers, config, blob_sha):
+        monkeypatch.setattr(phf_module, "_WORKERS", workers)
+        with _library(lib):
+            phf = build(generate_keys(20_000, seed=GOLDEN_KEY_SEED), config)
+        assert hashlib.sha256(phf.to_bytes()).hexdigest() == blob_sha
+        assert phf.build_stats.workers == workers
+        assert _pool_threads() == []
+
+    def test_workers_capped_at_the_task_count(self, monkeypatch, keys_20k):
+        monkeypatch.setattr(phf_module, "_WORKERS", 64)
+        # 4 buckets, 3 stores
+        assert build(keys_20k, PhfConfig(alpha=0.9)).build_stats.workers == 4
+        assert build(keys_20k[:3000], PhfConfig(alpha=0.9)).build_stats.workers == 3
+
+    @LIBRARIES
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_every_bucket_failing_names_bucket_0(self, monkeypatch, lib, workers):
+        # all of degree 2 at load 1: no bucket places under seed 0
+        config = PhfConfig(alpha=1.0, beta=1.0, bucket_size=100)
+        keys = generate_keys(2000, seed=3)
+        first = _first_bucket(keys, config)
+        place = phf_module.build_bucket
+        started = []
+
+        def counted(inp, **kwargs):
+            started.append(len(inp))
+            if inp.hi[0] == first[0][0]:
+                # bucket 0 fails last, after the buckets running beside it
+                time.sleep(0.05)
+            return place(inp, **kwargs)
+
+        monkeypatch.setattr(phf_module, "_WORKERS", workers)
+        monkeypatch.setattr(phf_module, "build_bucket", counted)
+        with _library(lib):
+            with pytest.raises(ConstructionError) as raised:
+                build(keys, config, max_bucket_seeds=1)
+            with pytest.raises(ConstructionError) as alone:
+                place(BucketInput(*first), max_seeds=1)
+        assert str(raised.value) == (
+            f"construction failed: alpha too aggressive (bucket 0: {alone.value})"
+        )
+        # bucket 0, and at most the buckets already running beside it
+        assert 1 <= len(started) <= 1 + workers
+        assert _pool_threads() == []
+
+    @LIBRARIES
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("degree", [2, 8])
+    def test_duplicate_keys_still_rejected(self, monkeypatch, lib, workers, degree):
+        # a tripled degree-2 hash fails its bucket, a degree-8 one its store
+        config = PhfConfig(alpha=0.9, bucket_size=100)
+        monkeypatch.setattr(phf_module, "_WORKERS", workers)
+        with _library(lib), pytest.raises(ValueError, match="duplicate keys"):
+            build_from_hashes(*_tripled(degree, config), config)
+        assert _pool_threads() == []
+
+    def test_user_threads_build_at_once(self, monkeypatch, keys_20k):
+        configs = [PhfConfig(alpha=0.9),
+                   PhfConfig(alpha=0.97, minimal=True, compressed_metadata=True)]
+        with monkeypatch.context() as m:
+            m.setattr(phf_module, "_WORKERS", 1)
+            want = [build(keys_20k, c).to_bytes() for c in configs]
+        # six threads on fewer cores, switching often
+        monkeypatch.setattr(phf_module, "_WORKERS", 3)
+        start = threading.Barrier(len(configs))
+
+        def run(config):
+            start.wait(timeout=60)
+            return build(keys_20k, config).to_bytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(configs)) as users:
+                got = list(users.map(run, configs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert _pool_threads() == []
+
+
+def _first_bucket(keys, config):
+    """Bucket 0's hashes, degrees and table size, as the build gives them."""
+    hi, lo = master_hash_many(keys, config.global_seed)
+    num_buckets = round(len(keys) / config.bucket_size)
+    mask = bucket_of_many(hi, num_buckets) == 0
+    degrees = class_of_many(lo[mask], *class_thresholds(*config.fractions[:2]))
+    n = int(mask.sum())
+    return hi[mask], lo[mask], degrees, max(n, round(n / config.alpha))
 
 
 @native
