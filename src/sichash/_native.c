@@ -4,13 +4,14 @@
  *   master_hash_batch(keys, a, b, hi, lo)
  *       the master hash of each of a sequence of bytes-like keys
  *   ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes)
- *       one seed attempt of a retrieval store: its rows derived, sorted by
- *       start, eliminated and back-substituted into plane words
+ *       one seed attempt of a retrieval store of one-byte values: its rows
+ *       derived, sorted by start, eliminated and back-substituted into
+ *       plane words
  *   partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos)
  *       a build's master hashes counting-sorted by bucket, and by class
- *   rattle_place(hi, lo, mask, seed, budget, cells, counters)
+ *   rattle_place(hi, lo, mask, seed, budget, m, assignments)
  *       a cuckoo bucket's candidate cells under one seed and its
- *       rattle-kicking placement
+ *       rattle-kicking placement: each entry's hash-function index
  *   Plan(a, b, t1, t2, limit, starts, sizes, seeds, remap, stores),
  *   plan.query(key), plan.query_hashes(hi, lo, out),
  *   plan.query_keys(keys, out)
@@ -336,12 +337,13 @@ done:
  */
 
 /* A stable counting sort of the rows by start: start, coeff and value
- * receive the rows' starts, coefficients and values in start order.
+ * receive the rows' starts, coefficients and one-byte values in start
+ * order.
  * pos (span entries, zeroed) counts the rows of each start, then holds
  * the position of the next row to place there.  Rows and starts fit in 32
  * bits: the caller checks n < 2**32 and span <= 2**32. */
 static void sort_rows(uint64_t ks, uint64_t kc, uint64_t span, const uint64_t *hi,
-                      const uint64_t *lo, const uint64_t *values, int64_t n, uint32_t *pos,
+                      const uint64_t *lo, const uint8_t *values, int64_t n, uint32_t *pos,
                       uint32_t *start, uint64_t *coeff, uint8_t *value)
 {
     for (int64_t i = 0; i < n; i++)
@@ -357,7 +359,7 @@ static void sort_rows(uint64_t ks, uint64_t kc, uint64_t span, const uint64_t *h
         uint32_t j = pos[eq.start]++;
         start[j] = (uint32_t)eq.start;
         coeff[j] = eq.coeff;
-        value[j] = (uint8_t)values[i];
+        value[j] = values[i];
     }
 }
 
@@ -424,9 +426,9 @@ static void back_substitute(int r, int64_t num_slots, const uint64_t *row_coeff,
 }
 
 /* ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes): one seed
- * attempt of a store of the keys with master hash halves hi[i], lo[i] and
- * value values[i] (three uint64 arrays of one length, each value below
- * 2**r), under the seed's row keys ks and kc.  planes
+ * attempt of a store of the keys with master hash halves hi[i], lo[i]
+ * (uint64) and value values[i] (uint8, below 2**r), all of one length,
+ * under the seed's row keys ks and kc.  planes
  * (uint64, r planes of num_slots // 64 + 2 words, one after the other)
  * receives the solution.  Returns the number of dependent rows, or -1
  * when the system is inconsistent; planes then hold no solution. */
@@ -454,7 +456,7 @@ static PyObject *ribbon_build(PyObject *self, PyObject *args)
         goto done;
     }
     if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
-        check_buffer(&values, 8, n, "values") < 0 ||
+        check_buffer(&values, 1, n, "values") < 0 ||
         check_buffer(&planes, 8, r * nwords, "planes") < 0)
         goto done;
     pos = PyMem_Calloc(span, sizeof *pos);
@@ -599,28 +601,25 @@ done:
  * cell it probes next once evicted, which is looked up in its row as it is
  * placed, while that row is still in cache.  So the loop's chain of
  * dependent loads is one slot per displacement.  Entries and cells are
- * below 2**32.  On exit the slots are unpacked into cells (m occupants, -1
- * for empty) and counters (n counters: an entry's slot counter, the
- * prober's own if the budget ran out, and 0 for the entries not reached),
- * as RattleTable leaves them.  Returns the displacement total once every
- * entry is placed, or -1 as soon as it exceeds budget.
+ * below 2**32.  Returns -1 as soon as the displacements exceed budget.
+ * Once every entry is placed, each one's hash-function index, its slot
+ * counter & mask[i], is written to assignments[i], and the displacement
+ * total is returned.
  */
 typedef struct {
     uint32_t occ, next; /* the occupant, and the cell it probes once evicted */
     int64_t counter;    /* the occupant's counter, -1 when the cell is empty */
 } slot;
 
-static int64_t place(const uint32_t *rows, int64_t n, int64_t m, int64_t budget, slot *slots,
-                     int64_t *cells, int64_t *counters)
+static int64_t place(const uint32_t *rows, const uint8_t *mask, int64_t n, int64_t m,
+                     int64_t budget, slot *slots, uint8_t *assignments)
 {
-    int64_t steps = 0, c = 0;
-    uint32_t cur = 0;
-    int failed = 0;
+    int64_t steps = 0;
     for (int64_t j = 0; j < m; j++)
         slots[j] = (slot){0, 0, -1};
-    for (int64_t i = 0; i < n && !failed; i++) {
-        cur = (uint32_t)i; /* entry i has not been probed yet */
-        c = 0;
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t cur = (uint32_t)i; /* entry i has not been probed yet */
+        int64_t c = 0;
         uint32_t cell = rows[8 * i];
         for (;;) {
             slot *s = &slots[cell];
@@ -636,51 +635,41 @@ static int64_t place(const uint32_t *rows, int64_t n, int64_t m, int64_t budget,
                 c++;
                 cell = rows[8 * (int64_t)cur + (c & 7)];
             }
-            if (++steps > budget) {
-                failed = 1;
-                break;
-            }
+            if (++steps > budget)
+                return -1;
         }
     }
-    memset(counters, 0, n * sizeof *counters);
-    for (int64_t j = 0; j < m; j++) {
-        slot s = slots[j];
-        cells[j] = s.counter < 0 ? -1 : (int64_t)s.occ;
-        if (s.counter >= 0)
-            counters[s.occ] = s.counter;
-    }
-    if (failed) {
-        counters[cur] = c;
-        return -1;
-    }
+    for (int64_t j = 0; j < m; j++)
+        if (slots[j].counter >= 0)
+            assignments[slots[j].occ] = (uint8_t)(slots[j].counter & mask[slots[j].occ]);
     return steps;
 }
 
-/* rattle_place(hi, lo, mask, seed, budget, cells, counters): place's
- * result for the entries with master hash halves hi[i], lo[i] (uint64) and
- * degree mask[i] + 1 (uint8) under a bucket seed, in a table of m =
- * len(cells) cells; n and m must be below 2**32, which is checked before
- * anything is allocated.  Entry i's
- * cell for hash function t is cell_at(fold(hi, lo), cell_key(seed, t), m),
- * as hashing.cell_of_many derives it; so every cell is below m and fits a
- * uint32 row.  Only its mask[i] + 1 distinct cells are derived, then
- * copied to fill its row (see place).  cells (int64, m entries) and
- * counters (int64, n) are filled. */
+/* rattle_place(hi, lo, mask, seed, budget, m, assignments): place's result
+ * for the entries with master hash halves hi[i], lo[i] (uint64) and degree
+ * mask[i] + 1 (uint8) under a bucket seed, in a table of m cells; n and m
+ * must be below 2**32, which is checked before anything is allocated.
+ * Entry i's cell for hash function t is cell_at(fold(hi, lo),
+ * cell_key(seed, t), m), as hashing.cell_of_many derives it; so every cell
+ * is below m and fits a uint32 row.  Only its mask[i] + 1 distinct cells
+ * are derived, then copied to fill its row (see place).  assignments
+ * (uint8, n entries) is written only when every entry places. */
 static PyObject *rattle_place(PyObject *self, PyObject *args)
 {
-    Py_buffer hi, lo, mask, cells, counters;
+    Py_buffer hi, lo, mask, assignments;
     uint64_t seed;
     long long budget;
-    if (!PyArg_ParseTuple(args, "y*y*y*O&Lw*w*:rattle_place", &hi, &lo, &mask, u64_arg, &seed,
-                          &budget, &cells, &counters))
+    Py_ssize_t m;
+    if (!PyArg_ParseTuple(args, "y*y*y*O&Lnw*:rattle_place", &hi, &lo, &mask, u64_arg, &seed,
+                          &budget, &m, &assignments))
         return NULL;
     PyObject *result = NULL;
     uint32_t *rows = NULL;
     slot *slots = NULL;
-    Py_ssize_t n = hi.len / 8, m = cells.len / 8;
+    Py_ssize_t n = hi.len / 8;
     if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
-        check_buffer(&mask, 1, n, "mask") < 0 || check_buffer(&cells, 8, m, "cells") < 0 ||
-        check_buffer(&counters, 8, n, "counters") < 0)
+        check_buffer(&mask, 1, n, "mask") < 0 ||
+        check_buffer(&assignments, 1, n, "assignments") < 0)
         goto done;
     const uint8_t *mk = mask.buf;
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -689,12 +678,12 @@ static PyObject *rattle_place(PyObject *self, PyObject *args)
             goto done;
         }
     }
-    if (n && !m) {
-        PyErr_SetString(PyExc_ValueError, "cells: no cell for the entries");
+    if (m < 0 || (uint64_t)n > UINT32_MAX || (uint64_t)m > UINT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "need fewer than 2**32 entries and 0 <= m < 2**32");
         goto done;
     }
-    if ((uint64_t)n > UINT32_MAX || (uint64_t)m > UINT32_MAX) {
-        PyErr_SetString(PyExc_ValueError, "need fewer than 2**32 entries and cells");
+    if (n && !m) {
+        PyErr_SetString(PyExc_ValueError, "m: no cell for the entries");
         goto done;
     }
     if (budget < 0) {
@@ -722,7 +711,7 @@ static PyObject *rattle_place(PyObject *self, PyObject *args)
             entry[t] = t <= mk[i] ? (uint32_t)cell_at(folded, keys[t], (uint64_t)m)
                                   : entry[t & mk[i]];
     }
-    steps = place(rows, n, m, budget, slots, cells.buf, counters.buf);
+    steps = place(rows, mk, n, m, budget, slots, assignments.buf);
     Py_END_ALLOW_THREADS
     result = PyLong_FromLongLong(steps);
 done:
@@ -731,8 +720,7 @@ done:
     PyBuffer_Release(&hi);
     PyBuffer_Release(&lo);
     PyBuffer_Release(&mask);
-    PyBuffer_Release(&cells);
-    PyBuffer_Release(&counters);
+    PyBuffer_Release(&assignments);
     return result;
 }
 
@@ -1155,7 +1143,7 @@ static PyMethodDef methods[] = {
      "ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes): one seed attempt of a "
      "retrieval store, into planes"},
     {"rattle_place", rattle_place, METH_VARARGS,
-     "rattle_place(hi, lo, mask, seed, budget, cells, counters): derive a bucket's cells under "
+     "rattle_place(hi, lo, mask, seed, budget, m, assignments): derive a bucket's cells under "
      "one seed and place it"},
     {"partition", partition, METH_VARARGS,
      "partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos): the "

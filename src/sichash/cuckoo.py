@@ -17,19 +17,22 @@ Each entry's candidate cells are derived once per (entry, seed) into a
 row of eight: ``row[t]`` is the cell of hash function
 ``t & (degree - 1)``.  Every degree divides 8, so ``row[counter & 7]`` is
 the cell of ``counter mod degree``, and the final assignments are
-``counters & (degree - 1)`` in numpy.  One call of the native kernel
+``counters & (degree - 1)``.  One call of the native kernel
 ``rattle_place`` (``_native.c``) per bucket seed takes the bucket's hash
-halves and degree masks, derives the rows as :func:`cell_of_many` does,
-with the constants of :data:`~sichash.hashing.QUERY_CONSTANTS` compiled
-in, and runs the kicking loop.  When :data:`sichash._native.lib` is
+halves, degree masks and table size, derives the rows as
+:func:`cell_of_many` does, with the constants of
+:data:`~sichash.hashing.QUERY_CONSTANTS` compiled in, runs the kicking
+loop and, once every entry places, writes the uint8 assignments into one
+array that the bucket's seeds share.  When :data:`sichash._native.lib` is
 None, each bucket seed gets a :class:`RattleTable` whose
 :meth:`~RattleTable.add_entries` derives the rows of the folds, computed
 once per bucket, in one numpy pass, and :meth:`RattleTable.insert` runs
 the same loop in Python, as fallback and as the reference the tests
-compare the kernel against.  :func:`incremental_load_experiment` inserts
-one entry at a time, with :meth:`~RattleTable.add_entry`, and always uses
-:class:`RattleTable`.  No placement is checked on its own:
-:func:`sichash.phf.build_from_hashes` checks the finished function.
+compare the kernel against; its assignments are its counters masked in
+numpy.  :func:`incremental_load_experiment` inserts one entry at a time,
+with :meth:`~RattleTable.add_entry`, and always uses :class:`RattleTable`.
+No placement is checked on its own: :func:`sichash.phf.build_from_hashes`
+checks the finished function.
 """
 
 from __future__ import annotations
@@ -195,23 +198,21 @@ def build_bucket(
     if lib is None:
         folded = fold_hash((inp.hi, inp.lo))
     else:
-        cells = np.empty(inp.m, dtype=np.int64)
-        counters = np.empty(n, dtype=np.int64)
+        assignments = np.empty(n, dtype=np.uint8)  # written only by a seed that places
     for seed in range(max_seeds):
         if lib is None:
             table = RattleTable(inp.m, seed)
             table.add_entries(folded, mask)
-            placed = all(table.insert(i, budget) for i in range(n))
-            counters, displacements = table.counters, table.displacements
+            if all(table.insert(i, budget) for i in range(n)):
+                assignments = (np.array(table.counters) & mask).astype(np.uint8)
+                return PlacementResult(seed, assignments, table.displacements)
         else:
             # the kernel derives the cells as cell_of_many does
             displacements = lib.rattle_place(
-                inp.hi, inp.lo, mask, seed, min(budget, _MAX_BUDGET), cells, counters
+                inp.hi, inp.lo, mask, seed, min(budget, _MAX_BUDGET), inp.m, assignments
             )
-            placed = displacements >= 0
-        if placed:
-            assignments = (np.asarray(counters) & mask).astype(np.uint8)
-            return PlacementResult(seed, assignments, displacements)
+            if displacements >= 0:
+                return PlacementResult(seed, assignments, displacements)
         if seed == 0:
             # copies of a hash share their cells under every seed, so three
             # of degree 2 never place: look for them once, not per seed

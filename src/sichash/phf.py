@@ -226,8 +226,8 @@ class BuildStats:
     :attr:`SicHashPhf.build_stats`; never serialized.  ``stages`` holds
     wall seconds per stage: ``hash`` (master hashing, :func:`build` only),
     ``partition`` (the keys put in bucket order and in class order),
-    ``cuckoo`` (every bucket's placement), ``split`` (the placements
-    scattered into class order), ``retrieval`` (the three stores' builds),
+    ``cuckoo`` (every bucket's placement, its hash-function indices written
+    in class order), ``retrieval`` (the three stores' builds),
     ``retrieval_r1`` .. ``retrieval_r3`` (each store's build only),
     ``verify`` (the batch query and check of every key) and, in minimal
     mode, ``remap``.  The buckets, and the stores, are built in parallel on
@@ -650,18 +650,13 @@ def _build_plain(
     # before the build returns or raises
     pool = ThreadPoolExecutor(workers, thread_name_prefix="sichash-build")
     try:
-        fn_values, seeds, offsets, displacements = _place_buckets(
+        class_fn, seeds, offsets, displacements = _place_buckets(
             pool, part, config.alpha, max_bucket_seeds
         )
+        class_hi, class_lo, class_bounds = part.class_hi, part.class_lo, part.class_bounds
+        del part  # the bucket-order arrays, freed before the solves
         t0 = time.perf_counter()
         stages["cuckoo"] = t0 - t1
-
-        class_fn = np.empty(n, dtype=np.uint8)
-        class_fn[part.class_pos] = fn_values
-        class_hi, class_lo, class_bounds = part.class_hi, part.class_lo, part.class_bounds
-        del part, fn_values  # the bucket-order arrays, freed before the solves
-        t1 = time.perf_counter()
-        stages["split"] = t1 - t0
 
         def solve(r):
             t = time.perf_counter()
@@ -678,7 +673,7 @@ def _build_plain(
         solved = {r: futures[r].result() for r in rs}
     finally:
         pool.shutdown(cancel_futures=True)
-    stages["retrieval"] = time.perf_counter() - t1
+    stages["retrieval"] = time.perf_counter() - t0
     stores: dict[int, RetrievalStore] = {}
     store_stats: dict[int, dict] = {}
     for degree, r in _R_BY_DEGREE.items():
@@ -705,48 +700,49 @@ def _place_buckets(
     pool: ThreadPoolExecutor, part: _Partition, alpha: float, max_bucket_seeds: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Every bucket's placement, one :func:`build_bucket` task per bucket on
-    ``pool``: the assignments in bucket order, the seeds, the table
-    offsets and the summed displacements.
+    ``pool``: the hash-function indices in class order, the seeds, the
+    table offsets and the summed displacements.
 
-    Results are read in bucket order, so the lowest failing bucket's error
-    is raised, as in a loop over the buckets.  A bucket above a failed one
+    Each task writes its bucket's indices, seed and displacements itself.
+    Tasks are read in bucket order, so the lowest failing bucket's error is
+    raised, as in a loop over the buckets.  A bucket above a failed one
     does not start.
     """
     bounds = part.bounds
     num_buckets = len(bounds) - 1
     sizes = [z - a for a, z in zip(bounds, bounds[1:])]
     tables = [max(n_b, round(n_b / alpha)) if n_b else 0 for n_b in sizes]
+    class_fn = np.empty(bounds[-1], dtype=np.uint8)
+    seeds = np.zeros(num_buckets, dtype=np.uint64)
+    displacements = [0] * num_buckets
     failed: list[int] = []  # appended to by the tasks, which min() reads whole
 
     def place(b):
         if failed and b > min(failed):
-            return None  # never read: a lower bucket's error is raised
+            return  # a lower bucket's error is raised
         a, z = bounds[b], bounds[b + 1]
         inp = BucketInput(part.hi[a:z], part.lo[a:z], part.degrees[a:z], tables[b])
         try:
-            return build_bucket(inp, max_seeds=max_bucket_seeds)
+            result = build_bucket(inp, max_seeds=max_bucket_seeds)
         except Exception:
             failed.append(b)
             raise
+        class_fn[part.class_pos[a:z]] = result.assignments
+        seeds[b] = result.seed
+        displacements[b] = result.displacements
 
     futures = [pool.submit(place, b) for b in range(num_buckets)]
     # one wake-up, not one per bucket
     wait(futures, return_when=FIRST_EXCEPTION)
-    seeds = np.zeros(num_buckets, dtype=np.uint64)
-    fn_values = np.zeros(bounds[-1], dtype=np.uint8)
-    displacements = 0
     for b, future in enumerate(futures):
         try:
-            result = future.result()
+            future.result()
         except ConstructionError as exc:
             raise ConstructionError(
                 f"construction failed: alpha too aggressive (bucket {b}: {exc})"
             ) from exc
-        seeds[b] = result.seed
-        fn_values[bounds[b] : bounds[b + 1]] = result.assignments
-        displacements += result.displacements
     offsets = np.array([0, *itertools.accumulate(tables)], dtype=np.uint64)
-    return fn_values, seeds, offsets, displacements
+    return class_fn, seeds, offsets, sum(displacements)
 
 
 def _attach_remap(phf: SicHashPhf, seen: np.ndarray) -> SicHashPhf:

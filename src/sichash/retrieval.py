@@ -16,6 +16,8 @@ the system inconsistent.  Back-substitution then runs from the last slot
 down, carrying the solution bits of the next 64 slots as one sliding
 64-bit word, so a pivot's bit is one AND and parity; at every multiple
 of 64 that word is the plane's word there, and is stored as it is.
+:meth:`RetrievalStore.build` checks that the values are r-bit integers
+and narrows them to uint8, the type every solve reads.
 :func:`_solve` runs one seed attempt in one call of the native kernel
 ``ribbon_build`` (``_native.c``, loaded as :data:`sichash._native.lib`):
 it derives the rows, puts them in start order with a stable counting
@@ -125,7 +127,9 @@ class RetrievalStore(Codec):
 
         ``hashes`` is a ``(hi, lo)`` tuple of uint64 arrays; anything else
         raises :class:`TypeError`.  All hashes must be distinct and all
-        values below ``2**r``.
+        values integers in ``[0, 2**r)``; any other value or dtype raises
+        :class:`ValueError`.  The values are solved as uint8, so a
+        contiguous uint8 array is not copied.
         Construction tries up to :data:`MAX_SEED_RETRIES` consecutive seeds,
         modulo ``2**64``, while the system is unsolvable; ``base_seed``
         must lie in ``[0, 2**64)``.
@@ -137,12 +141,13 @@ class RetrievalStore(Codec):
         if not (isinstance(hashes, tuple) and len(hashes) == 2):
             raise TypeError("hashes must be a (hi, lo) tuple of uint64 arrays")
         hi, lo = (np.ascontiguousarray(a, dtype=np.uint64) for a in hashes)
-        values = np.ascontiguousarray(values, dtype=np.uint64)
+        values = np.asarray(values)
         if not len(hi) == len(lo) == len(values):
             raise ValueError("hashes and values must have equal length")
         n = len(hi)
-        if n and int(values.max()) >> r:
-            raise ValueError("value does not fit in r bits")
+        if n and (values.dtype.kind not in "iu" or values.min() < 0 or int(values.max()) >> r):
+            raise ValueError(f"values must be integers that fit in r={r} bits")
+        values = np.ascontiguousarray(values, dtype=np.uint8)
         num_slots = max(BAND_WIDTH, math.ceil(n * (1.0 + EPSILON)))
         for attempt in range(MAX_SEED_RETRIES):
             seed = (base_seed + attempt) & MASK64
@@ -214,9 +219,9 @@ def _solve(
     seed: int,
     num_slots: int,
 ) -> tuple[int, list[np.ndarray]]:
-    """One seed attempt: the number of dependent rows, -1 when the system
-    is inconsistent, and the r solution planes, which are only valid when
-    the count is not -1.
+    """One seed attempt over uint8 ``values``: the number of dependent
+    rows, -1 when the system is inconsistent, and the r solution planes,
+    which are only valid when the count is not -1.
 
     The native kernel derives, sorts, solves and writes the planes in one
     call when the library loaded, :func:`_solve_python` otherwise, with

@@ -55,7 +55,7 @@ class TestBuildVerifyBench:
         assert report["bits_per_object"] > 0
         assert set(report["breakdown"]) == {"retrieval", "metadata", "remap", "total"}
         assert list(report["stages"]) == [
-            "hash", "partition", "cuckoo", "split",
+            "hash", "partition", "cuckoo",
             "retrieval", "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
         ]
         retries = report["retries"]

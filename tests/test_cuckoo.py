@@ -1,5 +1,4 @@
 import itertools
-import mmap
 import random
 
 import numpy as np
@@ -9,6 +8,7 @@ from sichash import _native, cuckoo
 from sichash.cli import OVERLOAD_CONFIGS
 from sichash.cuckoo import (
     BucketInput,
+    PlacementResult,
     RattleTable,
     build_bucket,
     incremental_load_experiment,
@@ -21,7 +21,6 @@ from sichash.hashing import (
     MASK64,
     MasterHash,
     cell_of,
-    cell_of_many,
     class_of_many,
     class_thresholds,
     fold_hash,
@@ -283,18 +282,20 @@ def _python_outcome(inp, **kwargs):
 
 def _place_both(inp, seed, budget):
     """One seed's placement by the kernel and by :meth:`RattleTable.insert`,
-    each as (displacements or -1, cells, counters)."""
+    each as (displacements or -1, assignments).  The assignments start at
+    255, which only a placement that succeeds overwrites, with its
+    ``counters & mask``."""
     table = RattleTable(inp.m, seed)
     for hi, lo, d in zip(inp.hi.tolist(), inp.lo.tolist(), inp.degrees.tolist()):
         table.add_entry(fold_hash((hi, lo)), d)
     n = len(inp)
-    cells = np.empty(inp.m, dtype=np.int64)
-    counters = np.empty(n, dtype=np.int64)
-    got = _native.lib.rattle_place(inp.hi, inp.lo, inp.degrees - np.uint8(1), seed, budget,
-                                   cells, counters)
+    mask = inp.degrees - np.uint8(1)
+    assignments = np.full(n, 255, dtype=np.uint8)
+    got = _native.lib.rattle_place(inp.hi, inp.lo, mask, seed, budget, inp.m, assignments)
     placed = all(table.insert(i, budget) for i in range(n))
     want = table.displacements if placed else -1
-    return (got, cells.tolist(), counters.tolist()), (want, table.cells, table.counters)
+    fn = (np.array(table.counters) & mask).tolist() if placed else [255] * n
+    return (got, assignments.tolist()), (want, fn)
 
 
 @native
@@ -375,24 +376,20 @@ def test_hashes_with_one_fold_place(monkeypatch, lib):
 @native
 def test_kernel_derives_cells_as_cell_of_many():
     # 2000 entries in 2100 cells kick enough that entries of every degree
-    # end on each of their hash functions; each occupied cell must be its
-    # entry's cell_of_many cell under the function its counter selects
+    # end on each of their hash functions; the cells that cell_of_many
+    # derives from the kernel's assignments must be distinct cells below m
     rng = np.random.default_rng(17)
     inp = _random_bucket(rng, 2000, 2000 / 2100, (0.3, 0.4, 0.3))
-    cells = np.empty(inp.m, dtype=np.int64)
-    counters = np.empty(len(inp), dtype=np.int64)
-    mask = inp.degrees - np.uint8(1)
+    assignments = np.empty(len(inp), dtype=np.uint8)
     seed = 3
-    assert _native.lib.rattle_place(inp.hi, inp.lo, mask, seed, 10**9, cells, counters) > 0
-    occupied = np.flatnonzero(cells >= 0)
-    entries = cells[occupied]
-    assert sorted(entries.tolist()) == list(range(len(inp)))
-    fn = counters[entries] & mask[entries]
-    assert {(int(d), int(t)) for d, t in zip(inp.degrees[entries], fn)} == {
+    mask = inp.degrees - np.uint8(1)
+    assert _native.lib.rattle_place(inp.hi, inp.lo, mask, seed, 10**9, inp.m, assignments) > 0
+    assert {(d, t) for d, t in zip(inp.degrees.tolist(), assignments.tolist())} == {
         (d, t) for d in (2, 4, 8) for t in range(d)
     }
-    want = cell_of_many(inp.hi[entries], inp.lo[entries], seed, fn, inp.m)
-    assert np.array_equal(occupied, want)
+    cells = placement_cells(inp, PlacementResult(seed, assignments, 0))
+    assert len(np.unique(cells)) == len(inp)
+    assert cells.min() >= 0 and cells.max() < inp.m
 
 
 @pytest.mark.parametrize("lib", [_native.lib, None], ids=["kernel", "python"])
@@ -430,29 +427,28 @@ class TestPlacementArguments:
         return dict(hi=np.array([1, 2], dtype=np.uint64),
                     lo=np.array([3, 4], dtype=np.uint64),
                     mask=np.array([1, 1], dtype=np.uint8),
-                    cells=np.empty(3, dtype=np.int64),
-                    counters=np.empty(2, dtype=np.int64))
+                    assignments=np.empty(2, dtype=np.uint8))
 
-    def _place(self, budget=100, seed=0, **changes):
+    def _place(self, budget=100, seed=0, m=3, **changes):
         a = {**self._arrays(), **changes}
-        return _native.lib.rattle_place(a["hi"], a["lo"], a["mask"], seed, budget, a["cells"],
-                                        a["counters"])
+        return _native.lib.rattle_place(a["hi"], a["lo"], a["mask"], seed, budget, m,
+                                        a["assignments"])
 
     def test_valid_arrays_place(self):
-        cells = np.empty(3, dtype=np.int64)
-        assert self._place(cells=cells) >= 0
-        assert sorted(cells.tolist())[1:] == [0, 1]
+        arrays = self._arrays()
+        assert self._place(**arrays) >= 0
+        result = PlacementResult(0, arrays["assignments"], 0)
+        cells = placement_cells(BucketInput(arrays["hi"], arrays["lo"], [2, 2], 3), result)
+        assert len(set(cells.tolist())) == 2 and cells.max() < 3
 
     def test_no_entries(self):
         empty = np.empty(0, dtype=np.uint64)
-        assert self._place(hi=empty, lo=empty, mask=np.empty(0, dtype=np.uint8),
-                           cells=np.empty(0, dtype=np.int64),
-                           counters=np.empty(0, dtype=np.int64)) == 0
+        assert self._place(hi=empty, lo=empty, mask=np.empty(0, dtype=np.uint8), m=0,
+                           assignments=np.empty(0, dtype=np.uint8)) == 0
 
     def test_wrong_dtype(self):
         for name, dtype, size in (("hi", np.uint32, 8), ("lo", np.int32, 8),
-                                  ("mask", np.int64, 1), ("cells", np.int32, 8),
-                                  ("counters", np.uint32, 8)):
+                                  ("mask", np.int64, 1), ("assignments", np.int64, 1)):
             wrong = self._arrays()[name].astype(dtype)
             with pytest.raises(TypeError, match=f"{name}: need items of {size} bytes"):
                 self._place(**{name: wrong})
@@ -462,9 +458,11 @@ class TestPlacementArguments:
         for name, message in (("hi", "lo: need 1 items, got 2"),
                               ("lo", "lo: need 2 items, got 1"),
                               ("mask", "mask: need 2 items, got 1"),
-                              ("counters", "counters: need 2 items, got 1")):
+                              ("assignments", "assignments: need 2 items, got 1")):
             with pytest.raises(ValueError, match=message):
                 self._place(**{name: self._arrays()[name][:1]})
+        with pytest.raises(ValueError, match="assignments: need 2 items, got 3"):
+            self._place(assignments=np.empty(3, dtype=np.uint8))
 
     @pytest.mark.parametrize("bad", [0, 2, 8])
     def test_mask_not_a_degree(self, bad):
@@ -472,20 +470,15 @@ class TestPlacementArguments:
             self._place(mask=np.array([1, bad], dtype=np.uint8))
 
     def test_entries_without_cells(self):
-        with pytest.raises(ValueError, match="cells: no cell"):
-            self._place(cells=np.empty(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="m: no cell"):
+            self._place(m=0)
 
-    def test_cells_beyond_32_bits(self, tmp_path):
-        # 2**32 cells overflow a uint32 row; a sparse file maps them
-        # without memory, and the check comes before any allocation
-        path = tmp_path / "cells"
-        with open(path, "wb") as f:
-            f.truncate(8 << 32)
-        with open(path, "r+b") as f, mmap.mmap(f.fileno(), 0) as mapped:
-            cells = np.frombuffer(mapped, dtype=np.int64)
-            with pytest.raises(ValueError, match=r"fewer than 2\*\*32 entries and cells"):
-                self._place(cells=cells)
-            del cells
+    def test_table_size_outside_32_bits(self):
+        # 2**32 cells overflow a uint32 row, and a negative size is none;
+        # either is refused before the 16-byte slots of m cells are allocated
+        for m in (2**32, -1):
+            with pytest.raises(ValueError, match=r"0 <= m < 2\*\*32"):
+                self._place(m=m)
 
     def test_negative_budget(self):
         with pytest.raises(ValueError, match="budget must be >= 0"):
@@ -600,8 +593,6 @@ class TestMatchingOracle:
         inp = _random_bucket(rng, 80, 0.9, (0.25, 0.5, 0.25))
         feasible, assignments = matching_oracle(inp, seed=0)
         if feasible:
-            from sichash.cuckoo import PlacementResult
-
             cells = placement_cells(inp, PlacementResult(0, assignments, 0))
             assert len(np.unique(cells)) == len(inp)
 

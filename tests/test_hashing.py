@@ -539,17 +539,19 @@ import importlib.util, sys
 import numpy as np
 from sichash import _native
 from sichash.cli import generate_keys
-from sichash.hashing import master_hash_many
+from sichash.cuckoo import BucketInput, build_bucket
+from sichash.hashing import class_of_many, class_thresholds, master_hash_many, row_keys
 from sichash.phf import PhfConfig, SicHashPhf, build
 
 spec = importlib.util.spec_from_file_location(_native._NAME, sys.argv[1])
 sanitized = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(sanitized)
+regular = _native.lib
 keys = generate_keys(20_000, seed=5)
 configs = [PhfConfig(alpha=0.9), PhfConfig(alpha=0.97, minimal=True, compressed_metadata=True)]
 for config in configs:
     outputs = []
-    for lib in (sanitized, _native.lib):
+    for lib in (sanitized, regular):
         _native.lib = lib
         phf = SicHashPhf.from_bytes(build(keys, config).to_bytes())
         values = phf.evaluate_many(keys)
@@ -557,6 +559,29 @@ for config in configs:
         assert np.array_equal(phf.evaluate_hashes(*master_hash_many(keys, 0)), values)
         outputs.append((phf.to_bytes(), values.tobytes()))
     assert outputs[0] == outputs[1]
+
+# a bucket that seeds 0, 1 and 2 fail, a placement whose budget runs out
+# partway, and a store solve of one-byte values
+rng = np.random.default_rng(35)
+hi, lo = (rng.integers(0, 2**64, size=12, dtype=np.uint64) for _ in range(2))
+bucket = BucketInput(hi, lo, class_of_many(lo, *class_thresholds(0.3, 0.4)), 12)
+rng = np.random.default_rng(13)
+hi, lo = (rng.integers(0, 2**64, size=400, dtype=np.uint64) for _ in range(2))
+mask = class_of_many(lo, *class_thresholds(0.25, 0.5)) - np.uint8(1)
+values = (lo[:300] & np.uint64(7)).astype(np.uint8)
+outputs = []
+for lib in (sanitized, regular):
+    _native.lib = lib
+    placed = build_bucket(bucket)
+    assignments = np.full(400, 255, dtype=np.uint8)
+    spent = lib.rattle_place(hi, lo, mask, 0, 50, 421, assignments)
+    planes = np.empty((3, 330 // 64 + 2), dtype=np.uint64)
+    dependent = lib.ribbon_build(hi[:300], lo[:300], values, 330, 3, *row_keys(0), planes)
+    outputs.append((placed.seed, placed.assignments.tobytes(), spent, assignments.tobytes(),
+                    dependent, planes.tobytes()))
+assert outputs[0] == outputs[1]
+assert outputs[0][0] == 3 and outputs[0][2] == -1 and outputs[0][4] == 0
+assert set(outputs[0][3]) == {255}
 print("clean")
 """
 
@@ -565,7 +590,8 @@ print("clean")
 @needs_header
 def test_kernels_run_clean_under_sanitizers(tmp_path):
     # the module built with ASan and UBSan, any report fatal, runs a plain
-    # and a minimal build, a reload and every query path in a subprocess
+    # and a minimal build, a reload and every query path in a subprocess,
+    # then a bucket's failed seeds, a budget that runs out and a store solve
     found = subprocess.run([_native._CC[0], "-print-file-name=libasan.so"],
                            capture_output=True, text=True, timeout=60)
     runtime = found.stdout.strip()

@@ -230,7 +230,7 @@ class TestBuild:
 
 
 _STAGES = [
-    "hash", "partition", "cuckoo", "split",
+    "hash", "partition", "cuckoo",
     "retrieval", "retrieval_r1", "retrieval_r2", "retrieval_r3", "verify",
 ]
 
@@ -1239,11 +1239,10 @@ def test_kernels_take_no_keyword_arguments(phf_20k, keyword):
     words = np.zeros(2, dtype=np.uint64)
     planes = np.empty((1, 3), dtype=np.uint64)
     mask = np.ones(2, dtype=np.uint8)
-    cells, counters = np.empty(3, dtype=np.int64), np.empty(2, dtype=np.int64)
     calls = [
         (lib.master_hash_batch, ([b"a", b"b"], 0, 0, words, words.copy())),
-        (lib.ribbon_build, (words, words, words, 64, 1, 0, 0, planes)),
-        (lib.rattle_place, (words, words, mask, 0, 100, cells, counters)),
+        (lib.ribbon_build, (words, words, np.zeros(2, dtype=np.uint8), 64, 1, 0, 0, planes)),
+        (lib.rattle_place, (words, words, mask, 0, 100, 3, mask.copy())),
         (lib.Plan, tuple(_plan_args(phf_20k))),
     ]
     for kernel, args in calls:

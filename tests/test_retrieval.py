@@ -81,9 +81,15 @@ def test_lengths_must_match(hashes, values):
         RetrievalStore.build(hashes, values, r=1)
 
 
-def test_value_out_of_range_rejected():
-    with pytest.raises(ValueError, match="fit"):
-        RetrievalStore.build(([1], [2]), [4], r=2)
+def test_value_out_of_range_rejected(monkeypatch):
+    # checked before the values are narrowed to one byte, which would
+    # store 256 as 0, 1.9 as 1 and -1 as 255
+    for lib in (_native.lib, None):
+        monkeypatch.setattr(_native, "lib", lib)
+        for values in ([4], [256], [1.9], [-1], np.array([-1]), [3, -1]):
+            hashes = (np.arange(len(values)), np.full(len(values), 2))
+            with pytest.raises(ValueError, match="values must be integers that fit in r=2 bits"):
+                RetrievalStore.build(hashes, values, r=2)
 
 
 def test_bad_r():
@@ -310,11 +316,11 @@ def test_solve_matches_reference():
         starts, coeffs = _rows_many(hi, lo, seed, num_slots)
         rows = list(zip(starts.tolist(), coeffs.tolist()))
         if case % 2:
-            values = rng.integers(0, 2**r, size=n, dtype=np.uint64)
+            values = rng.integers(0, 2**r, size=n, dtype=np.uint8)
         else:
             values = np.array(
                 [mix64(s * 0x9E3779B97F4A7C15 ^ c) >> (64 - r) for s, c in rows],
-                dtype=np.uint64,
+                dtype=np.uint8,
             )
         want = _reference_solve(hi, lo, values, r, seed, num_slots)
         status, got = _solve(hi, lo, values, r, seed, num_slots)
@@ -356,7 +362,7 @@ def test_kernel_matches_python_solve(r, epsilon):
     for n, k in itertools.product((0, 1, 63, 64, 65, 500, 3000), (0, 4)):
         num_slots = max(64, math.ceil(n * (1 + epsilon)))
         hi, lo = _random_hashes(rng, n)
-        values = rng.integers(0, 2**r, size=n, dtype=np.uint64)
+        values = rng.integers(0, 2**r, size=n, dtype=np.uint8)
         k = min(k, n // 2)
         for x in (hi, lo, values):
             x[n - k :] = x[:k]
@@ -411,7 +417,7 @@ class TestSolveArguments:
     def _build(hi=None, lo=None, values=None, num_slots=64, r=1, planes=None):
         hi = np.array([5, 5], dtype=np.uint64) if hi is None else hi
         lo = np.array([7, 8], dtype=np.uint64) if lo is None else lo
-        values = np.array([1, 0], dtype=np.uint64) if values is None else values
+        values = np.array([1, 0], dtype=np.uint8) if values is None else values
         planes = np.empty((r, num_slots // 64 + 2), dtype=np.uint64) if planes is None else planes
         return _native.lib.ribbon_build(hi, lo, values, num_slots, r, *row_keys(0), planes)
 
@@ -420,14 +426,14 @@ class TestSolveArguments:
         # the same equation with another value is inconsistent, and with
         # the same value dependent
         assert self._build(lo=np.array([7, 7], dtype=np.uint64)) == -1
-        ones = np.ones(2, dtype=np.uint64)
+        ones = np.ones(2, dtype=np.uint8)
         assert self._build(lo=np.array([7, 7], dtype=np.uint64), values=ones) == 1
 
     def test_wrong_dtype(self):
         with pytest.raises(TypeError, match="hi: need items of 8 bytes"):
             self._build(hi=np.zeros(2, dtype=np.uint32))
-        with pytest.raises(TypeError, match="values: need items of 8 bytes"):
-            self._build(values=np.ones(2, dtype=np.uint8))
+        with pytest.raises(TypeError, match="values: need items of 1 bytes"):
+            self._build(values=np.ones(2, dtype=np.uint64))
         with pytest.raises(TypeError, match="planes: need items of 8 bytes"):
             self._build(planes=np.empty(24, dtype=np.uint8))
 
@@ -439,7 +445,7 @@ class TestSolveArguments:
         with pytest.raises(ValueError, match="lo: need 2 items, got 1"):
             self._build(lo=np.ones(1, dtype=np.uint64))
         with pytest.raises(ValueError, match="values: need 2 items, got 3"):
-            self._build(values=np.ones(3, dtype=np.uint64))
+            self._build(values=np.ones(3, dtype=np.uint8))
 
     @pytest.mark.parametrize("r, num_slots", [(0, 64), (4, 64), (1, 63)])
     def test_bad_shape(self, r, num_slots):
@@ -546,8 +552,9 @@ def test_distinctness_checked_only_after_a_dependent_row(monkeypatch, lib):
     values = np.random.default_rng(64).integers(0, 4, size=5000, dtype=np.uint64)
     store = RetrievalStore.build((hi, lo), values, r=2)
     assert calls == [] and store.seed == 0
+    hi, lo = (np.append(x, x[0]) for x in (hi, lo))
     with pytest.raises(ValueError, match="duplicate keys"):
-        RetrievalStore.build((np.append(hi, hi[0]), np.append(lo, lo[0])), [*values, 0], r=2)
+        RetrievalStore.build((hi, lo), np.append(values, np.uint64(0)), r=2)
     assert calls == [5001]
 
 
