@@ -2,7 +2,7 @@
  * loaded by _native.py as sichash._native.lib:
  *
  *   master_hash_batch(keys, a, b, hi, lo)
- *       the master hash of each of a sequence of bytes-like keys
+ *       the master hash of each of a sequence of exact bytes keys
  *   ribbon_build(hi, lo, values, num_slots, r, ks, kc, planes)
  *       one seed attempt of a retrieval store of one-byte values: its rows
  *       derived, sorted by start, eliminated and back-substituted into
@@ -43,9 +43,11 @@
  * multiply-fold per 16-byte block, the length is mixed in after the last
  * block, and mix64 finalizes both halves.  Its one inline copy, hash_key,
  * serves both master_hash_batch and plan.query, and both read a key with
- * read_key: an exact bytes object by pointer and length, any other key
- * through the buffer protocol.  master_hash_batch and plan.query_keys
- * share one block gather, gather_block.
+ * read_key: an exact bytes object by pointer and length.  Any other key
+ * raises TypeError; the Python callers then call again with the keys as
+ * hashing._key_bytes reads them, so the rules for other bytes-like keys,
+ * and their errors, are written there only.  master_hash_batch and
+ * plan.query_keys share one block gather, gather_block.
  *
  * This file holds no derivation constant: _native.py compiles it with each
  * entry of hashing.QUERY_CONSTANTS as a macro, SICHASH_<NAME>, and every
@@ -166,6 +168,19 @@ static inline void hash_key(uint64_t a, uint64_t b, const uint8_t *p, uint64_t l
     *lo = mix(b);
 }
 
+/* hashing.bucket_of: a bucket in [0, num_buckets) */
+static inline uint64_t bucket_of(uint64_t hi, uint64_t num_buckets)
+{
+    return mulhi(hi, num_buckets);
+}
+
+/* hashing.class_of as a class index, 0, 1 or 2 for degree 2, 4 or 8: the
+ * number of thresholds t1 <= t2 at or below lo */
+static inline int class_of(uint64_t lo, uint64_t t1, uint64_t t2)
+{
+    return (lo >= t1) + (lo >= t2);
+}
+
 /* hashing.fold_hash */
 static inline uint64_t fold(uint64_t hi, uint64_t lo)
 {
@@ -197,39 +212,27 @@ static inline row row_of(uint64_t ks, uint64_t kc, uint64_t span, uint64_t hi, u
     return out;
 }
 
-/* How plan.query and gather_block read a key, as hashing._key_bytes reads
- * it: an exact bytes object in place, by pointer and length, and any other
- * key into *view, which must be a C-contiguous buffer of at most one
- * dimension (str, int and None raise TypeError, and any other buffer
- * BufferError).  Returns 1 for exact bytes, 0 when *view holds the key's
- * buffer (the caller releases it) and -1 with an exception set. */
-static inline int read_key(PyObject *key, Py_buffer *view, const uint8_t **p, uint64_t *len)
+/* How plan.query and gather_block read a key: an exact bytes object in
+ * place, by pointer and length.  Returns 0, or -1 with TypeError set for
+ * any other object, which the caller hands back to Python to be read by
+ * hashing._key_bytes. */
+static inline int read_key(PyObject *key, const uint8_t **p, uint64_t *len)
 {
-    if (PyBytes_CheckExact(key)) {
-        *p = (const uint8_t *)PyBytes_AS_STRING(key);
-        *len = (uint64_t)PyBytes_GET_SIZE(key);
-        return 1;
-    }
-    if (PyObject_GetBuffer(key, view, PyBUF_FULL_RO) < 0)
-        return -1;
-    if (view->ndim > 1 || !PyBuffer_IsContiguous(view, 'C')) {
-        PyBuffer_Release(view);
-        PyErr_SetString(PyExc_BufferError,
-                        "a key must be a C-contiguous buffer of at most one dimension");
+    if (!PyBytes_CheckExact(key)) {
+        PyErr_SetString(PyExc_TypeError, "the kernel reads exact bytes keys only");
         return -1;
     }
-    *p = view->buf;
-    *len = (uint64_t)view->len;
+    *p = (const uint8_t *)PyBytes_AS_STRING(key);
+    *len = (uint64_t)PyBytes_GET_SIZE(key);
     return 0;
 }
 
-/* keys per block of master_hash_batch and plan.query_keys: a block's exact
- * bytes keys are held with the GIL, then hashed without it */
+/* keys per block of master_hash_batch and plan.query_keys: a block's keys
+ * are held with the GIL, then hashed without it */
 #define KEY_BLOCK 256
 
 /* a key of a block: an exact bytes object and a strong reference to it,
- * which keeps its bytes alive while the block is hashed without the GIL;
- * obj is NULL for any other key, which is hashed at once */
+ * which keeps its bytes alive while the block is hashed without the GIL */
 typedef struct {
     const uint8_t *p;
     uint64_t len;
@@ -237,44 +240,31 @@ typedef struct {
 } block_key;
 
 /* The gather of master_hash_batch and plan.query_keys, with the GIL: keys
- * seq[at .. at + m) of a sequence of n keys into block.  An exact bytes key
- * is held, to be hashed once the GIL is released; any other key is hashed
- * at once, under the lanes a and b, into hi[j] and lo[j].  Returns the
- * number of keys read, m unless a key raised or the sequence changed size
- * (a key's buffer protocol may run code that resizes a list); the caller
- * releases block[0 .. returned). */
-static Py_ssize_t gather_block(PyObject *seq, Py_ssize_t n, Py_ssize_t at, Py_ssize_t m,
-                               uint64_t a, uint64_t b, block_key *block, uint64_t *hi,
-                               uint64_t *lo)
+ * seq[at .. at + m) into block, each held by a strong reference.  Returns
+ * the number of keys held, m unless a key is not exact bytes; the caller
+ * releases block[0 .. returned).  No Python code runs here, so the
+ * sequence keeps the size that release_block last checked. */
+static Py_ssize_t gather_block(PyObject *seq, Py_ssize_t at, Py_ssize_t m, block_key *block)
 {
     Py_ssize_t held = 0;
-    Py_buffer view;
-    while (held < m && PySequence_Fast_GET_SIZE(seq) == n) {
-        Py_ssize_t i = at + held;
+    for (; held < m; held++) {
         block_key *k = &block[held];
-        int exact = read_key(PySequence_Fast_GET_ITEM(seq, i), &view, &k->p, &k->len);
-        if (exact < 0)
+        k->obj = PySequence_Fast_GET_ITEM(seq, at + held);
+        if (read_key(k->obj, &k->p, &k->len) < 0)
             break;
-        if (exact) {
-            k->obj = PySequence_Fast_GET_ITEM(seq, i);
-            Py_INCREF(k->obj);
-        } else {
-            hash_key(a, b, k->p, k->len, &hi[held], &lo[held]);
-            PyBuffer_Release(&view);
-            k->obj = NULL;
-        }
-        held++;
+        Py_INCREF(k->obj);
     }
     return held;
 }
 
 /* Releases the first held keys of a block, then checks that the sequence
- * kept its n keys; returns -1 with an exception set when a key raised or
- * it did not. */
+ * kept its n keys, which only another thread can change, while the block
+ * was hashed without the GIL; returns -1 with an exception set when a key
+ * raised or it did not. */
 static int release_block(PyObject *seq, Py_ssize_t n, block_key *block, Py_ssize_t held)
 {
     while (held)
-        Py_XDECREF(block[--held].obj);
+        Py_DECREF(block[--held].obj);
     if (PyErr_Occurred())
         return -1;
     if (PySequence_Fast_GET_SIZE(seq) != n) {
@@ -286,7 +276,7 @@ static int release_block(PyObject *seq, Py_ssize_t n, block_key *block, Py_ssize
 
 /* master_hash_batch(keys, a, b, hi, lo): the master hash halves of key i
  * under the seed's lanes a and b into hi[i] and lo[i], two uint64 arrays of
- * len(keys) words.  keys is any iterable of bytes-like objects; it is read
+ * len(keys) words.  keys is any iterable of exact bytes objects; it is read
  * once, into a list unless it is a list or tuple. */
 static PyObject *master_hash_batch(PyObject *self, PyObject *args)
 {
@@ -297,7 +287,7 @@ static PyObject *master_hash_batch(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OO&O&w*w*:master_hash_batch", &keys, u64_arg, &a, u64_arg, &b,
                           &hi, &lo))
         return NULL;
-    seq = PySequence_Fast(keys, "keys must be an iterable of bytes-like objects");
+    seq = PySequence_Fast(keys, "keys must be an iterable of bytes objects");
     if (!seq)
         goto done;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
@@ -306,12 +296,11 @@ static PyObject *master_hash_batch(PyObject *self, PyObject *args)
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
         Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK;
         uint64_t *h = (uint64_t *)hi.buf + at, *l = (uint64_t *)lo.buf + at;
-        Py_ssize_t held = gather_block(seq, n, at, m, a, b, block, h, l);
+        Py_ssize_t held = gather_block(seq, at, m, block);
         if (held == m) {
             Py_BEGIN_ALLOW_THREADS
             for (Py_ssize_t j = 0; j < m; j++)
-                if (block[j].obj)
-                    hash_key(a, b, block[j].p, block[j].len, &h[j], &l[j]);
+                hash_key(a, b, block[j].p, block[j].len, &h[j], &l[j]);
             Py_END_ALLOW_THREADS
         }
         if (release_block(seq, n, block, held) < 0)
@@ -498,10 +487,9 @@ done:
 
 /* partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c,
  * class_pos): the n master hashes (hi[i], lo[i]) in bucket order and in
- * class order.  Entry i's bucket is mulhi(hi[i], num_buckets), as
- * hashing.bucket_of_many derives it, with num_buckets = len(counts) >= 1;
- * its class index is (lo >= t1) + (lo >= t2) and its degree 2 << class, as
- * hashing.class_of_many derives them.
+ * class order.  Entry i's bucket is bucket_of(hi[i], num_buckets), with
+ * num_buckets = len(counts) >= 1, and its degree is 2 << class_of(lo[i],
+ * t1, t2), as hashing.bucket_of_many and hashing.class_of_many derive them.
  *   - hi_b, lo_b (uint64) and deg_b (uint8) receive the entries in bucket
  *     order, stable: by bucket, then input order (a counting sort);
  *     counts (int64) receives each bucket's entry count.
@@ -541,8 +529,8 @@ static PyObject *partition(PyObject *self, PyObject *args)
     Py_BEGIN_ALLOW_THREADS
     memset(at, 0, counts.len);
     for (Py_ssize_t i = 0; i < n; i++) {
-        at[mulhi(h[i], (uint64_t)nb)]++;
-        classes[(l[i] >= t1) + (l[i] >= t2)]++;
+        at[bucket_of(h[i], (uint64_t)nb)]++;
+        classes[class_of(l[i], t1, t2)]++;
     }
     /* each count becomes its bucket's first position, and is advanced past
      * each entry placed there, to its bucket's end */
@@ -553,16 +541,16 @@ static PyObject *partition(PyObject *self, PyObject *args)
         sum += count;
     }
     for (Py_ssize_t i = 0; i < n; i++) {
-        int64_t j = at[mulhi(h[i], (uint64_t)nb)]++;
+        int64_t j = at[bucket_of(h[i], (uint64_t)nb)]++;
         hb[j] = h[i];
         lb[j] = l[i];
-        db[j] = (uint8_t)(2 << ((l[i] >= t1) + (l[i] >= t2)));
+        db[j] = (uint8_t)(2 << class_of(l[i], t1, t2));
     }
     for (Py_ssize_t b = nb - 1; b > 0; b--) /* the ends back into counts */
         at[b] -= at[b - 1];
     int64_t next[3] = {0, classes[0], classes[0] + classes[1]};
     for (Py_ssize_t j = 0; j < n; j++) {
-        int64_t k = next[(lb[j] >= t1) + (lb[j] >= t2)]++;
+        int64_t k = next[class_of(lb[j], t1, t2)]++;
         hc[k] = hb[j];
         lc[k] = lb[j];
         cp[j] = (uint32_t)k;
@@ -726,7 +714,7 @@ done:
 
 /* ------------------------------------------------------------------------
  * Scalar and batch query, the derivation of SicHashPhf.evaluate_hash: the
- * bucket by multiply-high, the class by the thresholds t1 and t2, the
+ * bucket (bucket_of), the class by the thresholds t1 and t2 (class_of), the
  * class's retrieval row (row_of, as the store was built with) and r-plane
  * window parity (RetrievalStore.query), the cell key and cell
  * (hashing.cell_key, cell_at), the bucket's offset
@@ -736,7 +724,7 @@ done:
  * on every array it reads, so it keeps them alive on its own.  value_of
  * checks no bounds; Plan() checks what makes each of its reads valid:
  *   - starts, sizes and seeds hold num_buckets >= 1 words each, and the
- *     bucket b = mulhi(hi, num_buckets) is below num_buckets;
+ *     bucket b = bucket_of(hi, num_buckets) is below num_buckets;
  *   - every bucket has starts[b] + max(sizes[b], 1) <= limit + len(remap),
  *     so a value, start plus a cell below the size, is below that sum;
  *   - a store has num_slots >= 64 and c + 1 planes of num_slots // 64 + 2
@@ -755,8 +743,8 @@ typedef struct {
 
 static inline uint64_t value_of(const sichash_plan *p, uint64_t hi, uint64_t lo)
 {
-    uint64_t b = mulhi(hi, p->num_buckets);
-    int c = lo < p->t1 ? 0 : lo < p->t2 ? 1 : 2;
+    uint64_t b = bucket_of(hi, p->num_buckets);
+    int c = class_of(lo, p->t1, p->t2);
     row eq = row_of(p->row_keys[c][0], p->row_keys[c][1], p->spans[c], hi, lo);
     uint64_t w = eq.start >> 6, off = eq.start & 63, fn = 0;
     for (int k = 0; k <= c; k++) {
@@ -857,19 +845,15 @@ fail:
     return NULL;
 }
 
-/* plan.query(key): the value of one bytes-like key */
+/* plan.query(key): the value of one exact bytes key */
 static PyObject *plan_query(Plan *self, PyObject *key)
 {
     const sichash_plan *p = &self->p;
     uint64_t hi, lo, len;
     const uint8_t *bytes;
-    Py_buffer view;
-    int exact = read_key(key, &view, &bytes, &len);
-    if (exact < 0)
+    if (read_key(key, &bytes, &len) < 0)
         return NULL;
     hash_key(p->a, p->b, bytes, len, &hi, &lo);
-    if (!exact)
-        PyBuffer_Release(&view);
     return PyLong_FromUnsignedLongLong(value_of(p, hi, lo));
 }
 
@@ -900,8 +884,8 @@ static PyObject *plan_query_hashes(Plan *self, PyObject *args)
 }
 
 /* plan.query_keys(keys, out): out[i] is the value of keys[i], for an
- * iterable of bytes-like keys, read once as master_hash_batch reads it, and
- * a uint64 array of one word per key.  Each
+ * iterable of exact bytes keys, read once as master_hash_batch reads it,
+ * and a uint64 array of one word per key.  Each
  * block of keys is gathered as master_hash_batch gathers it, then hashed
  * and answered in one section without the GIL, the whole block hashed
  * before any key of it is answered. */
@@ -914,7 +898,7 @@ static PyObject *plan_query_keys(Plan *self, PyObject *args)
     uint64_t hi[KEY_BLOCK], lo[KEY_BLOCK];
     if (!PyArg_ParseTuple(args, "Ow*:query_keys", &keys, &out))
         return NULL;
-    seq = PySequence_Fast(keys, "keys must be an iterable of bytes-like objects");
+    seq = PySequence_Fast(keys, "keys must be an iterable of bytes objects");
     if (!seq)
         goto done;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
@@ -922,13 +906,12 @@ static PyObject *plan_query_keys(Plan *self, PyObject *args)
         goto done;
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
         Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK;
-        Py_ssize_t held = gather_block(seq, n, at, m, p->a, p->b, block, hi, lo);
+        Py_ssize_t held = gather_block(seq, at, m, block);
         if (held == m) {
             uint64_t *o = (uint64_t *)out.buf + at;
             Py_BEGIN_ALLOW_THREADS
             for (Py_ssize_t j = 0; j < m; j++)
-                if (block[j].obj)
-                    hash_key(p->a, p->b, block[j].p, block[j].len, &hi[j], &lo[j]);
+                hash_key(p->a, p->b, block[j].p, block[j].len, &hi[j], &lo[j]);
             for (Py_ssize_t j = 0; j < m; j++)
                 o[j] = value_of(p, hi[j], lo[j]);
             Py_END_ALLOW_THREADS
@@ -945,11 +928,11 @@ done:
 }
 
 static PyMethodDef plan_methods[] = {
-    {"query", (PyCFunction)plan_query, METH_O, "query(key): the value of one bytes-like key"},
+    {"query", (PyCFunction)plan_query, METH_O, "query(key): the value of one exact bytes key"},
     {"query_hashes", (PyCFunction)plan_query_hashes, METH_VARARGS,
      "query_hashes(hi, lo, out): the values of master hashes, into out"},
     {"query_keys", (PyCFunction)plan_query_keys, METH_VARARGS,
-     "query_keys(keys, out): the values of bytes-like keys, into out"},
+     "query_keys(keys, out): the values of exact bytes keys, into out"},
     {NULL, NULL, 0, NULL},
 };
 

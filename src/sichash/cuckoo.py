@@ -47,6 +47,7 @@ from . import _native
 from .errors import ConstructionError
 from .hashing import (
     CLASS_DEGREES,
+    MASK32,
     cell_at,
     cell_key,
     cell_of_many,
@@ -68,7 +69,8 @@ _MAX_BUDGET = 2**63 - 1
 @dataclass
 class BucketInput:
     """Entries of one bucket: hash halves, per-entry degrees, and the
-    table size ``m`` (``m >= n`` by the load-factor rounding rule)."""
+    table size ``m`` (``m >= n`` by the load-factor rounding rule, and
+    below 2**32, so that every placement path can index its cells)."""
 
     hi: np.ndarray
     lo: np.ndarray
@@ -86,6 +88,8 @@ class BucketInput:
             raise ValueError("hi, lo, degrees must have equal length")
         if self.m < len(self.hi):
             raise ValueError("table size m must be at least the entry count")
+        if self.m > MASK32:
+            raise ValueError("table size m must be below 2**32")
 
     def __len__(self) -> int:
         return len(self.hi)

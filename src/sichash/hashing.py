@@ -18,7 +18,11 @@ property: keys are not adversarial, and a caller can change the seed.
 :func:`master_hash` is the pure-Python reference.
 :func:`master_hash_many` runs the batch kernel of the package's native
 extension module, :data:`sichash._native.lib`, and the reference loop
-when that is None.  That module's source holds no derivation constant:
+when that is None.  The kernels read exact ``bytes`` keys only, and raise
+:class:`TypeError` for any other key; :func:`_key_bytes` reads every other
+key, on both paths, so which keys are accepted, and the errors of those
+that are not, are decided here once.  The native module's source holds
+no derivation constant:
 it is compiled with :data:`QUERY_CONSTANTS` as macros, and the batch hash
 and the query plan take the seed's lanes from :func:`seed_lanes`.  The
 plan and the cuckoo placement derive cells with one C copy of
@@ -98,8 +102,10 @@ def seed_lanes(seed: int) -> tuple[int, int]:
 
 
 def _key_bytes(key) -> bytes:
-    """A key's bytes: any C-contiguous buffer of at most one dimension, as
-    the native kernels read it; str, int and None raise TypeError."""
+    """A key's bytes: any C-contiguous buffer of at most one dimension;
+    str, int and None raise TypeError, and any other buffer BufferError.
+    The native kernels read exact ``bytes`` only, so every other key of
+    either path is read here."""
     if type(key) is bytes:
         return key
     with memoryview(key) as view:
@@ -134,9 +140,10 @@ def master_hash_many(
     """Vectorized :func:`master_hash`; returns (hi, lo) uint64 arrays.
 
     Any iterable of bytes-like keys is accepted; it is read once.  The
-    native kernel reads each key as :func:`master_hash` does, an exact
-    ``bytes`` object in place and any other key through its buffer, so
-    both paths give the same hashes and raise the same errors.
+    native kernel reads exact ``bytes`` keys in place; when a key is not
+    one it raises :class:`TypeError`, and is called again on the keys as
+    :func:`_key_bytes` reads them, so both paths give the same hashes and
+    raise the same errors.
     """
     # here, not at the top: _native imports this module's constants
     from . import _native
@@ -155,7 +162,12 @@ def master_hash_many(
         return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
     hi = np.empty(len(keys), dtype=np.uint64)
     lo = np.empty(len(keys), dtype=np.uint64)
-    lib.master_hash_batch(keys, a, b, hi, lo)
+    try:
+        lib.master_hash_batch(keys, a, b, hi, lo)
+        return hi, lo
+    except TypeError:  # a key that is not exact bytes
+        pass
+    lib.master_hash_batch([_key_bytes(key) for key in keys], a, b, hi, lo)
     return hi, lo
 
 

@@ -58,6 +58,7 @@ from .hashing import (
     CLASS_DEGREES,
     MASK64,
     MasterHash,
+    _key_bytes,
     bucket_of,
     bucket_of_many,
     cell_of,
@@ -263,8 +264,11 @@ class SicHashPhf:
     When the native module is loaded it packs those arrays, the master
     hash's seed lanes, the thresholds, the bucket seeds and each store's
     row keys and planes into a ``_native.lib.Plan``, whose methods answer
-    :meth:`evaluate` on any bytes-like key, :meth:`evaluate_many` and
-    :meth:`evaluate_hashes` in one call each.
+    :meth:`evaluate`, :meth:`evaluate_many` and :meth:`evaluate_hashes` in
+    one call each.  The plan reads exact ``bytes`` keys only; when a key is
+    not one, the plan raises :class:`TypeError` and is called again on the
+    keys as :func:`~sichash.hashing._key_bytes` reads them, so both paths
+    accept the same keys and raise the same errors.
     Otherwise :meth:`evaluate` composes :func:`~sichash.hashing.master_hash`
     and :meth:`evaluate_hash`, :meth:`evaluate_hashes` runs the same
     derivation in numpy and :meth:`evaluate_many` hashes the keys with
@@ -355,7 +359,11 @@ class SicHashPhf:
 
     def evaluate(self, key: bytes) -> int:
         if self._query is not None and _native.lib is not None:
-            return self._query.query(key)
+            try:
+                return self._query.query(key)
+            except TypeError:  # not exact bytes
+                pass
+            return self._query.query(_key_bytes(key))
         return self.evaluate_hash(master_hash(key, self.config.global_seed))
 
     def evaluate_hash(self, h: MasterHash) -> int:
@@ -388,7 +396,12 @@ class SicHashPhf:
             if not isinstance(keys, (list, tuple)):
                 keys = list(keys)
             values = np.empty(len(keys), dtype=np.uint64)
-            self._query.query_keys(keys, values)
+            try:
+                self._query.query_keys(keys, values)
+                return values
+            except TypeError:  # a key that is not exact bytes
+                pass
+            self._query.query_keys([_key_bytes(key) for key in keys], values)
             return values
         hi, lo = master_hash_many(keys, self.config.global_seed)
         return self.evaluate_hashes(hi, lo)

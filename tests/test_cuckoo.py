@@ -174,6 +174,14 @@ class TestBuildBucket:
         assert result.seed == 0
         assert len(result.assignments) == 0
 
+    def test_table_of_2_32_cells_rejected(self):
+        # every placement path indexes cells in 32 bits; the check comes
+        # before build_bucket, so neither path allocates the table
+        assert BucketInput([123], [456], [2], 2**32 - 1).m == 2**32 - 1
+        for m in (2**32, 10**302):
+            with pytest.raises(ValueError, match=r"below 2\*\*32"):
+                BucketInput([123], [456], [2], m)
+
     def test_single_entry(self):
         inp = BucketInput([123], [456], [2], 1)
         result = build_bucket(inp)

@@ -90,7 +90,7 @@ def test_master_hash_many_across_chunks():
 
 class BytesKey(bytes):
     """A bytes subclass: a key that is bytes but not exact bytes, so the
-    kernel reads it through its buffer and not by pointer."""
+    kernel refuses it and ``hashing._key_bytes`` reads it."""
 
 
 @pytest.mark.parametrize("form", [BytesKey, bytearray, memoryview],
@@ -535,7 +535,7 @@ class TestLoadKernel:
 #: argv[1]: each build, load and query path, once on that module and once
 #: on the regular one, which must agree byte for byte
 _SANITIZED_ROUND = """
-import importlib.util, sys
+import importlib.util, sys, threading
 import numpy as np
 from sichash import _native
 from sichash.cli import generate_keys
@@ -582,6 +582,70 @@ for lib in (sanitized, regular):
 assert outputs[0] == outputs[1]
 assert outputs[0][0] == 3 and outputs[0][2] == -1 and outputs[0][4] == 0
 assert set(outputs[0][3]) == {255}
+
+# a key that is not exact bytes at the end of a block and at the start of
+# the next: the kernel raises TypeError with a block partly held, then the
+# caller calls it again on the keys as _key_bytes reads them; a str is
+# refused on both paths alike
+class BytesKey(bytes):
+    pass
+
+blob = build(keys, configs[0]).to_bytes()
+outputs = []
+for lib in (sanitized, regular):
+    _native.lib = lib
+    phf = SicHashPhf.from_bytes(blob)
+    got = []
+    for at in (255, 256):
+        for form in (bytearray, BytesKey, str):
+            mixed = list(keys[:600])
+            mixed[at] = form(mixed[at]) if form is not str else "a key"
+            for call in (phf.evaluate_many, lambda ks: master_hash_many(ks, 0),
+                         lambda ks: [phf.evaluate(k) for k in ks[250:260]]):
+                try:
+                    got.append(np.asarray(call(mixed)).tobytes())
+                except TypeError:
+                    if form is not str:
+                        raise
+                    got.append("TypeError")
+    outputs.append(got)
+assert outputs[0] == outputs[1] and outputs[0].count("TypeError") == 6
+
+# another thread pops keys while blocks are hashed without the GIL: the
+# size check after each block raises RuntimeError before any read past
+# the list's end; a call that returns gives the values of the keys it read
+def pop_all(ks):
+    while ks:
+        ks.pop()
+
+_native.lib = sanitized
+phf = SicHashPhf.from_bytes(blob)
+many = generate_keys(60_000, seed=6)
+want = phf.evaluate_many(many)
+want_hi, want_lo = master_hash_many(many, 0)
+# under ASan the Python steps between len(keys) and the kernel outlast
+# 1e-6 s, so at that interval the popper pops there more than in the kernel
+sys.setswitchinterval(1e-4)
+outcomes = []
+for call in (lambda ks: [phf.evaluate_many(ks)], lambda ks: master_hash_many(ks, 0)):
+    for _ in range(5):
+        popped = list(many)
+        popper = threading.Thread(target=pop_all, args=(popped,))
+        popper.start()
+        try:
+            got = call(popped)
+        except RuntimeError as exc:
+            assert "changed size" in str(exc)
+            outcomes.append("changed size")
+        except ValueError as exc:
+            assert "items" in str(exc)
+        else:
+            count = len(got[0])
+            wants = [want] if len(got) == 1 else [want_hi, want_lo]
+            assert all(np.array_equal(g, w[:count]) for g, w in zip(got, wants))
+        popper.join(timeout=60)
+        assert not popper.is_alive()
+assert "changed size" in outcomes
 print("clean")
 """
 
@@ -591,7 +655,9 @@ print("clean")
 def test_kernels_run_clean_under_sanitizers(tmp_path):
     # the module built with ASan and UBSan, any report fatal, runs a plain
     # and a minimal build, a reload and every query path in a subprocess,
-    # then a bucket's failed seeds, a budget that runs out and a store solve
+    # then a bucket's failed seeds, a budget that runs out and a store solve,
+    # keys that are not exact bytes at a block's edge, and keys popped by
+    # another thread while a block is hashed
     found = subprocess.run([_native._CC[0], "-print-file-name=libasan.so"],
                            capture_output=True, text=True, timeout=60)
     runtime = found.stdout.strip()

@@ -209,6 +209,15 @@ class TestBuild:
         with pytest.raises(ConstructionError, match="alpha too aggressive"):
             build(keys, PhfConfig(alpha=0.999, beta=1.0), max_bucket_seeds=32)
 
+    @LIBRARIES
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-9])
+    def test_table_of_2_32_cells_rejected(self, lib, alpha):
+        # a table of 1e302 or 1e11 cells is refused by BucketInput before
+        # either placement path allocates anything for it
+        keys = generate_keys(100, seed=4)
+        with _library(lib), pytest.raises(ValueError, match=r"below 2\*\*32"):
+            build(keys, PhfConfig(alpha=alpha, bucket_size=100))
+
     @pytest.mark.parametrize("minimal", [False, True], ids=["plain", "minimal"])
     def test_non_member_in_empty_last_bucket(self, minimal):
         # the first of a series of 6-key sets whose last bucket is empty,
@@ -1005,8 +1014,8 @@ class TestNativeQuery:
 
     @LIBRARIES
     def test_bytes_subclass_keys(self, keys_20k, phf_20k, lib):
-        # bytes, but not exact bytes: the kernel reads them through their
-        # buffer, not by pointer
+        # bytes, but not exact bytes: the kernel refuses them, and the
+        # plan is called again on the keys as hashing._key_bytes reads them
         keys = keys_20k[:600] + [b"stranger %d" % i for i in range(100)]
         with _library(None):
             want = phf_20k.evaluate_many(keys).tolist()
@@ -1157,6 +1166,55 @@ class TestEvaluateMany:
                 replacer.join(timeout=60)
             sys.setswitchinterval(interval)
         assert not any(replacer.is_alive() for replacer in replacers)
+
+    @native
+    def test_keys_popped_while_answered(self, phf_20k):
+        # another thread pops keys while each block is hashed without the
+        # GIL; the size check after the block raises RuntimeError, so no
+        # call reads past the list's end, and a call that returns gives
+        # the values of the keys it read (the ValueError is the length
+        # check of a list popped before the kernel ran)
+        seed = phf_20k.config.global_seed
+        base = [b"popped key %d" % i for i in range(60_000)]
+        want = phf_20k.evaluate_many(base)
+        want_hi, want_lo = master_hash_many(base, seed)
+        calls = {
+            "evaluate_many": lambda keys: [phf_20k.evaluate_many(keys)],
+            "master_hash_many": lambda keys: master_hash_many(keys, seed),
+        }
+
+        def pop_all(keys):
+            while keys:
+                keys.pop()
+
+        outcomes = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, call in calls.items():
+                for _ in range(20):
+                    keys = list(base)
+                    popper = threading.Thread(target=pop_all, args=(keys,))
+                    popper.start()
+                    try:
+                        got = call(keys)
+                    except RuntimeError as exc:
+                        assert "changed size" in str(exc)
+                        outcomes.append("changed size")
+                    except ValueError as exc:
+                        assert "items" in str(exc)
+                        outcomes.append("length")
+                    else:
+                        count = len(got[0])
+                        wants = [want] if len(got) == 1 else [want_hi, want_lo]
+                        assert all(np.array_equal(g, w[:count]) for g, w in zip(got, wants)), name
+                        outcomes.append("returned")
+                    finally:
+                        popper.join(timeout=60)
+                    assert not popper.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert "changed size" in outcomes  # the check was reached
 
 
 def _plan_args(phf: SicHashPhf) -> list:

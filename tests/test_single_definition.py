@@ -95,6 +95,41 @@ def test_derivation_constants_not_in_native_source():
     assert sorted(constants[v] for v in literals & constants.keys()) == []
 
 
+def _threshold_compares(c_source: str) -> list[str]:
+    """The top-level functions of C source, one entry per line, in which a
+    value is compared with ``t1`` or ``t2`` (a plain name or a member),
+    comments left out.  A function starts at a line ``static ... name(``
+    and ends at a line that starts with ``}``."""
+    code = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group().count("\n"), c_source, flags=re.S)
+    found, name = [], ""
+    for line in code.splitlines():
+        head = re.match(r"static\b[^(=]*?\b(\w+)\(", line)
+        if head:
+            name = head.group(1)
+        elif line.startswith("}"):
+            name = ""
+        if re.search(r"(?<!-)[<>]=?\s*(?:\w+->)?t[12]\b|\bt[12]\s*[<>]", line):
+            found.append(name)
+    return found
+
+
+def test_threshold_compare_scan():
+    # a member access, p->t1, is not a comparison
+    source = (
+        "/* lo < t1, in a comment */\nstatic int f(uint64_t x)\n{\n"
+        "    return x < p->t2 ? p->t1 : 0;\n}\nint y = t1 >= 3;\n"
+        "static void h(plan *p)\n{\n    parse(&p->t1, &p->t2);\n}\n"
+        "static inline int g(uint64_t y)\n{\n    return (y >= t1) + (y >= t2);\n}\n"
+    )
+    assert _threshold_compares(source) == ["f", "", "g"]
+
+
+def test_class_derivation_once_in_native_source():
+    # a low half's class is hashing.class_of, which _native.c writes once,
+    # in its own class_of, for the partition and the query plan alike
+    assert _threshold_compares((SRC / "_native.c").read_text()) == ["class_of"]
+
+
 def test_native_macros_are_the_loaders():
     used = set(re.findall(r"\bSICHASH_[A-Z0-9_]+", (SRC / "_native.c").read_text()))
     defined = {flag[2:].split("=")[0] for flag in _native._command(Path("lib.so"))
