@@ -7,8 +7,8 @@
  *       one seed attempt of a retrieval store of one-byte values: its rows
  *       derived, sorted by start, eliminated and back-substituted into
  *       plane words
- *   partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos)
- *       a build's master hashes counting-sorted by bucket, and by class
+ *   partition(hi, lo, t1, t2, hi_out, lo_out, counts)
+ *       a build's master hashes counting-sorted by class, then bucket
  *   rattle_place(hi, lo, mask, seed, budget, m, assignments)
  *       a cuckoo bucket's candidate cells under one seed and its
  *       rattle-kicking placement: each entry's hash-function index
@@ -30,9 +30,10 @@
  * Array arguments are C-contiguous buffers, such as numpy arrays.  Each
  * entry point checks their item sizes and lengths, and every value it uses
  * as an index, before it reads them, and raises TypeError (item size) or
- * ValueError (length, value); so a wrong argument never reads or writes
- * out of bounds.  Every argument is positional, and a keyword argument
- * raises TypeError.  Integer arguments of 64 bits (seeds, thresholds and
+ * ValueError (length, value), or the size check's RuntimeError for a key
+ * list of another length than the outputs; so a wrong argument never reads
+ * or writes out of bounds.  Every argument is positional, and a keyword
+ * argument raises TypeError.  Integer arguments of 64 bits (seeds, thresholds and
  * keys) go through u64_arg, which raises OverflowError outside [0, 2**64)
  * where the K format would wrap them.  The batch kernels
  * release the GIL around their loops, once they hold their buffers and
@@ -257,27 +258,34 @@ static Py_ssize_t gather_block(PyObject *seq, Py_ssize_t at, Py_ssize_t m, block
     return held;
 }
 
-/* Releases the first held keys of a block, then checks that the sequence
- * kept its n keys, which only another thread can change, while the block
- * was hashed without the GIL; returns -1 with an exception set when a key
- * raised or it did not. */
+/* The size check: 0 when the sequence holds the n keys that its outputs
+ * were sized for, and -1 with RuntimeError set when another thread changed
+ * its size, before the kernel read it or while a block was hashed. */
+static int check_size(PyObject *seq, Py_ssize_t n)
+{
+    if (PySequence_Fast_GET_SIZE(seq) == n)
+        return 0;
+    PyErr_SetString(PyExc_RuntimeError, "keys changed size while being hashed");
+    return -1;
+}
+
+/* Releases the first held keys of a block, then checks the sequence's
+ * size; returns -1 with an exception set when a key raised or the size
+ * check failed. */
 static int release_block(PyObject *seq, Py_ssize_t n, block_key *block, Py_ssize_t held)
 {
     while (held)
         Py_DECREF(block[--held].obj);
     if (PyErr_Occurred())
         return -1;
-    if (PySequence_Fast_GET_SIZE(seq) != n) {
-        PyErr_SetString(PyExc_RuntimeError, "keys changed size while being hashed");
-        return -1;
-    }
-    return 0;
+    return check_size(seq, n);
 }
 
 /* master_hash_batch(keys, a, b, hi, lo): the master hash halves of key i
  * under the seed's lanes a and b into hi[i] and lo[i], two uint64 arrays of
  * len(keys) words.  keys is any iterable of exact bytes objects; it is read
- * once, into a list unless it is a list or tuple. */
+ * once, into a list unless it is a list or tuple, and a length other than
+ * the outputs' fails the size check. */
 static PyObject *master_hash_batch(PyObject *self, PyObject *args)
 {
     PyObject *keys, *seq, *result = NULL;
@@ -288,10 +296,9 @@ static PyObject *master_hash_batch(PyObject *self, PyObject *args)
                           &hi, &lo))
         return NULL;
     seq = PySequence_Fast(keys, "keys must be an iterable of bytes objects");
-    if (!seq)
-        goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0)
+    Py_ssize_t n = hi.len / 8;
+    if (!seq || check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
+        check_size(seq, n) < 0)
         goto done;
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
         Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK;
@@ -481,93 +488,73 @@ done:
 }
 
 /* ------------------------------------------------------------------------
- * The build's partition of the master hashes by bucket and by class, the
- * work of phf._partition's numpy path.
+ * The build's partition of the master hashes into its one order, the work
+ * of phf._partition's numpy path.
  */
 
-/* partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c,
- * class_pos): the n master hashes (hi[i], lo[i]) in bucket order and in
- * class order.  Entry i's bucket is bucket_of(hi[i], num_buckets), with
- * num_buckets = len(counts) >= 1, and its degree is 2 << class_of(lo[i],
- * t1, t2), as hashing.bucket_of_many and hashing.class_of_many derive them.
- *   - hi_b, lo_b (uint64) and deg_b (uint8) receive the entries in bucket
- *     order, stable: by bucket, then input order (a counting sort);
- *     counts (int64) receives each bucket's entry count.
- *   - hi_c and lo_c (uint64) receive them in class order, stable: by class,
- *     then bucket order; class_pos (uint32) receives the class-order
- *     position of each bucket-order entry, so n must be below 2**32.
- * Returns the three class counts as a tuple. */
+/* the partition's sort key of a master hash under nb buckets: its class
+ * index, then its bucket */
+static inline uint64_t sort_key(uint64_t hi, uint64_t lo, uint64_t t1, uint64_t t2, uint64_t nb)
+{
+    return (uint64_t)class_of(lo, t1, t2) * nb + bucket_of(hi, nb);
+}
+
+/* partition(hi, lo, t1, t2, hi_out, lo_out, counts): the n master hashes
+ * (hi[i], lo[i]) in the build's one order, into hi_out and lo_out (uint64):
+ * a stable counting sort by class, then bucket, then input order.  With
+ * num_buckets = len(counts) / 3 >= 1, entry i's sort key is
+ * class_of(lo[i], t1, t2) * num_buckets + bucket_of(hi[i], num_buckets), as
+ * hashing.class_of_many and hashing.bucket_of_many derive them; counts
+ * (int64) receives each key's entry count. */
 static PyObject *partition(PyObject *self, PyObject *args)
 {
-    Py_buffer hi, lo, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos;
+    Py_buffer hi, lo, hi_out, lo_out, counts;
     uint64_t t1, t2;
-    if (!PyArg_ParseTuple(args, "y*y*O&O&w*w*w*w*w*w*w*:partition", &hi, &lo, u64_arg, &t1,
-                          u64_arg, &t2, &hi_b, &lo_b, &deg_b, &counts, &hi_c, &lo_c,
-                          &class_pos))
+    if (!PyArg_ParseTuple(args, "y*y*O&O&w*w*w*:partition", &hi, &lo, u64_arg, &t1, u64_arg,
+                          &t2, &hi_out, &lo_out, &counts))
         return NULL;
     PyObject *result = NULL;
-    Py_ssize_t n = hi.len / 8, nb = counts.len / 8;
+    Py_ssize_t n = hi.len / 8, nk = counts.len / 8;
     if (check_buffer(&hi, 8, n, "hi") < 0 || check_buffer(&lo, 8, n, "lo") < 0 ||
-        check_buffer(&hi_b, 8, n, "hi_b") < 0 || check_buffer(&lo_b, 8, n, "lo_b") < 0 ||
-        check_buffer(&deg_b, 1, n, "deg_b") < 0 || check_buffer(&counts, 8, nb, "counts") < 0 ||
-        check_buffer(&hi_c, 8, n, "hi_c") < 0 || check_buffer(&lo_c, 8, n, "lo_c") < 0 ||
-        check_buffer(&class_pos, 4, n, "class_pos") < 0)
+        check_buffer(&hi_out, 8, n, "hi_out") < 0 || check_buffer(&lo_out, 8, n, "lo_out") < 0 ||
+        check_buffer(&counts, 8, nk, "counts") < 0)
         goto done;
-    if ((uint64_t)n > UINT32_MAX) {
-        PyErr_SetString(PyExc_ValueError, "need n < 2**32");
-        goto done;
-    }
-    if (nb < 1) {
-        PyErr_SetString(PyExc_ValueError, "counts: need at least one bucket");
+    if (nk < 3 || nk % 3) {
+        PyErr_SetString(PyExc_ValueError,
+                        "counts: need 3 entries per bucket, for one bucket or more");
         goto done;
     }
-    const uint64_t *h = hi.buf, *l = lo.buf;
-    uint64_t *hb = hi_b.buf, *lb = lo_b.buf, *hc = hi_c.buf, *lc = lo_c.buf;
-    uint8_t *db = deg_b.buf;
-    int64_t *at = counts.buf, classes[3] = {0, 0, 0};
-    uint32_t *cp = class_pos.buf;
+    const uint64_t *h = hi.buf, *l = lo.buf, nb = (uint64_t)nk / 3;
+    uint64_t *oh = hi_out.buf, *ol = lo_out.buf;
+    int64_t *at = counts.buf;
     Py_BEGIN_ALLOW_THREADS
     memset(at, 0, counts.len);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        at[bucket_of(h[i], (uint64_t)nb)]++;
-        classes[class_of(l[i], t1, t2)]++;
-    }
-    /* each count becomes its bucket's first position, and is advanced past
-     * each entry placed there, to its bucket's end */
+    for (Py_ssize_t i = 0; i < n; i++)
+        at[sort_key(h[i], l[i], t1, t2, nb)]++;
+    /* each count becomes its key's first position, and is advanced past
+     * each entry placed there, to its key's end */
     int64_t sum = 0;
-    for (Py_ssize_t b = 0; b < nb; b++) {
-        int64_t count = at[b];
-        at[b] = sum;
+    for (Py_ssize_t k = 0; k < nk; k++) {
+        int64_t count = at[k];
+        at[k] = sum;
         sum += count;
     }
     for (Py_ssize_t i = 0; i < n; i++) {
-        int64_t j = at[bucket_of(h[i], (uint64_t)nb)]++;
-        hb[j] = h[i];
-        lb[j] = l[i];
-        db[j] = (uint8_t)(2 << class_of(l[i], t1, t2));
+        int64_t j = at[sort_key(h[i], l[i], t1, t2, nb)]++;
+        oh[j] = h[i];
+        ol[j] = l[i];
     }
-    for (Py_ssize_t b = nb - 1; b > 0; b--) /* the ends back into counts */
-        at[b] -= at[b - 1];
-    int64_t next[3] = {0, classes[0], classes[0] + classes[1]};
-    for (Py_ssize_t j = 0; j < n; j++) {
-        int64_t k = next[class_of(lb[j], t1, t2)]++;
-        hc[k] = hb[j];
-        lc[k] = lb[j];
-        cp[j] = (uint32_t)k;
-    }
+    for (Py_ssize_t k = nk - 1; k > 0; k--) /* the ends back into counts */
+        at[k] -= at[k - 1];
     Py_END_ALLOW_THREADS
-    result = Py_BuildValue("(LLL)", (long long)classes[0], (long long)classes[1],
-                           (long long)classes[2]);
+    result = Py_None;
+    Py_INCREF(result);
 done:
     PyBuffer_Release(&hi);
     PyBuffer_Release(&lo);
-    PyBuffer_Release(&hi_b);
-    PyBuffer_Release(&lo_b);
-    PyBuffer_Release(&deg_b);
+    PyBuffer_Release(&hi_out);
+    PyBuffer_Release(&lo_out);
     PyBuffer_Release(&counts);
-    PyBuffer_Release(&hi_c);
-    PyBuffer_Release(&lo_c);
-    PyBuffer_Release(&class_pos);
     return result;
 }
 
@@ -899,10 +886,8 @@ static PyObject *plan_query_keys(Plan *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "Ow*:query_keys", &keys, &out))
         return NULL;
     seq = PySequence_Fast(keys, "keys must be an iterable of bytes objects");
-    if (!seq)
-        goto done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    if (check_buffer(&out, 8, n, "out") < 0)
+    Py_ssize_t n = out.len / 8;
+    if (!seq || check_buffer(&out, 8, n, "out") < 0 || check_size(seq, n) < 0)
         goto done;
     for (Py_ssize_t at = 0; at < n; at += KEY_BLOCK) {
         Py_ssize_t m = n - at < KEY_BLOCK ? n - at : KEY_BLOCK;
@@ -1129,8 +1114,8 @@ static PyMethodDef methods[] = {
      "rattle_place(hi, lo, mask, seed, budget, m, assignments): derive a bucket's cells under "
      "one seed and place it"},
     {"partition", partition, METH_VARARGS,
-     "partition(hi, lo, t1, t2, hi_b, lo_b, deg_b, counts, hi_c, lo_c, class_pos): the "
-     "master hashes in bucket order and in class order; returns the class counts"},
+     "partition(hi, lo, t1, t2, hi_out, lo_out, counts): the master hashes by class, then "
+     "bucket, into hi_out and lo_out; counts receives each (class, bucket) count"},
     {"ef_decode", ef_decode, METH_VARARGS,
      "ef_decode(upper, lower, width, out): an Elias-Fano sequence's values, into out"},
     {"crc32_fold", crc32_fold, METH_O,

@@ -4,8 +4,8 @@ from ``_native.c``.
 It holds seven kernels, each called with Python objects: the batch
 master hash of :func:`~sichash.hashing.master_hash_many`, the retrieval
 store attempt of :func:`~sichash.retrieval._solve` (rows derived, sorted
-by start, eliminated and written as plane words in one call), the
-counting sort of a build's master hashes by bucket and by class of
+by start, eliminated and written as plane words in one call), the one
+counting sort of a build's master hashes by class, then bucket, of
 :func:`~sichash.phf._partition`, the cell derivation and rattle-kicking
 placement of :func:`~sichash.cuckoo.build_bucket`, the scalar and batch
 query of :class:`~sichash.phf.SicHashPhf`, which runs from a

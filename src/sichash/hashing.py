@@ -160,8 +160,9 @@ def master_hash_many(
             flat.extend(_hash_bytes(_key_bytes(key), a, b))
         pairs = np.frombuffer(flat, dtype=np.uint64).reshape(-1, 2)
         return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
-    hi = np.empty(len(keys), dtype=np.uint64)
-    lo = np.empty(len(keys), dtype=np.uint64)
+    n = len(keys)  # read once: another thread may resize the list
+    hi = np.empty(n, dtype=np.uint64)
+    lo = np.empty(n, dtype=np.uint64)
     try:
         lib.master_hash_batch(keys, a, b, hi, lo)
         return hi, lo

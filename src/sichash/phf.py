@@ -226,9 +226,9 @@ class BuildStats:
     Attached by :func:`build` and :func:`build_from_hashes` as
     :attr:`SicHashPhf.build_stats`; never serialized.  ``stages`` holds
     wall seconds per stage: ``hash`` (master hashing, :func:`build` only),
-    ``partition`` (the keys put in bucket order and in class order),
-    ``cuckoo`` (every bucket's placement, its hash-function indices written
-    in class order), ``retrieval`` (the three stores' builds),
+    ``partition`` (the keys put in the build's one order: by class, then
+    bucket), ``cuckoo`` (every bucket's placement, its hash-function indices
+    written back into that order), ``retrieval`` (the three stores' builds),
     ``retrieval_r1`` .. ``retrieval_r3`` (each store's build only),
     ``verify`` (the batch query and check of every key) and, in minimal
     mode, ``remap``.  The buckets, and the stores, are built in parallel on
@@ -589,62 +589,44 @@ def build_from_hashes(
 
 
 class _Partition(NamedTuple):
-    """The build's master hashes in bucket order and in class order."""
+    """The build's master hashes in its one order: by class, then bucket,
+    then input order."""
 
-    #: hi, lo and degree in bucket order: by bucket, then input order
     hi: np.ndarray
     lo: np.ndarray
-    degrees: np.ndarray
-    #: bucket b holds entries bounds[b] .. bounds[b + 1] - 1
+    #: the entries of class index c (degree ``2 << c``) in bucket b are
+    #: bounds[k] .. bounds[k + 1] - 1, with k = c * num_buckets + b
     bounds: list[int]
-    #: hi and lo in class order: by degree, then bucket order
-    class_hi: np.ndarray
-    class_lo: np.ndarray
-    #: the store of r holds class-order entries class_bounds[r - 1] ..
-    #: class_bounds[r] - 1
-    class_bounds: list[int]
-    #: the class-order position of each bucket-order entry (uint32)
-    class_pos: np.ndarray
 
 
 def _partition(hi: np.ndarray, lo: np.ndarray, num_buckets: int, t1: int, t2: int) -> _Partition:
-    """Both orders of the master hashes, by bucket (:func:`bucket_of_many`)
-    and by class (:func:`class_of_many` under thresholds ``t1 <= t2``).
+    """The master hashes by class (:func:`class_of_many` under thresholds
+    ``t1 <= t2``), then bucket (:func:`bucket_of_many`), then input order:
+    each class is one run, its store's rows, and each bucket's entries of a
+    class are one run within it.
 
     One call of the native kernel ``partition`` counting-sorts them; when
-    :data:`sichash._native.lib` is None, two stable numpy sorts give the
-    same arrays, as fallback and as the reference the tests compare the
-    kernel against.
+    :data:`sichash._native.lib` is None, one stable numpy sort by the same
+    key gives the same arrays, as fallback and as the reference the tests
+    compare the kernel against.
     """
     hi, lo = (np.ascontiguousarray(a, dtype=np.uint64) for a in (hi, lo))
-    n = len(hi)
+    num_keys = len(CLASS_DEGREES) * num_buckets
     lib = _native.lib
     if lib is not None:
-        hi_b, lo_b, hi_c, lo_c = (np.empty(n, dtype=np.uint64) for _ in range(4))
-        degrees = np.empty(n, dtype=np.uint8)
-        counts = np.empty(num_buckets, dtype=np.int64)
-        class_pos = np.empty(n, dtype=np.uint32)
-        class_counts = lib.partition(
-            hi, lo, t1, t2, hi_b, lo_b, degrees, counts, hi_c, lo_c, class_pos
-        )
+        hi_out, lo_out = np.empty_like(hi), np.empty_like(lo)
+        counts = np.empty(num_keys, dtype=np.int64)
+        lib.partition(hi, lo, t1, t2, hi_out, lo_out, counts)
     else:
-        degrees = class_of_many(lo, t1, t2)
-        # one narrowest-dtype array serves the sort and the bincount; its
-        # stable sort is a radix sort: same order, faster
-        buckets = bucket_of_many(hi, num_buckets).astype(np.min_scalar_type(num_buckets - 1))
-        order = np.argsort(buckets, kind="stable")
-        hi_b, lo_b, degrees = hi[order], lo[order], degrees[order]
-        counts = np.bincount(buckets, minlength=num_buckets)
-        # a stable (radix) sort by degree keeps each class in bucket order
-        by_class = np.argsort(degrees, kind="stable")
-        hi_c, lo_c = hi_b[by_class], lo_b[by_class]
-        class_pos = np.empty(n, dtype=np.uint32)
-        class_pos[by_class] = np.arange(n, dtype=np.uint32)
-        class_counts = np.bincount(degrees, minlength=CLASS_DEGREES[-1] + 1)[list(CLASS_DEGREES)]
-    return _Partition(
-        hi_b, lo_b, degrees, [0, *np.cumsum(counts).tolist()],
-        hi_c, lo_c, [0, *np.cumsum(class_counts).tolist()], class_pos,
-    )
+        # degree >> 2 is the class index; one narrowest-dtype key serves the
+        # sort and the bincount, and its stable sort is a radix sort
+        key = bucket_of_many(hi, num_buckets)
+        key += (class_of_many(lo, t1, t2) >> 2) * np.uint64(num_buckets)
+        key = key.astype(np.min_scalar_type(num_keys - 1))
+        order = np.argsort(key, kind="stable")
+        hi_out, lo_out = hi[order], lo[order]
+        counts = np.bincount(key, minlength=num_keys)
+    return _Partition(hi_out, lo_out, [0, *np.cumsum(counts).tolist()])
 
 
 def _build_plain(
@@ -663,19 +645,19 @@ def _build_plain(
     # before the build returns or raises
     pool = ThreadPoolExecutor(workers, thread_name_prefix="sichash-build")
     try:
-        class_fn, seeds, offsets, displacements = _place_buckets(
+        fn, seeds, offsets, displacements = _place_buckets(
             pool, part, config.alpha, max_bucket_seeds
         )
-        class_hi, class_lo, class_bounds = part.class_hi, part.class_lo, part.class_bounds
-        del part  # the bucket-order arrays, freed before the solves
         t0 = time.perf_counter()
         stages["cuckoo"] = t0 - t1
+        # the store of r holds entries class_bounds[r - 1] .. class_bounds[r] - 1
+        class_bounds = part.bounds[::num_buckets]
 
         def solve(r):
             t = time.perf_counter()
-            a, z = class_bounds[r - 1], class_bounds[r]
+            rows = slice(class_bounds[r - 1], class_bounds[r])
             store = RetrievalStore.build(
-                (class_hi[a:z], class_lo[a:z]), class_fn[a:z], r, base_seed=config.global_seed
+                (part.hi[rows], part.lo[rows]), fn[rows], r, base_seed=config.global_seed
             )
             return store, time.perf_counter() - t
 
@@ -713,34 +695,49 @@ def _place_buckets(
     pool: ThreadPoolExecutor, part: _Partition, alpha: float, max_bucket_seeds: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Every bucket's placement, one :func:`build_bucket` task per bucket on
-    ``pool``: the hash-function indices in class order, the seeds, the
-    table offsets and the summed displacements.
+    ``pool``: the hash-function indices in the partition's order, the seeds,
+    the table offsets and the summed displacements.
 
-    Each task writes its bucket's indices, seed and displacements itself.
+    A bucket's entries are its three class runs, degree 2 first, placed in
+    that order.  Each task writes its bucket's indices back into those
+    runs, and its seed and displacements, itself.
     Tasks are read in bucket order, so the lowest failing bucket's error is
     raised, as in a loop over the buckets.  A bucket above a failed one
     does not start.
     """
     bounds = part.bounds
-    num_buckets = len(bounds) - 1
-    sizes = [z - a for a, z in zip(bounds, bounds[1:])]
+    num_buckets = (len(bounds) - 1) // len(CLASS_DEGREES)
+    # bucket b's run of class index c is the partition's run c * num_buckets + b
+    runs = [
+        [(bounds[k], bounds[k + 1]) for k in range(b, len(bounds) - 1, num_buckets)]
+        for b in range(num_buckets)
+    ]
+    sizes = [sum(z - a for a, z in r) for r in runs]
     tables = [max(n_b, round(n_b / alpha)) if n_b else 0 for n_b in sizes]
-    class_fn = np.empty(bounds[-1], dtype=np.uint8)
+    fn = np.empty(bounds[-1], dtype=np.uint8)
     seeds = np.zeros(num_buckets, dtype=np.uint64)
     displacements = [0] * num_buckets
     failed: list[int] = []  # appended to by the tasks, which min() reads whole
+    class_degrees = np.array(CLASS_DEGREES, dtype=np.uint8)
 
     def place(b):
         if failed and b > min(failed):
             return  # a lower bucket's error is raised
-        a, z = bounds[b], bounds[b + 1]
-        inp = BucketInput(part.hi[a:z], part.lo[a:z], part.degrees[a:z], tables[b])
+        inp = BucketInput(
+            np.concatenate([part.hi[a:z] for a, z in runs[b]]),
+            np.concatenate([part.lo[a:z] for a, z in runs[b]]),
+            np.repeat(class_degrees, [z - a for a, z in runs[b]]),
+            tables[b],
+        )
         try:
             result = build_bucket(inp, max_seeds=max_bucket_seeds)
         except Exception:
             failed.append(b)
             raise
-        class_fn[part.class_pos[a:z]] = result.assignments
+        at = 0
+        for a, z in runs[b]:
+            fn[a:z] = result.assignments[at : at + z - a]
+            at += z - a
         seeds[b] = result.seed
         displacements[b] = result.displacements
 
@@ -755,7 +752,7 @@ def _place_buckets(
                 f"construction failed: alpha too aggressive (bucket {b}: {exc})"
             ) from exc
     offsets = np.array([0, *itertools.accumulate(tables)], dtype=np.uint64)
-    return class_fn, seeds, offsets, sum(displacements)
+    return fn, seeds, offsets, sum(displacements)
 
 
 def _attach_remap(phf: SicHashPhf, seen: np.ndarray) -> SicHashPhf:

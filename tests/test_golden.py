@@ -22,18 +22,18 @@ GOLDEN_KEY_SEED = 2024
 GOLDEN = [
     (
         PhfConfig(alpha=0.90),
-        "bb431a712714c64c7dec16e7095db61ffa0979cce66dad41ca6968b42b10bb16",
-        "7e898209c77532bee68654ba417160980d1737a4adebfb2154c6513e734e6957",
+        "766af30e4e8ddebed0a8a6a2bc234dd2e3dd06ce832f411b0e7185dbb3e42fc4",
+        "b81b1227432636eeaef7af265935910b501924305983c39bb091901b30c9afe6",
     ),
     (
         PhfConfig(alpha=0.97, minimal=True, compressed_metadata=True),
-        "6914727554ae0d5e92b6e5e179cb831d4700add6b3b4e95c0a4bd46828e4cd56",
-        "9eb598251ed288eb62df74198550f356dbf3d1c3013772151d942c13947a2b45",
+        "d5b8eba91cc0d57324f856bd0a50a6326aca7e6208d1ea7aee43c3be9d2bacb4",
+        "29ef4b560a7754f88da439a3592c2c94007988f5e66ade196c2b17a6295d6358",
     ),
     (
         PhfConfig(alpha=0.90, x=0.66),
-        "86e55587e17010c3ca82d06a9dea3c3eb6c3438ebeaf188daeff63c577847669",
-        "8b96b6a20fb0e52ef1a6204db93b2926630ca391358c91a21a30623b1de5848f",
+        "5079f76afec6b7a706ab1ece928f98e91e03b19b138ce3692544c5cae869e37b",
+        "cbd3d520494f5c09f623ba6f6cec072eba6c8881fba150af8b56c57e3fa8756d",
     ),
 ]
 
@@ -42,24 +42,24 @@ SECTIONS = [
     {
         "header": "2a27e5d2bbddb3bd71caf915ba5e978349a45eda194139f956659cac0ae93f03",
         "metadata": "2db28c9b8cccf99a7382d21533fc659be9e3186c6670537628b77291eedf7991",
-        "r1": "89411a1f217fa55f3b46d9c613ac17d119c6af141e6f91f624553a7c701ee6fd",
-        "r2": "fbed3e5d96de569d126fa7e67242b94a308ee56c184fe05f7e405cb834f1b935",
-        "r3": "d571d1b82156879c0d5222c169569c321a62c537d0861611b6fdacf551cd1e43",
+        "r1": "0ea280c5e68fa0516090c8af995acd8558554c7ab7aba998c2591ac4b5c46f9d",
+        "r2": "b333aee43366950b2129feca3cd1f740c7c5b0e0104591c2f05efc6df1b4d27d",
+        "r3": "c83acb141b29d1c2c5a69314c5845fe5bb0fc7626b6b1908cd16ad74c6620dfd",
     },
     {
         "header": "7227491220331fa0ab820899e8528ec97c054562d70c444b87f6f6a61cb2725d",
         "metadata": "5bb86b2c8a30fe2f4a1ee3354548e2b32d098b7faf8a95354cedd74380dab608",
-        "r1": "6138611fb220809b63bfdcc9d36788198eb581f37395cc0351b3e6a20c91c798",
-        "r2": "c2c00be78b9499778a37e64009d49f8b0e47ac1d5f3fdb883ca5d539d6c3de10",
-        "r3": "36b9ea723c081b293fa4480918baaafcf549cf78cd12aa31da1630e338027cd0",
-        "remap": "5383c828c460550ad9a5b3e159a1fc1b92403db5f78b096155935e70604f505d",
+        "r1": "0072181d3eab8356224af38a3c917e59fb8d8f2772d83a79e3635abaf2930295",
+        "r2": "94327bbc7f9ad96531d1c433c3a583fb458f0ba59bf4a036f5afd1d3e6c0b3dd",
+        "r3": "2423165be2c0befe3b34d332b03ed560a7537d1b0e54ad02b4231148080b4cb5",
+        "remap": "4cc67e8fea3fb55c66c67c2c07ae5f2bc3644f1ef57df607962045a2e697109b",
     },
     {
         "header": "6df398d71d9385b19da6eaa6db614193f3fd6118faa1ae6194da6411d2cff29b",
         "metadata": "2db28c9b8cccf99a7382d21533fc659be9e3186c6670537628b77291eedf7991",
-        "r1": "8060c520123ebb38142313e80590a93e3961e8fff1aa8af8def6c74d4c4ad97e",
-        "r2": "108328bcf4a90e5280cd240322a448ec395259e0a3a82abc43282b9e5ee42bfa",
-        "r3": "cedcf9aa9c8b79e7cd3e938192202ae2bb3426d75657cdbafcd2a7c9d9f88376",
+        "r1": "25fef677799757415ced52cc408ee5d755a2d977e1caf9d49ca9bb167f7c7dda",
+        "r2": "deaf83f2dd4f65dd78c6cc7f495cfe5a7948d2d1a3ccbb66bcac9eae17c6a1d6",
+        "r3": "0f50caa99cd74fdaca78454641566ac7e3e678d659d6dd52ba7997d09d756281",
     },
 ]
 

@@ -385,6 +385,14 @@ class TestBatchHashArguments:
         with pytest.raises(TypeError):
             _native.lib.master_hash_batch([b"a"], 0, 0, hi, bytes(8))
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_outputs_sized_for_other_keys(self, count):
+        # outputs sized from a list that another thread shrank or grew
+        # before the kernel read it: the size check's error
+        hi = np.empty(3, dtype=np.uint64)
+        with pytest.raises(RuntimeError, match="keys changed size while being hashed"):
+            _native.lib.master_hash_batch([b"a"] * count, 0, 0, hi, hi.copy())
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_64_bits(self, seed):
         # the seed's lanes are 64-bit words
@@ -535,11 +543,12 @@ class TestLoadKernel:
 #: argv[1]: each build, load and query path, once on that module and once
 #: on the regular one, which must agree byte for byte
 _SANITIZED_ROUND = """
-import importlib.util, sys, threading
+import importlib.util, sys, threading, zlib
 import numpy as np
 from sichash import _native
 from sichash.cli import generate_keys
 from sichash.cuckoo import BucketInput, build_bucket
+from sichash.errors import DeserializationError
 from sichash.hashing import class_of_many, class_thresholds, master_hash_many, row_keys
 from sichash.phf import PhfConfig, SicHashPhf, build
 
@@ -637,8 +646,6 @@ for call in (lambda ks: [phf.evaluate_many(ks)], lambda ks: master_hash_many(ks,
         except RuntimeError as exc:
             assert "changed size" in str(exc)
             outcomes.append("changed size")
-        except ValueError as exc:
-            assert "items" in str(exc)
         else:
             count = len(got[0])
             wants = [want] if len(got) == 1 else [want_hi, want_lo]
@@ -646,6 +653,43 @@ for call in (lambda ks: [phf.evaluate_many(ks)], lambda ks: master_hash_many(ks,
         popper.join(timeout=60)
         assert not popper.is_alive()
 assert "changed size" in outcomes
+
+# mutated blobs under a fresh CRC, byte flips and extreme 8-byte windows:
+# each either raises DeserializationError or answers every key below its
+# output range, with batch equal to scalar, and both modules agree (at the
+# default switch interval again)
+sys.setswitchinterval(0.005)
+small = keys[:300]
+rng = np.random.default_rng(36)
+extremes = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+loaded = 0
+for config in configs:
+    _native.lib = regular
+    body = bytearray(build(small, config).to_bytes()[:-4])
+    for i in range(48):
+        mutated = bytearray(body)
+        if i % 2:
+            at = int(rng.integers(0, len(body) - 8))
+            mutated[at:at + 8] = extremes[i // 2 % len(extremes)].to_bytes(8, "little")
+        else:
+            for at in rng.integers(0, len(body), size=1 + i % 3):
+                mutated[at] ^= int(rng.integers(1, 256))
+        mutated += zlib.crc32(mutated).to_bytes(4, "little")
+        outputs = []
+        for lib in (sanitized, regular):
+            _native.lib = lib
+            try:
+                phf = SicHashPhf.from_bytes(bytes(mutated))
+            except DeserializationError:
+                outputs.append("DeserializationError")
+                continue
+            values = phf.evaluate_many(small)
+            assert (values < phf.output_range).all()
+            assert [phf.evaluate(k) for k in small] == values.tolist()
+            outputs.append(values.tobytes())
+        assert outputs[0] == outputs[1]
+        loaded += outputs[0] != "DeserializationError"
+assert 0 < loaded < 96
 print("clean")
 """
 
@@ -656,8 +700,8 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
     # the module built with ASan and UBSan, any report fatal, runs a plain
     # and a minimal build, a reload and every query path in a subprocess,
     # then a bucket's failed seeds, a budget that runs out and a store solve,
-    # keys that are not exact bytes at a block's edge, and keys popped by
-    # another thread while a block is hashed
+    # keys that are not exact bytes at a block's edge, keys popped by
+    # another thread while a block is hashed, and 96 mutated blobs
     found = subprocess.run([_native._CC[0], "-print-file-name=libasan.so"],
                            capture_output=True, text=True, timeout=60)
     runtime = found.stdout.strip()

@@ -282,9 +282,13 @@ class TestBuildStats:
         config = PhfConfig(alpha=0.9)
         phf = build_from_hashes(hi, lo, config)
         assert list(phf.build_stats.stages) == _STAGES[1:]
-        # 3000 keys make one bucket: its placement is the whole count
+        # 3000 keys make one bucket, placed degree 2 first: its placement is
+        # the whole count
         degrees = class_of_many(lo, *class_thresholds(*config.fractions[:2]))
-        placed = build_bucket(BucketInput(hi, lo, degrees, round(3000 / 0.9)))
+        order = np.argsort(degrees, kind="stable")
+        placed = build_bucket(
+            BucketInput(hi[order], lo[order], degrees[order], round(3000 / 0.9))
+        )
         assert phf.build_stats.displacements == placed.displacements > 0
 
     def test_seed_retries_counted(self):
@@ -301,9 +305,10 @@ class TestBuildStats:
 
 @pytest.mark.parametrize("minimal", [False, True], ids=["plain", "minimal"])
 def test_each_store_is_built_from_its_masked_rows(keys_20k, monkeypatch, minimal):
-    """The class split hands each store the rows, and their values, that a
-    mask of its degree selects from the bucket-ordered keys, in that order;
-    tests/test_golden.py pins the blobs built from them."""
+    """Each bucket is placed with its entries grouped by class, degree 2
+    first, and each store gets the rows, and their values, that a mask of
+    its degree selects from the keys in that order; tests/test_golden.py
+    pins the blobs built from them."""
     received = {}
     solve = RetrievalStore.build.__func__
 
@@ -316,9 +321,10 @@ def test_each_store_is_built_from_its_masked_rows(keys_20k, monkeypatch, minimal
     phf = build(keys_20k, config)
     hi, lo = master_hash_many(keys_20k, config.global_seed)
     buckets = bucket_of_many(hi, phf.meta.num_buckets).astype(np.int64)
-    order = np.argsort(buckets, kind="stable")
-    hi, lo = hi[order], lo[order]
     degrees = class_of_many(lo, *class_thresholds(*config.fractions[:2]))
+    # by bucket, then degree, then input order
+    order = np.lexsort((degrees, buckets))
+    hi, lo, degrees = hi[order], lo[order], degrees[order]
     bounds = np.searchsorted(buckets[order], np.arange(phf.meta.num_buckets + 1)).tolist()
     sizes = np.diff(phf.meta.offsets).tolist()
     placed = [
@@ -380,61 +386,73 @@ class TestPartition:
         hi, lo, num_buckets, t1, t2 = _partition_cases()[case]
         got, want = _partition_on_each_path(hi, lo, num_buckets, t1, t2)
         _assert_same_partition(got, want)
-        assert want.bounds[-1] == want.class_bounds[-1] == len(hi)
-        assert np.array_equal(want.class_hi[want.class_pos], want.hi)
+        assert len(want.bounds) == 3 * num_buckets + 1 and want.bounds[-1] == len(hi)
 
     def test_classes_stay_in_bucket_order(self):
+        # by class, then bucket, then input order
         hi, lo, num_buckets, t1, t2 = _partition_cases()["random"]
         part, _ = _partition_on_each_path(hi, lo, num_buckets, t1, t2)
-        for r, degree in enumerate((2, 4, 8), 1):
-            a, z = part.class_bounds[r - 1], part.class_bounds[r]
-            mask = part.degrees == degree
-            assert np.array_equal(part.class_hi[a:z], part.hi[mask])
-            assert np.array_equal(part.class_lo[a:z], part.lo[mask])
+        degrees = class_of_many(lo, t1, t2).tolist()
+        buckets = bucket_of_many(hi, num_buckets).tolist()
+        runs = list(zip(degrees, buckets))
+        order = sorted(range(len(hi)), key=runs.__getitem__)  # sorted() is stable
+        assert np.array_equal(part.hi, hi[order]) and np.array_equal(part.lo, lo[order])
+        # run c * num_buckets + b holds bucket b's entries of class index c
+        want = [runs.count((d, b)) for d in (2, 4, 8) for b in range(num_buckets)]
+        assert np.diff(part.bounds).tolist() == want
 
     @staticmethod
     def _arrays(n=3, num_buckets=2):
         return dict(hi=np.arange(n, dtype=np.uint64), lo=np.arange(n, dtype=np.uint64),
-                    hi_b=np.empty(n, dtype=np.uint64), lo_b=np.empty(n, dtype=np.uint64),
-                    deg_b=np.empty(n, dtype=np.uint8), counts=np.empty(num_buckets, dtype=np.int64),
-                    hi_c=np.empty(n, dtype=np.uint64), lo_c=np.empty(n, dtype=np.uint64),
-                    class_pos=np.empty(n, dtype=np.uint32))
+                    hi_out=np.empty(n, dtype=np.uint64), lo_out=np.empty(n, dtype=np.uint64),
+                    counts=np.empty(3 * num_buckets, dtype=np.int64))
 
     def _partition(self, t1=0, t2=0, **changes):
         a = {**self._arrays(), **changes}
-        return _native.lib.partition(a["hi"], a["lo"], t1, t2, a["hi_b"], a["lo_b"], a["deg_b"],
-                                     a["counts"], a["hi_c"], a["lo_c"], a["class_pos"])
+        return _native.lib.partition(a["hi"], a["lo"], t1, t2, a["hi_out"], a["lo_out"],
+                                     a["counts"])
 
     def test_valid_arrays(self):
-        assert self._partition(t1=1, t2=2) == (1, 1, 1)
+        a = {**self._arrays(), "lo": np.array([2, 0, 1], dtype=np.uint64)}  # class 2, 0, 1
+        assert self._partition(t1=1, t2=2, **a) is None
+        # every hi below 2**63 is in bucket 0 of 2
+        assert a["counts"].tolist() == [1, 0, 1, 0, 1, 0]
+        assert a["hi_out"].tolist() == [1, 2, 0] and a["lo_out"].tolist() == [0, 1, 2]
 
     def test_wrong_item_size(self):
         for name, dtype, size in (("hi", np.uint32, 8), ("lo", np.int16, 8),
-                                  ("hi_b", np.uint8, 8), ("deg_b", np.int64, 1),
-                                  ("counts", np.int32, 8), ("class_pos", np.int64, 4)):
+                                  ("hi_out", np.uint8, 8), ("lo_out", np.int32, 8),
+                                  ("counts", np.int32, 8)):
             wrong = self._arrays()[name].astype(dtype)
             with pytest.raises(TypeError, match=f"{name}: need items of {size} bytes"):
                 self._partition(**{name: wrong})
 
     def test_length_mismatch(self):
-        for name in ("lo", "hi_b", "lo_b", "deg_b", "hi_c", "lo_c", "class_pos"):
+        for name in ("lo", "hi_out", "lo_out"):
             with pytest.raises(ValueError, match=f"{name}: need 3 items, got 2"):
                 self._partition(**{name: self._arrays()[name][:2]})
 
     def test_no_bucket(self):
-        with pytest.raises(ValueError, match="counts: need at least one bucket"):
+        with pytest.raises(ValueError, match="counts: need 3 entries per bucket"):
             self._partition(counts=np.empty(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("entries", [1, 2, 4, 5, 7])
+    def test_counts_not_a_multiple_of_3(self, entries):
+        with pytest.raises(ValueError, match="counts: need 3 entries per bucket"):
+            self._partition(counts=np.empty(entries, dtype=np.int64))
 
     @pytest.mark.parametrize("t", [-1, 2**64])
     def test_threshold_outside_64_bits(self, t):
-        with pytest.raises(OverflowError):
-            self._partition(t1=t)
+        for thresholds in ({"t1": t}, {"t2": t}):
+            with pytest.raises(OverflowError):
+                self._partition(**thresholds)
 
     def test_read_only_output(self):
-        frozen = np.empty(3, dtype=np.uint64)
-        frozen.flags.writeable = False
-        with pytest.raises((BufferError, TypeError)):
-            self._partition(hi_c=frozen)
+        for name in ("hi_out", "lo_out", "counts"):
+            frozen = self._arrays()[name]
+            frozen.flags.writeable = False
+            with pytest.raises((BufferError, TypeError)):
+                self._partition(**{name: frozen})
 
 
 def _tripled(degree: int, config: PhfConfig, n: int = 1000):
@@ -557,13 +575,15 @@ class TestParallelBuild:
 
 
 def _first_bucket(keys, config):
-    """Bucket 0's hashes, degrees and table size, as the build gives them."""
+    """Bucket 0's hashes, degrees and table size, as the build gives them:
+    degree 2 first, each degree in input order."""
     hi, lo = master_hash_many(keys, config.global_seed)
     num_buckets = round(len(keys) / config.bucket_size)
     mask = bucket_of_many(hi, num_buckets) == 0
     degrees = class_of_many(lo[mask], *class_thresholds(*config.fractions[:2]))
+    order = np.argsort(degrees, kind="stable")
     n = int(mask.sum())
-    return hi[mask], lo[mask], degrees, max(n, round(n / config.alpha))
+    return hi[mask][order], lo[mask][order], degrees[order], max(n, round(n / config.alpha))
 
 
 @native
@@ -1169,11 +1189,11 @@ class TestEvaluateMany:
 
     @native
     def test_keys_popped_while_answered(self, phf_20k):
-        # another thread pops keys while each block is hashed without the
-        # GIL; the size check after the block raises RuntimeError, so no
+        # another thread pops keys before the kernel reads the list or
+        # while a block is hashed without the GIL; the size check, when the
+        # kernel starts and after each block, raises RuntimeError, so no
         # call reads past the list's end, and a call that returns gives
-        # the values of the keys it read (the ValueError is the length
-        # check of a list popped before the kernel ran)
+        # the values of the keys it read
         seed = phf_20k.config.global_seed
         base = [b"popped key %d" % i for i in range(60_000)]
         want = phf_20k.evaluate_many(base)
@@ -1201,9 +1221,6 @@ class TestEvaluateMany:
                     except RuntimeError as exc:
                         assert "changed size" in str(exc)
                         outcomes.append("changed size")
-                    except ValueError as exc:
-                        assert "items" in str(exc)
-                        outcomes.append("length")
                     else:
                         count = len(got[0])
                         wants = [want] if len(got) == 1 else [want_hi, want_lo]
@@ -1252,6 +1269,11 @@ class TestPlanArguments:
         hi = np.zeros(4, dtype=np.uint64)
         with pytest.raises(ValueError, match="out: need 4 items, got 3"):
             phf_20k._query.query_hashes(hi, hi, np.empty(3, dtype=np.uint64))
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_query_keys_output_sized_for_other_keys(self, phf_20k, count):
+        with pytest.raises(RuntimeError, match="keys changed size while being hashed"):
+            phf_20k._query.query_keys([b"a"] * count, np.empty(4, dtype=np.uint64))
 
     def test_wrong_dtype(self, phf_20k):
         with pytest.raises(TypeError, match="starts: need items of 8 bytes"):

@@ -480,7 +480,7 @@ def test_build_takes_the_same_seed_on_both_paths(monkeypatch):
 
 def test_seed_retry_wraps_past_2_to_the_64():
     # the r2 store of this function fails its base seed 2**64 - 1 once
-    keys = generate_keys(150, 137)
+    keys = generate_keys(150, 158)
     phf = build(keys, PhfConfig(alpha=0.9, global_seed=2**64 - 1))
     assert phf.stores[4].seed == 0
     assert phf.build_stats.stores[2]["seed_retries"] == 1
